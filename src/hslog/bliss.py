@@ -160,6 +160,18 @@ def unit_norm_a_hat(report: ConstantsReport, dc: DerivedConstants) -> float:
 # --- norm deviation scan ---------------------------------------------------
 
 
+def _check_deviation_error(norm: str, eps: float, r0: float, dev: float,
+                           err_core: float, err_tail: float) -> None:
+    """The rate fits rest on deviations near eps^(s p*); quad's own error
+    estimates must stay three orders below the deviation they produce."""
+    if err_core + err_tail > 1e-3 * abs(dev):
+        raise NumericalError(
+            f"{norm} deviation quadrature at eps={eps:g}, r0={r0:g} did not converge: "
+            f"error estimates {err_core:.3e} on the cutoff region [r0, 2 r0] and "
+            f"{err_tail:.3e} on the tail (2 r0, inf) against |deviation| {abs(dev):.3e}"
+        )
+
+
 def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2,
                                a_hat: float = 1.0) -> float:
     """||u_eps||^p - a_hat^p S_power, via cutoff-region difference + tail."""
@@ -176,9 +188,11 @@ def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2
         r = 2.0 * r0 / v
         return r**ps.alpha1 * abs(bliss_deriv(eps, r, dc)) ** ps.p * 2.0 * r0 / v**2
 
-    core, _ = quad(diff, r0, 2.0 * r0, limit=200)
-    tl, _ = quad(tail, 1e-14, 1.0, limit=200)
-    return a_hat**ps.p * (core - tl)
+    core, err_core = quad(diff, r0, 2.0 * r0, limit=200)
+    tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
+    dev = core - tl
+    _check_deviation_error("Dirichlet", eps, r0, dev, err_core, err_tail)
+    return a_hat**ps.p * dev
 
 
 def bubble_lpstar_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2,
@@ -196,9 +210,11 @@ def bubble_lpstar_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2,
         r = 2.0 * r0 / v
         return r**ps.theta * bliss_value(eps, r, dc) ** p_star * 2.0 * r0 / v**2
 
-    core, _ = quad(missing, r0, 2.0 * r0, limit=200)
-    tl, _ = quad(tail, 1e-14, 1.0, limit=200)
-    return -(a_hat**p_star) * (core + tl)
+    core, err_core = quad(missing, r0, 2.0 * r0, limit=200)
+    tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
+    dev = -(core + tl)
+    _check_deviation_error("L^p*", eps, r0, dev, err_core, err_tail)
+    return a_hat**p_star * dev
 
 
 def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2, a_hat: float = 1.0):

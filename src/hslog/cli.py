@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,17 +121,10 @@ def write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_constants(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_constants(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     dc = derived_constants(ps)
     ident = check_identities(dc, cfg.identity_tol)
@@ -150,7 +142,7 @@ def cmd_constants(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_maximize(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_maximize(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     grid = cfg.grid()
     rep = bliss.compute_S(derived_constants(ps))
@@ -172,24 +164,22 @@ def cmd_maximize(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_beta(cfg: RunConfig, out: Path, threads: int) -> int:
-    ps = cfg.param_set()
-    grid = cfg.grid()
-    rep = bliss.compute_S(derived_constants(ps))
-
-    def one(beta):
-        res = analysis.maximize_F(ps, LogParams(tau=cfg.tau, beta=float(beta)), grid,
-                                  eps_seeds=cfg.epsilon_list, report=rep, r0=cfg.r0)
-        return (float(beta), res.value, abs(res.value - rep.sigma_p))
-
-    rows = _map_ordered(one, list(cfg.beta_list), threads)
+def _beta_sweep_rows(cfg: RunConfig, out: Path) -> list:
+    """(beta, F_hat, gap_to_sigma) per beta, written to beta_sweep.csv."""
+    rows, _ = analysis.beta_sweep(cfg.param_set(), cfg.tau, cfg.beta_list, cfg.grid(),
+                                  eps_seeds=cfg.epsilon_list, r0=cfg.r0)
     write_csv(out / "beta_sweep.csv", "beta,F_hat,gap_to_sigma", rows)
+    return rows
+
+
+def cmd_sweep_beta(cfg: RunConfig, out: Path) -> int:
+    rows = _beta_sweep_rows(cfg, out)
     for beta, f_hat, gap in rows:
         print(f"beta={fmt(beta)}  F_hat={fmt(f_hat)}  gap={fmt(gap)}")
     return EXIT_OK
 
 
-def cmd_rates(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_rates(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     dc = derived_constants(ps)
     grid = cfg.grid()
@@ -201,11 +191,11 @@ def cmd_rates(cfg: RunConfig, out: Path, threads: int) -> int:
     rep = bliss.compute_S(dc)
     a_hat = bliss.unit_norm_a_hat(rep, dc)
 
-    def e_row(eps):
+    e_rows = []
+    for eps in cfg.epsilon_list:
         u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, cfg.r0), grid, dc)
-        return (float(eps), bliss.concentration_E(0.0, 1.0, u, 1.0, cfg.log_params(), ps))
-
-    e_rows = _map_ordered(e_row, list(cfg.epsilon_list), threads)
+        e_rows.append((float(eps),
+                       bliss.concentration_E(0.0, 1.0, u, 1.0, cfg.log_params(), ps)))
     table_e = analysis.rate_fit(e_rows, model="power-times-loglog")
     write_csv(out / "rates_concentration.csv", "epsilon,value,model,fitted_exponent,residual",
               [(e, v, table_e.model, table_e.fitted_exponent, table_e.fit_residual)
@@ -218,7 +208,8 @@ def cmd_rates(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_mp_gap(cfg: RunConfig, out: Path, threads: int) -> int:
+def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
+    """(epsilon, max_I, threshold, gap) per eps on one grid, written to mp_gap.csv."""
     ps = cfg.param_set()
     grid = cfg.grid()
     dc = derived_constants(ps)
@@ -227,15 +218,18 @@ def cmd_mp_gap(cfg: RunConfig, out: Path, threads: int) -> int:
     if not 0 < cfg.beta < dc.beta_max:
         print(f"warning: beta={fmt(cfg.beta)} outside the level-gap regime "
               f"(0, {fmt(dc.beta_max)}); attempting anyway")
-
-    def one(eps):
+    # the level bound is a small-scale statement; fat bubbles sit above it
+    rows = []
+    for eps in cfg.mp_epsilon_list:
         mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, cfg.r0), lp, ps, grid,
                                         report=rep)
-        return (float(eps), mp.max_energy, mp.threshold, mp.gap)
-
-    # the level bound is a small-scale statement; fat bubbles sit above it
-    rows = _map_ordered(one, list(cfg.mp_epsilon_list), threads)
+        rows.append((float(eps), mp.max_energy, mp.threshold, mp.gap))
     write_csv(out / "mp_gap.csv", "epsilon,max_I,threshold,gap", rows)
+    return rows
+
+
+def cmd_mp_gap(cfg: RunConfig, out: Path) -> int:
+    rows = _mp_gap_rows(cfg, out)
     ok = True
     for eps, max_i, threshold, gap in rows:
         status = "PASS" if gap > 0 else "FAIL"
@@ -259,7 +253,7 @@ def _auto_bracket(lp, ps, tol_scan=1e-8):
     raise NumericalError("no sign change of u(1; a) in the scanned amplitude range")
 
 
-def cmd_shoot(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_shoot(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     if cfg.tau < 1.0:
         raise ValidationError(f"tau must be >= 1 for the BVP, got {cfg.tau}")
@@ -292,7 +286,7 @@ def cmd_shoot(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_orlicz(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     grid = cfg.grid()
     lp = cfg.log_params()
@@ -318,7 +312,7 @@ def cmd_orlicz(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK if report.all_passed else EXIT_NUMERICAL
 
 
-def cmd_ncs(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_ncs(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     grid = cfg.grid()
     dc = derived_constants(ps)
@@ -342,7 +336,7 @@ def cmd_ncs(cfg: RunConfig, out: Path, threads: int) -> int:
     return EXIT_OK if (ncs.is_ncs and level.passed) else EXIT_NUMERICAL
 
 
-def cmd_verify(cfg: RunConfig, out: Path, threads: int, suite: str) -> int:
+def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
     ps = cfg.param_set()
     dc = derived_constants(ps)
     checks: list[tuple[str, bool, str]] = []
@@ -368,31 +362,19 @@ def cmd_verify(cfg: RunConfig, out: Path, threads: int, suite: str) -> int:
                        f"fitted {fmt(table_l.fitted_exponent)} target {fmt(spstar)}"))
 
     def run_sweep():
-        rows, sigma_p = analysis.beta_sweep(ps, cfg.tau, cfg.beta_list, cfg.grid(),
-                                            eps_seeds=cfg.epsilon_list, r0=cfg.r0)
-        gaps = [gap for _, _, gap in rows]
+        gaps = [gap for _, _, gap in _beta_sweep_rows(cfg, out)]
         mono = all(gaps[i + 1] <= gaps[i] + 1e-9 for i in range(len(gaps) - 1))
         checks.append(("beta-sweep-monotone", mono,
                        "gaps " + " ".join(fmt(v) for v in gaps)))
         checks.append(("beta-sweep-final-gap", gaps[-1] < 0.01, f"final {fmt(gaps[-1])}"))
-        write_csv(out / "beta_sweep.csv", "beta,F_hat,gap_to_sigma", rows)
 
     def run_mp():
-        rep = bliss.compute_S(dc)
-        if not 0 < cfg.beta < dc.beta_max:
-            print(f"warning: beta={fmt(cfg.beta)} outside the level-gap regime "
-                  f"(0, {fmt(dc.beta_max)}); attempting anyway")
-        rows = []
-        for eps in cfg.mp_epsilon_list:
-            mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, cfg.r0),
-                                            cfg.log_params(), ps, cfg.grid(), report=rep)
-            rows.append((float(eps), mp.max_energy, mp.threshold, mp.gap))
-        write_csv(out / "mp_gap.csv", "epsilon,max_I,threshold,gap", rows)
+        rows = _mp_gap_rows(cfg, out)
         checks.append(("mp-gap-positive", all(r[3] > 0 for r in rows),
                        "gaps " + " ".join(fmt(r[3]) for r in rows)))
 
     def run_ncs():
-        code = cmd_ncs(cfg, out, threads)
+        code = cmd_ncs(cfg, out)
         checks.append(("ncs-concentration-level", code == EXIT_OK, "see ncs.csv"))
 
     def run_orlicz():
@@ -400,7 +382,7 @@ def cmd_verify(cfg: RunConfig, out: Path, threads: int, suite: str) -> int:
             rrep = orlicz.convexity_check(spec)
             checks.append((f"gamma-convexity-a{fmt(spec.a)}-b{fmt(spec.b)}", rrep.convex,
                            f"min phi {fmt(rrep.min_phi)}"))
-        code = cmd_orlicz(cfg, out, threads)
+        code = cmd_orlicz(cfg, out)
         checks.append(("luxemburg-embedding", code == EXIT_OK, "see orlicz.csv"))
 
     runners = {"bliss": run_bliss, "rates": run_rates, "sweep": run_sweep,
@@ -433,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="key=value config file")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=1)
         if name == "verify":
             cmd.add_argument("--suite", choices=SUITES, default="all")
     return parser
@@ -456,8 +437,8 @@ def main(argv=None) -> int:
             "ncs": cmd_ncs,
         }
         if args.command == "verify":
-            return cmd_verify(cfg, out, args.threads, args.suite)
-        return dispatch[args.command](cfg, out, args.threads)
+            return cmd_verify(cfg, out, args.suite)
+        return dispatch[args.command](cfg, out)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

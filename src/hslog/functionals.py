@@ -4,20 +4,20 @@ Central objects, all over the measure r^theta dr on (0, 1):
 
     J(u)    = int r^th |u|^p* |ln(tau+|u|)|^(r^beta) dr
     J0(u)   = int r^th |u|^p* dr
-    I(u)    = (1/p)||u||^p - (1/p*) J(u) + int r^th G(r, u) dr
+    I(u)    = (1/p)||u||^p - int r^th F(r, u) dr
     <I'(u),v> = int r^a1 |u'|^(p-2) u' v' dr
               - int r^th sign(u)|u|^(p*-1) (ln(tau+|u|))^(r^beta) v dr
 
-with g(r,s) = r^beta sign(s)|s|^p* / (p* (tau+|s|) (ln(tau+|s|))^(1-r^beta))
-and G its primitive in s.  The g-term in I' cancels against the
-beta-derivative of the log factor, so the pairing above is the exact
-gradient of the discrete energy; this is what the finite-difference
-consistency tests exercise.
+with F(r, a) = int_0^|a| s^(p*-1) (ln(tau+s))^(r^beta) ds the primitive of
+the source of the radial equation that the shooting solver integrates.
+Since d_a F is that source, the pairing above is the exact gradient of the
+discrete energy; this is what the finite-difference consistency tests
+exercise.
 
 Conventions: the exponent r^beta is 0 at r = 0 and we set 0^0 = 1, so the
 integrand is continuous at the origin.  tau < 1 is accepted in J (the
-absolute value keeps it meaningful) but rejected in g/G/energy, which are
-only defined for tau >= 1.
+absolute value keeps it meaningful) but rejected in the energy and its
+pairing, which are only defined for tau >= 1.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from typing import Callable
 import numpy as np
 
 from hslog.params import ParamSet, ValidationError, critical_exponent
-from hslog.radial import Profile, dirichlet_norm, weighted_integral
-
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+from hslog.radial import _GL16_W, _GL16_X, Profile, dirichlet_norm, weighted_integral
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,6 @@ class HypothesisSet:
             raise ValidationError(f"need sigma > 1, got {self.sigma}")
         if not self.c > 0:
             raise ValidationError(f"need c > 0, got {self.c}")
-
-
-def log_factor(r: float, u: float, lp: LogParams) -> float:
-    """|ln(tau+|u|)|^(r^beta) with 0^0 = 1 at the origin."""
-    if r == 0.0:
-        return 1.0
-    x = abs(math.log(lp.tau + abs(u)))
-    return x ** (r**lp.beta)
 
 
 def log_factor_nodes(r: np.ndarray, u: np.ndarray, lp: LogParams) -> np.ndarray:
@@ -151,55 +141,20 @@ def _require_tau_ge_1(lp: LogParams, what: str) -> None:
         raise ValidationError(f"{what} is only defined for tau >= 1, got tau = {lp.tau}")
 
 
-def g_eval(r: float, s_val: float, lp: LogParams, ps: ParamSet) -> float:
-    """g(r, s); odd in s, identically 0 at r = 0."""
-    _require_tau_ge_1(lp, "g")
-    if r == 0.0 or s_val == 0.0:
-        return 0.0
+def F_nodes(r: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.ndarray:
+    """F(r_i, u_i) by 16-point Gauss-Legendre in s on [0, |u_i|]; even in u."""
     p_star = critical_exponent(ps)
-    a = abs(s_val)
-    x = math.log(lp.tau + a)
-    if x <= 0.0:
-        return 0.0
-    e = r**lp.beta
-    return math.copysign(e * a**p_star, s_val) / (p_star * (lp.tau + a) * x ** (1.0 - e))
-
-
-def _g_nodes(r: np.ndarray, s: np.ndarray, lp: LogParams, ps: ParamSet) -> np.ndarray:
-    p_star = critical_exponent(ps)
-    a = np.abs(s)
-    x = np.log(lp.tau + a)
-    e = r**lp.beta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sign(s) * e * a**p_star / (p_star * (lp.tau + a) * x ** (1.0 - e))
-    # x underflows to 0 when tau = 1 and |s| < 1 ulp; the s-power wins there
-    return np.where((r == 0.0) | (s == 0.0) | (x <= 0.0), 0.0, out)
-
-
-def G_eval(r: float, u_val: float, lp: LogParams, ps: ParamSet) -> float:
-    """G(r, u) = int_0^u g(r, s) ds by 16-point Gauss-Legendre; even in u."""
-    _require_tau_ge_1(lp, "G")
-    if r == 0.0 or u_val == 0.0:
-        return 0.0
-    s = 0.5 * u_val * (_GL16_X + 1.0)
-    w = 0.5 * u_val * _GL16_W
-    return float(np.sum(w * _g_nodes(np.full_like(s, r), s, lp, ps)))
-
-
-def _G_nodes(r: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.ndarray:
-    s = 0.5 * u[None, :] * (_GL16_X[:, None] + 1.0)
-    w = 0.5 * u[None, :] * _GL16_W[:, None]
-    rr = np.broadcast_to(r[None, :], s.shape)
-    return np.sum(w * _g_nodes(rr, s, lp, ps), axis=0)
+    a = np.abs(u)
+    s = 0.5 * a * (_GL16_X[:, None] + 1.0)
+    return 0.5 * a * (_GL16_W @ (s ** (p_star - 1.0) * log_factor_nodes(r, s, lp)))
 
 
 def energy_I(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """The mountain-pass energy I(u)."""
+    """The mountain-pass energy I(u) = ||u||^p / p - int r^th F(r, u) dr."""
     _require_tau_ge_1(lp, "the energy")
-    p_star = critical_exponent(ps)
     nrm = dirichlet_norm(u, ps)
-    g_term = weighted_integral(u.grid, _G_nodes(u.grid.nodes, u.values, lp, ps), ps.theta)
-    return nrm**ps.p / ps.p - J(u, lp, ps) / p_star + g_term
+    f_term = weighted_integral(u.grid, F_nodes(u.grid.nodes, u.values, lp, ps), ps.theta)
+    return nrm**ps.p / ps.p - f_term
 
 
 def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet) -> float:

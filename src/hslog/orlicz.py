@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.functionals import LogParams, J
-from hslog.params import NumericalError, ParamSet, ValidationError
+from hslog.params import NumericalError, ParamSet, ValidationError, critical_exponent
 from hslog.radial import Profile, dirichlet_norm, lq_norm
 
 
@@ -123,7 +123,7 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet, tol: float = 1e-8,
         raise ValidationError(f"the Luxemburg norm needs tau >= 1, got {lp.tau}")
     if not np.any(u.values != 0.0):
         return 0.0
-    lam = lq_norm(u, (ps.theta + 1) * ps.p / (ps.alpha1 - ps.p + 1), ps.theta)
+    lam = lq_norm(u, critical_exponent(ps), ps.theta)
     if lam == 0.0:
         return 0.0
     lo = hi = lam
@@ -179,7 +179,7 @@ def embedding_check(profiles, lp: LogParams, ps: ParamSet, lambda0: float,
     enforced here.
     """
     if f_hat is not None:
-        p_star = (ps.theta + 1) * ps.p / (ps.alpha1 - ps.p + 1)
+        p_star = critical_exponent(ps)
         if lambda0**p_star < 1.05 * f_hat:
             raise ValidationError(
                 f"lambda0^p* = {lambda0**p_star:.6g} below 1.05 * F_hat = {1.05 * f_hat:.6g}"

@@ -94,7 +94,7 @@ def derived_constants(ps: ParamSet) -> DerivedConstants:
     sob = a1 - p + 1          # Sobolev-case margin, > 0
     gap = th - a1 + p         # > 1 since theta > alpha1 - p
 
-    p_star = (th + 1) * p / sob
+    p_star = critical_exponent(ps)
     s = sob / (p * p - p)
     n = gap / (p - 1)
     m = gap / sob

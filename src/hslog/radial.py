@@ -22,6 +22,7 @@ import numpy as np
 from hslog.params import ParamSet, ValidationError
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ from hslog.params import (
     ValidationError,
     critical_exponent,
 )
-from hslog.radial import Grid, Profile, dirichlet_norm
-
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
 
 
 @dataclass(frozen=True)

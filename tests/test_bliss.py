@@ -118,6 +118,15 @@ class TestNormScan:
         # truncation only loses critical-integral mass
         assert bliss.bubble_lpstar_deviation(1e-3, DC0, 0.2) < 0
 
+    @pytest.mark.parametrize("deviation", [bliss.bubble_dirichlet_deviation,
+                                           bliss.bubble_lpstar_deviation])
+    def test_unconverged_quadrature_raises(self, deviation, monkeypatch):
+        real_quad = bliss.quad
+        monkeypatch.setattr(bliss, "quad",
+                            lambda *a, **k: (real_quad(*a, **k)[0], 1e-3))
+        with pytest.raises(NumericalError, match=r"eps=0\.001, r0=0\.2"):
+            deviation(1e-3, DC0, 0.2)
+
 
 class TestCrossingRadii:
     A0 = 3**0.25

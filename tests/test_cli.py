@@ -133,12 +133,3 @@ class TestVerify:
         assert code == 0
         main(["verify", "--config", str(cfg_file), "--suite", "mp", "--out", str(out2)])
         assert (out1 / "mp_gap.csv").read_bytes() == (out2 / "mp_gap.csv").read_bytes()
-
-
-class TestSweepThreads:
-    def test_threaded_matches_serial(self, cfg_file, tmp_path):
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(["sweep-beta", "--config", str(cfg_file), "--out", str(out1)]) == 0
-        assert main(["sweep-beta", "--config", str(cfg_file), "--out", str(out2),
-                     "--threads", "3"]) == 0
-        assert (out1 / "beta_sweep.csv").read_bytes() == (out2 / "beta_sweep.csv").read_bytes()

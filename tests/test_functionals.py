@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from hslog.functionals import (
-    G_eval,
+    F_nodes,
     HypothesisSet,
     J,
     J_phi,
@@ -15,12 +16,11 @@ from hslog.functionals import (
     check_h_conditions,
     energy_I,
     energy_pairing,
-    g_eval,
-    log_factor,
+    log_factor_nodes,
     sobolev_J0,
 )
-from hslog.params import ValidationError, validate_params
-from hslog.radial import Profile, dirichlet_norm, make_grid, normalize
+from hslog.params import ValidationError, critical_exponent, validate_params
+from hslog.radial import Profile, dirichlet_norm, make_grid, normalize, weighted_integral
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -29,6 +29,10 @@ P1 = validate_params(3, 2, 4, 4)
 def linear_profile(m=2000, gamma=1.0):
     g = make_grid(m, gamma)
     return Profile(g, 1.0 - g.nodes)
+
+
+def log_factor(r, u, lp):
+    return log_factor_nodes(np.array([r]), np.array([u]), lp)[0]
 
 
 class TestLogFactor:
@@ -130,49 +134,35 @@ class TestHConditions:
         assert not report.h2_passed
 
 
-class TestGAndPrimitive:
+class TestPrimitiveF:
     LP = LogParams(1.0, 0.5)
 
-    def test_vanishes_at_origin(self):
-        assert g_eval(0.0, 5.0, self.LP, P0) == 0.0
+    @pytest.mark.parametrize("ps", [P0, P1, validate_params(2.5, 1.0, 3.0, 2.5)])
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
+    def test_derivative_is_the_source(self, ps, lp):
+        # d_a F(r, a) = a^(p*-1) ln(tau+a)^(r^beta), the right-hand side of the BVP
+        p_star = critical_exponent(ps)
+        r = np.repeat([1e-6, 0.1, 0.5, 0.9], 4)
+        a = np.tile([0.05, 0.8, 3.0, 25.0], 4)
+        h = 1e-5 * a
+        fd = (F_nodes(r, a + h, lp, ps) - F_nodes(r, a - h, lp, ps)) / (2 * h)
+        source = a ** (p_star - 1.0) * np.log(lp.tau + a) ** (r**lp.beta)
+        np.testing.assert_allclose(fd, source, rtol=1e-7)
 
-    def test_vanishes_at_zero_state(self):
-        assert g_eval(0.3, 0.0, self.LP, P0) == 0.0
+    def test_even_in_state(self):
+        r = np.array([0.0, 0.3, 0.3, 0.7, 1.0])
+        u = np.array([2.0, 0.5, 9.0, 1.3, 4.0])
+        assert np.array_equal(F_nodes(r, -u, self.LP, P0), F_nodes(r, u, self.LP, P0))
 
-    def test_odd_symmetry(self):
-        for s in (0.1, 1.0, 7.3):
-            assert g_eval(0.4, -s, self.LP, P0) == pytest.approx(
-                -g_eval(0.4, s, self.LP, P0), rel=1e-14)
-
-    def test_radial_prefactor(self):
-        # g scales like r^beta at fixed state up to the slowly-varying
-        # exponent in the denominator; check the exact ratio
-        lp = LogParams(2.0, 1.0)
-        s = 3.0
-        x = math.log(lp.tau + s)
-        v1, v2 = g_eval(0.2, s, lp, P0), g_eval(0.4, s, lp, P0)
-        assert v2 / v1 == pytest.approx((0.4 / 0.2) * x ** (0.4 - 0.2), rel=1e-12)
-
-    def test_primitive_even_and_zero_cases(self):
-        assert G_eval(0.3, 0.0, self.LP, P0) == 0.0
-        assert G_eval(0.0, 4.0, self.LP, P0) == 0.0
-        for u in (0.5, 2.0, 9.0):
-            assert G_eval(0.3, -u, self.LP, P0) == pytest.approx(
-                G_eval(0.3, u, self.LP, P0), rel=1e-12)
-
-    def test_growth_bound(self):
-        # |G(r,u)| <= r^beta (eps |u|^p* + C_eps |u|^p) on sampled pairs
-        lp = self.LP
-        for eps_c, c_eps in ((0.5, 10.0), (0.05, 1e3)):
-            for r in (0.1, 0.5, 0.9):
-                for u in (0.2, 1.0, 5.0, 40.0):
-                    lhs = abs(G_eval(r, u, lp, P0))
-                    rhs = r**lp.beta * (eps_c * u**6 + c_eps * u**2)
-                    assert lhs <= rhs
-
-    def test_tau_below_one_rejected(self):
-        with pytest.raises(ValidationError, match="tau >= 1"):
-            g_eval(0.3, 1.0, LogParams(0.5, 1.0), P0)
+    def test_zero_state_and_origin(self):
+        r = np.array([0.0, 0.3, 1.0])
+        assert np.all(F_nodes(r, np.zeros(3), self.LP, P0) == 0.0)
+        # the log factor is 1 at r = 0, so F(0, u) = |u|^p* / p*
+        for ps in (P0, P1):
+            p_star = critical_exponent(ps)
+            u = np.array([0.5, -2.0, 9.0])
+            np.testing.assert_allclose(F_nodes(np.zeros(3), u, self.LP, ps),
+                                       np.abs(u) ** p_star / p_star, rtol=1e-14)
 
 
 class TestEnergy:
@@ -193,6 +183,30 @@ class TestEnergy:
         # tau=1, beta=1/2), abs err below 1e-8
         u = linear_profile(20000)
         assert energy_I(u, self.LP, P0) == pytest.approx(0.16623147784225153, abs=1e-9)
+
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
+    def test_equals_the_by_parts_form(self, lp):
+        # I(u) = ||u||^p/p - J(u)/p* + int r^th G(r, u) dr, where
+        # G(r, u) = int_0^u g(r, s) ds and
+        # g(r, s) = r^beta sign(s)|s|^p* / (p* (tau+|s|) ln(tau+|s|)^(1-r^beta))
+        grid = make_grid(120, 2.0)
+        # scaled so that the F term is of the order of the norm term
+        u = normalize(Profile(grid, _smooth(grid, np.random.default_rng(5))), P0).scaled(4.0)
+        p_star = critical_exponent(P0)
+
+        def g_of(s, r):
+            e = r**lp.beta
+            x = math.log(lp.tau + abs(s))
+            if s == 0.0 or x == 0.0:
+                return 0.0
+            return math.copysign(e * abs(s) ** p_star, s) / (
+                p_star * (lp.tau + abs(s)) * x ** (1.0 - e))
+
+        big_g = np.array([quad(g_of, 0.0, v, args=(r,), epsabs=1e-15, epsrel=1e-13)[0]
+                          for r, v in zip(grid.nodes, u.values)])
+        by_parts = (dirichlet_norm(u, P0) ** P0.p / P0.p - J(u, lp, P0) / p_star
+                    + weighted_integral(grid, big_g, P0.theta))
+        assert energy_I(u, lp, P0) == pytest.approx(by_parts, abs=1e-12)
 
     def test_tau_below_one_rejected(self):
         with pytest.raises(ValidationError, match="tau >= 1"):
