@@ -165,6 +165,28 @@ class TestPrimitiveF:
                                        np.abs(u) ** p_star / p_star, rtol=1e-14)
 
 
+class TestGAndPrimitive:
+    # G(r, u) = |u|^p* ln(tau+|u|)^(r^beta) / p* - F(r, u), the perturbation
+    # term of the by-parts form of the energy (see TestEnergy)
+    LP = LogParams(1.0, 0.5)
+
+    def G(self, r, u, ps):
+        p_star = critical_exponent(ps)
+        return (np.abs(u) ** p_star * log_factor_nodes(r, u, self.LP) / p_star
+                - F_nodes(r, u, self.LP, ps))
+
+    def test_vanishes_at_origin(self):
+        u = np.array([0.5, -2.0, 5.0, 9.0])
+        for ps in (P0, P1):
+            scale = np.abs(u) ** critical_exponent(ps)
+            np.testing.assert_allclose(self.G(np.zeros(4), u, ps) / scale, 0.0, atol=1e-14)
+
+    def test_vanishes_at_zero_state(self):
+        r = np.array([0.0, 0.3, 0.7, 1.0])
+        for ps in (P0, P1):
+            assert np.all(self.G(r, np.zeros(4), ps) == 0.0)
+
+
 class TestEnergy:
     LP = LogParams(1.0, 0.5)
 
