@@ -22,16 +22,15 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from hslog import bliss
-from hslog.functionals import LogParams, J, log_factor_nodes
+from hslog.functionals import LogParams, J
 from hslog.params import (
-    DerivedConstants,
     NumericalError,
     ParamSet,
     ValidationError,
     critical_exponent,
     derived_constants,
 )
-from hslog.radial import Grid, Profile, dirichlet_norm, lq_norm, weighted_integral
+from hslog.radial import Grid, Profile, dirichlet_norm, lq_norm
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
 
@@ -315,34 +314,36 @@ def concentration_level_check(profiles, lp: LogParams, ps: ParamSet, sigma_p: fl
 # --- the scalar stationarity equation and the level gap ---------------------
 
 
+def _stationarity(t: float, u: Profile, n_p: float, lp: LogParams, ps: ParamSet) -> float:
+    """d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t."""
+    return t ** (ps.p - 1.0) * n_p - J(u.scaled(t), lp, ps) / t
+
+
 def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet,
                 bracket: tuple[float, float] = (0.5, 2.0), tol: float = 1e-10) -> float:
-    """Root of t^(p-1) ||u||^p = t^(p*-1) int r^th |u|^p* (ln(tau+t|u|))^(r^b) dr."""
+    """Root of t^(p-1) ||u||^p = t^(p*-1) int r^th |u|^p* (ln(tau+t|u|))^(r^b) dr.
+
+    The right-hand side is J(t u)/t.  The residual gets u through brentq's
+    ``args``, not a closure, so the profile is freed as soon as it is dropped.
+    """
     if lp.tau < 1.0:
         raise ValidationError(f"the stationarity equation needs tau >= 1, got {lp.tau}")
-    p_star = critical_exponent(ps)
     n_p = dirichlet_norm(u_eps, ps) ** ps.p
-    r, v = u_eps.grid.nodes, u_eps.values
-    vp = np.abs(v) ** p_star
-
-    def k_of_t(t: float) -> float:
-        return weighted_integral(u_eps.grid, vp * log_factor_nodes(r, t * v, lp), ps.theta)
-
-    def h(t: float) -> float:
-        return t ** (ps.p - 1.0) * n_p - t ** (p_star - 1.0) * k_of_t(t)
-
+    args = (u_eps, n_p, lp, ps)
     lo, hi = bracket
-    h_lo, h_hi = h(lo), h(hi)
+    h_lo, h_hi = _stationarity(lo, *args), _stationarity(hi, *args)
     if h_lo == 0.0:
         return lo
     if h_hi == 0.0:
         return hi
     if h_lo * h_hi > 0:
         raise NumericalError(f"no sign change in bracket [{lo}, {hi}] for t_eps")
-    t_star = float(brentq(h, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    t_star = float(brentq(_stationarity, lo, hi, args=args, xtol=1e-15, rtol=8.9e-16,
+                          maxiter=200))
+    residual = _stationarity(t_star, *args)
     scale = max(1.0, abs(t_star ** (ps.p - 1.0) * n_p))
-    if abs(h(t_star)) >= tol * scale:
-        raise NumericalError(f"t_eps residual {h(t_star):.3e} above tolerance")
+    if abs(residual) >= tol * scale:
+        raise NumericalError(f"t_eps residual {residual:.3e} above tolerance")
     return t_star
 
 

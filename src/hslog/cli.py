@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +56,7 @@ class RunConfig:
     epsilon_list: tuple = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)
     beta_list: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)
     mp_epsilon_list: tuple = (1e-3, 1e-4, 1e-5)
-    shoot_bracket: tuple | None = None
+    shoot_bracket: tuple = ()
     shoot_tol: float = 1e-8
     level_tolerance: float = 5e-3
     level_tail_epsilon: float = 1e-3
@@ -76,12 +76,8 @@ class RunConfig:
         return make_grid(self.grid_m, self.grid_gamma)
 
 
-_FLOAT_KEYS = {"p", "alpha0", "alpha1", "theta", "tau", "beta", "grid_gamma", "r0",
-               "shoot_tol", "level_tolerance", "level_tail_epsilon", "identity_tol",
-               "ncs_tail_tol"}
-_INT_KEYS = {"grid_m", "seed", "n_random_profiles"}
-_LIST_KEYS = {"epsilon_list", "beta_list", "mp_epsilon_list", "shoot_bracket"}
-_STR_KEYS = {"output_dir"}
+# each key parses as the type of its default; tuples are comma-separated floats
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config(path: str) -> RunConfig:
@@ -95,17 +91,14 @@ def parse_config(path: str) -> RunConfig:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _LIST_KEYS:
+            if kind is tuple:
                 setattr(cfg, key, tuple(float(v) for v in value.split(",") if v.strip()))
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
             else:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+                setattr(cfg, key, kind(value))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     if not cfg.epsilon_list or not cfg.beta_list:

@@ -72,18 +72,6 @@ def J(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     return weighted_integral(u.grid, f, ps.theta)
 
 
-def J_phi(u: Profile, tau: float, hs: HypothesisSet, ps: ParamSet) -> float:
-    """Same integral with a general variable exponent phi(r); reduces to
-    :func:`J` when phi(r) = r^beta."""
-    if tau <= 0:
-        raise ValidationError(f"need tau > 0, got {tau}")
-    p_star = critical_exponent(ps)
-    r = u.grid.nodes
-    x = np.abs(np.log(tau + np.abs(u.values)))
-    f = np.abs(u.values) ** p_star * x ** np.asarray(hs.phi(r), dtype=float)
-    return weighted_integral(u.grid, f, ps.theta)
-
-
 def sobolev_J0(u: Profile, ps: ParamSet) -> float:
     """The unperturbed critical integral int r^th |u|^p* dr."""
     p_star = critical_exponent(ps)
@@ -171,7 +159,6 @@ def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet) -> float
     su, sv = u.slopes(), v.slopes()
     term1 = float(np.sum(moments * np.sign(su) * np.abs(su) ** (ps.p - 1.0) * sv))
     r, uu = u.grid.nodes, u.values
-    x = np.log(lp.tau + np.abs(uu))
-    f = np.sign(uu) * np.abs(uu) ** (p_star - 1.0) * x ** (r**lp.beta) * v.values
+    f = np.sign(uu) * np.abs(uu) ** (p_star - 1.0) * log_factor_nodes(r, uu, lp) * v.values
     term2 = weighted_integral(u.grid, f, ps.theta)
     return term1 - term2

@@ -11,9 +11,10 @@ a wide log grid, and positivity of
 whose lower bound a(a-1) + b(a+b-1) > 0 is exact.
 
 The Luxemburg norm inf{lambda : rho(u/lambda) <= 1} uses the modular
-rho(v) = int r^th |v|^p* |ln(tau+|v|)|^(r^beta) dr, which is strictly
-decreasing in lambda for u != 0, so bracket-doubling plus bisection always
-terminates.
+rho(v) = int r^th |v|^p* |ln(tau+|v|)|^(r^beta) dr = J(v).  For u != 0,
+lambda -> rho(u/lambda) is continuous and strictly decreasing, so a bracket
+found by doubling holds exactly one root of rho(u/lambda) = 1, and Brent's
+method (scipy's brentq) converges to it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from hslog.functionals import LogParams, J
 from hslog.params import NumericalError, ParamSet, ValidationError, critical_exponent
@@ -111,44 +113,39 @@ def modular(u: Profile, lam: float, lp: LogParams, ps: ParamSet) -> float:
     return J(u.scaled(1.0 / lam), lp, ps)
 
 
-def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet, tol: float = 1e-8,
-                   max_iters: int = 200) -> float:
-    """lambda* with rho(u/lambda*) = 1, by bracket doubling and bisection.
+def _modular_excess(lam: float, u: Profile, lp: LogParams, ps: ParamSet) -> float:
+    return modular(u, lam, lp, ps) - 1.0
 
-    Bisection continues past the modular tolerance until the lambda
-    interval is relatively tight, so the norm itself inherits close to
-    full precision (needed for the homogeneity contract).
+
+def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
+    """lambda* with rho(u/lambda*) = 1, by bracket doubling and Brent's method.
+
+    The bracket starts at the weighted L^p* norm.  Brent runs to a relative
+    lambda tolerance near machine precision, so the norm keeps close to full
+    precision (needed for the homogeneity contract).  The residual is a
+    module-level function that gets u through ``args``: a closure over u
+    would stay alive in brentq's reference cycle until the next full GC.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the Luxemburg norm needs tau >= 1, got {lp.tau}")
-    if not np.any(u.values != 0.0):
-        return 0.0
     lam = lq_norm(u, critical_exponent(ps), ps.theta)
     if lam == 0.0:
         return 0.0
     lo = hi = lam
-    for _ in range(max_iters):
+    for _ in range(200):
         if modular(u, hi, lp, ps) < 1.0:
             break
         hi *= 2.0
     else:
         raise NumericalError("could not bracket the Luxemburg norm from above")
-    for _ in range(max_iters):
+    for _ in range(200):
         if modular(u, lo, lp, ps) > 1.0:
             break
         lo *= 0.5
     else:
         raise NumericalError("could not bracket the Luxemburg norm from below")
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        rho = modular(u, mid, lp, ps)
-        if rho > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(rho - 1.0) < tol and (hi - lo) <= 1e-13 * hi:
-            return mid
-    raise NumericalError("Luxemburg bisection did not converge")
+    return float(brentq(_modular_excess, lo, hi, args=(u, lp, ps), xtol=1e-15 * lo,
+                        rtol=8.9e-16))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Tests for rate fitting, the sphere maximizer, and concentration checks."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,14 +21,14 @@ from hslog.analysis import (
     rate_fit,
     solve_t_eps,
 )
-from hslog.functionals import LogParams, J, sobolev_J0
+from hslog.functionals import LogParams, J
 from hslog.params import (
     NumericalError,
     ValidationError,
     derived_constants,
     validate_params,
 )
-from hslog.radial import Profile, dirichlet_norm, make_grid, normalize
+from hslog.radial import dirichlet_norm, make_grid, normalize
 
 P0 = validate_params(2, 2, 2, 2)
 DC0 = derived_constants(P0)
@@ -231,6 +233,18 @@ class TestScalarStationarity:
         u = _bubble_family(grid, (1e-3,))[0]
         with pytest.raises(NumericalError, match="sign change"):
             solve_t_eps(u, self.LP, P0, bracket=(1e3, 2e3))
+
+    def test_profile_not_retained(self, grid):
+        # with the collector off, a profile caught in a reference cycle would never be freed
+        gc.disable()
+        try:
+            u = _bubble_family(grid, (1e-4,))[0]
+            solve_t_eps(u, self.LP, P0)
+            ref = weakref.ref(u)
+            del u
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestMountainPass:

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from hslog.cli import main, parse_config
+from hslog.cli import RunConfig, main, parse_config
 from hslog.params import ValidationError
 
 BASE_CFG = """\
@@ -36,6 +38,16 @@ class TestConfig:
         assert cfg.p == 2.0
         assert cfg.epsilon_list == (1e-2, 1e-3, 1e-4, 1e-5)
         assert cfg.shoot_bracket == (20.0, 50.0)
+
+    def test_every_default_round_trips(self, tmp_path):
+        lines = []
+        for f in fields(RunConfig):
+            value = getattr(RunConfig(), f.name)
+            text = ",".join(repr(v) for v in value) if isinstance(value, tuple) else str(value)
+            lines.append(f"{f.name} = {text}\n")
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(lines))
+        assert parse_config(str(path)) == RunConfig()
 
     def test_unknown_key_is_fatal(self, tmp_path):
         path = tmp_path / "bad.cfg"

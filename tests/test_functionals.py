@@ -11,7 +11,6 @@ from hslog.functionals import (
     F_nodes,
     HypothesisSet,
     J,
-    J_phi,
     LogParams,
     check_h_conditions,
     energy_I,
@@ -84,25 +83,6 @@ class TestJ:
         u = Profile(g, rng.normal(size=g.m))
         lp = LogParams(math.e, 0.5)
         assert J(u, lp, P0) >= sobolev_J0(u, P0) - 1e-12
-
-
-class TestJPhi:
-    def test_power_exponent_reduces_to_J(self):
-        u = linear_profile(500)
-        beta = 0.7
-        hs = HypothesisSet(phi=lambda r: r**beta, sigma=2.0, c=1.0)
-        assert J_phi(u, 1.5, hs, P0) == pytest.approx(
-            J(u, LogParams(1.5, beta), P0), rel=1e-12)
-
-    def test_identity_exponent_finite(self):
-        u = linear_profile(500)
-        hs = HypothesisSet(phi=lambda r: r, sigma=2.0, c=1.0)
-        assert math.isfinite(J_phi(u, 1.0, hs, P0))
-
-    def test_zero_profile(self):
-        g = make_grid(64, 1.0)
-        hs = HypothesisSet(phi=lambda r: r, sigma=2.0, c=1.0)
-        assert J_phi(Profile(g, np.zeros(g.m)), 1.0, hs, P0) == 0.0
 
 
 class TestSobolevJ0:

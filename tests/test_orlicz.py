@@ -1,12 +1,14 @@
 """Tests for the Young-function family and the Luxemburg-norm machinery."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hslog import bliss
+from hslog import bliss, orlicz
 from hslog.analysis import maximize_F, random_smooth_profile
 from hslog.functionals import LogParams
 from hslog.orlicz import (
@@ -19,8 +21,8 @@ from hslog.orlicz import (
     luxemburg_norm,
     modular,
 )
-from hslog.params import ValidationError, derived_constants, validate_params
-from hslog.radial import Profile, dirichlet_norm, make_grid
+from hslog.params import NumericalError, ValidationError, derived_constants, validate_params
+from hslog.radial import Profile, make_grid
 
 P0 = validate_params(2, 2, 2, 2)
 LP = LogParams(1.0, 0.5)
@@ -95,7 +97,7 @@ class TestLuxemburgNorm:
         rng = np.random.default_rng(4)
         u = random_smooth_profile(grid, rng)
         lam = luxemburg_norm(u, LP, P0)
-        assert abs(modular(u, lam, LP, P0) - 1.0) < 1e-8
+        assert abs(modular(u, lam, LP, P0) - 1.0) < 1e-14
 
     def test_homogeneity(self, grid):
         rng = np.random.default_rng(5)
@@ -125,6 +127,26 @@ class TestLuxemburgNorm:
         u = Profile(grid, np.ones(grid.m))
         with pytest.raises(ValidationError, match="tau >= 1"):
             luxemburg_norm(u, LogParams(0.7, 0.5), P0)
+
+    @pytest.mark.parametrize("rho,side", [(2.0, "above"), (0.5, "below")])
+    def test_bracket_failure_reported(self, grid, monkeypatch, rho, side):
+        # a modular stuck above (below) 1 leaves no lambda with rho(u/lambda) < 1 (> 1)
+        monkeypatch.setattr(orlicz, "J", lambda *args: rho)
+        u = Profile(grid, np.ones(grid.m))
+        with pytest.raises(NumericalError, match=f"bracket the Luxemburg norm from {side}"):
+            luxemburg_norm(u, LP, P0)
+
+    def test_profile_not_retained(self, grid):
+        # with the collector off, a profile caught in a reference cycle would never be freed
+        gc.disable()
+        try:
+            u = random_smooth_profile(grid, np.random.default_rng(9))
+            luxemburg_norm(u, LP, P0)
+            ref = weakref.ref(u)
+            del u
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestEmbedding:

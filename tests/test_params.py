@@ -1,7 +1,6 @@
 """Tests for parameter validation and the derived constants."""
 
 import dataclasses
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
