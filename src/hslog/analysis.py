@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from hslog import bliss
-from hslog.functionals import LogParams, J
+from hslog.functionals import LogParams, J, _on_support
 from hslog.params import (
     NumericalError,
     ParamSet,
@@ -88,17 +88,19 @@ def _grad_J_values(u: Profile, lp: LogParams | None, ps: ParamSet) -> np.ndarray
     ``lp = None`` selects the unperturbed objective (log factor off).
     """
     p_star = critical_exponent(ps)
-    r, v = u.grid.nodes, u.values
+    q = u.grid.quad_weights(ps.theta)
     if lp is None:
-        grad = p_star * v ** (p_star - 1.0)
-        return u.grid.quad_weights(ps.theta) * np.where(v > 0.0, grad, 0.0)
-    e = r**lp.beta
-    x = np.log(lp.tau + v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = p_star * v ** (p_star - 1.0) * x**e + v**p_star * e * x ** (e - 1.0) / (
-            lp.tau + v
-        )
-    return u.grid.quad_weights(ps.theta) * np.where((v > 0.0) & (x > 0.0), grad, 0.0)
+        return q * _on_support(u, lambda v: np.where(v > 0.0, p_star * v ** (p_star - 1.0), 0.0))
+
+    def kernel(v, e):
+        x = np.log(lp.tau + v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = p_star * v ** (p_star - 1.0) * x**e + v**p_star * e * x ** (e - 1.0) / (
+                lp.tau + v
+            )
+        return np.where((v > 0.0) & (x > 0.0), grad, 0.0)
+
+    return q * _on_support(u, kernel, u.grid.node_power(lp.beta))
 
 
 def _project(vals: np.ndarray, grid: Grid, ps: ParamSet) -> np.ndarray | None:

@@ -278,7 +278,6 @@ def concentration_E(a: float, b: float, u_eps: Profile, t: float, lp: LogParams,
     if not 0 <= a < b <= 1:
         raise ValidationError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
     p_star = critical_exponent(ps)
-    r = u_eps.grid.nodes
-    lf = log_factor_nodes(r, t * u_eps.values, lp)
+    lf = log_factor_nodes(u_eps.grid.node_power(lp.beta), t * u_eps.values, lp)
     f = np.abs(u_eps.values) ** p_star * (lf - 1.0)
     return weighted_integral_between(u_eps.grid, f, ps.theta, a, b)

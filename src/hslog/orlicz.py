@@ -131,18 +131,22 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     lam = lq_norm(u, critical_exponent(ps), ps.theta)
     if lam == 0.0:
         return 0.0
-    lo = hi = lam
-    for _ in range(200):
-        if modular(u, hi, lp, ps) < 1.0:
+    rho_start = modular(u, lam, lp, ps)
+    hi, rho = lam, rho_start
+    for _ in range(199):
+        if rho < 1.0:
             break
         hi *= 2.0
-    else:
+        rho = modular(u, hi, lp, ps)
+    if not rho < 1.0:
         raise NumericalError("could not bracket the Luxemburg norm from above")
-    for _ in range(200):
-        if modular(u, lo, lp, ps) > 1.0:
+    lo, rho = lam, rho_start
+    for _ in range(199):
+        if rho > 1.0:
             break
         lo *= 0.5
-    else:
+        rho = modular(u, lo, lp, ps)
+    if not rho > 1.0:
         raise NumericalError("could not bracket the Luxemburg norm from below")
     return float(brentq(_modular_excess, lo, hi, args=(u, lp, ps), xtol=1e-15 * lo,
                         rtol=8.9e-16))

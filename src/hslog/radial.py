@@ -33,6 +33,7 @@ class Grid:
     gamma: float
     _weight_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _power_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -56,6 +57,13 @@ class Grid:
             r = self.nodes
             self._moment_cache[w] = (r[1:] ** (w + 1) - r[:-1] ** (w + 1)) / (w + 1)
         return self._moment_cache[w]
+
+    def node_power(self, w: float) -> np.ndarray:
+        """The nodes raised to the power w, r_i^w."""
+        w = float(w)
+        if w not in self._power_cache:
+            self._power_cache[w] = self.nodes**w
+        return self._power_cache[w]
 
 
 def _build_weights(r: np.ndarray, w: float) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from hslog import bliss
 from hslog.analysis import (
     BubbleBound,
+    _grad_J_values,
     beta_sweep,
     bubble_lower_bound,
     concentration_level_check,
@@ -25,10 +26,11 @@ from hslog.functionals import LogParams, J
 from hslog.params import (
     NumericalError,
     ValidationError,
+    critical_exponent,
     derived_constants,
     validate_params,
 )
-from hslog.radial import dirichlet_norm, make_grid, normalize
+from hslog.radial import Profile, dirichlet_norm, make_grid, normalize
 
 P0 = validate_params(2, 2, 2, 2)
 DC0 = derived_constants(P0)
@@ -224,9 +226,8 @@ class TestScalarStationarity:
         from hslog.functionals import log_factor_nodes
         from hslog.radial import weighted_integral
 
-        k = weighted_integral(u.grid, np.abs(u.values) ** 6
-                              * log_factor_nodes(u.grid.nodes, t_star * u.values, self.LP),
-                              2.0)
+        lf = log_factor_nodes(u.grid.node_power(self.LP.beta), t_star * u.values, self.LP)
+        k = weighted_integral(u.grid, np.abs(u.values) ** 6 * lf, 2.0)
         assert abs(t_star * n_p - t_star**5 * k) < 1e-10
 
     def test_no_sign_change_reported(self, grid):
@@ -265,3 +266,40 @@ class TestSphereScan:
                                  rho_list=(0.1, 0.2, 0.4), n_profiles=15)
         for rho, min_i in out.items():
             assert min_i > 0
+
+
+def _grad_full(u, lp, ps):
+    # the untrimmed full-array formula
+    p_star = critical_exponent(ps)
+    r, v = u.grid.nodes, u.values
+    if lp is None:
+        grad = p_star * v ** (p_star - 1.0)
+        return u.grid.quad_weights(ps.theta) * np.where(v > 0.0, grad, 0.0)
+    e = r**lp.beta
+    x = np.log(lp.tau + v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = p_star * v ** (p_star - 1.0) * x**e + v**p_star * e * x ** (e - 1.0) / (
+            lp.tau + v
+        )
+    return u.grid.quad_weights(ps.theta) * np.where((v > 0.0) & (x > 0.0), grad, 0.0)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("kind", ["cutoff-bubble", "random", "interior-zeros", "zero"])
+    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
+    def test_trimmed_equals_full_formula(self, grid, kind, lp):
+        # the ascent's profiles are nonnegative
+        if kind == "cutoff-bubble":
+            u = _bubble_family(grid, (1e-3,))[0]
+        else:
+            vals = np.abs(random_smooth_profile(grid, np.random.default_rng(31)).values)
+            if kind == "interior-zeros":
+                vals[::7] = 0.0
+                vals[-13:] = 0.0
+            elif kind == "zero":
+                vals[:] = 0.0
+            u = Profile(grid, vals)
+        grad = _grad_J_values(u, lp, P0)
+        assert np.array_equal(grad, _grad_full(u, lp, P0))
+        if kind == "zero":
+            assert not np.any(grad)

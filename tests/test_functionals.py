@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from hslog import bliss
 from hslog.functionals import (
     F_nodes,
     HypothesisSet,
     J,
     LogParams,
+    _on_support,
     check_h_conditions,
     energy_I,
     energy_pairing,
     log_factor_nodes,
     sobolev_J0,
 )
-from hslog.params import ValidationError, critical_exponent, validate_params
+from hslog.params import ValidationError, critical_exponent, derived_constants, validate_params
 from hslog.radial import Profile, dirichlet_norm, make_grid, normalize, weighted_integral
 
 P0 = validate_params(2, 2, 2, 2)
@@ -31,7 +33,7 @@ def linear_profile(m=2000, gamma=1.0):
 
 
 def log_factor(r, u, lp):
-    return log_factor_nodes(np.array([r]), np.array([u]), lp)[0]
+    return log_factor_nodes(np.array([r]) ** lp.beta, np.array([u]), lp)[0]
 
 
 class TestLogFactor:
@@ -60,7 +62,9 @@ class TestJ:
     def test_zero_profile(self):
         u = linear_profile(64)
         z = Profile(u.grid, np.zeros(u.grid.m))
-        assert J(z, LogParams(1.0, 0.5), P0) == 0.0
+        # at tau = 0.5 the log factor |ln tau|^(r^beta) is nonzero where u = 0
+        for lp in (LogParams(1.0, 0.5), LogParams(0.5, 0.5)):
+            assert J(z, lp, P0) == 0.0
 
     def test_against_independent_quadrature(self):
         # reference from adaptive quadrature of r^2 (1-r)^6 ln(tau+1-r)^r dr
@@ -125,18 +129,19 @@ class TestPrimitiveF:
         r = np.repeat([1e-6, 0.1, 0.5, 0.9], 4)
         a = np.tile([0.05, 0.8, 3.0, 25.0], 4)
         h = 1e-5 * a
-        fd = (F_nodes(r, a + h, lp, ps) - F_nodes(r, a - h, lp, ps)) / (2 * h)
-        source = a ** (p_star - 1.0) * np.log(lp.tau + a) ** (r**lp.beta)
+        e = r**lp.beta
+        fd = (F_nodes(e, a + h, lp, ps) - F_nodes(e, a - h, lp, ps)) / (2 * h)
+        source = a ** (p_star - 1.0) * np.log(lp.tau + a) ** e
         np.testing.assert_allclose(fd, source, rtol=1e-7)
 
     def test_even_in_state(self):
-        r = np.array([0.0, 0.3, 0.3, 0.7, 1.0])
+        e = np.array([0.0, 0.3, 0.3, 0.7, 1.0]) ** self.LP.beta
         u = np.array([2.0, 0.5, 9.0, 1.3, 4.0])
-        assert np.array_equal(F_nodes(r, -u, self.LP, P0), F_nodes(r, u, self.LP, P0))
+        assert np.array_equal(F_nodes(e, -u, self.LP, P0), F_nodes(e, u, self.LP, P0))
 
     def test_zero_state_and_origin(self):
-        r = np.array([0.0, 0.3, 1.0])
-        assert np.all(F_nodes(r, np.zeros(3), self.LP, P0) == 0.0)
+        e = np.array([0.0, 0.3, 1.0]) ** self.LP.beta
+        assert np.all(F_nodes(e, np.zeros(3), self.LP, P0) == 0.0)
         # the log factor is 1 at r = 0, so F(0, u) = |u|^p* / p*
         for ps in (P0, P1):
             p_star = critical_exponent(ps)
@@ -152,8 +157,9 @@ class TestGAndPrimitive:
 
     def G(self, r, u, ps):
         p_star = critical_exponent(ps)
-        return (np.abs(u) ** p_star * log_factor_nodes(r, u, self.LP) / p_star
-                - F_nodes(r, u, self.LP, ps))
+        e = r**self.LP.beta
+        return (np.abs(u) ** p_star * log_factor_nodes(e, u, self.LP) / p_star
+                - F_nodes(e, u, self.LP, ps))
 
     def test_vanishes_at_origin(self):
         u = np.array([0.5, -2.0, 5.0, 9.0])
@@ -256,6 +262,94 @@ def _smooth(grid, rng):
     for k in range(1, 6):
         vals += rng.normal() / k * np.sin(k * math.pi * (1.0 - grid.nodes))
     return vals
+
+
+SUPPORT_GRID = make_grid(2000, 3.0)
+
+
+def _support_profile(kind):
+    """A cutoff bubble (zero on [0.4, 1]), a random profile (nonzero up to
+    r_(M-1)), one with interior zeros and a zero tail, and the zero profile."""
+    g = SUPPORT_GRID
+    if kind == "cutoff-bubble":
+        return bliss.bubble_profile(bliss.BubbleSpec(1e-3), g, derived_constants(P0))
+    vals = _smooth(g, np.random.default_rng(17))
+    if kind == "interior-zeros":
+        vals[::7] = 0.0
+        vals[-13:] = 0.0
+    elif kind == "zero":
+        vals[:] = 0.0
+    return Profile(g, vals)
+
+
+SUPPORT_KINDS = ["cutoff-bubble", "random", "interior-zeros", "zero"]
+
+
+def _J_full(u, lp, ps):
+    p_star = critical_exponent(ps)
+    lf = log_factor_nodes(u.grid.nodes**lp.beta, u.values, lp)
+    return weighted_integral(u.grid, np.abs(u.values) ** p_star * lf, ps.theta)
+
+
+def _energy_full(u, lp, ps):
+    f = F_nodes(u.grid.nodes**lp.beta, u.values, lp, ps)
+    return dirichlet_norm(u, ps) ** ps.p / ps.p - weighted_integral(u.grid, f, ps.theta)
+
+
+def _pairing_full(u, v, lp, ps):
+    p_star = critical_exponent(ps)
+    su, sv = u.slopes(), v.slopes()
+    term1 = float(np.sum(u.grid.cell_moments(ps.alpha1) * np.sign(su)
+                         * np.abs(su) ** (ps.p - 1.0) * sv))
+    uu = u.values
+    f = (np.sign(uu) * np.abs(uu) ** (p_star - 1.0)
+         * log_factor_nodes(u.grid.nodes**lp.beta, uu, lp) * v.values)
+    return term1 - weighted_integral(u.grid, f, ps.theta)
+
+
+class TestSupportTrim:
+    """Integrands evaluated up to the last nonzero node equal the untrimmed
+    full-array formulas bit for bit."""
+
+    LP = LogParams(1.0, 0.5)
+
+    @pytest.mark.parametrize("kind", SUPPORT_KINDS)
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0),
+                                    LogParams(0.5, 0.5)])
+    def test_J(self, kind, lp):
+        # at tau = 0.5 the log factor |ln tau|^(r^beta) is nonzero where u = 0
+        u = _support_profile(kind)
+        for ps in (P0, P1):
+            assert J(u, lp, ps) == _J_full(u, lp, ps)
+
+    @pytest.mark.parametrize("kind", SUPPORT_KINDS)
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
+    def test_energy_and_pairing(self, kind, lp):
+        u = _support_profile(kind)
+        v = Profile(u.grid, _smooth(u.grid, np.random.default_rng(23)))
+        for ps in (P0, P1):
+            assert energy_I(u, lp, ps) == _energy_full(u, lp, ps)
+            assert energy_pairing(u, v, lp, ps) == _pairing_full(u, v, lp, ps)
+
+    @pytest.mark.parametrize("tail", range(17))
+    def test_primitive_for_every_tail_length(self, tail):
+        # F's Gauss-Legendre sum is a BLAS matrix-vector product; the kept
+        # columns must fall into the same blocks as in the full product
+        g = SUPPORT_GRID
+        vals = 4.0 * _smooth(g, np.random.default_rng(tail))
+        vals[g.m - 1 - tail:] = 0.0
+        u = Profile(g, vals)
+        e = g.node_power(self.LP.beta)
+        trimmed = _on_support(u, lambda w, ek: F_nodes(ek, w, self.LP, P1), e)
+        assert np.array_equal(trimmed, F_nodes(e, vals, self.LP, P1))
+
+    @pytest.mark.parametrize("kind,expected", [("cutoff-bubble", 1480), ("random", 2000),
+                                               ("interior-zeros", 1992), ("zero", 0)])
+    def test_kernel_sees_the_support(self, kind, expected):
+        # one past the last nonzero node, rounded up to a multiple of 8
+        seen = []
+        _on_support(_support_profile(kind), lambda w: seen.append(w.size) or w)
+        assert seen == [expected]
 
 
 class TestSupremumInequalities:

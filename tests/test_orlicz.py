@@ -136,6 +136,25 @@ class TestLuxemburgNorm:
         with pytest.raises(NumericalError, match=f"bracket the Luxemburg norm from {side}"):
             luxemburg_norm(u, LP, P0)
 
+    @pytest.mark.parametrize("kind", ["random", "bubble"])
+    def test_no_lambda_evaluated_twice_but_the_bracket_ends(self, grid, monkeypatch, kind):
+        # the start lambda is shared by both doubling loops; brentq evaluates
+        # both bracket ends again, which are the only repeats.  The modular at
+        # the start is below 1 for the random profile and above 1 for the bubble.
+        if kind == "random":
+            u = random_smooth_profile(grid, np.random.default_rng(8))
+        else:
+            u = bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, derived_constants(P0))
+        calls = []
+
+        def recording(u, lam, lp, ps):
+            calls.append(lam)
+            return modular(u, lam, lp, ps)
+
+        monkeypatch.setattr(orlicz, "modular", recording)
+        luxemburg_norm(u, LP, P0)
+        assert len(calls) - len(set(calls)) == 2
+
     def test_profile_not_retained(self, grid):
         # with the collector off, a profile caught in a reference cycle would never be freed
         gc.disable()
