@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from hslog import bliss
 from hslog.functionals import LogParams, J, _on_support
@@ -321,25 +321,36 @@ def _stationarity(t: float, u: Profile, n_p: float, lp: LogParams, ps: ParamSet)
     return t ** (ps.p - 1.0) * n_p - J(u.scaled(t), lp, ps) / t
 
 
-def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet,
-                bracket: tuple[float, float] = (0.5, 2.0), tol: float = 1e-10) -> float:
+def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet, tol: float = 1e-10) -> float:
     """Root of t^(p-1) ||u||^p = t^(p*-1) int r^th |u|^p* (ln(tau+t|u|))^(r^b) dr.
 
-    The right-hand side is J(t u)/t.  The residual gets u through brentq's
-    ``args``, not a closure, so the profile is freed as soon as it is dropped.
+    The right-hand side is J(t u)/t.  The bracket starts at (0.5, 2): its
+    lower end is halved until the residual is >= 0 and its upper end doubled
+    until it is <= 0, then Brent's method finds the root.  The
+    residual gets u through brentq's ``args``, not a closure, so the profile
+    is freed as soon as it is dropped.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the stationarity equation needs tau >= 1, got {lp.tau}")
     n_p = dirichlet_norm(u_eps, ps) ** ps.p
     args = (u_eps, n_p, lp, ps)
-    lo, hi = bracket
-    h_lo, h_hi = _stationarity(lo, *args), _stationarity(hi, *args)
-    if h_lo == 0.0:
-        return lo
-    if h_hi == 0.0:
-        return hi
-    if h_lo * h_hi > 0:
-        raise NumericalError(f"no sign change in bracket [{lo}, {hi}] for t_eps")
+    lo, hi = 0.5, 2.0
+    h = _stationarity(lo, *args)
+    for _ in range(199):
+        if h >= 0.0:
+            break
+        lo *= 0.5
+        h = _stationarity(lo, *args)
+    if not h >= 0.0:
+        raise NumericalError("could not bracket t_eps from below")
+    h = _stationarity(hi, *args)
+    for _ in range(199):
+        if h <= 0.0:
+            break
+        hi *= 2.0
+        h = _stationarity(hi, *args)
+    if not h <= 0.0:
+        raise NumericalError("could not bracket t_eps from above")
     t_star = float(brentq(_stationarity, lo, hi, args=args, xtol=1e-15, rtol=8.9e-16,
                           maxiter=200))
     residual = _stationarity(t_star, *args)
@@ -355,14 +366,17 @@ class MountainPassResult:
     t_at_max: float
     threshold: float
     gap: float
-    energy_at_t_max_scan: float
 
 
 def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet, grid: Grid,
-                      report: bliss.ConstantsReport | None = None,
-                      t_lo: float = 1e-2, t_hi: float = 10.0,
-                      scan_points: int = 60) -> MountainPassResult:
-    """Scan-and-polish max of t -> I(t u_eps) against the non-compactness level.
+                      report: bliss.ConstantsReport | None = None) -> MountainPassResult:
+    """Max of t -> I(t u_eps) against the non-compactness level.
+
+    The maximum sits at the root t* of d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t,
+    which ``solve_t_eps`` finds.  For tau >= 1 that root is unique and is the
+    global maximum along the ray: J(t u)/t^p is strictly increasing in t,
+    because t^(p*-p) and (ln(tau + t|u|))^(r^beta) both are, so the
+    derivative is positive below t* and negative above it.
 
     The reported quantity is the maximum of the discrete energy along the
     bubble path, not the infimum over all paths.  It stands for the
@@ -383,24 +397,13 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet, grid:
     threshold = (1.0 / ps.p - 1.0 / p_star) * report.S_power
 
     u = bliss.bubble_profile(spec, grid, dc)
-
-    def energy_at(t: float) -> float:
-        return energy_I(u.scaled(t), lp, ps)
-
-    ts = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), scan_points))
-    vals = np.array([energy_at(t) for t in ts])
-    i = int(np.argmax(vals))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(scan_points - 1, i + 1)]
-    res = minimize_scalar(lambda t: -energy_at(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    max_energy = float(-res.fun)
+    t_star = solve_t_eps(u, lp, ps)
+    max_energy = energy_I(u.scaled(t_star), lp, ps)
     return MountainPassResult(
         max_energy=max_energy,
-        t_at_max=float(res.x),
+        t_at_max=t_star,
         threshold=threshold,
         gap=threshold - max_energy,
-        energy_at_t_max_scan=float(vals[-1]),
     )
 
 

@@ -233,40 +233,7 @@ def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2, a_hat: flo
     return table_d, table_l
 
 
-# --- crossing radii and the concentration functional -----------------------
-
-
-@dataclass(frozen=True)
-class CrossingRadii:
-    """Radii bracketing the region where |ln(tau + t A u*_eps)| <= 1.
-
-    ``a`` is None when eps is too large for the crossing formula to be
-    real; ``b`` exists only for tau < 1/e.
-    """
-
-    a: float | None
-    b: float | None
-
-
-def crossing_radii(eps: float, tau: float, t: float, big_a: float,
-                   dc: DerivedConstants) -> CrossingRadii:
-    e_const = float(np.e)
-    if not 0 < tau < e_const:
-        raise ValidationError(
-            f"crossing radii need 0 < tau < e (log factor >= 1 everywhere otherwise), got {tau}"
-        )
-    if eps <= 0 or t <= 0 or big_a <= 0:
-        raise ValidationError("eps, t, A must all be positive")
-
-    def radius(level: float) -> float | None:
-        base = (t * big_a * eps**dc.s / level) ** dc.m - eps**dc.n
-        if base <= 0:
-            return None
-        return base ** (1.0 / dc.n)
-
-    a = radius(e_const - tau)
-    b = radius(1.0 / e_const - tau) if tau < 1.0 / e_const else None
-    return CrossingRadii(a=a, b=b)
+# --- the concentration functional ------------------------------------------
 
 
 def concentration_E(a: float, b: float, u_eps: Profile, t: float, lp: LogParams,

@@ -1,4 +1,4 @@
-"""The log-perturbed functionals, hypothesis checks, and the energy.
+"""The log-perturbed functionals and the energy.
 
 Central objects, all over the measure r^theta dr on (0, 1):
 
@@ -29,7 +29,6 @@ pairing, which are only defined for tau >= 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,23 +46,6 @@ class LogParams:
     def __post_init__(self):
         if not (self.tau > 0 and self.beta > 0):
             raise ValidationError(f"need tau > 0 and beta > 0, got {self.tau}, {self.beta}")
-
-
-@dataclass(frozen=True)
-class HypothesisSet:
-    """A variable exponent phi with the constants and windows for (h1)-(h3)."""
-
-    phi: Callable[[np.ndarray], np.ndarray]
-    sigma: float
-    c: float
-    r_small: tuple[float, float] = (1e-12, 1e-8)
-    r_large: tuple[float, float] = (0.875, 1.0 - 2.0**-24)
-
-    def __post_init__(self):
-        if not self.sigma > 1:
-            raise ValidationError(f"need sigma > 1, got {self.sigma}")
-        if not self.c > 0:
-            raise ValidationError(f"need c > 0, got {self.c}")
 
 
 def log_factor_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams) -> np.ndarray:
@@ -104,52 +86,6 @@ def sobolev_J0(u: Profile, ps: ParamSet) -> float:
     """The unperturbed critical integral int r^th |u|^p* dr."""
     p_star = critical_exponent(ps)
     return weighted_integral(u.grid, np.abs(u.values) ** p_star, ps.theta)
-
-
-@dataclass(frozen=True)
-class HConditionReport:
-    h1_passed: bool
-    h2_passed: bool
-    h3_passed: bool
-    h2_max: float
-    h3_worst_margin: float
-
-    @property
-    def all_passed(self) -> bool:
-        return self.h1_passed and self.h2_passed and self.h3_passed
-
-
-def check_h_conditions(hs: HypothesisSet, samples: int = 200) -> HConditionReport:
-    """Numerical check of the three variable-exponent hypotheses.
-
-    (h1) phi(0) = 0 and phi > 0 on a dense sample of (0, 1).
-    (h2) phi(r) |ln r|^sigma ln|ln r| <= c on the small-r window.
-    (h3) phi(r)/|ln(1-r)| at r_k = 1 - 2^-k must stay below the declining
-         schedule 1/ln(k+1); a limit cannot be tested, the schedule makes
-         the vanishing-ratio requirement falsifiable.
-    """
-    phi0 = float(np.asarray(hs.phi(np.array([0.0])))[0])
-    interior = np.linspace(1e-6, 1.0 - 1e-6, samples)
-    h1 = phi0 == 0.0 and bool(np.all(np.asarray(hs.phi(interior)) > 0))
-
-    lo, hi = hs.r_small
-    rs = np.exp(np.linspace(math.log(lo), math.log(hi), samples))
-    q2 = np.asarray(hs.phi(rs)) * np.abs(np.log(rs)) ** hs.sigma * np.log(np.abs(np.log(rs)))
-    h2_max = float(np.max(q2))
-    h2 = h2_max <= hs.c
-
-    ks = np.arange(3, 25)
-    rk = 1.0 - 2.0 ** (-ks.astype(float))
-    window = (rk >= hs.r_large[0]) & (rk <= hs.r_large[1])
-    ks, rk = ks[window], rk[window]
-    ratios = np.asarray(hs.phi(rk)) / np.abs(np.log(1.0 - rk))
-    schedule = 1.0 / np.log(ks + 1.0)
-    margins = schedule - ratios
-    h3_worst = float(np.min(margins)) if margins.size else float("nan")
-    h3 = bool(margins.size) and bool(np.all(margins >= 0))
-    return HConditionReport(
-        h1_passed=h1, h2_passed=h2, h3_passed=h3, h2_max=h2_max, h3_worst_margin=h3_worst
-    )
 
 
 def _require_tau_ge_1(lp: LogParams, what: str) -> None:

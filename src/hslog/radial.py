@@ -15,7 +15,9 @@ exact for the discrete profile class.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +89,8 @@ class Profile:
     """Sampled radial function; piecewise linear on the grid.
 
     ``value_at_origin`` is a display-only limit value; integrals use the
-    first nodal value on (0, r_1].
+    first nodal value on (0, r_1].  The constructor checks the shape and
+    finiteness of the values; ``scaled`` copies skip that scan.
     """
 
     grid: Grid
@@ -102,8 +105,24 @@ class Profile:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("profile values must be finite")
 
+    @cached_property
+    def peak(self) -> float:
+        """max_i |u_i|."""
+        return float(np.max(np.abs(self.values)))
+
     def scaled(self, c: float) -> "Profile":
-        return Profile(self.grid, c * self.values, self.value_at_origin)
+        """c u, built without re-running the constructor's per-node check.
+
+        Rounding is monotone, so max_i |c u_i| is |c| max_i |u_i| in floating
+        point too: every c u_i is finite exactly when that one product is.
+        """
+        peak = abs(c) * self.peak
+        if not math.isfinite(peak):
+            raise ValidationError(f"profile values scaled by {c:g} are not finite")
+        out = object.__new__(Profile)
+        out.__dict__.update(grid=self.grid, values=c * self.values,
+                            value_at_origin=self.value_at_origin, peak=peak)
+        return out
 
     def slopes(self) -> np.ndarray:
         r, v = self.grid.nodes, self.values
@@ -222,7 +241,7 @@ def normalize(u: Profile, ps: ParamSet) -> Profile:
     return u.scaled(1.0 / nrm)
 
 
-# --- CSV interchange ------------------------------------------------------
+# --- CSV output -----------------------------------------------------------
 
 CSV_HEADER = "r,u"
 
@@ -233,19 +252,3 @@ def profile_to_csv(u: Profile) -> str:
     for r, v in zip(u.grid.nodes, u.values):
         buf.write(f"{r:.12g},{v:.12g}\n")
     return buf.getvalue()
-
-
-def profile_from_csv(text: str, gamma: float = 1.0) -> Profile:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != CSV_HEADER:
-        raise ValidationError(f"profile CSV must start with header '{CSV_HEADER}'")
-    try:
-        rows = [ln.split(",") for ln in lines[1:]]
-        r = np.array([float(a) for a, _ in rows])
-        v = np.array([float(b) for _, b in rows])
-    except ValueError as exc:
-        raise ValidationError(f"malformed profile CSV row: {exc}") from exc
-    if r.size < 2 or np.any(np.diff(r) <= 0) or r[0] <= 0 or abs(r[-1] - 1.0) > 1e-9:
-        raise ValidationError("profile CSV nodes must be strictly increasing in (0, 1]")
-    r[-1] = 1.0
-    return Profile(Grid(nodes=r, gamma=gamma), v)

@@ -6,8 +6,9 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from hslog import bliss
+from hslog import analysis, bliss
 from hslog.analysis import (
     BubbleBound,
     _grad_J_values,
@@ -22,7 +23,7 @@ from hslog.analysis import (
     rate_fit,
     solve_t_eps,
 )
-from hslog.functionals import LogParams, J
+from hslog.functionals import LogParams, J, energy_I
 from hslog.params import (
     NumericalError,
     ValidationError,
@@ -207,7 +208,7 @@ class TestScalarStationarity:
         u = _bubble_family(grid, (1e-3,))[0].scaled(0.9)
         lp = LogParams(1e8, 0.5)
         n_p = dirichlet_norm(u, P0) ** 2
-        t_star = solve_t_eps(u, lp, P0, bracket=(0.05, 2.0))
+        t_star = solve_t_eps(u, lp, P0)
         t_pred = (n_p / J(u, lp, P0)) ** (1.0 / 4.0)
         assert t_star == pytest.approx(t_pred, rel=1e-6)
 
@@ -230,10 +231,22 @@ class TestScalarStationarity:
         k = weighted_integral(u.grid, np.abs(u.values) ** 6 * lf, 2.0)
         assert abs(t_star * n_p - t_star**5 * k) < 1e-10
 
-    def test_no_sign_change_reported(self, grid):
+    @pytest.mark.parametrize("k, side", [(2.0, "below"), (0.5, "above")])
+    def test_bracket_failure_reported(self, grid, monkeypatch, k, side):
+        # J(t u) = k t^p ||u||^p makes d/dt I(t u) = (1 - k) t^(p-1) ||u||^p, of
+        # one sign for every t: negative (k = 2) or positive (k = 0.5)
+        monkeypatch.setattr(analysis, "J", lambda v, lp, ps: k * dirichlet_norm(v, ps) ** ps.p)
         u = _bubble_family(grid, (1e-3,))[0]
-        with pytest.raises(NumericalError, match="sign change"):
-            solve_t_eps(u, self.LP, P0, bracket=(1e3, 2e3))
+        with pytest.raises(NumericalError, match=f"could not bracket t_eps from {side}"):
+            solve_t_eps(u, self.LP, P0)
+
+    @pytest.mark.parametrize("c", [0.05, 20.0])
+    def test_root_outside_the_start_bracket(self, grid, c):
+        # the root for c u is the root for u divided by c, here outside (0.5, 2)
+        u = _bubble_family(grid, (1e-4,))[0]
+        t_star = solve_t_eps(u.scaled(c), self.LP, P0)
+        assert not 0.5 < t_star < 2.0
+        assert t_star * c == pytest.approx(solve_t_eps(u, self.LP, P0), rel=1e-12)
 
     def test_profile_not_retained(self, grid):
         # with the collector off, a profile caught in a reference cycle would never be freed
@@ -248,16 +261,45 @@ class TestScalarStationarity:
             gc.enable()
 
 
+def _scan_and_polish(u, lp, ps):
+    # reference maximum of t -> I(t u) from energy values alone: 60 log-spaced
+    # t in [1e-2, 10], then a bounded polish around the best; also the scan's max
+    def energy_at(t):
+        return energy_I(u.scaled(t), lp, ps)
+
+    ts = np.exp(np.linspace(math.log(1e-2), math.log(10.0), 60))
+    vals = np.array([energy_at(t) for t in ts])
+    i = int(np.argmax(vals))
+    res = minimize_scalar(lambda t: -energy_at(t), bounds=(ts[max(0, i - 1)], ts[min(59, i + 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return float(-res.fun), float(vals.max())
+
+
 class TestMountainPass:
     LP = LogParams(1.0, 0.5)
+    SPEC = bliss.BubbleSpec(1e-4, 1.0, 0.2)
 
     def test_gap_positive_and_ray_shape(self, grid, report):
-        mp = mountain_pass_gap(bliss.BubbleSpec(1e-4, 1.0, 0.2), self.LP, P0, grid,
-                               report=report)
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid, report=report)
         assert mp.threshold == pytest.approx(math.sqrt(3) * math.pi / 16, rel=1e-9)
         assert mp.max_energy < mp.threshold
         assert mp.gap > 0
-        assert mp.energy_at_t_max_scan < 0     # far end of the ray is negative
+        u = bliss.bubble_profile(self.SPEC, grid, DC0)
+        assert energy_I(u.scaled(10.0), self.LP, P0) < 0     # far end of the ray is negative
+
+    def test_maximum_above_its_neighbours(self, grid, report):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid, report=report)
+        u = bliss.bubble_profile(self.SPEC, grid, DC0)
+        assert mp.max_energy == energy_I(u.scaled(mp.t_at_max), self.LP, P0)
+        for f in (1.0 - 1e-3, 1.0 + 1e-3):
+            assert mp.max_energy >= energy_I(u.scaled(f * mp.t_at_max), self.LP, P0)
+
+    def test_matches_the_scan_and_polish(self, grid, report):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid, report=report)
+        polished, scanned = _scan_and_polish(bliss.bubble_profile(self.SPEC, grid, DC0),
+                                             self.LP, P0)
+        assert abs(mp.max_energy - polished) <= 1e-14
+        assert scanned <= mp.max_energy
 
 
 class TestSphereScan:

@@ -128,48 +128,6 @@ class TestNormScan:
             deviation(1e-3, DC0, 0.2)
 
 
-class TestCrossingRadii:
-    A0 = 3**0.25
-
-    def test_above_log_window(self):
-        cr = bliss.crossing_radii(1e-4, 1.0, 1.0, self.A0, DC0)
-        assert cr.a == pytest.approx(0.007658591366796213, rel=1e-12)
-        assert cr.b is None
-
-    def test_small_tau_both_radii(self):
-        cr = bliss.crossing_radii(1e-4, 0.1, 1.0, self.A0, DC0)
-        assert cr.a == pytest.approx(0.005025484743492108, rel=1e-12)
-        assert cr.b == pytest.approx(0.049129238172478135, rel=1e-12)
-        assert cr.a < cr.b
-
-    def test_tau_at_or_above_e_rejected(self):
-        with pytest.raises(ValidationError, match="tau < e"):
-            bliss.crossing_radii(1e-4, math.e, 1.0, self.A0, DC0)
-
-    def test_large_eps_has_no_crossing(self):
-        cr = bliss.crossing_radii(10.0, 1.0, 1.0, self.A0, DC0)
-        assert cr.a is None
-
-    def test_scale_like_eps_to_one_over_p(self):
-        ratios = []
-        for eps in (1e-4, 1e-6, 1e-8, 1e-10):
-            cr = bliss.crossing_radii(eps, 1.0, 1.0, self.A0, DC0)
-            ratios.append(cr.a / eps ** 0.5)
-        ratios = np.array(ratios)
-        assert np.all(ratios > 0)
-        assert np.max(np.abs(ratios - ratios[-1])) / ratios[-1] < 1e-4
-
-    def test_characterizes_the_log_window(self):
-        #  |ln(tau + t A u*_eps)| <= 1  exactly on [a, b]  (tau < 1/e)
-        eps, tau = 1e-4, 0.1
-        cr = bliss.crossing_radii(eps, tau, 1.0, self.A0, DC0)
-        r = np.linspace(1e-6, 0.5, 20001)
-        u = bliss.bliss_value(eps, r, DC0)   # A = A_hat c_hat with A_hat = 1
-        inside = np.abs(np.log(tau + u)) <= 1.0
-        expected = (r >= cr.a) & (r <= cr.b)
-        assert np.array_equal(inside, expected)
-
-
 class TestConcentrationFunctional:
     LP = LogParams(1.0, 0.5)
 

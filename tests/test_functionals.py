@@ -1,4 +1,4 @@
-"""Tests for the log-perturbed functionals, hypotheses, and the energy."""
+"""Tests for the log-perturbed functionals and the energy."""
 
 import math
 
@@ -10,11 +10,9 @@ from scipy.integrate import quad
 from hslog import bliss
 from hslog.functionals import (
     F_nodes,
-    HypothesisSet,
     J,
     LogParams,
     _on_support,
-    check_h_conditions,
     energy_I,
     energy_pairing,
     log_factor_nodes,
@@ -96,26 +94,6 @@ class TestSobolevJ0:
     def test_zero(self):
         g = make_grid(64, 1.0)
         assert sobolev_J0(Profile(g, np.zeros(g.m)), P0) == 0.0
-
-
-class TestHConditions:
-    def test_power_exponent_passes(self):
-        hs = HypothesisSet(phi=lambda r: r**0.5, sigma=2.0, c=1.0,
-                           r_small=(1e-12, 1e-8))
-        report = check_h_conditions(hs)
-        assert report.all_passed
-
-    def test_log_blowup_fails_h3(self):
-        hs = HypothesisSet(phi=lambda r: np.abs(np.log(np.maximum(1.0 - r, 1e-300))),
-                           sigma=2.0, c=1.0, r_small=(1e-12, 1e-8))
-        report = check_h_conditions(hs)
-        assert not report.h3_passed
-
-    def test_slow_decay_fails_h2(self):
-        hs = HypothesisSet(phi=lambda r: 1.0 / np.abs(np.log(np.maximum(r, 1e-300))),
-                           sigma=1.5, c=1.0, r_small=(1e-12, 1e-8))
-        report = check_h_conditions(hs)
-        assert not report.h2_passed
 
 
 class TestPrimitiveF:

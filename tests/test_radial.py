@@ -1,5 +1,6 @@
 """Tests for grids, quadrature, norms, and the pointwise decay bound."""
 
+import io
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from hslog.radial import (
     make_grid,
     normalize,
     pointwise_bound_check,
-    profile_from_csv,
     profile_to_csv,
     weighted_integral,
     weighted_integral_between,
@@ -131,6 +131,53 @@ class TestSegmentIntegral:
             assert abs(whole - parts) < 1e-12
 
 
+class TestProfile:
+    def test_wrong_shape_rejected(self):
+        g = make_grid(64, 1.0)
+        with pytest.raises(ValidationError, match="needs 64 values"):
+            Profile(g, np.zeros(63))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        g = make_grid(64, 1.0)
+        vals = np.zeros(g.m)
+        vals[17] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Profile(g, vals)
+
+    @pytest.mark.parametrize("c", [2.5, -3.0, 0.0, 1e-300])
+    def test_scaled_copy(self, c):
+        g = make_grid(128, 2.0)
+        u = Profile(g, np.random.default_rng(4).normal(size=g.m), value_at_origin=1.5)
+        v = u.scaled(c)
+        assert np.array_equal(v.values, c * u.values)
+        assert v.grid is g and v.value_at_origin == 1.5
+        assert v.peak == np.max(np.abs(c * u.values))
+
+    def test_scaled_rejects_a_finite_factor_that_overflows(self):
+        g = make_grid(64, 1.0)
+        vals = np.linspace(-3e10, 1e10, g.m)
+        u = Profile(g, vals)
+        with pytest.raises(ValidationError, match="not finite"):
+            u.scaled(1e300)
+        for c in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match="not finite"):
+                u.scaled(c)
+        with pytest.raises(ValidationError, match="not finite"):
+            Profile(g, np.zeros(g.m)).scaled(math.inf)     # inf * 0 is nan
+        # at the edge of the double range, rejected exactly when some c u_i overflows
+        edge = np.finfo(float).max / 3e10
+        for c in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf), -edge):
+            c = float(c)
+            with np.errstate(over="ignore"):
+                overflows = not np.all(np.isfinite(c * vals))
+            if overflows:
+                with pytest.raises(ValidationError):
+                    u.scaled(c)
+            else:
+                assert np.all(np.isfinite(u.scaled(c).values))
+
+
 class TestDirichletNorm:
     def test_linear_profile(self):
         g = make_grid(2000, 3.0)
@@ -220,14 +267,8 @@ class TestCsvRoundTrip:
         g = make_grid(50, 2.0)
         rng = np.random.default_rng(9)
         u = Profile(g, rng.normal(size=g.m))
-        v = profile_from_csv(profile_to_csv(u))
-        assert np.allclose(v.grid.nodes, g.nodes, rtol=1e-11)
-        assert np.allclose(v.values, u.values, rtol=1e-11, atol=1e-14)
-
-    def test_header_required(self):
-        with pytest.raises(ValidationError, match="header"):
-            profile_from_csv("x,y\n0.5,1.0\n1.0,0.0\n")
-
-    def test_malformed_row_rejected(self):
-        with pytest.raises(ValidationError, match="malformed"):
-            profile_from_csv("r,u\n0.5,abc\n1.0,0.0\n")
+        text = profile_to_csv(u)
+        assert text.startswith("r,u\n")
+        r, v = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, unpack=True)
+        assert np.allclose(r, g.nodes, rtol=1e-11)
+        assert np.allclose(v, u.values, rtol=1e-11, atol=1e-14)
