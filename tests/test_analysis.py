@@ -231,14 +231,19 @@ class TestScalarStationarity:
         k = weighted_integral(u.grid, np.abs(u.values) ** 6 * lf, 2.0)
         assert abs(t_star * n_p - t_star**5 * k) < 1e-10
 
-    @pytest.mark.parametrize("k, side", [(2.0, "below"), (0.5, "above")])
-    def test_bracket_failure_reported(self, grid, monkeypatch, k, side):
+    def _assert_bracket_failure(self, grid, monkeypatch, k, side):
         # J(t u) = k t^p ||u||^p makes d/dt I(t u) = (1 - k) t^(p-1) ||u||^p, of
-        # one sign for every t: negative (k = 2) or positive (k = 0.5)
+        # one sign for every t: negative (k > 1) or positive (k < 1)
         monkeypatch.setattr(analysis, "J", lambda v, lp, ps: k * dirichlet_norm(v, ps) ** ps.p)
         u = _bubble_family(grid, (1e-3,))[0]
         with pytest.raises(NumericalError, match=f"could not bracket t_eps from {side}"):
             solve_t_eps(u, self.LP, P0)
+
+    def test_no_sign_change_reported(self, grid, monkeypatch):
+        self._assert_bracket_failure(grid, monkeypatch, 2.0, "below")
+
+    def test_no_sign_change_above_reported(self, grid, monkeypatch):
+        self._assert_bracket_failure(grid, monkeypatch, 0.5, "above")
 
     @pytest.mark.parametrize("c", [0.05, 20.0])
     def test_root_outside_the_start_bracket(self, grid, c):

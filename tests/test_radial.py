@@ -1,6 +1,5 @@
 """Tests for grids, quadrature, norms, and the pointwise decay bound."""
 
-import io
 import math
 
 import numpy as np
@@ -15,6 +14,7 @@ from hslog.radial import (
     make_grid,
     normalize,
     pointwise_bound_check,
+    profile_from_csv,
     profile_to_csv,
     weighted_integral,
     weighted_integral_between,
@@ -269,6 +269,14 @@ class TestCsvRoundTrip:
         u = Profile(g, rng.normal(size=g.m))
         text = profile_to_csv(u)
         assert text.startswith("r,u\n")
-        r, v = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, unpack=True)
-        assert np.allclose(r, g.nodes, rtol=1e-11)
-        assert np.allclose(v, u.values, rtol=1e-11, atol=1e-14)
+        v = profile_from_csv(text)
+        assert np.allclose(v.grid.nodes, g.nodes, rtol=1e-11)
+        assert np.allclose(v.values, u.values, rtol=1e-11, atol=1e-14)
+
+    def test_header_required(self):
+        with pytest.raises(ValidationError, match="header"):
+            profile_from_csv("x,y\n0.5,1.0\n1.0,0.0\n")
+
+    def test_malformed_row_rejected(self):
+        with pytest.raises(ValidationError, match="malformed"):
+            profile_from_csv("r,u\n0.5,abc\n1.0,0.0\n")
