@@ -15,11 +15,9 @@ family behind every asymptotic acceptance check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from hslog import bliss
 from hslog.functionals import LogParams, J, _on_support
@@ -27,6 +25,7 @@ from hslog.params import (
     NumericalError,
     ParamSet,
     ValidationError,
+    brent_root,
     critical_exponent,
     derived_constants,
 )
@@ -103,14 +102,18 @@ def _grad_J_values(u: Profile, lp: LogParams | None, ps: ParamSet) -> np.ndarray
     return q * _on_support(u, kernel, u.grid.node_power(lp.beta))
 
 
-def _project(vals: np.ndarray, grid: Grid, ps: ParamSet) -> np.ndarray | None:
+def _project(vals: np.ndarray, grid: Grid, ps: ParamSet) -> Profile | None:
+    """The nonnegative part of vals, pinned to 0 at r = 1, on the unit sphere."""
     vals = np.maximum(vals, 0.0)
     vals[-1] = 0.0
     prof = Profile(grid, vals)
     nrm = dirichlet_norm(prof, ps)
     if nrm == 0.0:
         return None
-    return vals / nrm
+    # in place, so the checked profile becomes the projection; the quotient
+    # stays finite, since every |u_i| is bounded by a multiple of the norm
+    vals /= nrm
+    return prof
 
 
 def maximize_F(
@@ -141,10 +144,10 @@ def maximize_F(
         if grid.r1 > eps / 10.0:
             continue
         start = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, r0), grid, dc)
-        vals = _project(start.values.copy(), grid, ps)
-        if vals is None:
+        u = _project(start.values, grid, ps)
+        if u is None:
             continue
-        candidates.append(_ascend(vals, eps, ps, lp, grid, max_iters, rel_tol))
+        candidates.append(_ascend(u, eps, ps, lp, grid, max_iters, rel_tol))
     if not candidates:
         raise ValidationError("no bubble seed is resolvable on this grid")
     # highest value wins; exact ties resolved toward the smallest seed
@@ -158,8 +161,7 @@ def _objective(u: Profile, lp: LogParams | None, ps: ParamSet) -> float:
     return sobolev_J0(u, ps) if lp is None else J(u, lp, ps)
 
 
-def _ascend(vals, seed_eps, ps, lp, grid, max_iters, rel_tol) -> MaximizeResult:
-    u = Profile(grid, vals)
+def _ascend(u, seed_eps, ps, lp, grid, max_iters, rel_tol) -> MaximizeResult:
     value = _objective(u, lp, ps)
     step = 0.25
     iterations = 0
@@ -172,9 +174,8 @@ def _ascend(vals, seed_eps, ps, lp, grid, max_iters, rel_tol) -> MaximizeResult:
             break
         accepted = False
         while step >= 1e-16:
-            trial = _project(u.values + (step / scale) * direction, grid, ps)
-            if trial is not None:
-                cand = Profile(grid, trial)
+            cand = _project(u.values + (step / scale) * direction, grid, ps)
+            if cand is not None:
                 cand_val = _objective(cand, lp, ps)
                 if cand_val > value:
                     improvement = cand_val - value
@@ -326,34 +327,34 @@ def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet, tol: float = 1e-10)
 
     The right-hand side is J(t u)/t.  The bracket starts at (0.5, 2): its
     lower end is halved until the residual is >= 0 and its upper end doubled
-    until it is <= 0, then Brent's method finds the root.  The
-    residual gets u through brentq's ``args``, not a closure, so the profile
-    is freed as soon as it is dropped.
+    until it is <= 0, then Brent's method finds the root.  ``brent_root``
+    reuses the residuals at the bracket ends and returns the one at the root,
+    so no t is evaluated twice.  The residual gets u through ``args``, not a
+    closure, so the profile is freed as soon as it is dropped.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the stationarity equation needs tau >= 1, got {lp.tau}")
     n_p = dirichlet_norm(u_eps, ps) ** ps.p
     args = (u_eps, n_p, lp, ps)
     lo, hi = 0.5, 2.0
-    h = _stationarity(lo, *args)
+    h_lo = _stationarity(lo, *args)
     for _ in range(199):
-        if h >= 0.0:
+        if h_lo >= 0.0:
             break
         lo *= 0.5
-        h = _stationarity(lo, *args)
-    if not h >= 0.0:
+        h_lo = _stationarity(lo, *args)
+    if not h_lo >= 0.0:
         raise NumericalError("could not bracket t_eps from below")
-    h = _stationarity(hi, *args)
+    h_hi = _stationarity(hi, *args)
     for _ in range(199):
-        if h <= 0.0:
+        if h_hi <= 0.0:
             break
         hi *= 2.0
-        h = _stationarity(hi, *args)
-    if not h <= 0.0:
+        h_hi = _stationarity(hi, *args)
+    if not h_hi <= 0.0:
         raise NumericalError("could not bracket t_eps from above")
-    t_star = float(brentq(_stationarity, lo, hi, args=args, xtol=1e-15, rtol=8.9e-16,
-                          maxiter=200))
-    residual = _stationarity(t_star, *args)
+    t_star, residual = brent_root(_stationarity, lo, h_lo, hi, h_hi, args=args, xtol=1e-15,
+                                  rtol=8.9e-16, maxiter=200)
     scale = max(1.0, abs(t_star ** (ps.p - 1.0) * n_p))
     if abs(residual) >= tol * scale:
         raise NumericalError(f"t_eps residual {residual:.3e} above tolerance")
@@ -412,10 +413,9 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet, grid:
 
 def random_smooth_profile(grid: Grid, rng: np.random.Generator, modes: int = 5) -> Profile:
     """Random low-frequency superposition vanishing at r = 1."""
-    r = grid.nodes
-    vals = np.zeros_like(r)
+    vals = np.zeros(grid.m)
     for k in range(1, modes + 1):
-        vals += rng.normal() / k * np.sin(k * math.pi * (1.0 - r))
+        vals += rng.normal() / k * grid.sine_mode(k)
     vals[-1] = 0.0
     return Profile(grid, vals)
 

@@ -23,10 +23,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from hslog.functionals import LogParams, J
-from hslog.params import NumericalError, ParamSet, ValidationError, critical_exponent
+from hslog.params import (
+    NumericalError,
+    ParamSet,
+    ValidationError,
+    brent_root,
+    critical_exponent,
+)
 from hslog.radial import Profile, dirichlet_norm, lq_norm
 
 
@@ -122,9 +127,9 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
 
     The bracket starts at the weighted L^p* norm.  Brent runs to a relative
     lambda tolerance near machine precision, so the norm keeps close to full
-    precision (needed for the homogeneity contract).  The residual is a
-    module-level function that gets u through ``args``: a closure over u
-    would stay alive in brentq's reference cycle until the next full GC.
+    precision (needed for the homogeneity contract).  The modular values at
+    the bracket ends go to ``brent_root``, so no lambda is evaluated twice.
+    The residual is a module-level function that gets u through ``args``.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the Luxemburg norm needs tau >= 1, got {lp.tau}")
@@ -132,24 +137,25 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     if lam == 0.0:
         return 0.0
     rho_start = modular(u, lam, lp, ps)
-    hi, rho = lam, rho_start
+    hi, rho_hi = lam, rho_start
     for _ in range(199):
-        if rho < 1.0:
+        if rho_hi < 1.0:
             break
         hi *= 2.0
-        rho = modular(u, hi, lp, ps)
-    if not rho < 1.0:
+        rho_hi = modular(u, hi, lp, ps)
+    if not rho_hi < 1.0:
         raise NumericalError("could not bracket the Luxemburg norm from above")
-    lo, rho = lam, rho_start
+    lo, rho_lo = lam, rho_start
     for _ in range(199):
-        if rho > 1.0:
+        if rho_lo > 1.0:
             break
         lo *= 0.5
-        rho = modular(u, lo, lp, ps)
-    if not rho > 1.0:
+        rho_lo = modular(u, lo, lp, ps)
+    if not rho_lo > 1.0:
         raise NumericalError("could not bracket the Luxemburg norm from below")
-    return float(brentq(_modular_excess, lo, hi, args=(u, lp, ps), xtol=1e-15 * lo,
-                        rtol=8.9e-16))
+    lam_star, _ = brent_root(_modular_excess, lo, rho_lo - 1.0, hi, rho_hi - 1.0,
+                             args=(u, lp, ps), xtol=1e-15 * lo, rtol=8.9e-16)
+    return lam_star
 
 
 @dataclass(frozen=True)

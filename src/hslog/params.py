@@ -17,12 +17,16 @@ From an admissible tuple everything downstream is closed-form:
 The six relation identities tying (s, n, m, p*) together are exposed via
 ``check_identities`` so fault injection and random sampling can exercise
 them directly.
+
+``brent_root`` is the one scalar root-finder the other modules share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy.optimize import brentq
 
 
 class ValidationError(ValueError):
@@ -131,3 +135,26 @@ def check_identities(dc: DerivedConstants, tol: float = 1e-12) -> IdentityReport
     res = identity_residuals(dc)
     worst = max(res)
     return IdentityReport(residuals=res, max_residual=worst, passed=worst < tol)
+
+
+def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, args: tuple = (),
+               **tol) -> tuple[float, float]:
+    """Root of f(x, *args) in [lo, hi] by scipy's brentq; returns (x*, f(x*)).
+
+    f_lo and f_hi are f at the bracket ends, which the caller has already
+    evaluated; they must not have the same sign.  No abscissa is evaluated
+    twice, and f(x*) is the stored value, not a fresh call.  ``tol`` goes to
+    brentq (xtol, rtol, maxiter, disp).  The memo holds floats only and the
+    caller's data goes through ``args``: scipy keeps the wrapped function in
+    a reference cycle, so a closure over a profile would keep it alive until
+    the next full collection.
+    """
+    known = {lo: f_lo, hi: f_hi}
+
+    def once(x, *args):
+        if x not in known:
+            known[x] = f(x, *args)
+        return known[x]
+
+    x = float(brentq(once, lo, hi, args=args, **tol))
+    return x, known[x]

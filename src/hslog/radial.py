@@ -36,6 +36,7 @@ class Grid:
     _weight_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _power_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _sine_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -66,6 +67,14 @@ class Grid:
         if w not in self._power_cache:
             self._power_cache[w] = self.nodes**w
         return self._power_cache[w]
+
+    def sine_mode(self, k: int) -> np.ndarray:
+        """sin(k pi (1 - r_i)), read-only: callers share the cached array."""
+        if k not in self._sine_cache:
+            mode = np.sin(k * math.pi * (1.0 - self.nodes))
+            mode.setflags(write=False)
+            self._sine_cache[k] = mode
+        return self._sine_cache[k]
 
 
 def _build_weights(r: np.ndarray, w: float) -> np.ndarray:

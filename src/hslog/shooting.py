@@ -12,8 +12,12 @@ test functions, the boundary data itself is only u(1) = 0.  The first step
 off the w = 0 manifold is taken with a frozen-source series, which keeps
 the start well behaved when |w|^(1/(p-1)) is not Lipschitz.
 
-Shooting is plain bisection on the amplitude: the boundary map a -> u(1; a)
-can be non-smooth through the log factor, so robustness beats order.
+Shooting finds a root of the boundary map a -> u(1; a) with Brent's method
+(scipy's brentq through ``params.brent_root``).  The map can be non-smooth
+through the log factor; Brent keeps a sign-change bracket at every step, so
+it is as robust there as bisection while it converges superlinearly where
+the map is smooth.  Each amplitude is shot once, without dense output; only
+the root is integrated again, to sample the solution on the grid.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from hslog.params import (
     NumericalError,
     ParamSet,
     ValidationError,
+    brent_root,
     critical_exponent,
 )
 from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
@@ -43,6 +48,15 @@ class IvpState:
 
 @dataclass(frozen=True)
 class ShootResult:
+    """A shooting solution and what it cost.
+
+    ``bisection_iterations`` counts the amplitudes shot to find the root,
+    bracket ends included (amplitude 0 is never shot); the name is kept
+    because the shoot metadata and its readers use it.  ``ivp_evaluations``
+    counts the right-hand-side evaluations of the final shot only, the one
+    that samples the solution on the grid.
+    """
+
     profile: Profile
     amplitude: float
     boundary_residual: float
@@ -80,8 +94,9 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
                   grid: Grid | None = None, rtol: float = 1e-10):
     """Integrate the flux system from r_min to 1.
 
-    Returns (profile_or_None, dense_solution, info).  The profile is built
-    when a grid is given: nodes below r_min carry the amplitude value.
+    Returns (profile_or_None, solution, info).  The profile is built when a
+    grid is given: nodes below r_min carry the amplitude value.  Only then
+    does the solution carry dense output, which the grid sampling needs.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the BVP source needs tau >= 1, got {lp.tau}")
@@ -107,7 +122,8 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
         r_boot = 2.0 * r_min
         y_boot = _series_step(amplitude, r_min, r_boot, lp, ps, p_star)
         sol = solve_ivp(rhs, (r_boot, 1.0), y_boot, method="DOP853", rtol=rtol,
-                        atol=1e-13 * max(1.0, abs(amplitude)), dense_output=True,
+                        atol=1e-13 * max(1.0, abs(amplitude)),
+                        dense_output=grid is not None,
                         events=blowup)
         last = IvpState(r=float(sol.t[-1]), u=float(sol.y[0, -1]), w=float(sol.y[1, -1]))
         if not sol.success or sol.status == 1:
@@ -139,7 +155,13 @@ def boundary_value(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float =
 def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
           tol: float = 1e-8, r_min: float = 1e-7, max_iters: int = 200,
           test_count: int = 20, rtol: float = 1e-10) -> ShootResult:
-    """Bisect the amplitude until |u(1)| < tol; certify the weak residual.
+    """Find the amplitude with u(1) = 0 by Brent's method; certify the weak residual.
+
+    The bracket must hold a sign change of u(1; a).  An amplitude bracket
+    starting at 0 stands in u(1) = 1 there: amplitude 0 is the trivial
+    branch and small shots stay positive at r = 1.  Brent runs to an
+    amplitude tolerance of 1e-12 in at most ``max_iters`` iterations; the
+    root must then have |u(1)| < tol, or ``NumericalError`` is raised.
 
     The returned profile has its boundary node clamped to zero so it is a
     member of the discrete space; ``boundary_residual`` records the actual
@@ -148,35 +170,28 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
     a_lo, a_hi = bracket
     if not 0 <= a_lo < a_hi:
         raise ValidationError(f"need 0 <= a_lo < a_hi, got {bracket}")
-    # amplitude 0 is the trivial branch; small shots stay positive at r = 1
-    f_lo = boundary_value(a_lo, lp, ps, r_min, rtol) if a_lo > 0 else 1.0
-    f_hi = boundary_value(a_hi, lp, ps, r_min, rtol)
-    evaluations = 2
-    if f_lo == 0.0 or f_hi == 0.0:
-        a_star, f_star = (a_lo, f_lo) if f_lo == 0.0 else (a_hi, f_hi)
-    else:
-        if f_lo * f_hi > 0:
-            raise NumericalError(
-                f"no sign change in amplitude bracket [{a_lo:g}, {a_hi:g}]: "
-                f"u(1) = {f_lo:.3e} and {f_hi:.3e}"
-            )
-        a_star = f_star = None
-        for _ in range(max_iters):
-            mid = 0.5 * (a_lo + a_hi)
-            f_mid = boundary_value(mid, lp, ps, r_min, rtol)
-            evaluations += 1
-            if abs(f_mid) < tol:
-                a_star, f_star = mid, f_mid
-                break
-            if f_mid * f_lo > 0:
-                a_lo, f_lo = mid, f_mid
-            else:
-                a_hi, f_hi = mid, f_mid
-        if a_star is None:
-            raise NumericalError(
-                f"amplitude bisection did not reach |u(1)| < {tol:g} "
-                f"in {max_iters} iterations"
-            )
+    ivp_args = (lp, ps, r_min, rtol)
+    shots = []
+
+    def shot(a, *args):
+        shots.append(a)
+        return boundary_value(a, *args)
+
+    f_lo = shot(a_lo, *ivp_args) if a_lo > 0 else 1.0
+    f_hi = shot(a_hi, *ivp_args)
+    if f_lo * f_hi > 0:
+        raise NumericalError(
+            f"no sign change in amplitude bracket [{a_lo:g}, {a_hi:g}]: "
+            f"u(1) = {f_lo:.3e} and {f_hi:.3e}"
+        )
+    a_star, f_star = brent_root(shot, a_lo, f_lo, a_hi, f_hi, args=ivp_args, xtol=1e-12,
+                                maxiter=max_iters, disp=False)
+    if not abs(f_star) < tol:
+        raise NumericalError(
+            f"amplitude shooting did not reach |u(1)| < {tol:g} after {len(shots)} "
+            f"shots (at most {max_iters} Brent iterations): u(1) = {f_star:.3e} "
+            f"at amplitude {a_star:.12g}"
+        )
 
     profile, _, info = ivp_integrate(a_star, lp, ps, r_min=r_min, grid=grid, rtol=rtol)
     inner = profile.values[:-1]
@@ -190,7 +205,7 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
         amplitude=a_star,
         boundary_residual=abs(f_star),
         weak_residual=wres,
-        bisection_iterations=evaluations,
+        bisection_iterations=len(shots),
         ivp_evaluations=info["nfev"],
         positive_inside=positive,
     )
@@ -199,10 +214,8 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
 def weak_test_profiles(grid: Grid, count: int) -> list[Profile]:
     """Low-frequency sine bumps and log-spaced tents, all vanishing at r = 1."""
     r = grid.nodes
-    battery = []
     n_sines = (count + 1) // 2
-    for k in range(1, n_sines + 1):
-        battery.append(Profile(grid, np.sin(k * math.pi * (1.0 - r))))
+    battery = [Profile(grid, grid.sine_mode(k)) for k in range(1, n_sines + 1)]
     n_tents = count - n_sines
     centers = np.exp(np.linspace(math.log(2e-3), math.log(0.7), max(n_tents, 1)))
     for c in centers[:n_tents]:

@@ -99,6 +99,18 @@ class TestMaximizer:
         res = maximize_F(P0, LogParams(1.0, 16.0), grid, report=report)
         assert abs(res.value - report.sigma_p) < 0.01
 
+    def test_projection_is_the_normalized_nonnegative_part(self, grid):
+        # the profile _project checks is the one it returns, with the values
+        # of the separate division it replaces
+        vals = random_smooth_profile(grid, np.random.default_rng(5)).values
+        ref = np.maximum(vals, 0.0)
+        ref[-1] = 0.0
+        ref = ref / dirichlet_norm(Profile(grid, ref), P0)
+        u = analysis._project(vals, grid, P0)
+        assert np.array_equal(u.values, ref)
+        assert u.peak == np.max(ref)
+        assert analysis._project(-np.abs(vals), grid, P0) is None
+
     def test_unresolvable_seeds_rejected(self, report):
         tiny = make_grid(16, 1.0)
         with pytest.raises(ValidationError, match="seed"):
@@ -230,6 +242,20 @@ class TestScalarStationarity:
         lf = log_factor_nodes(u.grid.node_power(self.LP.beta), t_star * u.values, self.LP)
         k = weighted_integral(u.grid, np.abs(u.values) ** 6 * lf, 2.0)
         assert abs(t_star * n_p - t_star**5 * k) < 1e-10
+
+    @pytest.mark.parametrize("c", [0.05, 1.0, 20.0])
+    def test_no_t_evaluated_twice(self, grid, monkeypatch, c):
+        # brent_root reuses the residual at both bracket ends and at the root
+        calls = []
+        stationarity = analysis._stationarity
+
+        def recording(t, *args):
+            calls.append(t)
+            return stationarity(t, *args)
+
+        monkeypatch.setattr(analysis, "_stationarity", recording)
+        solve_t_eps(_bubble_family(grid, (1e-3,))[0].scaled(c), self.LP, P0)
+        assert len(calls) == len(set(calls))
 
     def _assert_bracket_failure(self, grid, monkeypatch, k, side):
         # J(t u) = k t^p ||u||^p makes d/dt I(t u) = (1 - k) t^(p-1) ||u||^p, of

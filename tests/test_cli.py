@@ -102,6 +102,16 @@ class TestShoot:
         meta = (out / "shoot_meta.txt").read_text()
         assert "amplitude" in meta and "zero-flux" in meta
 
+    def test_meta_keys(self, cfg_file, tmp_path):
+        # the benchmark's output check counts these rows
+        out = tmp_path / "out"
+        main(["shoot", "--config", str(cfg_file), "--out", str(out)])
+        keys = [line.split(" = ")[0] for line in
+                (out / "shoot_meta.txt").read_text().splitlines()]
+        assert keys == ["amplitude", "boundary_residual", "weak_residual",
+                        "bisection_iterations", "ivp_evaluations", "positive_inside",
+                        "pointwise_bound_slack", "origin_condition"]
+
     def test_empty_bracket_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nb.cfg"
         path.write_text(BASE_CFG.replace("shoot_bracket = 20,50",

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from hslog.params import (
     ValidationError,
+    brent_root,
     check_identities,
     critical_exponent,
     derived_constants,
@@ -120,3 +122,31 @@ def test_supercriticality_and_beta_window(p, off1, m0, m3):
     dc = derived_constants(ps)
     assert dc.p_star > ps.p
     assert dc.beta_max > 0
+
+
+class TestBrentRoot:
+    @staticmethod
+    def _recording(calls):
+        def f(x, c):
+            calls.append(x)
+            return x**3 - 2.0 * x - c
+        return f
+
+    def test_each_point_evaluated_once(self):
+        calls = []
+        f = self._recording(calls)
+        x, fx = brent_root(f, 2.0, f(2.0, 5.0), 3.0, f(3.0, 5.0), args=(5.0,), xtol=1e-14)
+        assert len(calls) == len(set(calls))
+        assert x == brentq(lambda t: t**3 - 2.0 * t - 5.0, 2.0, 3.0, xtol=1e-14)
+        assert fx == x**3 - 2.0 * x - 5.0
+
+    def test_returns_the_stored_value_at_the_root(self):
+        # a step map: brentq closes in on the jump, where |f| stays 1
+        x, fx = brent_root(lambda t: 1.0 if t < 0.3 else -1.0, 0.0, 1.0, 1.0, -1.0)
+        assert x == pytest.approx(0.3, abs=1e-11)
+        assert fx == (1.0 if x < 0.3 else -1.0)
+
+    def test_zero_at_a_bracket_end_needs_no_call(self):
+        calls = []
+        assert brent_root(self._recording(calls), 1.0, 0.0, 3.0, 22.0, args=(-1.0,)) == (1.0, 0.0)
+        assert calls == []

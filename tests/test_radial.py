@@ -56,6 +56,16 @@ class TestMakeGrid:
             for k in (1, 7, 11777, 15999):
                 assert np.array_equal(e[:k], g.nodes[:k] ** b)
 
+    def test_sine_mode_cached_read_only_and_exact(self):
+        g = make_grid(2000, 3.0)
+        for k in (1, 2, 7):
+            mode = g.sine_mode(k)
+            assert g.sine_mode(k) is mode
+            assert np.array_equal(mode, np.sin(k * np.pi * (1.0 - g.nodes)))
+            assert mode[-1] == 0.0
+            with pytest.raises(ValueError):
+                mode[0] = 1.0
+
 
 class TestWeightedIntegral:
     def test_monomial(self):

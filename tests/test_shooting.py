@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hslog import shooting
 from hslog.functionals import LogParams, energy_I
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import Profile, make_grid, pointwise_bound_check
@@ -79,6 +80,26 @@ class TestShoot:
         with pytest.raises(NumericalError, match="sign change"):
             shoot(LP, P0, (0.0, 1e-6), grid, tol=1e-8)
 
+    def test_bracket_from_zero_never_shoots_zero(self, grid, solution, monkeypatch):
+        shots = _record_shots(monkeypatch)
+        res = shoot(LP, P0, (0.0, 50.0), grid, tol=1e-8)
+        assert res.amplitude == pytest.approx(solution.amplitude, rel=1e-12)
+        assert 0.0 not in shots
+        assert res.bisection_iterations == len(shots)
+
+    def test_no_amplitude_shot_twice(self, grid, monkeypatch):
+        shots = _record_shots(monkeypatch)
+        res = shoot(LP, P0, BRACKET, grid, tol=1e-8)
+        assert shots[:2] == list(BRACKET)
+        assert len(shots) == len(set(shots)) == res.bisection_iterations
+
+    def test_tol_not_reached_reported(self, grid, monkeypatch):
+        # a jump in the boundary map: Brent closes in on it, |u(1)| stays 1
+        monkeypatch.setattr(shooting, "boundary_value",
+                            lambda a, *args: 1.0 if a < 30.0 else -1.0)
+        with pytest.raises(NumericalError, match=r"did not reach \|u\(1\)\| < 1e-08"):
+            shoot(LP, P0, BRACKET, grid, tol=1e-8)
+
     def test_r_min_robustness(self, solution):
         a = solution.amplitude
         v1 = boundary_value(a, LP, P0, r_min=1e-7)
@@ -95,6 +116,17 @@ class TestShoot:
     def test_energy_below_noncompactness_level(self, solution):
         level = math.sqrt(3) * math.pi / 16
         assert energy_I(solution.profile, LP, P0) < level + 1e-3
+
+
+def _record_shots(monkeypatch):
+    shots = []
+
+    def recording(a, *args):
+        shots.append(a)
+        return boundary_value(a, *args)
+
+    monkeypatch.setattr(shooting, "boundary_value", recording)
+    return shots
 
 
 class TestOtherExponents:
