@@ -168,7 +168,7 @@ def _ascend(u, seed_eps, ps, lp, grid, max_iters, rel_tol) -> MaximizeResult:
     converged = False
     for iterations in range(1, max_iters + 1):
         direction = _grad_J_values(u, lp, ps)
-        scale = float(np.linalg.norm(direction))
+        scale = float(np.sqrt(np.einsum("i,i->", direction, direction)))
         if scale == 0.0:
             converged = True
             break

@@ -2,8 +2,10 @@
 
 Subcommands: constants, verify, maximize, sweep-beta, rates, mp-gap,
 shoot, orlicz, ncs.  Every run is deterministic (fixed seeds, fixed
-iteration order, 12-significant-digit formatting), so re-running a command
-with the same config produces byte-identical files.
+iteration order, fixed-order single-threaded quadrature sums,
+12-significant-digit formatting), so re-running a command with the same
+config produces byte-identical files, whatever the BLAS thread count or the
+number of cores.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 """

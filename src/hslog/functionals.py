@@ -57,18 +57,15 @@ def log_factor_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams) -> np.ndarray:
 def _on_support(u: Profile, kernel: Callable[..., np.ndarray], *node_arrays) -> np.ndarray:
     """kernel(u.values[:k], *(a[:k] for a in node_arrays)), then exact zeros.
 
-    k is one past the last nonzero node of u, rounded up to a multiple of 8
-    and capped at M.  OpenBLAS's x86-64 matrix-vector kernel computes the
-    last k mod 4 outputs by a path that rounds differently, so F_nodes' sum
-    over the first k columns equals the full-array sum bit for bit only
-    when k is a multiple of 4 or M.  The result is full length, so the
-    quadrature dot product sees the same vector as without the trim.
-    Interior zeros are computed like any other node.
+    k is one past the last nonzero node of u.  Every kernel works node by
+    node (F_nodes' Gauss-Legendre sum runs over the 16 points of one node
+    at a time), so the first k outputs are the full-array ones bit for bit.
+    The result is full length, so the quadrature sum sees the same vector
+    as without the trim.  Interior zeros are computed like any other node.
     """
     v = u.values
     nonzero = v != 0.0
     k = v.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
-    k = min(-(-k // 8) * 8, v.size)
     out = np.zeros(v.size)
     out[:k] = kernel(v[:k], *(a[:k] for a in node_arrays))
     return out
@@ -101,7 +98,8 @@ def F_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.nda
     p_star = critical_exponent(ps)
     a = np.abs(u)
     s = 0.5 * a * (_GL16_X[:, None] + 1.0)
-    return 0.5 * a * (_GL16_W @ (s ** (p_star - 1.0) * log_factor_nodes(e, s, lp)))
+    integrand = s ** (p_star - 1.0) * log_factor_nodes(e, s, lp)
+    return 0.5 * a * np.einsum("j,ji->i", _GL16_W, integrand)
 
 
 def energy_I(u: Profile, lp: LogParams, ps: ParamSet) -> float:

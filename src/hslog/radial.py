@@ -6,7 +6,10 @@ interval (0, r_1].  All integrals against r^w dr reduce to fixed nodal
 weights: per interior cell the rule is 4-point Gauss-Legendre applied to
 r^w * (hat functions), and on (0, r_1] the weight moment is taken in closed
 form.  The weights are cached per (grid, w), which also makes every
-integral exactly linear in the sampled integrand.
+integral exactly linear in the sampled integrand.  Every quadrature sum is
+a single-threaded reduction in a fixed order (``np.einsum`` without
+``optimize`` never calls BLAS), so an integral does not depend on the BLAS
+thread count or on the number of cores.
 
 The Dirichlet seminorm uses exact per-cell moments of r^alpha1, so it is
 exact for the discrete profile class.
@@ -52,6 +55,13 @@ class Grid:
         if w not in self._weight_cache:
             self._weight_cache[w] = _build_weights(self.nodes, w)
         return self._weight_cache[w]
+
+    @cached_property
+    def cell_widths(self) -> np.ndarray:
+        """r_{i+1} - r_i, read-only: callers share the cached array."""
+        widths = np.diff(self.nodes)
+        widths.setflags(write=False)
+        return widths
 
     def cell_moments(self, w: float) -> np.ndarray:
         """Exact integral of r^w over each cell [r_i, r_{i+1}]."""
@@ -134,8 +144,7 @@ class Profile:
         return out
 
     def slopes(self) -> np.ndarray:
-        r, v = self.grid.nodes, self.values
-        return np.diff(v) / np.diff(r)
+        return np.diff(self.values) / self.grid.cell_widths
 
 
 def make_grid(m: int, gamma: float) -> Grid:
@@ -153,7 +162,7 @@ def weighted_integral(grid: Grid, f: np.ndarray, w: float) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.m,):
         raise ValidationError(f"integrand needs {grid.m} samples, got shape {f.shape}")
-    return float(grid.quad_weights(w) @ f)
+    return float(np.einsum("i,i->", grid.quad_weights(w), f))
 
 
 def weighted_integral_between(grid: Grid, f: np.ndarray, w: float, a: float, b: float) -> float:

@@ -1,0 +1,49 @@
+"""The numbers do not depend on how many threads the BLAS library uses.
+
+OpenBLAS splits a long dot product or matrix-vector product across its
+threads, and each split sums in another order.  The thread count is read
+once, when the library loads, so each setting runs in its own interpreter.
+At grid_m = 16000 the nodal sums are long enough to be split.  On a
+single-core host both runs may get one thread and agree trivially.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hslog
+
+SNIPPET = """
+import hashlib
+import numpy as np
+from hslog.analysis import maximize_F, random_smooth_profile
+from hslog.functionals import J, LogParams, energy_I
+from hslog.params import validate_params
+from hslog.radial import make_grid, normalize
+
+ps = validate_params(2, 2, 2, 2)
+lp = LogParams(1.0, 0.5)
+grid = make_grid(16000, 3.0)
+rng = np.random.default_rng(5)
+for _ in range(20):
+    u = normalize(random_smooth_profile(grid, rng), ps)
+    print(J(u, lp, ps).hex(), energy_I(u, lp, ps).hex())
+res = maximize_F(ps, lp, grid, eps_seeds=(1e-5,))
+print(res.value.hex(), res.iterations, hashlib.sha256(res.profile.values.tobytes()).hexdigest())
+"""
+
+
+def _run_with_blas_threads(n: int) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n))
+    src = str(Path(hslog.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SNIPPET], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_one_and_two_blas_threads_give_the_same_bits():
+    one, two = _run_with_blas_threads(1), _run_with_blas_threads(2)
+    assert len(one.splitlines()) == 21
+    assert one == two

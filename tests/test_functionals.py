@@ -311,8 +311,9 @@ class TestSupportTrim:
 
     @pytest.mark.parametrize("tail", range(17))
     def test_primitive_for_every_tail_length(self, tail):
-        # F's Gauss-Legendre sum is a BLAS matrix-vector product; the kept
-        # columns must fall into the same blocks as in the full product
+        # F's Gauss-Legendre sum must not depend on how many nodes it is
+        # given: a BLAS matrix-vector product rounds its last k mod 4
+        # outputs differently, the fixed-order einsum sum does not
         g = SUPPORT_GRID
         vals = 4.0 * _smooth(g, np.random.default_rng(tail))
         vals[g.m - 1 - tail:] = 0.0
@@ -321,10 +322,10 @@ class TestSupportTrim:
         trimmed = _on_support(u, lambda w, ek: F_nodes(ek, w, self.LP, P1), e)
         assert np.array_equal(trimmed, F_nodes(e, vals, self.LP, P1))
 
-    @pytest.mark.parametrize("kind,expected", [("cutoff-bubble", 1480), ("random", 2000),
-                                               ("interior-zeros", 1992), ("zero", 0)])
+    @pytest.mark.parametrize("kind,expected", [("cutoff-bubble", 1473), ("random", 1999),
+                                               ("interior-zeros", 1987), ("zero", 0)])
     def test_kernel_sees_the_support(self, kind, expected):
-        # one past the last nonzero node, rounded up to a multiple of 8
+        # one past the last nonzero node
         seen = []
         _on_support(_support_profile(kind), lambda w: seen.append(w.size) or w)
         assert seen == [expected]
