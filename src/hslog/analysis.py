@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog import bliss
-from hslog.functionals import LogParams, J, _on_support
+from hslog.functionals import LogParams, J, _on_support, energy_I, sobolev_J0
 from hslog.params import (
     NumericalError,
     ParamSet,
@@ -122,8 +122,6 @@ def maximize_F(
     grid: Grid,
     eps_seeds=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5),
     max_iters: int = 5000,
-    rel_tol: float = 1e-10,
-    report: bliss.ConstantsReport | None = None,
     r0: float = 0.2,
 ) -> MaximizeResult:
     """Projected-ascent lower bound for the constrained supremum F.
@@ -132,12 +130,12 @@ def maximize_F(
     returned value is J at a feasible unit-norm profile, hence always a
     certified lower bound.  Passing ``lp = None`` maximizes the unperturbed
     critical integral instead; that variant approaches sigma_p from below
-    under mesh refinement.
+    under mesh refinement.  The seeds are bubbles with the unit-norm
+    amplitude of ``bliss.compute_S``; each ascent stops once a step gains
+    less than 1e-10 relative to the value.
     """
     dc = derived_constants(ps)
-    if report is None:
-        report = bliss.compute_S(dc)
-    a_hat = bliss.unit_norm_a_hat(report, dc)
+    a_hat = bliss.compute_S(dc).a_hat
 
     candidates: list[MaximizeResult] = []
     for eps in eps_seeds:
@@ -147,7 +145,7 @@ def maximize_F(
         u = _project(start.values, grid, ps)
         if u is None:
             continue
-        candidates.append(_ascend(u, eps, ps, lp, grid, max_iters, rel_tol))
+        candidates.append(_ascend(u, eps, ps, lp, grid, max_iters))
     if not candidates:
         raise ValidationError("no bubble seed is resolvable on this grid")
     # highest value wins; exact ties resolved toward the smallest seed
@@ -156,12 +154,10 @@ def maximize_F(
 
 
 def _objective(u: Profile, lp: LogParams | None, ps: ParamSet) -> float:
-    from hslog.functionals import sobolev_J0
-
     return sobolev_J0(u, ps) if lp is None else J(u, lp, ps)
 
 
-def _ascend(u, seed_eps, ps, lp, grid, max_iters, rel_tol) -> MaximizeResult:
+def _ascend(u, seed_eps, ps, lp, grid, max_iters) -> MaximizeResult:
     value = _objective(u, lp, ps)
     step = 0.25
     iterations = 0
@@ -187,7 +183,7 @@ def _ascend(u, seed_eps, ps, lp, grid, max_iters, rel_tol) -> MaximizeResult:
         if not accepted:
             converged = True
             break
-        if improvement < rel_tol * max(abs(value), 1.0):
+        if improvement < 1e-10 * max(abs(value), 1.0):
             converged = True
             break
     return MaximizeResult(
@@ -204,13 +200,10 @@ class BubbleBound:
 
 
 def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid,
-                       report: bliss.ConstantsReport | None = None,
                        r0: float = 0.2) -> BubbleBound:
     """Best J over normalized cutoff bubbles; a certified lower bound for F."""
     dc = derived_constants(ps)
-    if report is None:
-        report = bliss.compute_S(dc)
-    a_hat = bliss.unit_norm_a_hat(report, dc)
+    a_hat = bliss.compute_S(dc).a_hat
     rows = []
     for eps in eps_list:
         u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, r0), grid, dc)
@@ -221,15 +214,13 @@ def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid,
 
 
 def beta_sweep(ps: ParamSet, tau: float, beta_list, grid: Grid, **opts):
-    """maximize_F per beta; returns (rows, sigma_p) with rows (beta, F_hat, gap)."""
-    dc = derived_constants(ps)
-    report = opts.pop("report", None) or bliss.compute_S(dc)
+    """maximize_F per beta; returns rows (beta, F_hat, |F_hat - sigma_p|)."""
+    sigma_p = bliss.compute_S(derived_constants(ps)).sigma_p
     rows = []
     for beta in beta_list:
-        res = maximize_F(ps, LogParams(tau=tau, beta=float(beta)), grid,
-                         report=report, **opts)
-        rows.append((float(beta), res.value, abs(res.value - report.sigma_p)))
-    return rows, report.sigma_p
+        res = maximize_F(ps, LogParams(tau=tau, beta=float(beta)), grid, **opts)
+        rows.append((float(beta), res.value, abs(res.value - sigma_p)))
+    return rows
 
 
 # --- concentration diagnostics ----------------------------------------------
@@ -259,21 +250,21 @@ class NCSReport:
         return self.normalized_ok and self.tails_ok and self.lp_decreasing
 
 
-def ncs_check(profiles, ps: ParamSet, r0_list=(0.1, 0.3, 0.5), tail_tol: float = 1e-2,
-              norm_tol: float = 1e-8) -> NCSReport:
+def ncs_check(profiles, ps: ParamSet, tail_tol: float = 1e-2) -> NCSReport:
     """Check the three defining properties of a concentrating family.
 
-    Normalization is exact-to-tolerance; escape of the Dirichlet energy is
-    checked per cut radius (decreasing tails ending below ``tail_tol``);
-    weak convergence to 0 is surrogated by decreasing L^p_theta norms.
+    Normalization holds to 1e-8; escape of the Dirichlet energy is checked
+    at the cut radii 0.1, 0.3 and 0.5 (decreasing tails ending below
+    ``tail_tol``); weak convergence to 0 is surrogated by decreasing
+    L^p_theta norms.
     """
     if len(profiles) < 3:
         raise ValidationError(f"NCS check needs at least 3 profiles, got {len(profiles)}")
     norms = tuple(dirichlet_norm(u, ps) for u in profiles)
-    normalized_ok = all(abs(n - 1.0) <= norm_tol for n in norms)
+    normalized_ok = all(abs(n - 1.0) <= 1e-8 for n in norms)
     tails = {}
     tails_ok = True
-    for r0 in r0_list:
+    for r0 in (0.1, 0.3, 0.5):
         t = tuple(tail_energy(u, ps, r0) for u in profiles)
         tails[float(r0)] = t
         mono = all(t[i + 1] <= t[i] for i in range(len(t) - 1))
@@ -322,7 +313,7 @@ def _stationarity(t: float, u: Profile, n_p: float, lp: LogParams, ps: ParamSet)
     return t ** (ps.p - 1.0) * n_p - J(u.scaled(t), lp, ps) / t
 
 
-def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet, tol: float = 1e-10) -> float:
+def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
     """Root of t^(p-1) ||u||^p = t^(p*-1) int r^th |u|^p* (ln(tau+t|u|))^(r^b) dr.
 
     The right-hand side is J(t u)/t.  The bracket starts at (0.5, 2): its
@@ -330,7 +321,8 @@ def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet, tol: float = 1e-10)
     until it is <= 0, then Brent's method finds the root.  ``brent_root``
     reuses the residuals at the bracket ends and returns the one at the root,
     so no t is evaluated twice.  The residual gets u through ``args``, not a
-    closure, so the profile is freed as soon as it is dropped.
+    closure, so the profile is freed as soon as it is dropped.  The residual
+    at the root must be below 1e-10 relative to t^(p-1) ||u||^p.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the stationarity equation needs tau >= 1, got {lp.tau}")
@@ -356,7 +348,7 @@ def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet, tol: float = 1e-10)
     t_star, residual = brent_root(_stationarity, lo, h_lo, hi, h_hi, args=args, xtol=1e-15,
                                   rtol=8.9e-16, maxiter=200)
     scale = max(1.0, abs(t_star ** (ps.p - 1.0) * n_p))
-    if abs(residual) >= tol * scale:
+    if abs(residual) >= 1e-10 * scale:
         raise NumericalError(f"t_eps residual {residual:.3e} above tolerance")
     return t_star
 
@@ -369,9 +361,11 @@ class MountainPassResult:
     gap: float
 
 
-def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet, grid: Grid,
-                      report: bliss.ConstantsReport | None = None) -> MountainPassResult:
+def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet,
+                      grid: Grid) -> MountainPassResult:
     """Max of t -> I(t u_eps) against the non-compactness level.
+
+    The level is (1/p - 1/p*) S_power, with S_power from ``bliss.compute_S``.
 
     The maximum sits at the root t* of d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t,
     which ``solve_t_eps`` finds.  For tau >= 1 that root is unique and is the
@@ -389,13 +383,9 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet, grid:
     inequality rules out in the continuum), so the value is not a certified
     upper bound there.
     """
-    from hslog.functionals import energy_I
-
     dc = derived_constants(ps)
-    if report is None:
-        report = bliss.compute_S(dc)
     p_star = critical_exponent(ps)
-    threshold = (1.0 / ps.p - 1.0 / p_star) * report.S_power
+    threshold = (1.0 / ps.p - 1.0 / p_star) * bliss.compute_S(dc).S_power
 
     u = bliss.bubble_profile(spec, grid, dc)
     t_star = solve_t_eps(u, lp, ps)
@@ -411,10 +401,10 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet, grid:
 # --- shared helpers ----------------------------------------------------------
 
 
-def random_smooth_profile(grid: Grid, rng: np.random.Generator, modes: int = 5) -> Profile:
-    """Random low-frequency superposition vanishing at r = 1."""
+def random_smooth_profile(grid: Grid, rng: np.random.Generator) -> Profile:
+    """Random superposition of the first 5 sine modes, vanishing at r = 1."""
     vals = np.zeros(grid.m)
-    for k in range(1, modes + 1):
+    for k in range(1, 6):
         vals += rng.normal() / k * grid.sine_mode(k)
     vals[-1] = 0.0
     return Profile(grid, vals)
@@ -423,8 +413,6 @@ def random_smooth_profile(grid: Grid, rng: np.random.Generator, modes: int = 5) 
 def energy_sphere_scan(ps: ParamSet, lp: LogParams, grid: Grid, rho_list=(0.1, 0.2, 0.4),
                        n_profiles: int = 25, seed: int = 2024):
     """Empirical min of I over random profiles on each sphere ||u|| = rho."""
-    from hslog.functionals import energy_I
-
     rng = np.random.default_rng(seed)
     profiles = []
     for _ in range(n_profiles):

@@ -67,13 +67,17 @@ class BubbleSpec:
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """S and its derived forms, plus the two defining integrals."""
+    """S and its derived forms, plus the two defining integrals.
+
+    ``a_hat`` is the bubble amplitude making ||u_eps||^p = 1 + O(eps^(s p)).
+    """
 
     S: float
     S_power: float
     sigma_p: float
     pstar_integral: float
     grad_integral: float
+    a_hat: float
 
     @property
     def rel_disagreement(self) -> float:
@@ -125,7 +129,7 @@ def _quad_full_line(f, split: float = 1.0) -> float:
 
 
 def compute_S(dc: DerivedConstants) -> ConstantsReport:
-    """Evaluate both defining integrals of S_power and derive S, Sigma_p."""
+    """Evaluate both defining integrals of S_power and derive S, Sigma_p, a_hat."""
     ps = dc.params
     p_star = critical_exponent(ps)
 
@@ -147,14 +151,8 @@ def compute_S(dc: DerivedConstants) -> ConstantsReport:
         sigma_p=sigma_p,
         pstar_integral=pstar_integral,
         grad_integral=grad_integral,
+        a_hat=S ** (-(ps.theta + 1.0) / (gap * ps.p)),
     )
-
-
-def unit_norm_a_hat(report: ConstantsReport, dc: DerivedConstants) -> float:
-    """The amplitude making ||u_eps||^p = 1 + O(eps^(s p))."""
-    ps = dc.params
-    gap = ps.theta - ps.alpha1 + ps.p
-    return report.S ** (-(ps.theta + 1.0) / (gap * ps.p))
 
 
 # --- norm deviation scan ---------------------------------------------------
@@ -172,9 +170,8 @@ def _check_deviation_error(norm: str, eps: float, r0: float, dev: float,
         )
 
 
-def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2,
-                               a_hat: float = 1.0) -> float:
-    """||u_eps||^p - a_hat^p S_power, via cutoff-region difference + tail."""
+def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2) -> float:
+    """||u_eps||^p - S_power for amplitude 1, via cutoff-region difference + tail."""
     ps = dc.params
 
     def diff(r):
@@ -192,12 +189,11 @@ def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2
     tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
     dev = core - tl
     _check_deviation_error("Dirichlet", eps, r0, dev, err_core, err_tail)
-    return a_hat**ps.p * dev
+    return dev
 
 
-def bubble_lpstar_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2,
-                            a_hat: float = 1.0) -> float:
-    """||u_eps||^p*_{L^p*_theta} - a_hat^p* S_power (always negative)."""
+def bubble_lpstar_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2) -> float:
+    """||u_eps||^p*_{L^p*_theta} - S_power for amplitude 1 (always negative)."""
     ps = dc.params
     p_star = critical_exponent(ps)
 
@@ -214,10 +210,10 @@ def bubble_lpstar_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2,
     tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
     dev = -(core + tl)
     _check_deviation_error("L^p*", eps, r0, dev, err_core, err_tail)
-    return a_hat**p_star * dev
+    return dev
 
 
-def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2, a_hat: float = 1.0):
+def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2):
     """Fit the decay exponents of both norm deviations over an eps scan.
 
     Returns (rate table for |Dirichlet deviation|, rate table for |L^p*
@@ -226,8 +222,8 @@ def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2, a_hat: flo
     from hslog.analysis import rate_fit  # local import, analysis sits above bliss
 
     eps_arr = sorted((float(e) for e in eps_list), reverse=True)
-    dev_d = [abs(bubble_dirichlet_deviation(e, dc, r0, a_hat)) for e in eps_arr]
-    dev_l = [abs(bubble_lpstar_deviation(e, dc, r0, a_hat)) for e in eps_arr]
+    dev_d = [abs(bubble_dirichlet_deviation(e, dc, r0)) for e in eps_arr]
+    dev_l = [abs(bubble_lpstar_deviation(e, dc, r0)) for e in eps_arr]
     table_d = rate_fit(list(zip(eps_arr, dev_d)), model="pure-power")
     table_l = rate_fit(list(zip(eps_arr, dev_l)), model="pure-power")
     return table_d, table_l

@@ -142,7 +142,7 @@ def cmd_maximize(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid()
     rep = bliss.compute_S(derived_constants(ps))
     res = analysis.maximize_F(ps, cfg.log_params(), grid, eps_seeds=cfg.epsilon_list,
-                              report=rep, r0=cfg.r0)
+                              r0=cfg.r0)
     rows = [
         ("value", res.value), ("sigma_p", rep.sigma_p),
         ("gap_to_sigma", res.value - rep.sigma_p),
@@ -161,8 +161,8 @@ def cmd_maximize(cfg: RunConfig, out: Path) -> int:
 
 def _beta_sweep_rows(cfg: RunConfig, out: Path) -> list:
     """(beta, F_hat, gap_to_sigma) per beta, written to beta_sweep.csv."""
-    rows, _ = analysis.beta_sweep(cfg.param_set(), cfg.tau, cfg.beta_list, cfg.grid(),
-                                  eps_seeds=cfg.epsilon_list, r0=cfg.r0)
+    rows = analysis.beta_sweep(cfg.param_set(), cfg.tau, cfg.beta_list, cfg.grid(),
+                               eps_seeds=cfg.epsilon_list, r0=cfg.r0)
     write_csv(out / "beta_sweep.csv", "beta,F_hat,gap_to_sigma", rows)
     return rows
 
@@ -183,8 +183,7 @@ def cmd_rates(cfg: RunConfig, out: Path) -> int:
         write_csv(out / f"rates_{name}.csv", "epsilon,value,model,fitted_exponent,residual",
                   [(e, v, table.model, table.fitted_exponent, table.fit_residual)
                    for e, v in zip(table.abscissae, table.ordinates)])
-    rep = bliss.compute_S(dc)
-    a_hat = bliss.unit_norm_a_hat(rep, dc)
+    a_hat = bliss.compute_S(dc).a_hat
 
     e_rows = []
     for eps in cfg.epsilon_list:
@@ -208,7 +207,6 @@ def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
     ps = cfg.param_set()
     grid = cfg.grid()
     dc = derived_constants(ps)
-    rep = bliss.compute_S(dc)
     lp = cfg.log_params()
     if not 0 < cfg.beta < dc.beta_max:
         print(f"warning: beta={fmt(cfg.beta)} outside the level-gap regime "
@@ -216,8 +214,7 @@ def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
     # the level bound is a small-scale statement; fat bubbles sit above it
     rows = []
     for eps in cfg.mp_epsilon_list:
-        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, cfg.r0), lp, ps, grid,
-                                        report=rep)
+        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, cfg.r0), lp, ps, grid)
         rows.append((float(eps), mp.max_energy, mp.threshold, mp.gap))
     write_csv(out / "mp_gap.csv", "epsilon,max_I,threshold,gap", rows)
     return rows
@@ -286,16 +283,14 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid()
     lp = cfg.log_params()
     dc = derived_constants(ps)
-    rep = bliss.compute_S(dc)
-    res = analysis.maximize_F(ps, lp, grid, eps_seeds=cfg.epsilon_list, report=rep,
-                              r0=cfg.r0)
+    res = analysis.maximize_F(ps, lp, grid, eps_seeds=cfg.epsilon_list, r0=cfg.r0)
     p_star = critical_exponent(ps)
     # 1.06 leaves headroom over the 1.05 safety floor after the p*-th root
     lambda0 = (1.06 * res.value) ** (1.0 / p_star)
     rng = np.random.default_rng(cfg.seed)
     profiles = [analysis.random_smooth_profile(grid, rng)
                 for _ in range(cfg.n_random_profiles)]
-    a_hat = bliss.unit_norm_a_hat(rep, dc)
+    a_hat = bliss.compute_S(dc).a_hat
     profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, cfg.r0), grid, dc)
                  for eps in cfg.epsilon_list]
     report = orlicz.embedding_check(profiles, lp, ps, lambda0, f_hat=res.value)
@@ -312,9 +307,9 @@ def cmd_ncs(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid()
     dc = derived_constants(ps)
     rep = bliss.compute_S(dc)
-    a_hat = bliss.unit_norm_a_hat(rep, dc)
     eps_family = sorted(cfg.epsilon_list, reverse=True)
-    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, cfg.r0), grid, dc), ps)
+    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, rep.a_hat, cfg.r0), grid, dc),
+                        ps)
               for e in eps_family]
     ncs = analysis.ncs_check(family, ps, tail_tol=cfg.ncs_tail_tol)
     tail_start = next((i for i, e in enumerate(eps_family) if e <= cfg.level_tail_epsilon),
@@ -398,6 +393,18 @@ def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
+COMMANDS = {
+    "constants": cmd_constants,
+    "maximize": cmd_maximize,
+    "sweep-beta": cmd_sweep_beta,
+    "rates": cmd_rates,
+    "mp-gap": cmd_mp_gap,
+    "shoot": cmd_shoot,
+    "orlicz": cmd_orlicz,
+    "ncs": cmd_ncs,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hslog",
@@ -405,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "log perturbation: constants, rates, maximization, BVP.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("constants", "maximize", "sweep-beta", "rates", "mp-gap",
-                 "shoot", "orlicz", "ncs", "verify"):
+    for name in (*COMMANDS, "verify"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="key=value config file")
         cmd.add_argument("--out", default=None, help="output directory")
@@ -421,19 +427,9 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         out = Path(args.out) if args.out else Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        dispatch = {
-            "constants": cmd_constants,
-            "maximize": cmd_maximize,
-            "sweep-beta": cmd_sweep_beta,
-            "rates": cmd_rates,
-            "mp-gap": cmd_mp_gap,
-            "shoot": cmd_shoot,
-            "orlicz": cmd_orlicz,
-            "ncs": cmd_ncs,
-        }
         if args.command == "verify":
             return cmd_verify(cfg, out, args.suite)
-        return dispatch[args.command](cfg, out)
+        return COMMANDS[args.command](cfg, out)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

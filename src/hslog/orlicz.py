@@ -83,24 +83,23 @@ class ConvexityReport:
         return self.second_differences_ok and self.phi_ok
 
 
-def convexity_check(spec: GammaSpec, t_lo: float = 1e-6, t_hi: float = 1e6,
-                    points: int = 481, tol: float = 1e-12) -> ConvexityReport:
-    """Certify convexity on a log grid spanning >= 10 decades.
+def convexity_check(spec: GammaSpec, t_lo: float = 1e-6, t_hi: float = 1e6) -> ConvexityReport:
+    """Certify convexity on a 481-point log grid spanning >= 10 decades.
 
-    Second divided differences must exceed -tol * scale, with the local
+    Second divided differences must exceed -1e-12 * scale, with the local
     curvature magnitude as scale; Phi_tau must stay above its exact lower
     bound a(a-1) + b(a+b-1).
     """
     if math.log10(t_hi / t_lo) < 10:
         raise ValidationError("convexity grid must span at least 10 decades")
-    t = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), points))
+    t = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), 481))
     f = gamma_value(t, spec)
     tm, t0, tp = t[:-2], t[1:-1], t[2:]
     fm, f0, fp = f[:-2], f[1:-1], f[2:]
     # 2 * second divided difference = quadratic-fit f''
     d2 = 2.0 * ((fp - f0) / (tp - t0) - (f0 - fm) / (t0 - tm)) / (tp - tm)
     scale = np.maximum.reduce([fm, f0, fp]) / t0**2
-    second_ok = bool(np.all(d2 >= -tol * scale))
+    second_ok = bool(np.all(d2 >= -1e-12 * scale))
 
     phi = phi_tau(t, spec)
     bound = spec.a * (spec.a - 1.0) + spec.b * (spec.a + spec.b - 1.0)

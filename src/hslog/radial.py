@@ -32,14 +32,15 @@ _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 
 @dataclass(frozen=True)
 class Grid:
-    """Nodes 0 < r_1 < ... < r_M = 1 with r_i = (i/M)^gamma."""
+    """Nodes 0 < r_1 < ... < r_M = 1 with r_i = (i/M)^gamma.
+
+    Arrays derived from the nodes are built once per grid and shared
+    read-only between callers.
+    """
 
     nodes: np.ndarray
     gamma: float
-    _weight_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _moment_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _power_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _sine_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -49,42 +50,38 @@ class Grid:
     def r1(self) -> float:
         return float(self.nodes[0])
 
+    def _cached(self, key, build) -> np.ndarray:
+        if key not in self._cache:
+            arr = build()
+            arr.setflags(write=False)
+            self._cache[key] = arr
+        return self._cache[key]
+
     def quad_weights(self, w: float) -> np.ndarray:
         """Nodal weights q with sum(q * f) = integral_0^1 r^w f(r) dr."""
         w = float(w)
-        if w not in self._weight_cache:
-            self._weight_cache[w] = _build_weights(self.nodes, w)
-        return self._weight_cache[w]
+        return self._cached(("weights", w), lambda: _build_weights(self.nodes, w))
 
-    @cached_property
+    @property
     def cell_widths(self) -> np.ndarray:
-        """r_{i+1} - r_i, read-only: callers share the cached array."""
-        widths = np.diff(self.nodes)
-        widths.setflags(write=False)
-        return widths
+        """r_{i+1} - r_i."""
+        return self._cached("widths", lambda: np.diff(self.nodes))
 
     def cell_moments(self, w: float) -> np.ndarray:
         """Exact integral of r^w over each cell [r_i, r_{i+1}]."""
         w = float(w)
-        if w not in self._moment_cache:
-            r = self.nodes
-            self._moment_cache[w] = (r[1:] ** (w + 1) - r[:-1] ** (w + 1)) / (w + 1)
-        return self._moment_cache[w]
+        r = self.nodes
+        return self._cached(("moments", w),
+                            lambda: (r[1:] ** (w + 1) - r[:-1] ** (w + 1)) / (w + 1))
 
     def node_power(self, w: float) -> np.ndarray:
         """The nodes raised to the power w, r_i^w."""
         w = float(w)
-        if w not in self._power_cache:
-            self._power_cache[w] = self.nodes**w
-        return self._power_cache[w]
+        return self._cached(("power", w), lambda: self.nodes**w)
 
     def sine_mode(self, k: int) -> np.ndarray:
-        """sin(k pi (1 - r_i)), read-only: callers share the cached array."""
-        if k not in self._sine_cache:
-            mode = np.sin(k * math.pi * (1.0 - self.nodes))
-            mode.setflags(write=False)
-            self._sine_cache[k] = mode
-        return self._sine_cache[k]
+        """sin(k pi (1 - r_i))."""
+        return self._cached(("sine", k), lambda: np.sin(k * math.pi * (1.0 - self.nodes)))
 
 
 def _build_weights(r: np.ndarray, w: float) -> np.ndarray:
@@ -221,7 +218,7 @@ class BoundReport:
     """Outcome of the pointwise decay-bound check.
 
     ``worst_slack`` is min over nodes of bound(r_i) - |u(r_i)|; the bound
-    holds when it is >= -tol.
+    holds when it is >= -1e-12.
     """
 
     worst_slack: float
@@ -230,7 +227,7 @@ class BoundReport:
     passed: bool
 
 
-def pointwise_bound_check(u: Profile, ps: ParamSet, tol: float = 1e-12) -> BoundReport:
+def pointwise_bound_check(u: Profile, ps: ParamSet) -> BoundReport:
     """Check |u(r)| <= [c_p (1 - r^(sob/(p-1)))]^((p-1)/p) ||u|| r^(-sob/p).
 
     Here sob = alpha1-p+1 and c_p = (p-1)/sob.  Valid for every profile
@@ -247,7 +244,7 @@ def pointwise_bound_check(u: Profile, ps: ParamSet, tol: float = 1e-12) -> Bound
         worst_slack=float(slack[i]),
         worst_node=float(r[i]),
         norm=norm,
-        passed=bool(slack[i] >= -tol),
+        passed=bool(slack[i] >= -1e-12),
     )
 
 

@@ -40,13 +40,6 @@ from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
 
 
 @dataclass(frozen=True)
-class IvpState:
-    r: float
-    u: float
-    w: float
-
-
-@dataclass(frozen=True)
 class ShootResult:
     """A shooting solution and what it cost.
 
@@ -91,12 +84,13 @@ def _series_step(amplitude: float, r_min: float, r_boot: float, lp: LogParams,
 
 
 def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 1e-7,
-                  grid: Grid | None = None, rtol: float = 1e-10):
-    """Integrate the flux system from r_min to 1.
+                  grid: Grid | None = None):
+    """Integrate the flux system from r_min to 1 at relative tolerance 1e-10.
 
-    Returns (profile_or_None, solution, info).  The profile is built when a
-    grid is given: nodes below r_min carry the amplitude value.  Only then
-    does the solution carry dense output, which the grid sampling needs.
+    Returns (profile_or_None, u(1), right-hand-side evaluations).  The
+    profile is built when a grid is given: nodes below r_min carry the
+    amplitude value.  Only then does the solver keep dense output, which
+    the grid sampling needs.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the BVP source needs tau >= 1, got {lp.tau}")
@@ -112,7 +106,7 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
 
     if amplitude == 0.0:
         sol = None
-        last = IvpState(r=1.0, u=0.0, w=0.0)
+        u_end = 0.0
         nfev = 0
     else:
         def blowup(r, y):
@@ -121,16 +115,16 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
         blowup.terminal = True
         r_boot = 2.0 * r_min
         y_boot = _series_step(amplitude, r_min, r_boot, lp, ps, p_star)
-        sol = solve_ivp(rhs, (r_boot, 1.0), y_boot, method="DOP853", rtol=rtol,
+        sol = solve_ivp(rhs, (r_boot, 1.0), y_boot, method="DOP853", rtol=1e-10,
                         atol=1e-13 * max(1.0, abs(amplitude)),
                         dense_output=grid is not None,
                         events=blowup)
-        last = IvpState(r=float(sol.t[-1]), u=float(sol.y[0, -1]), w=float(sol.y[1, -1]))
+        u_end = float(sol.y[0, -1])
         if not sol.success or sol.status == 1:
             raise NumericalError(
-                f"IVP integration stalled at r = {last.r:.6g} "
-                f"(amplitude {amplitude:g}, last good state u = {last.u:.3e}, "
-                f"w = {last.w:.3e})"
+                f"IVP integration stalled at r = {float(sol.t[-1]):.6g} "
+                f"(amplitude {amplitude:g}, last good state u = {u_end:.3e}, "
+                f"w = {float(sol.y[1, -1]):.3e})"
             )
         nfev = int(sol.nfev)
 
@@ -140,28 +134,26 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
         if sol is not None:
             above = grid.nodes >= 2.0 * r_min
             vals[above] = sol.sol(grid.nodes[above])[0]
-        vals[-1] = last.u
+        vals[-1] = u_end
         profile = Profile(grid, vals, value_at_origin=float(amplitude))
-    return profile, sol, {"u_end": last.u, "nfev": nfev, "last_state": last}
+    return profile, u_end, nfev
 
 
-def boundary_value(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 1e-7,
-                   rtol: float = 1e-10) -> float:
+def boundary_value(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 1e-7) -> float:
     """u(1; amplitude)."""
-    _, _, info = ivp_integrate(amplitude, lp, ps, r_min=r_min, rtol=rtol)
-    return info["u_end"]
+    return ivp_integrate(amplitude, lp, ps, r_min=r_min)[1]
 
 
 def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
-          tol: float = 1e-8, r_min: float = 1e-7, max_iters: int = 200,
-          test_count: int = 20, rtol: float = 1e-10) -> ShootResult:
+          tol: float = 1e-8) -> ShootResult:
     """Find the amplitude with u(1) = 0 by Brent's method; certify the weak residual.
 
     The bracket must hold a sign change of u(1; a).  An amplitude bracket
     starting at 0 stands in u(1) = 1 there: amplitude 0 is the trivial
     branch and small shots stay positive at r = 1.  Brent runs to an
-    amplitude tolerance of 1e-12 in at most ``max_iters`` iterations; the
-    root must then have |u(1)| < tol, or ``NumericalError`` is raised.
+    amplitude tolerance of 1e-12 in at most 200 iterations; the root must
+    then have |u(1)| < tol, or ``NumericalError`` is raised.  Every shot
+    starts at r_min = 1e-7.
 
     The returned profile has its boundary node clamped to zero so it is a
     member of the discrete space; ``boundary_residual`` records the actual
@@ -170,7 +162,7 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
     a_lo, a_hi = bracket
     if not 0 <= a_lo < a_hi:
         raise ValidationError(f"need 0 <= a_lo < a_hi, got {bracket}")
-    ivp_args = (lp, ps, r_min, rtol)
+    ivp_args = (lp, ps)
     shots = []
 
     def shot(a, *args):
@@ -185,28 +177,28 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
             f"u(1) = {f_lo:.3e} and {f_hi:.3e}"
         )
     a_star, f_star = brent_root(shot, a_lo, f_lo, a_hi, f_hi, args=ivp_args, xtol=1e-12,
-                                maxiter=max_iters, disp=False)
+                                maxiter=200, disp=False)
     if not abs(f_star) < tol:
         raise NumericalError(
             f"amplitude shooting did not reach |u(1)| < {tol:g} after {len(shots)} "
-            f"shots (at most {max_iters} Brent iterations): u(1) = {f_star:.3e} "
+            f"shots (at most 200 Brent iterations): u(1) = {f_star:.3e} "
             f"at amplitude {a_star:.12g}"
         )
 
-    profile, _, info = ivp_integrate(a_star, lp, ps, r_min=r_min, grid=grid, rtol=rtol)
+    profile, _, nfev = ivp_integrate(a_star, lp, ps, grid=grid)
     inner = profile.values[:-1]
     positive = bool(np.all(inner > 0.0))
     vals = profile.values.copy()
     vals[-1] = 0.0
     clamped = Profile(grid, vals, value_at_origin=profile.value_at_origin)
-    wres = weak_residual(clamped, lp, ps, test_count=test_count)
+    wres = weak_residual(clamped, lp, ps)
     return ShootResult(
         profile=clamped,
         amplitude=a_star,
         boundary_residual=abs(f_star),
         weak_residual=wres,
         bisection_iterations=len(shots),
-        ivp_evaluations=info["nfev"],
+        ivp_evaluations=nfev,
         positive_inside=positive,
     )
 
@@ -226,10 +218,10 @@ def weak_test_profiles(grid: Grid, count: int) -> list[Profile]:
     return battery
 
 
-def weak_residual(u: Profile, lp: LogParams, ps: ParamSet, test_count: int = 20) -> float:
-    """max over the test battery of |<I'(u), v>| / ||v||."""
+def weak_residual(u: Profile, lp: LogParams, ps: ParamSet) -> float:
+    """max of |<I'(u), v>| / ||v|| over a battery of 20 test profiles."""
     worst = 0.0
-    for v in weak_test_profiles(u.grid, test_count):
+    for v in weak_test_profiles(u.grid, 20):
         nrm = dirichlet_norm(v, ps)
         if nrm == 0.0:
             continue

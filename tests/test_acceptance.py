@@ -70,8 +70,8 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def maximizer(grid, report):
-    return maximize_F(P0, LogParams(1.0, 0.5), grid, report=report)
+def maximizer(grid):
+    return maximize_F(P0, LogParams(1.0, 0.5), grid)
 
 
 @pytest.fixture(scope="module")
@@ -122,15 +122,15 @@ def test_criterion_4_strictness_and_bubble_bounds(grid, report, maximizer):
     details = [f"maximize_F = {maximizer.value:.6f} >= sigma_p + 1e-3"]
     eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)
     for beta in (0.3, 0.5, 0.8, 2.0, 8.0):
-        bb = bubble_lower_bound(P0, LogParams(1.0, beta), eps_list, grid, report=report)
+        bb = bubble_lower_bound(P0, LogParams(1.0, beta), eps_list, grid)
         good = bb.best_value >= report.sigma_p - 1e-3
         ok = ok and good
         details.append(f"beta={beta}: {bb.best_value:.6f}")
     assert verdict("4", ok, "; ".join(details))
 
 
-def test_criterion_5_beta_sweep(grid, report):
-    rows, _ = beta_sweep(P0, 1.0, (1.0, 2.0, 4.0, 8.0, 16.0), grid, report=report)
+def test_criterion_5_beta_sweep(grid):
+    rows = beta_sweep(P0, 1.0, (1.0, 2.0, 4.0, 8.0, 16.0), grid)
     gaps = [gap for _, _, gap in rows]
     mono = all(gaps[i + 1] <= gaps[i] + 1e-9 for i in range(len(gaps) - 1))
     ok = mono and gaps[-1] < 0.01
@@ -141,7 +141,7 @@ def test_criterion_5_beta_sweep(grid, report):
 
 def test_criterion_6_concentration_rate(grid):
     rep = bliss.compute_S(DC0)
-    a_hat = bliss.unit_norm_a_hat(rep, DC0)
+    a_hat = rep.a_hat
     results = {}
     ok = True
     for beta in (0.3, 0.5, 0.8):
@@ -157,11 +157,11 @@ def test_criterion_6_concentration_rate(grid):
                    "; ".join(f"beta={b}: fitted {e:.4f}" for b, e in results.items()))
 
 
-def test_criterion_7a_level_gap_positive(grid, report):
+def test_criterion_7a_level_gap_positive(grid):
     gaps = {}
     for eps in (1e-3, 1e-4, 1e-5):
         mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), LogParams(1.0, 0.5),
-                               P0, grid, report=report)
+                               P0, grid)
         gaps[eps] = mp.gap
         assert mp.threshold == pytest.approx(MP_THRESHOLD_EXACT, rel=1e-9)
     ok = all(g > 0 for g in gaps.values())
@@ -170,7 +170,7 @@ def test_criterion_7a_level_gap_positive(grid, report):
                    + f" (threshold {MP_THRESHOLD_EXACT:.6f})")
 
 
-def test_criterion_7b_level_gap_rate(grid, report):
+def test_criterion_7b_level_gap_rate(grid):
     # Wide plateau (r0 = 0.45) keeps the O(eps^(s p)) truncation term small,
     # and the fit needs a 4th point, so the scan is extended one decade below
     # the pinned range.  The raw gap still carries that term (44% of the log
@@ -183,7 +183,7 @@ def test_criterion_7b_level_gap_rate(grid, report):
     rows, raw, gap0s = [], [], []
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         spec = bliss.BubbleSpec(eps, 1.0, 0.45)
-        mp = mountain_pass_gap(spec, LogParams(1.0, 0.5), P0, grid, report=report)
+        mp = mountain_pass_gap(spec, LogParams(1.0, 0.5), P0, grid)
         u = bliss.bubble_profile(spec, grid, DC0)
         max0 = (1 / p - 1 / p_star) * (dirichlet_norm(u, P0) ** p_star
                                        / sobolev_J0(u, P0)) ** (p / (p_star - p))
@@ -218,7 +218,7 @@ def test_criterion_8_bvp(bvp_solution):
 
 def test_criterion_9_pointwise_bound_everywhere(grid, report, maximizer, bvp_solution):
     profiles = [maximizer.profile, bvp_solution.profile]
-    a_hat = bliss.unit_norm_a_hat(report, DC0)
+    a_hat = report.a_hat
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
         u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), grid, DC0)
         profiles.append(normalize(u, P0))
@@ -231,7 +231,7 @@ def test_criterion_10_orlicz(grid, report, maximizer):
     ok = True
     details = []
     for spec in (GammaSpec(6, 1, 1.0), GammaSpec(7.5, 0.5, 2.0)):
-        rep = convexity_check(spec, t_lo=1e-6, t_hi=1e6, tol=1e-12)
+        rep = convexity_check(spec, t_lo=1e-6, t_hi=1e6)
         ok = ok and rep.convex
         details.append(f"Gamma({spec.a:g},{spec.b:g},{spec.tau:g}) convex={rep.convex}")
 
@@ -247,7 +247,7 @@ def test_criterion_10_orlicz(grid, report, maximizer):
 
     lambda0 = (1.06 * maximizer.value) ** (1.0 / 6.0)
     profiles = [random_smooth_profile(grid, rng) for _ in range(100)]
-    a_hat = bliss.unit_norm_a_hat(report, DC0)
+    a_hat = report.a_hat
     profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), grid, DC0)
                  for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
     emb = embedding_check(profiles, lp, P0, lambda0, f_hat=maximizer.value)
@@ -275,7 +275,7 @@ def test_criterion_11_gradient_consistency():
 
 
 def _ncs_family(grid, report):
-    a_hat = bliss.unit_norm_a_hat(report, DC0)
+    a_hat = report.a_hat
     eps_family = (1e-2, 1e-3, 1e-4, 1e-5)
     family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, 0.2), grid, DC0), P0)
               for e in eps_family]

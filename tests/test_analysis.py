@@ -77,26 +77,25 @@ class TestMaximizer:
     LP = LogParams(1.0, 0.5)
 
     def test_exceeds_unperturbed_constant(self, grid, report):
-        res = maximize_F(P0, self.LP, grid, report=report)
+        res = maximize_F(P0, self.LP, grid)
         assert res.value >= report.sigma_p + 1e-3
         assert dirichlet_norm(res.profile, P0) == pytest.approx(1.0, abs=1e-10)
         assert res.value == pytest.approx(J(res.profile, self.LP, P0), rel=1e-12)
 
-    def test_seed_order_invariance(self, grid, report):
+    def test_seed_order_invariance(self, grid):
         seeds = (1e-2, 1e-3, 1e-4)
-        a = maximize_F(P0, self.LP, grid, eps_seeds=seeds, report=report)
-        b = maximize_F(P0, self.LP, grid, eps_seeds=seeds[::-1], report=report)
+        a = maximize_F(P0, self.LP, grid, eps_seeds=seeds)
+        b = maximize_F(P0, self.LP, grid, eps_seeds=seeds[::-1])
         assert a.value == b.value
         assert a.seed_epsilon == b.seed_epsilon
 
-    def test_monotone_in_tau(self, grid, report):
-        values = [maximize_F(P0, LogParams(tau, 0.5), grid, report=report,
-                             max_iters=500).value
+    def test_monotone_in_tau(self, grid):
+        values = [maximize_F(P0, LogParams(tau, 0.5), grid, max_iters=500).value
                   for tau in (1.0, math.e, 10.0)]
         assert values[0] <= values[1] <= values[2]
 
     def test_large_beta_approaches_unperturbed_constant(self, grid, report):
-        res = maximize_F(P0, LogParams(1.0, 16.0), grid, report=report)
+        res = maximize_F(P0, LogParams(1.0, 16.0), grid)
         assert abs(res.value - report.sigma_p) < 0.01
 
     def test_projection_is_the_normalized_nonnegative_part(self, grid):
@@ -111,10 +110,10 @@ class TestMaximizer:
         assert u.peak == np.max(ref)
         assert analysis._project(-np.abs(vals), grid, P0) is None
 
-    def test_unresolvable_seeds_rejected(self, report):
+    def test_unresolvable_seeds_rejected(self):
         tiny = make_grid(16, 1.0)
         with pytest.raises(ValidationError, match="seed"):
-            maximize_F(P0, self.LP, tiny, eps_seeds=(1e-5,), report=report)
+            maximize_F(P0, self.LP, tiny, eps_seeds=(1e-5,))
 
     def test_unperturbed_variant_approaches_sigma_from_below(self, report):
         # seeds widen with the mesh so each bubble stays well resolved;
@@ -122,8 +121,7 @@ class TestMaximizer:
         couplings = [(1000, (1e-2, 3e-3, 1e-3)),
                      (2000, (1e-2, 3e-3, 1e-3, 3e-4)),
                      (4000, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))]
-        values = [maximize_F(P0, None, make_grid(m, 3.0), eps_seeds=seeds,
-                             report=report).value
+        values = [maximize_F(P0, None, make_grid(m, 3.0), eps_seeds=seeds).value
                   for m, seeds in couplings]
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
         assert all(v < report.sigma_p for v in values)
@@ -134,19 +132,18 @@ class TestBubbleLowerBound:
     LP = LogParams(1.0, 0.5)
 
     def test_within_slack_of_constant(self, grid, report):
-        bb = bubble_lower_bound(P0, self.LP, (1e-2, 1e-3, 1e-4, 1e-5), grid,
-                                report=report)
+        bb = bubble_lower_bound(P0, self.LP, (1e-2, 1e-3, 1e-4, 1e-5), grid)
         assert isinstance(bb, BubbleBound)
         assert bb.best_value >= report.sigma_p - 1e-3
 
-    def test_never_beats_the_maximizer(self, grid, report):
+    def test_never_beats_the_maximizer(self, grid):
         seeds = (1e-2, 1e-3, 1e-4)
-        bb = bubble_lower_bound(P0, self.LP, seeds, grid, report=report)
-        res = maximize_F(P0, self.LP, grid, eps_seeds=seeds, report=report)
+        bb = bubble_lower_bound(P0, self.LP, seeds, grid)
+        res = maximize_F(P0, self.LP, grid, eps_seeds=seeds)
         assert bb.best_value <= res.value + 1e-9
 
-    def test_random_unit_profiles_stay_below_computed_bound(self, grid, report):
-        res = maximize_F(P0, self.LP, grid, report=report)
+    def test_random_unit_profiles_stay_below_computed_bound(self, grid):
+        res = maximize_F(P0, self.LP, grid)
         rng = np.random.default_rng(31)
         for _ in range(20):
             u = normalize(random_smooth_profile(grid, rng), P0)
@@ -154,17 +151,16 @@ class TestBubbleLowerBound:
 
 
 class TestBetaSweep:
-    def test_gap_collapses_monotonically(self, grid, report):
-        rows, sigma_p = beta_sweep(P0, 1.0, (1.0, 4.0, 16.0), grid, report=report)
+    def test_gap_collapses_monotonically(self, grid):
+        rows = beta_sweep(P0, 1.0, (1.0, 4.0, 16.0), grid)
         gaps = [gap for _, _, gap in rows]
         assert all(gaps[i + 1] <= gaps[i] + 1e-9 for i in range(len(gaps) - 1))
         assert gaps[-1] < 0.01
-        assert sigma_p == pytest.approx(report.sigma_p)
 
 
 def _bubble_family(grid, eps_values, r0=0.2):
     rep = bliss.compute_S(DC0)
-    a_hat = bliss.unit_norm_a_hat(rep, DC0)
+    a_hat = rep.a_hat
     return [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, r0), grid, DC0), P0)
             for e in eps_values]
 
@@ -310,23 +306,23 @@ class TestMountainPass:
     LP = LogParams(1.0, 0.5)
     SPEC = bliss.BubbleSpec(1e-4, 1.0, 0.2)
 
-    def test_gap_positive_and_ray_shape(self, grid, report):
-        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid, report=report)
+    def test_gap_positive_and_ray_shape(self, grid):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
         assert mp.threshold == pytest.approx(math.sqrt(3) * math.pi / 16, rel=1e-9)
         assert mp.max_energy < mp.threshold
         assert mp.gap > 0
         u = bliss.bubble_profile(self.SPEC, grid, DC0)
         assert energy_I(u.scaled(10.0), self.LP, P0) < 0     # far end of the ray is negative
 
-    def test_maximum_above_its_neighbours(self, grid, report):
-        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid, report=report)
+    def test_maximum_above_its_neighbours(self, grid):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
         u = bliss.bubble_profile(self.SPEC, grid, DC0)
         assert mp.max_energy == energy_I(u.scaled(mp.t_at_max), self.LP, P0)
         for f in (1.0 - 1e-3, 1.0 + 1e-3):
             assert mp.max_energy >= energy_I(u.scaled(f * mp.t_at_max), self.LP, P0)
 
-    def test_matches_the_scan_and_polish(self, grid, report):
-        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid, report=report)
+    def test_matches_the_scan_and_polish(self, grid):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
         polished, scanned = _scan_and_polish(bliss.bubble_profile(self.SPEC, grid, DC0),
                                              self.LP, P0)
         assert abs(mp.max_energy - polished) <= 1e-14

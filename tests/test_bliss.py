@@ -62,7 +62,7 @@ class TestBubbleProfile:
     def test_normalized_amplitude_gives_near_unit_norm(self):
         g = make_grid(4000, 3.0)
         rep = bliss.compute_S(DC0)
-        a_hat = bliss.unit_norm_a_hat(rep, DC0)
+        a_hat = rep.a_hat
         for eps in (1e-3, 1e-4):
             u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), g, DC0)
             dev = dirichlet_norm(u, P0) ** 2 - 1.0

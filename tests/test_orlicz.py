@@ -173,11 +173,11 @@ class TestEmbedding:
     def test_random_and_bubble_profiles_pass(self, grid):
         dc = derived_constants(P0)
         rep = bliss.compute_S(dc)
-        res = maximize_F(P0, LP, grid, eps_seeds=(1e-2, 1e-3, 1e-4), report=rep)
+        res = maximize_F(P0, LP, grid, eps_seeds=(1e-2, 1e-3, 1e-4))
         lambda0 = (1.06 * res.value) ** (1.0 / 6.0)
         rng = np.random.default_rng(8)
         profiles = [random_smooth_profile(grid, rng) for _ in range(30)]
-        a_hat = bliss.unit_norm_a_hat(rep, dc)
+        a_hat = rep.a_hat
         profiles += [bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, 0.2), grid, dc)
                      for e in (1e-2, 1e-3, 1e-4)]
         report = embedding_check(profiles, LP, P0, lambda0, f_hat=res.value)

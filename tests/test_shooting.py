@@ -34,8 +34,8 @@ def solution(grid):
 
 class TestIvp:
     def test_zero_amplitude_is_fixed_point(self, grid):
-        profile, _, info = ivp_integrate(0.0, LP, P0, grid=grid)
-        assert info["u_end"] == 0.0
+        profile, u_end, _ = ivp_integrate(0.0, LP, P0, grid=grid)
+        assert u_end == 0.0
         assert np.all(profile.values == 0.0)
 
     def test_odd_symmetry(self):
