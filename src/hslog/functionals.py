@@ -57,15 +57,15 @@ def log_factor_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams) -> np.ndarray:
 def _on_support(u: Profile, kernel: Callable[..., np.ndarray], *node_arrays) -> np.ndarray:
     """kernel(u.values[:k], *(a[:k] for a in node_arrays)), then exact zeros.
 
-    k is one past the last nonzero node of u.  Every kernel works node by
-    node (F_nodes' Gauss-Legendre sum runs over the 16 points of one node
-    at a time), so the first k outputs are the full-array ones bit for bit.
-    The result is full length, so the quadrature sum sees the same vector
-    as without the trim.  Interior zeros are computed like any other node.
+    k is ``u.support_end()``, one past the last nonzero node of u.  Every
+    kernel works node by node (F_nodes' Gauss-Legendre sum runs over the 16
+    points of one node at a time), so the first k outputs are the
+    full-array ones bit for bit.  The result is full length, so the
+    quadrature sum sees the same vector as without the trim.  Interior
+    zeros are computed like any other node.
     """
     v = u.values
-    nonzero = v != 0.0
-    k = v.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+    k = u.support_end()
     out = np.zeros(v.size)
     out[:k] = kernel(v[:k], *(a[:k] for a in node_arrays))
     return out

@@ -11,10 +11,22 @@ a wide log grid, and positivity of
 whose lower bound a(a-1) + b(a+b-1) > 0 is exact.
 
 The Luxemburg norm inf{lambda : rho(u/lambda) <= 1} uses the modular
-rho(v) = int r^th |v|^p* |ln(tau+|v|)|^(r^beta) dr = J(v).  For u != 0,
-lambda -> rho(u/lambda) is continuous and strictly decreasing, so a bracket
-found by doubling holds exactly one root of rho(u/lambda) = 1, and Brent's
-method (scipy's brentq) converges to it.
+rho(v) = int r^th |v|^p* |ln(tau+|v|)|^(r^beta) dr = J(v).  Since
+|u_i/lambda|^p* = lambda^(-p*) |u_i|^p*, the quadrature of J factors as
+
+    rho(u/lambda) = lambda^(-p*) sum_i w_i ln(tau + a_i/lambda)^(e_i),
+    a_i = |u_i|,   w_i = q_i a_i^p*,   e_i = r_i^beta,
+
+with q the r^theta quadrature weights.  a, w and e depend on the profile
+only; they are taken once, up to its last nonzero node, and each lambda
+then costs one pass over them.  For u != 0 and tau >= 1, lambda ->
+rho(u/lambda) is continuous and strictly decreasing, and lambda^p*
+rho(u/lambda) = sum_i w_i ln(tau + a_i/lambda)^(e_i) is nonincreasing.
+From lambda0 = (sum_i w_i)^(1/p*), the weighted L^p* norm, with rho0 =
+rho(u/lambda0), the power-law point lambda1 = lambda0 rho0^(1/p*) therefore
+has rho(u/lambda1) <= 1 when rho0 > 1 and >= 1 when rho0 < 1: the two
+points bracket the one root of rho(u/lambda) = 1, and Brent's method
+(scipy's brentq) converges to it.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hslog.functionals import LogParams, J
+from hslog.functionals import LogParams
 from hslog.params import (
     NumericalError,
     ParamSet,
@@ -32,7 +44,7 @@ from hslog.params import (
     brent_root,
     critical_exponent,
 )
-from hslog.radial import Profile, dirichlet_norm, lq_norm
+from hslog.radial import Profile, dirichlet_norm
 
 
 @dataclass(frozen=True)
@@ -112,48 +124,89 @@ def convexity_check(spec: GammaSpec, t_lo: float = 1e-6, t_hi: float = 1e6) -> C
     )
 
 
-def modular(u: Profile, lam: float, lp: LogParams, ps: ParamSet) -> float:
-    """rho(u/lambda) for the log-perturbed modular."""
-    return J(u.scaled(1.0 / lam), lp, ps)
+@dataclass(frozen=True)
+class ModularTerms:
+    """The per-profile factors a, w, e of rho(u/lambda), on the support of u.
+
+    They run up to the last nonzero node of u; past it every term of the
+    modular is an exact zero.
+    """
+
+    a: np.ndarray
+    w: np.ndarray
+    e: np.ndarray
+    tau: float
+    p_star: float
 
 
-def _modular_excess(lam: float, u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    return modular(u, lam, lp, ps) - 1.0
+def modular_terms(u: Profile, lp: LogParams, ps: ParamSet) -> ModularTerms:
+    """a_i = |u_i|, w_i = q_i a_i^p* and e_i = r_i^beta for the modular of u.
 
-
-def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """lambda* with rho(u/lambda*) = 1, by bracket doubling and Brent's method.
-
-    The bracket starts at the weighted L^p* norm.  Brent runs to a relative
-    lambda tolerance near machine precision, so the norm keeps close to full
-    precision (needed for the homogeneity contract).  The modular values at
-    the bracket ends go to ``brent_root``, so no lambda is evaluated twice.
-    The residual is a module-level function that gets u through ``args``.
+    tau >= 1 keeps ln(tau + a_i/lambda) >= 0, which the factorization and
+    the bracket both rely on.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the Luxemburg norm needs tau >= 1, got {lp.tau}")
-    lam = lq_norm(u, critical_exponent(ps), ps.theta)
-    if lam == 0.0:
+    k = u.support_end()
+    p_star = critical_exponent(ps)
+    a = np.abs(u.values[:k])
+    w = u.grid.quad_weights(ps.theta)[:k] * a**p_star
+    return ModularTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star)
+
+
+def modular(terms: ModularTerms, lam: float) -> float:
+    """rho(u/lambda) for the log-perturbed modular, from the terms of u.
+
+    The log argument takes a_i times 1/lambda, the product ``u.scaled``
+    forms, so the log factors are those of J(u/lambda) bit for bit.
+    """
+    x = np.log(terms.tau + terms.a * (1.0 / lam)) ** terms.e
+    return float(np.einsum("i,i->", terms.w, x)) / lam**terms.p_star
+
+
+def _modular_excess(lam: float, terms: ModularTerms) -> float:
+    return modular(terms, lam) - 1.0
+
+
+def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
+    """lambda* with rho(u/lambda*) = 1, by a power-law bracket and Brent's method.
+
+    The bracket ends are lambda0 = (sum_i w_i)^(1/p*), the weighted L^p*
+    norm, and lambda1 = lambda0 rho0^(1/p*).  Because lambda^p*
+    rho(u/lambda) does not increase with lambda, rho at lambda1 lies on the
+    other side of 1 from rho0 (module docstring).  Doubling above and
+    halving below still run when rounding leaves an end on the wrong side.
+    Brent runs to a relative lambda tolerance near machine precision, so
+    the norm keeps close to full precision (needed for the homogeneity
+    contract).  The modular values at the bracket ends go to
+    ``brent_root``, so no lambda is evaluated twice.  The residual is a
+    module-level function that gets the terms through ``args``.
+    """
+    terms = modular_terms(u, lp, ps)
+    lam0 = float(np.einsum("i->", terms.w)) ** (1.0 / terms.p_star)
+    if lam0 == 0.0:
         return 0.0
-    rho_start = modular(u, lam, lp, ps)
-    hi, rho_hi = lam, rho_start
+    rho0 = modular(terms, lam0)
+    if rho0 == 1.0:
+        return lam0
+    lam1 = lam0 * rho0 ** (1.0 / terms.p_star)
+    (lo, rho_lo), (hi, rho_hi) = sorted([(lam0, rho0), (lam1, modular(terms, lam1))])
     for _ in range(199):
         if rho_hi < 1.0:
             break
         hi *= 2.0
-        rho_hi = modular(u, hi, lp, ps)
+        rho_hi = modular(terms, hi)
     if not rho_hi < 1.0:
         raise NumericalError("could not bracket the Luxemburg norm from above")
-    lo, rho_lo = lam, rho_start
     for _ in range(199):
         if rho_lo > 1.0:
             break
         lo *= 0.5
-        rho_lo = modular(u, lo, lp, ps)
+        rho_lo = modular(terms, lo)
     if not rho_lo > 1.0:
         raise NumericalError("could not bracket the Luxemburg norm from below")
     lam_star, _ = brent_root(_modular_excess, lo, rho_lo - 1.0, hi, rho_hi - 1.0,
-                             args=(u, lp, ps), xtol=1e-15 * lo, rtol=8.9e-16)
+                             args=(terms,), xtol=1e-15 * lo, rtol=8.9e-16)
     return lam_star
 
 

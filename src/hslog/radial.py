@@ -143,6 +143,11 @@ class Profile:
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / self.grid.cell_widths
 
+    def support_end(self) -> int:
+        """One past the last nonzero node; 0 for the zero profile."""
+        nonzero = self.values != 0.0
+        return self.values.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+
 
 def make_grid(m: int, gamma: float) -> Grid:
     """Graded mesh r_i = (i/M)^gamma; gamma > 1 crowds nodes toward 0."""

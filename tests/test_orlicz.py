@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hslog import bliss, orlicz
 from hslog.analysis import maximize_F, random_smooth_profile
-from hslog.functionals import LogParams
+from hslog.functionals import J, LogParams
 from hslog.orlicz import (
     EmbeddingReport,
     GammaSpec,
@@ -20,8 +20,15 @@ from hslog.orlicz import (
     h_tau,
     luxemburg_norm,
     modular,
+    modular_terms,
 )
-from hslog.params import NumericalError, ValidationError, derived_constants, validate_params
+from hslog.params import (
+    NumericalError,
+    ValidationError,
+    brent_root,
+    derived_constants,
+    validate_params,
+)
 from hslog.radial import Profile, make_grid
 
 P0 = validate_params(2, 2, 2, 2)
@@ -89,15 +96,34 @@ def test_doubling_superadditivity(a, b, tau, t):
     assert gamma_value(2 * t, spec) >= 2 * gamma_value(t, spec) - 1e-9
 
 
+def _random_or_bubble(grid, kind):
+    # the bubble is a cutoff bubble, identically 0 on [0.4, 1]
+    if kind == "random":
+        return random_smooth_profile(grid, np.random.default_rng(8))
+    return bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, derived_constants(P0))
+
+
 class TestLuxemburgNorm:
-    def test_zero_profile(self, grid):
+    def test_zero_profile(self, grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(orlicz, "modular", lambda *args: calls.append(args) or 1.0)
         assert luxemburg_norm(Profile(grid, np.zeros(grid.m)), LP, P0) == 0.0
+        assert calls == []
 
     def test_modular_contract(self, grid):
         rng = np.random.default_rng(4)
         u = random_smooth_profile(grid, rng)
         lam = luxemburg_norm(u, LP, P0)
-        assert abs(modular(u, lam, LP, P0) - 1.0) < 1e-14
+        assert abs(modular(modular_terms(u, LP, P0), lam) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["random", "bubble"])
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
+    def test_modular_from_terms_is_J_of_the_scaled_profile(self, grid, kind, lp):
+        u = _random_or_bubble(grid, kind)
+        terms = modular_terms(u, lp, P0)
+        for lam in (0.05, 0.1, 0.5, 1.0, 5.0):
+            ref = J(u.scaled(1.0 / lam), lp, P0)
+            assert abs(modular(terms, lam) - ref) <= 1e-14 * ref
 
     def test_homogeneity(self, grid):
         rng = np.random.default_rng(5)
@@ -110,7 +136,8 @@ class TestLuxemburgNorm:
         rng = np.random.default_rng(6)
         u = random_smooth_profile(grid, rng)
         lams = np.array([0.05, 0.1, 0.5, 1.0, 5.0])
-        vals = [modular(u, lam, LP, P0) for lam in lams]
+        terms = modular_terms(u, LP, P0)
+        vals = [modular(terms, lam) for lam in lams]
         assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
 
     def test_triangle_inequality_sampled(self, grid):
@@ -131,30 +158,49 @@ class TestLuxemburgNorm:
     @pytest.mark.parametrize("rho,side", [(2.0, "above"), (0.5, "below")])
     def test_bracket_failure_reported(self, grid, monkeypatch, rho, side):
         # a modular stuck above (below) 1 leaves no lambda with rho(u/lambda) < 1 (> 1)
-        monkeypatch.setattr(orlicz, "J", lambda *args: rho)
+        monkeypatch.setattr(orlicz, "modular", lambda *args: rho)
         u = Profile(grid, np.ones(grid.m))
         with pytest.raises(NumericalError, match=f"bracket the Luxemburg norm from {side}"):
             luxemburg_norm(u, LP, P0)
 
     @pytest.mark.parametrize("kind", ["random", "bubble"])
     def test_no_lambda_evaluated_twice_but_the_bracket_ends(self, grid, monkeypatch, kind):
-        # the start lambda is shared by both doubling loops, and brent_root
-        # reuses the modular at both bracket ends, so no lambda repeats.  The
-        # modular at the start is below 1 for the random profile and above 1
-        # for the bubble.
-        if kind == "random":
-            u = random_smooth_profile(grid, np.random.default_rng(8))
-        else:
-            u = bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, derived_constants(P0))
+        # brent_root reuses the modular at both bracket ends, so no lambda
+        # repeats.  The modular at the start is below 1 for the random
+        # profile and above 1 for the bubble.
+        u = _random_or_bubble(grid, kind)
         calls = []
 
-        def recording(u, lam, lp, ps):
+        def recording(terms, lam):
             calls.append(lam)
-            return modular(u, lam, lp, ps)
+            return modular(terms, lam)
 
         monkeypatch.setattr(orlicz, "modular", recording)
         luxemburg_norm(u, LP, P0)
         assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("kind,start_side", [("random", "below"), ("bubble", "above")])
+    def test_power_law_end_brackets_without_doubling(self, grid, monkeypatch, kind, start_side):
+        # the start lambda0 and the power-law end lambda0 rho0^(1/p*) are the
+        # only modular calls before Brent's method
+        u = _random_or_bubble(grid, kind)
+        lams, rhos, before_brent = [], [], []
+
+        def recording(terms, lam):
+            lams.append(lam)
+            rhos.append(modular(terms, lam))
+            return rhos[-1]
+
+        def brent_recording(*args, **kwargs):
+            before_brent.append(len(rhos))
+            return brent_root(*args, **kwargs)
+
+        monkeypatch.setattr(orlicz, "modular", recording)
+        monkeypatch.setattr(orlicz, "brent_root", brent_recording)
+        luxemburg_norm(u, LP, P0)
+        assert before_brent == [2]
+        assert lams[1] == lams[0] * rhos[0] ** (1.0 / 6.0)
+        assert (rhos[0] < 1.0 < rhos[1]) if start_side == "below" else (rhos[1] < 1.0 < rhos[0])
 
     def test_profile_not_retained(self, grid):
         # with the collector off, a profile caught in a reference cycle would never be freed
