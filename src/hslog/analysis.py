@@ -20,16 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog import bliss
-from hslog.functionals import LogParams, J, _on_support, energy_I, sobolev_J0
+from hslog.functionals import (LogParams, J, RayTerms, _on_support, energy_I, ray_sum,
+                               ray_terms, sobolev_J0)
 from hslog.params import (
     NumericalError,
     ParamSet,
     ValidationError,
+    bracket_decreasing,
     brent_root,
     critical_exponent,
     derived_constants,
 )
-from hslog.radial import Grid, Profile, dirichlet_norm, lq_norm
+from hslog.radial import Grid, Profile, dirichlet_norm, lq_norm, normalize
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
 
@@ -207,8 +209,7 @@ def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid,
     rows = []
     for eps in eps_list:
         u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, r0), grid, dc)
-        nrm = dirichlet_norm(u, ps)
-        rows.append((float(eps), J(u.scaled(1.0 / nrm), lp, ps)))
+        rows.append((float(eps), J(normalize(u, ps), lp, ps)))
     best_eps, best_val = max(rows, key=lambda t: (t[1], -t[0]))
     return BubbleBound(best_value=best_val, best_epsilon=best_eps, table=tuple(rows))
 
@@ -308,43 +309,29 @@ def concentration_level_check(profiles, lp: LogParams, ps: ParamSet, sigma_p: fl
 # --- the scalar stationarity equation and the level gap ---------------------
 
 
-def _stationarity(t: float, u: Profile, n_p: float, lp: LogParams, ps: ParamSet) -> float:
-    """d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t."""
-    return t ** (ps.p - 1.0) * n_p - J(u.scaled(t), lp, ps) / t
+def _stationarity(t: float, terms: RayTerms, n_p: float, p: float) -> float:
+    """d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t, with J(t u)/t^p* the ray sum."""
+    return t ** (p - 1.0) * n_p - t ** (terms.p_star - 1.0) * ray_sum(terms, t)
 
 
 def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
     """Root of t^(p-1) ||u||^p = t^(p*-1) int r^th |u|^p* (ln(tau+t|u|))^(r^b) dr.
 
-    The right-hand side is J(t u)/t.  The bracket starts at (0.5, 2): its
-    lower end is halved until the residual is >= 0 and its upper end doubled
-    until it is <= 0, then Brent's method finds the root.  ``brent_root``
-    reuses the residuals at the bracket ends and returns the one at the root,
-    so no t is evaluated twice.  The residual gets u through ``args``, not a
-    closure, so the profile is freed as soon as it is dropped.  The residual
-    at the root must be below 1e-10 relative to t^(p-1) ||u||^p.
+    The right-hand side is J(t u)/t, read from the ray terms of u, which are
+    taken once.  The bracket starts at (0.5, 2) and ``bracket_decreasing``
+    halves its lower end until the residual is >= 0 and doubles its upper
+    end until it is <= 0, then Brent's method finds the root.
+    ``brent_root`` reuses the residuals at the bracket ends and returns the
+    one at the root, so no t is evaluated twice.  The residual gets the
+    terms through ``args``, not a closure, so nothing of u outlives the
+    call.  The residual at the root must be below 1e-10 relative to
+    t^(p-1) ||u||^p.
     """
-    if lp.tau < 1.0:
-        raise ValidationError(f"the stationarity equation needs tau >= 1, got {lp.tau}")
+    terms = ray_terms(u_eps, lp, ps)
     n_p = dirichlet_norm(u_eps, ps) ** ps.p
-    args = (u_eps, n_p, lp, ps)
-    lo, hi = 0.5, 2.0
-    h_lo = _stationarity(lo, *args)
-    for _ in range(199):
-        if h_lo >= 0.0:
-            break
-        lo *= 0.5
-        h_lo = _stationarity(lo, *args)
-    if not h_lo >= 0.0:
-        raise NumericalError("could not bracket t_eps from below")
-    h_hi = _stationarity(hi, *args)
-    for _ in range(199):
-        if h_hi <= 0.0:
-            break
-        hi *= 2.0
-        h_hi = _stationarity(hi, *args)
-    if not h_hi <= 0.0:
-        raise NumericalError("could not bracket t_eps from above")
+    args = (terms, n_p, ps.p)
+    lo, h_lo, hi, h_hi = bracket_decreasing(_stationarity, 0.5, _stationarity(0.5, *args),
+                                            2.0, _stationarity(2.0, *args), "t_eps", args=args)
     t_star, residual = brent_root(_stationarity, lo, h_lo, hi, h_hi, args=args, xtol=1e-15,
                                   rtol=8.9e-16, maxiter=200)
     scale = max(1.0, abs(t_star ** (ps.p - 1.0) * n_p))

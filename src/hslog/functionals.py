@@ -20,11 +20,23 @@ and are exact zeros after it, which is what the full formulas give there.
 A cutoff bubble is identically 0 on [2 r0, 1], a quarter of a graded mesh,
 and pow with a zero base is several times slower than with a regular one.
 
+Along the ray through a profile u the quadrature of J factors.  Since
+|s u_i|^p* = s^p* |u_i|^p* for s > 0,
+
+    J(s u) = s^p* sum_i w_i ln(tau + a_i s)^(e_i),
+    a_i = |u_i|,   w_i = q_i a_i^p*,   e_i = r_i^beta,
+
+with q the r^theta quadrature weights.  a, w and e depend on u only
+(``ray_terms``); each s then costs one pass over them (``ray_sum``).  The
+mountain-pass stationarity reads J(t u) for t > 0 and the Luxemburg norm
+reads J(u/lambda) this way.  For tau >= 1 every log factor is >= 0, so the
+sum does not decrease with s.
+
 Conventions: the exponent r^beta is 0 at r = 0 and we set 0^0 = 1, so the
 integrand is continuous at the origin; kernels take the exponent array
 e = r^beta that ``Grid.node_power`` caches.  tau < 1 is accepted in J (the
-absolute value keeps it meaningful) but rejected in the energy and its
-pairing, which are only defined for tau >= 1.
+absolute value keeps it meaningful) but rejected in the ray sum, the energy
+and its pairing, which are only defined for tau >= 1.
 """
 
 from __future__ import annotations
@@ -88,6 +100,41 @@ def sobolev_J0(u: Profile, ps: ParamSet) -> float:
 def _require_tau_ge_1(lp: LogParams, what: str) -> None:
     if lp.tau < 1.0:
         raise ValidationError(f"{what} is only defined for tau >= 1, got tau = {lp.tau}")
+
+
+@dataclass(frozen=True)
+class RayTerms:
+    """The per-profile factors a, w, e of J(s u), on the support of u.
+
+    They run up to the last nonzero node of u; past it every term of the
+    sum is an exact zero.
+    """
+
+    a: np.ndarray
+    w: np.ndarray
+    e: np.ndarray
+    tau: float
+    p_star: float
+
+
+def ray_terms(u: Profile, lp: LogParams, ps: ParamSet) -> RayTerms:
+    """a_i = |u_i|, w_i = q_i a_i^p* and e_i = r_i^beta for J along the ray of u.
+
+    tau >= 1 keeps ln(tau + a_i s) >= 0, which the factorization's callers
+    rely on.
+    """
+    _require_tau_ge_1(lp, "the ray sum of J")
+    k = u.support_end()
+    p_star = critical_exponent(ps)
+    a = np.abs(u.values[:k])
+    w = u.grid.quad_weights(ps.theta)[:k] * a**p_star
+    return RayTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star)
+
+
+def ray_sum(terms: RayTerms, s: float) -> float:
+    """J(s u)/s^p* = sum_i w_i ln(tau + a_i s)^(e_i), from the ray terms of u."""
+    x = np.log(terms.tau + terms.a * s) ** terms.e
+    return float(np.einsum("i,i->", terms.w, x))
 
 
 def F_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.ndarray:

@@ -11,22 +11,18 @@ a wide log grid, and positivity of
 whose lower bound a(a-1) + b(a+b-1) > 0 is exact.
 
 The Luxemburg norm inf{lambda : rho(u/lambda) <= 1} uses the modular
-rho(v) = int r^th |v|^p* |ln(tau+|v|)|^(r^beta) dr = J(v).  Since
-|u_i/lambda|^p* = lambda^(-p*) |u_i|^p*, the quadrature of J factors as
+rho(v) = int r^th |v|^p* |ln(tau+|v|)|^(r^beta) dr = J(v), read along the
+ray through u (``functionals.ray_terms``):
 
-    rho(u/lambda) = lambda^(-p*) sum_i w_i ln(tau + a_i/lambda)^(e_i),
-    a_i = |u_i|,   w_i = q_i a_i^p*,   e_i = r_i^beta,
+    rho(u/lambda) = lambda^(-p*) sum_i w_i ln(tau + a_i/lambda)^(e_i).
 
-with q the r^theta quadrature weights.  a, w and e depend on the profile
-only; they are taken once, up to its last nonzero node, and each lambda
-then costs one pass over them.  For u != 0 and tau >= 1, lambda ->
-rho(u/lambda) is continuous and strictly decreasing, and lambda^p*
-rho(u/lambda) = sum_i w_i ln(tau + a_i/lambda)^(e_i) is nonincreasing.
-From lambda0 = (sum_i w_i)^(1/p*), the weighted L^p* norm, with rho0 =
-rho(u/lambda0), the power-law point lambda1 = lambda0 rho0^(1/p*) therefore
-has rho(u/lambda1) <= 1 when rho0 > 1 and >= 1 when rho0 < 1: the two
-points bracket the one root of rho(u/lambda) = 1, and Brent's method
-(scipy's brentq) converges to it.
+For u != 0 and tau >= 1, lambda -> rho(u/lambda) is continuous and
+strictly decreasing, and lambda^p* rho(u/lambda) = sum_i w_i ln(tau +
+a_i/lambda)^(e_i) is nonincreasing.  From lambda0 = (sum_i w_i)^(1/p*), the
+weighted L^p* norm, with rho0 = rho(u/lambda0), the power-law point lambda1
+= lambda0 rho0^(1/p*) therefore has rho(u/lambda1) <= 1 when rho0 > 1 and
+>= 1 when rho0 < 1: the two points bracket the one root of rho(u/lambda) =
+1, and Brent's method (scipy's brentq) converges to it.
 """
 
 from __future__ import annotations
@@ -36,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hslog.functionals import LogParams
+from hslog.functionals import LogParams, RayTerms, ray_sum, ray_terms
 from hslog.params import (
-    NumericalError,
     ParamSet,
     ValidationError,
+    bracket_decreasing,
     brent_root,
     critical_exponent,
 )
@@ -124,47 +120,16 @@ def convexity_check(spec: GammaSpec, t_lo: float = 1e-6, t_hi: float = 1e6) -> C
     )
 
 
-@dataclass(frozen=True)
-class ModularTerms:
-    """The per-profile factors a, w, e of rho(u/lambda), on the support of u.
+def modular(terms: RayTerms, lam: float) -> float:
+    """rho(u/lambda) for the log-perturbed modular, from the ray terms of u.
 
-    They run up to the last nonzero node of u; past it every term of the
-    modular is an exact zero.
+    The ray sum takes a_i times 1/lambda, the product ``u.scaled`` forms,
+    so the log factors are those of J(u/lambda) bit for bit.
     """
-
-    a: np.ndarray
-    w: np.ndarray
-    e: np.ndarray
-    tau: float
-    p_star: float
+    return ray_sum(terms, 1.0 / lam) / lam**terms.p_star
 
 
-def modular_terms(u: Profile, lp: LogParams, ps: ParamSet) -> ModularTerms:
-    """a_i = |u_i|, w_i = q_i a_i^p* and e_i = r_i^beta for the modular of u.
-
-    tau >= 1 keeps ln(tau + a_i/lambda) >= 0, which the factorization and
-    the bracket both rely on.
-    """
-    if lp.tau < 1.0:
-        raise ValidationError(f"the Luxemburg norm needs tau >= 1, got {lp.tau}")
-    k = u.support_end()
-    p_star = critical_exponent(ps)
-    a = np.abs(u.values[:k])
-    w = u.grid.quad_weights(ps.theta)[:k] * a**p_star
-    return ModularTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star)
-
-
-def modular(terms: ModularTerms, lam: float) -> float:
-    """rho(u/lambda) for the log-perturbed modular, from the terms of u.
-
-    The log argument takes a_i times 1/lambda, the product ``u.scaled``
-    forms, so the log factors are those of J(u/lambda) bit for bit.
-    """
-    x = np.log(terms.tau + terms.a * (1.0 / lam)) ** terms.e
-    return float(np.einsum("i,i->", terms.w, x)) / lam**terms.p_star
-
-
-def _modular_excess(lam: float, terms: ModularTerms) -> float:
+def _modular_excess(lam: float, terms: RayTerms) -> float:
     return modular(terms, lam) - 1.0
 
 
@@ -174,15 +139,15 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     The bracket ends are lambda0 = (sum_i w_i)^(1/p*), the weighted L^p*
     norm, and lambda1 = lambda0 rho0^(1/p*).  Because lambda^p*
     rho(u/lambda) does not increase with lambda, rho at lambda1 lies on the
-    other side of 1 from rho0 (module docstring).  Doubling above and
-    halving below still run when rounding leaves an end on the wrong side.
-    Brent runs to a relative lambda tolerance near machine precision, so
-    the norm keeps close to full precision (needed for the homogeneity
+    other side of 1 from rho0 (module docstring).  ``bracket_decreasing``
+    still halves and doubles the ends when rounding leaves one on the wrong
+    side.  Brent runs to a relative lambda tolerance near machine precision,
+    so the norm keeps close to full precision (needed for the homogeneity
     contract).  The modular values at the bracket ends go to
     ``brent_root``, so no lambda is evaluated twice.  The residual is a
     module-level function that gets the terms through ``args``.
     """
-    terms = modular_terms(u, lp, ps)
+    terms = ray_terms(u, lp, ps)
     lam0 = float(np.einsum("i->", terms.w)) ** (1.0 / terms.p_star)
     if lam0 == 0.0:
         return 0.0
@@ -191,21 +156,9 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
         return lam0
     lam1 = lam0 * rho0 ** (1.0 / terms.p_star)
     (lo, rho_lo), (hi, rho_hi) = sorted([(lam0, rho0), (lam1, modular(terms, lam1))])
-    for _ in range(199):
-        if rho_hi < 1.0:
-            break
-        hi *= 2.0
-        rho_hi = modular(terms, hi)
-    if not rho_hi < 1.0:
-        raise NumericalError("could not bracket the Luxemburg norm from above")
-    for _ in range(199):
-        if rho_lo > 1.0:
-            break
-        lo *= 0.5
-        rho_lo = modular(terms, lo)
-    if not rho_lo > 1.0:
-        raise NumericalError("could not bracket the Luxemburg norm from below")
-    lam_star, _ = brent_root(_modular_excess, lo, rho_lo - 1.0, hi, rho_hi - 1.0,
+    lo, f_lo, hi, f_hi = bracket_decreasing(_modular_excess, lo, rho_lo - 1.0, hi,
+                                            rho_hi - 1.0, "the Luxemburg norm", args=(terms,))
+    lam_star, _ = brent_root(_modular_excess, lo, f_lo, hi, f_hi,
                              args=(terms,), xtol=1e-15 * lo, rtol=8.9e-16)
     return lam_star
 

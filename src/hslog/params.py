@@ -18,7 +18,8 @@ The six relation identities tying (s, n, m, p*) together are exposed via
 ``check_identities`` so fault injection and random sampling can exercise
 them directly.
 
-``brent_root`` is the one scalar root-finder the other modules share.
+``brent_root`` is the one scalar root-finder the other modules share, and
+``bracket_decreasing`` the one bracket widener in front of it.
 """
 
 from __future__ import annotations
@@ -135,6 +136,32 @@ def check_identities(dc: DerivedConstants, tol: float = 1e-12) -> IdentityReport
     res = identity_residuals(dc)
     worst = max(res)
     return IdentityReport(residuals=res, max_residual=worst, passed=worst < tol)
+
+
+def bracket_decreasing(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,
+                       args: tuple = ()) -> tuple[float, float, float, float]:
+    """Widen [lo, hi] until f(lo) >= 0 >= f(hi), for a decreasing f; returns
+    (lo, f(lo), hi, f(hi)).
+
+    f_lo and f_hi are f at the given ends.  lo is halved, then hi doubled,
+    at most 199 times each; an end still on the wrong side raises
+    ``NumericalError`` ("could not bracket <what> from below/above").
+    """
+    for _ in range(199):
+        if f_lo >= 0.0:
+            break
+        lo *= 0.5
+        f_lo = f(lo, *args)
+    if not f_lo >= 0.0:
+        raise NumericalError(f"could not bracket {what} from below")
+    for _ in range(199):
+        if f_hi <= 0.0:
+            break
+        hi *= 2.0
+        f_hi = f(hi, *args)
+    if not f_hi <= 0.0:
+        raise NumericalError(f"could not bracket {what} from above")
+    return lo, f_lo, hi, f_hi
 
 
 def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, args: tuple = (),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -104,14 +103,12 @@ def _build_weights(r: np.ndarray, w: float) -> np.ndarray:
 class Profile:
     """Sampled radial function; piecewise linear on the grid.
 
-    ``value_at_origin`` is a display-only limit value; integrals use the
-    first nodal value on (0, r_1].  The constructor checks the shape and
-    finiteness of the values; ``scaled`` copies skip that scan.
+    Integrals use the first nodal value on (0, r_1].  The constructor checks
+    the shape and finiteness of the values.
     """
 
     grid: Grid
     values: np.ndarray
-    value_at_origin: float | None = None
 
     def __post_init__(self):
         if self.values.shape != (self.grid.m,):
@@ -119,26 +116,11 @@ class Profile:
                 f"profile needs {self.grid.m} values, got shape {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValidationError("profile values must be finite")
-
-    @cached_property
-    def peak(self) -> float:
-        """max_i |u_i|."""
-        return float(np.max(np.abs(self.values)))
+            raise ValidationError("profile values are not finite")
 
     def scaled(self, c: float) -> "Profile":
-        """c u, built without re-running the constructor's per-node check.
-
-        Rounding is monotone, so max_i |c u_i| is |c| max_i |u_i| in floating
-        point too: every c u_i is finite exactly when that one product is.
-        """
-        peak = abs(c) * self.peak
-        if not math.isfinite(peak):
-            raise ValidationError(f"profile values scaled by {c:g} are not finite")
-        out = object.__new__(Profile)
-        out.__dict__.update(grid=self.grid, values=c * self.values,
-                            value_at_origin=self.value_at_origin, peak=peak)
-        return out
+        """c u."""
+        return Profile(self.grid, c * self.values)
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / self.grid.cell_widths

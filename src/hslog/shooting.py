@@ -135,7 +135,7 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
             above = grid.nodes >= 2.0 * r_min
             vals[above] = sol.sol(grid.nodes[above])[0]
         vals[-1] = u_end
-        profile = Profile(grid, vals, value_at_origin=float(amplitude))
+        profile = Profile(grid, vals)
     return profile, u_end, nfev
 
 
@@ -190,7 +190,7 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid,
     positive = bool(np.all(inner > 0.0))
     vals = profile.values.copy()
     vals[-1] = 0.0
-    clamped = Profile(grid, vals, value_at_origin=profile.value_at_origin)
+    clamped = Profile(grid, vals)
     wres = weak_residual(clamped, lp, ps)
     return ShootResult(
         profile=clamped,

@@ -17,7 +17,8 @@ import hslog
 SNIPPET = """
 import hashlib
 import numpy as np
-from hslog.analysis import maximize_F, random_smooth_profile
+from hslog import bliss
+from hslog.analysis import maximize_F, mountain_pass_gap, random_smooth_profile
 from hslog.functionals import J, LogParams, energy_I
 from hslog.orlicz import luxemburg_norm
 from hslog.params import validate_params
@@ -32,6 +33,9 @@ for _ in range(20):
     print(J(u, lp, ps).hex(), energy_I(u, lp, ps).hex(), luxemburg_norm(u, lp, ps).hex())
 res = maximize_F(ps, lp, grid, eps_seeds=(1e-5,))
 print(res.value.hex(), res.iterations, hashlib.sha256(res.profile.values.tobytes()).hexdigest())
+for eps in (1e-3, 1e-4, 1e-5):
+    mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), lp, ps, grid)
+    print(mp.max_energy.hex(), mp.t_at_max.hex())
 """
 
 
@@ -46,5 +50,5 @@ def _run_with_blas_threads(n: int) -> str:
 
 def test_one_and_two_blas_threads_give_the_same_bits():
     one, two = _run_with_blas_threads(1), _run_with_blas_threads(2)
-    assert len(one.splitlines()) == 21
+    assert len(one.splitlines()) == 24
     assert one == two

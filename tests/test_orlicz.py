@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hslog import bliss, orlicz
 from hslog.analysis import maximize_F, random_smooth_profile
-from hslog.functionals import J, LogParams
+from hslog.functionals import J, LogParams, ray_sum, ray_terms
 from hslog.orlicz import (
     EmbeddingReport,
     GammaSpec,
@@ -20,7 +20,6 @@ from hslog.orlicz import (
     h_tau,
     luxemburg_norm,
     modular,
-    modular_terms,
 )
 from hslog.params import (
     NumericalError,
@@ -114,16 +113,19 @@ class TestLuxemburgNorm:
         rng = np.random.default_rng(4)
         u = random_smooth_profile(grid, rng)
         lam = luxemburg_norm(u, LP, P0)
-        assert abs(modular(modular_terms(u, LP, P0), lam) - 1.0) < 1e-14
+        assert abs(modular(ray_terms(u, LP, P0), lam) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("kind", ["random", "bubble"])
     @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
     def test_modular_from_terms_is_J_of_the_scaled_profile(self, grid, kind, lp):
         u = _random_or_bubble(grid, kind)
-        terms = modular_terms(u, lp, P0)
+        terms = ray_terms(u, lp, P0)
         for lam in (0.05, 0.1, 0.5, 1.0, 5.0):
             ref = J(u.scaled(1.0 / lam), lp, P0)
             assert abs(modular(terms, lam) - ref) <= 1e-14 * ref
+        for s in (0.2, 1.0, 2.0, 10.0, 20.0):
+            ref = J(u.scaled(s), lp, P0)
+            assert abs(ray_sum(terms, s) * s**6 - ref) <= 1e-14 * ref
 
     def test_homogeneity(self, grid):
         rng = np.random.default_rng(5)
@@ -136,7 +138,7 @@ class TestLuxemburgNorm:
         rng = np.random.default_rng(6)
         u = random_smooth_profile(grid, rng)
         lams = np.array([0.05, 0.1, 0.5, 1.0, 5.0])
-        terms = modular_terms(u, LP, P0)
+        terms = ray_terms(u, LP, P0)
         vals = [modular(terms, lam) for lam in lams]
         assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
 
