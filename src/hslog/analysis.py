@@ -123,8 +123,6 @@ def maximize_F(
     lp: LogParams | None,
     grid: Grid,
     eps_seeds=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5),
-    max_iters: int = 5000,
-    r0: float = 0.2,
 ) -> MaximizeResult:
     """Projected-ascent lower bound for the constrained supremum F.
 
@@ -134,7 +132,7 @@ def maximize_F(
     critical integral instead; that variant approaches sigma_p from below
     under mesh refinement.  The seeds are bubbles with the unit-norm
     amplitude of ``bliss.compute_S``; each ascent stops once a step gains
-    less than 1e-10 relative to the value.
+    less than 1e-10 relative to the value, or after 5000 steps.
     """
     dc = derived_constants(ps)
     a_hat = bliss.compute_S(dc).a_hat
@@ -143,11 +141,11 @@ def maximize_F(
     for eps in eps_seeds:
         if grid.r1 > eps / 10.0:
             continue
-        start = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, r0), grid, dc)
+        start = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
         u = _project(start.values, grid, ps)
         if u is None:
             continue
-        candidates.append(_ascend(u, eps, ps, lp, grid, max_iters))
+        candidates.append(_ascend(u, eps, ps, lp, grid))
     if not candidates:
         raise ValidationError("no bubble seed is resolvable on this grid")
     # highest value wins; exact ties resolved toward the smallest seed
@@ -159,12 +157,12 @@ def _objective(u: Profile, lp: LogParams | None, ps: ParamSet) -> float:
     return sobolev_J0(u, ps) if lp is None else J(u, lp, ps)
 
 
-def _ascend(u, seed_eps, ps, lp, grid, max_iters) -> MaximizeResult:
+def _ascend(u, seed_eps, ps, lp, grid) -> MaximizeResult:
     value = _objective(u, lp, ps)
     step = 0.25
     iterations = 0
     converged = False
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, 5001):
         direction = _grad_J_values(u, lp, ps)
         scale = float(np.sqrt(np.einsum("i,i->", direction, direction)))
         if scale == 0.0:
@@ -201,14 +199,13 @@ class BubbleBound:
     table: tuple[tuple[float, float], ...]
 
 
-def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid,
-                       r0: float = 0.2) -> BubbleBound:
+def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid) -> BubbleBound:
     """Best J over normalized cutoff bubbles; a certified lower bound for F."""
     dc = derived_constants(ps)
     a_hat = bliss.compute_S(dc).a_hat
     rows = []
     for eps in eps_list:
-        u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, r0), grid, dc)
+        u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
         rows.append((float(eps), J(normalize(u, ps), lp, ps)))
     best_eps, best_val = max(rows, key=lambda t: (t[1], -t[0]))
     return BubbleBound(best_value=best_val, best_epsilon=best_eps, table=tuple(rows))
@@ -251,12 +248,12 @@ class NCSReport:
         return self.normalized_ok and self.tails_ok and self.lp_decreasing
 
 
-def ncs_check(profiles, ps: ParamSet, tail_tol: float = 1e-2) -> NCSReport:
+def ncs_check(profiles, ps: ParamSet) -> NCSReport:
     """Check the three defining properties of a concentrating family.
 
     Normalization holds to 1e-8; escape of the Dirichlet energy is checked
     at the cut radii 0.1, 0.3 and 0.5 (decreasing tails ending below
-    ``tail_tol``); weak convergence to 0 is surrogated by decreasing
+    1e-2); weak convergence to 0 is surrogated by decreasing
     L^p_theta norms.
     """
     if len(profiles) < 3:
@@ -269,13 +266,17 @@ def ncs_check(profiles, ps: ParamSet, tail_tol: float = 1e-2) -> NCSReport:
         t = tuple(tail_energy(u, ps, r0) for u in profiles)
         tails[float(r0)] = t
         mono = all(t[i + 1] <= t[i] for i in range(len(t) - 1))
-        tails_ok = tails_ok and mono and t[-1] < tail_tol
+        tails_ok = tails_ok and mono and t[-1] < 1e-2
     lp_norms = tuple(lq_norm(u, ps.p, ps.theta) for u in profiles)
     lp_decreasing = all(lp_norms[i + 1] < lp_norms[i] for i in range(len(lp_norms) - 1))
     return NCSReport(
         norms=norms, tails=tails, lp_theta_norms=lp_norms,
         normalized_ok=normalized_ok, tails_ok=tails_ok, lp_decreasing=lp_decreasing,
     )
+
+
+# allowance of the concentration level check over sigma_p
+LEVEL_TOLERANCE = 5e-3
 
 
 @dataclass(frozen=True)
@@ -288,20 +289,21 @@ class ConcentrationLevelReport:
 
 
 def concentration_level_check(profiles, lp: LogParams, ps: ParamSet, sigma_p: float,
-                              tolerance: float = 5e-3, tail_start: int = 0,
+                              tail_start: int = 0,
                               ncs_report: NCSReport | None = None) -> ConcentrationLevelReport:
-    """Compare the running max of J over the family tail against sigma_p.
+    """Compare the running max of J over the family tail against sigma_p
+    + ``LEVEL_TOLERANCE``.
 
     When an NCS report is supplied and fails, the bound is inapplicable and
     the check is reported as skipped.
     """
     j_values = tuple(J(u, lp, ps) for u in profiles)
+    bound = sigma_p + LEVEL_TOLERANCE
     if ncs_report is not None and not ncs_report.is_ncs:
-        return ConcentrationLevelReport(j_values, float("nan"), sigma_p + tolerance,
+        return ConcentrationLevelReport(j_values, float("nan"), bound,
                                         passed=False, skipped=True)
     tail = j_values[tail_start:]
     tail_max = max(tail) if tail else float("nan")
-    bound = sigma_p + tolerance
     return ConcentrationLevelReport(j_values, tail_max, bound,
                                     passed=bool(tail and tail_max <= bound), skipped=False)
 

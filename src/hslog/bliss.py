@@ -7,7 +7,8 @@ The scale-eps profile is
 whose critical and gradient integrals over (0, inf) share the common value
 S^((theta+1)/(theta-alpha1+p)), written S_power below.  Truncations to the
 unit interval ("bubbles") use a C^2 quintic plateau cutoff: identically 1
-on (0, r0], identically 0 on [2 r0, 1].
+on (0, r0], identically 0 on [2 r0, 1].  The plateau edge is r0 = ``R0`` =
+0.2 everywhere except where a ``BubbleSpec`` sets another.
 
 Norm deviations of the bubbles from S_power are computed as integrals of
 *differences* over the cutoff region plus an exact tail: the integrands
@@ -33,6 +34,8 @@ from hslog.params import (
 from hslog.radial import Grid, Profile, weighted_integral_between
 from hslog.functionals import LogParams, log_factor_nodes
 
+R0 = 0.2
+
 
 def cutoff_eta(r: np.ndarray, r0: float) -> np.ndarray:
     """Quintic smoothstep plateau: 1 on (0, r0], 0 on [2 r0, 1], C^2."""
@@ -54,7 +57,7 @@ class BubbleSpec:
 
     epsilon: float
     a_hat: float = 1.0
-    r0: float = 0.2
+    r0: float = R0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -116,10 +119,10 @@ def bubble_profile(spec: BubbleSpec, grid: Grid, dc: DerivedConstants) -> Profil
     return Profile(grid, vals)
 
 
-def _quad_full_line(f, split: float = 1.0) -> float:
-    """integral_0^inf f, split at ``split`` with an inverted tail map."""
-    head, err1 = quad(f, 0.0, split, limit=400, epsabs=1e-12, epsrel=1e-12)
-    tail, err2 = quad(lambda v: f(split / v) * split / v**2, 1e-14, 1.0, limit=400,
+def _quad_full_line(f) -> float:
+    """integral_0^inf f, split at 1 with the tail mapped by r = 1/v."""
+    head, err1 = quad(f, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-12)
+    tail, err2 = quad(lambda v: f(1.0 / v) / v**2, 1e-14, 1.0, limit=400,
                       epsabs=1e-12, epsrel=1e-12)
     # the reported estimates are conservative; an order below the 1e-6
     # agreement contract still leaves real margin
@@ -158,62 +161,62 @@ def compute_S(dc: DerivedConstants) -> ConstantsReport:
 # --- norm deviation scan ---------------------------------------------------
 
 
-def _check_deviation_error(norm: str, eps: float, r0: float, dev: float,
-                           err_core: float, err_tail: float) -> None:
+def _check_deviation_error(norm: str, eps: float, dev: float, err_core: float,
+                           err_tail: float) -> None:
     """The rate fits rest on deviations near eps^(s p*); quad's own error
     estimates must stay three orders below the deviation they produce."""
     if err_core + err_tail > 1e-3 * abs(dev):
         raise NumericalError(
-            f"{norm} deviation quadrature at eps={eps:g}, r0={r0:g} did not converge: "
+            f"{norm} deviation quadrature at eps={eps:g}, r0={R0:g} did not converge: "
             f"error estimates {err_core:.3e} on the cutoff region [r0, 2 r0] and "
             f"{err_tail:.3e} on the tail (2 r0, inf) against |deviation| {abs(dev):.3e}"
         )
 
 
-def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2) -> float:
+def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants) -> float:
     """||u_eps||^p - S_power for amplitude 1, via cutoff-region difference + tail."""
     ps = dc.params
 
     def diff(r):
         u = bliss_value(eps, r, dc)
         du = bliss_deriv(eps, r, dc)
-        eta = float(cutoff_eta(r, r0))
-        etap = float(cutoff_eta_prime(r, r0))
+        eta = float(cutoff_eta(r, R0))
+        etap = float(cutoff_eta_prime(r, R0))
         return r**ps.alpha1 * (abs(etap * u + eta * du) ** ps.p - abs(du) ** ps.p)
 
     def tail(v):
-        r = 2.0 * r0 / v
-        return r**ps.alpha1 * abs(bliss_deriv(eps, r, dc)) ** ps.p * 2.0 * r0 / v**2
+        r = 2.0 * R0 / v
+        return r**ps.alpha1 * abs(bliss_deriv(eps, r, dc)) ** ps.p * 2.0 * R0 / v**2
 
-    core, err_core = quad(diff, r0, 2.0 * r0, limit=200)
+    core, err_core = quad(diff, R0, 2.0 * R0, limit=200)
     tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
     dev = core - tl
-    _check_deviation_error("Dirichlet", eps, r0, dev, err_core, err_tail)
+    _check_deviation_error("Dirichlet", eps, dev, err_core, err_tail)
     return dev
 
 
-def bubble_lpstar_deviation(eps: float, dc: DerivedConstants, r0: float = 0.2) -> float:
+def bubble_lpstar_deviation(eps: float, dc: DerivedConstants) -> float:
     """||u_eps||^p*_{L^p*_theta} - S_power for amplitude 1 (always negative)."""
     ps = dc.params
     p_star = critical_exponent(ps)
 
     def missing(r):
         u = bliss_value(eps, r, dc)
-        eta = float(cutoff_eta(r, r0))
+        eta = float(cutoff_eta(r, R0))
         return r**ps.theta * u**p_star * (1.0 - eta**p_star)
 
     def tail(v):
-        r = 2.0 * r0 / v
-        return r**ps.theta * bliss_value(eps, r, dc) ** p_star * 2.0 * r0 / v**2
+        r = 2.0 * R0 / v
+        return r**ps.theta * bliss_value(eps, r, dc) ** p_star * 2.0 * R0 / v**2
 
-    core, err_core = quad(missing, r0, 2.0 * r0, limit=200)
+    core, err_core = quad(missing, R0, 2.0 * R0, limit=200)
     tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
     dev = -(core + tl)
-    _check_deviation_error("L^p*", eps, r0, dev, err_core, err_tail)
+    _check_deviation_error("L^p*", eps, dev, err_core, err_tail)
     return dev
 
 
-def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2):
+def bubble_norm_scan(eps_list, dc: DerivedConstants):
     """Fit the decay exponents of both norm deviations over an eps scan.
 
     Returns (rate table for |Dirichlet deviation|, rate table for |L^p*
@@ -222,8 +225,8 @@ def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2):
     from hslog.analysis import rate_fit  # local import, analysis sits above bliss
 
     eps_arr = sorted((float(e) for e in eps_list), reverse=True)
-    dev_d = [abs(bubble_dirichlet_deviation(e, dc, r0)) for e in eps_arr]
-    dev_l = [abs(bubble_lpstar_deviation(e, dc, r0)) for e in eps_arr]
+    dev_d = [abs(bubble_dirichlet_deviation(e, dc)) for e in eps_arr]
+    dev_l = [abs(bubble_lpstar_deviation(e, dc)) for e in eps_arr]
     table_d = rate_fit(list(zip(eps_arr, dev_d)), model="pure-power")
     table_l = rate_fit(list(zip(eps_arr, dev_l)), model="pure-power")
     return table_d, table_l
@@ -232,15 +235,14 @@ def bubble_norm_scan(eps_list, dc: DerivedConstants, r0: float = 0.2):
 # --- the concentration functional ------------------------------------------
 
 
-def concentration_E(a: float, b: float, u_eps: Profile, t: float, lp: LogParams,
-                    ps: ParamSet) -> float:
-    """E_t(a, b) = int_a^b r^th |u|^p* (|ln(tau + t|u|)|^(r^beta) - 1) dr.
+def concentration_E(a: float, b: float, u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
+    """E(a, b) = int_a^b r^th |u|^p* (|ln(tau + |u|)|^(r^beta) - 1) dr.
 
     Exact moments per cell make the value additive over interval splits.
     """
     if not 0 <= a < b <= 1:
         raise ValidationError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
     p_star = critical_exponent(ps)
-    lf = log_factor_nodes(u_eps.grid.node_power(lp.beta), t * u_eps.values, lp)
+    lf = log_factor_nodes(u_eps.grid.node_power(lp.beta), u_eps.values, lp)
     f = np.abs(u_eps.values) ** p_star * (lf - 1.0)
     return weighted_integral_between(u_eps.grid, f, ps.theta, a, b)

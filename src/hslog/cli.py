@@ -54,7 +54,6 @@ class RunConfig:
     beta: float = 0.5
     grid_m: int = 2000
     grid_gamma: float = 3.0
-    r0: float = 0.2
     epsilon_list: tuple = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)
     beta_list: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)
     mp_epsilon_list: tuple = (1e-3, 1e-4, 1e-5)
@@ -136,8 +135,7 @@ def cmd_maximize(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     grid = cfg.grid()
     rep = bliss.compute_S(derived_constants(ps))
-    res = analysis.maximize_F(ps, cfg.log_params(), grid, eps_seeds=cfg.epsilon_list,
-                              r0=cfg.r0)
+    res = analysis.maximize_F(ps, cfg.log_params(), grid, eps_seeds=cfg.epsilon_list)
     rows = [
         ("value", res.value), ("sigma_p", rep.sigma_p),
         ("gap_to_sigma", res.value - rep.sigma_p),
@@ -157,7 +155,7 @@ def cmd_maximize(cfg: RunConfig, out: Path) -> int:
 def _beta_sweep_rows(cfg: RunConfig, out: Path) -> list:
     """(beta, F_hat, gap_to_sigma) per beta, written to beta_sweep.csv."""
     rows = analysis.beta_sweep(cfg.param_set(), cfg.tau, cfg.beta_list, cfg.grid(),
-                               eps_seeds=cfg.epsilon_list, r0=cfg.r0)
+                               eps_seeds=cfg.epsilon_list)
     write_csv(out / "beta_sweep.csv", "beta,F_hat,gap_to_sigma", rows)
     return rows
 
@@ -173,7 +171,7 @@ def cmd_rates(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     dc = derived_constants(ps)
     grid = cfg.grid()
-    table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, dc, r0=cfg.r0)
+    table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, dc)
     for name, table in (("dirichlet", table_d), ("lpstar", table_l)):
         write_csv(out / f"rates_{name}.csv", "epsilon,value,model,fitted_exponent,residual",
                   [(e, v, table.model, table.fitted_exponent, table.fit_residual)
@@ -182,9 +180,8 @@ def cmd_rates(cfg: RunConfig, out: Path) -> int:
 
     e_rows = []
     for eps in cfg.epsilon_list:
-        u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, cfg.r0), grid, dc)
-        e_rows.append((float(eps),
-                       bliss.concentration_E(0.0, 1.0, u, 1.0, cfg.log_params(), ps)))
+        u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
+        e_rows.append((float(eps), bliss.concentration_E(0.0, 1.0, u, cfg.log_params(), ps)))
     table_e = analysis.rate_fit(e_rows, model="power-times-loglog")
     write_csv(out / "rates_concentration.csv", "epsilon,value,model,fitted_exponent,residual",
               [(e, v, table_e.model, table_e.fitted_exponent, table_e.fit_residual)
@@ -209,7 +206,7 @@ def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
     # the level bound is a small-scale statement; fat bubbles sit above it
     rows = []
     for eps in cfg.mp_epsilon_list:
-        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, cfg.r0), lp, ps, grid)
+        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps), lp, ps, grid)
         rows.append((float(eps), mp.max_energy, mp.threshold, mp.gap))
     write_csv(out / "mp_gap.csv", "epsilon,max_I,threshold,gap", rows)
     return rows
@@ -225,7 +222,7 @@ def cmd_mp_gap(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _auto_bracket(lp, ps, tol_scan=1e-8):
+def _auto_bracket(lp, ps):
     """Scan amplitude decades for a sign change of u(1; a)."""
     amps = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 300.0)
     prev_a, prev_v = None, None
@@ -276,22 +273,19 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid()
     lp = cfg.log_params()
     dc = derived_constants(ps)
-    res = analysis.maximize_F(ps, lp, grid, eps_seeds=cfg.epsilon_list, r0=cfg.r0)
-    p_star = critical_exponent(ps)
-    # 1.06 leaves headroom over the 1.05 safety floor after the p*-th root
-    lambda0 = (1.06 * res.value) ** (1.0 / p_star)
+    res = analysis.maximize_F(ps, lp, grid, eps_seeds=cfg.epsilon_list)
     rng = np.random.default_rng(cfg.seed)
     profiles = [analysis.random_smooth_profile(grid, rng)
                 for _ in range(cfg.n_random_profiles)]
     a_hat = bliss.compute_S(dc).a_hat
-    profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, cfg.r0), grid, dc)
+    profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
                  for eps in cfg.epsilon_list]
-    report = orlicz.embedding_check(profiles, lp, ps, lambda0, f_hat=res.value)
+    report = orlicz.embedding_check(profiles, lp, ps, res.value)
     write_csv(out / "orlicz.csv", "profile_id,luxemburg,dirichlet,ratio,pass",
               [(r.profile_id, r.luxemburg, r.dirichlet, r.ratio, r.passed)
                for r in report.rows])
     print(f"embedding check: {'PASS' if report.all_passed else 'FAIL'} "
-          f"({len(report.rows)} profiles, lambda0 = {fmt(lambda0)})")
+          f"({len(report.rows)} profiles, lambda0 = {fmt(report.lambda0)})")
     return EXIT_OK if report.all_passed else EXIT_NUMERICAL
 
 
@@ -301,8 +295,7 @@ def cmd_ncs(cfg: RunConfig, out: Path) -> int:
     dc = derived_constants(ps)
     rep = bliss.compute_S(dc)
     eps_family = sorted(cfg.epsilon_list, reverse=True)
-    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, rep.a_hat, cfg.r0), grid, dc),
-                        ps)
+    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, rep.a_hat), grid, dc), ps)
               for e in eps_family]
     ncs = analysis.ncs_check(family, ps)
     # the level bound is read on the eps <= 1e-3 tail of the family
@@ -333,7 +326,7 @@ def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
                        f"rel disagreement {fmt(rep.rel_disagreement)}"))
 
     def run_rates():
-        table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, dc, r0=cfg.r0)
+        table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, dc)
         sp = dc.s * ps.p
         spstar = dc.s * critical_exponent(ps)
         checks.append(("dirichlet-deviation-rate",

@@ -91,16 +91,14 @@ class ConvexityReport:
         return self.second_differences_ok and self.phi_ok
 
 
-def convexity_check(spec: GammaSpec, t_lo: float = 1e-6, t_hi: float = 1e6) -> ConvexityReport:
-    """Certify convexity on a 481-point log grid spanning >= 10 decades.
+def convexity_check(spec: GammaSpec) -> ConvexityReport:
+    """Certify convexity on a 481-point log grid over [1e-6, 1e6].
 
     Second divided differences must exceed -1e-12 * scale, with the local
     curvature magnitude as scale; Phi_tau must stay above its exact lower
     bound a(a-1) + b(a+b-1).
     """
-    if math.log10(t_hi / t_lo) < 10:
-        raise ValidationError("convexity grid must span at least 10 decades")
-    t = np.exp(np.linspace(math.log(t_lo), math.log(t_hi), 481))
+    t = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 481))
     f = gamma_value(t, spec)
     tm, t0, tp = t[:-2], t[1:-1], t[2:]
     fm, f0, fp = f[:-2], f[1:-1], f[2:]
@@ -182,20 +180,14 @@ class EmbeddingReport:
         return all(r.passed for r in self.rows)
 
 
-def embedding_check(profiles, lp: LogParams, ps: ParamSet, lambda0: float,
-                    f_hat: float | None = None) -> EmbeddingReport:
+def embedding_check(profiles, lp: LogParams, ps: ParamSet, f_hat: float) -> EmbeddingReport:
     """Verify ||u||_Luxemburg <= lambda0 ||u|| on a profile set.
 
-    Callers choose lambda0 with lambda0^p* >= 1.05 * (computed lower bound
-    for the constrained supremum); pass ``f_hat`` to have that precondition
-    enforced here.
+    f_hat is the computed lower bound for the constrained supremum, and
+    lambda0 = (1.06 f_hat)^(1/p*): the 1.06 leaves headroom over the 1.05
+    safety floor after the p*-th root.  The report carries lambda0.
     """
-    if f_hat is not None:
-        p_star = critical_exponent(ps)
-        if lambda0**p_star < 1.05 * f_hat:
-            raise ValidationError(
-                f"lambda0^p* = {lambda0**p_star:.6g} below 1.05 * F_hat = {1.05 * f_hat:.6g}"
-            )
+    lambda0 = (1.06 * f_hat) ** (1.0 / critical_exponent(ps))
     rows = []
     for i, u in enumerate(profiles):
         lux = luxemburg_norm(u, lp, ps)

@@ -131,11 +131,11 @@ def identity_residuals(dc: DerivedConstants) -> tuple[float, ...]:
     )
 
 
-def check_identities(dc: DerivedConstants, tol: float = 1e-12) -> IdentityReport:
-    """Report the worst identity residual; passes iff it is below ``tol``."""
+def check_identities(dc: DerivedConstants) -> IdentityReport:
+    """Report the worst identity residual; passes iff it is below 1e-12."""
     res = identity_residuals(dc)
     worst = max(res)
-    return IdentityReport(residuals=res, max_residual=worst, passed=worst < tol)
+    return IdentityReport(residuals=res, max_residual=worst, passed=worst < 1e-12)
 
 
 def bracket_decreasing(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,

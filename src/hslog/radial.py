@@ -38,7 +38,6 @@ class Grid:
     """
 
     nodes: np.ndarray
-    gamma: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -138,7 +137,7 @@ def make_grid(m: int, gamma: float) -> Grid:
     if gamma < 1:
         raise ValidationError(f"grading exponent must be >= 1, got {gamma}")
     i = np.arange(1, m + 1, dtype=float)
-    return Grid(nodes=(i / m) ** gamma, gamma=float(gamma))
+    return Grid(nodes=(i / m) ** gamma)
 
 
 def weighted_integral(grid: Grid, f: np.ndarray, w: float) -> float:
@@ -256,7 +255,7 @@ def profile_to_csv(u: Profile) -> str:
     return buf.getvalue()
 
 
-def profile_from_csv(text: str, gamma: float = 1.0) -> Profile:
+def profile_from_csv(text: str) -> Profile:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0].replace(" ", "") != CSV_HEADER:
         raise ValidationError(f"profile CSV must start with header '{CSV_HEADER}'")
@@ -269,4 +268,4 @@ def profile_from_csv(text: str, gamma: float = 1.0) -> Profile:
     if r.size < 2 or np.any(np.diff(r) <= 0) or r[0] <= 0 or abs(r[-1] - 1.0) > 1e-9:
         raise ValidationError("profile CSV nodes must be strictly increasing in (0, 1]")
     r[-1] = 1.0
-    return Profile(Grid(nodes=r, gamma=gamma), v)
+    return Profile(Grid(nodes=r), v)

@@ -25,6 +25,7 @@ import pytest
 
 from hslog import bliss
 from hslog.analysis import (
+    LEVEL_TOLERANCE,
     beta_sweep,
     bubble_lower_bound,
     concentration_level_check,
@@ -82,7 +83,7 @@ def maximizer(grid):
 
 @pytest.fixture(scope="module")
 def bvp_solution():
-    return shoot(LogParams(1.0, 0.5), P0, (20.0, 50.0), make_grid(2000, 3.0), tol=1e-8)
+    return shoot(LogParams(1.0, 0.5), P0, (20.0, 50.0), make_grid(2000, 3.0))
 
 
 def test_criterion_1_extremal_integral_identity(report):
@@ -115,7 +116,7 @@ def test_criterion_2_best_constant(report):
 
 def test_criterion_3_bubble_norm_rates():
     eps_list = (1e-2, 1e-3, 1e-4, 1e-5)
-    table_d, table_l = bliss.bubble_norm_scan(eps_list, DC0, r0=0.2)
+    table_d, table_l = bliss.bubble_norm_scan(eps_list, DC0)
     ok_d = abs(table_d.fitted_exponent - 1.0) <= 0.10 * 1.0
     ok_l = abs(table_l.fitted_exponent - 3.0) <= 0.15 * 3.0
     assert verdict("3", ok_d and ok_l,
@@ -155,7 +156,7 @@ def test_criterion_6_concentration_rate(grid):
         rows = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), grid, DC0)
-            rows.append((eps, bliss.concentration_E(0.0, 1.0, u, 1.0, lp, P0)))
+            rows.append((eps, bliss.concentration_E(0.0, 1.0, u, lp, P0)))
         table = rate_fit(rows, model="power-times-loglog")
         results[beta] = table.fitted_exponent
         ok = ok and abs(table.fitted_exponent - beta) <= 0.15 * beta
@@ -210,7 +211,7 @@ def test_criterion_7b_level_gap_rate(grid):
 
 
 def test_criterion_8_bvp(bvp_solution):
-    fine = shoot(LogParams(1.0, 0.5), P0, (20.0, 50.0), make_grid(4000, 3.0), tol=1e-8)
+    fine = shoot(LogParams(1.0, 0.5), P0, (20.0, 50.0), make_grid(4000, 3.0))
     halves = fine.weak_residual <= 0.5 * bvp_solution.weak_residual
     ok = (bvp_solution.boundary_residual < 1e-8
           and bvp_solution.positive_inside
@@ -237,7 +238,7 @@ def test_criterion_10_orlicz(grid, report, maximizer):
     ok = True
     details = []
     for spec in (GammaSpec(6, 1, 1.0), GammaSpec(7.5, 0.5, 2.0)):
-        rep = convexity_check(spec, t_lo=1e-6, t_hi=1e6)
+        rep = convexity_check(spec)
         ok = ok and rep.convex
         details.append(f"Gamma({spec.a:g},{spec.b:g},{spec.tau:g}) convex={rep.convex}")
 
@@ -251,12 +252,11 @@ def test_criterion_10_orlicz(grid, report, maximizer):
     ok = ok and hom_err < 1e-10
     details.append(f"modular residual {residual:.1e}; homogeneity {hom_err:.1e}")
 
-    lambda0 = (1.06 * maximizer.value) ** (1.0 / 6.0)
     profiles = [random_smooth_profile(grid, rng) for _ in range(100)]
     a_hat = report.a_hat
     profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), grid, DC0)
                  for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
-    emb = embedding_check(profiles, lp, P0, lambda0, f_hat=maximizer.value)
+    emb = embedding_check(profiles, lp, P0, maximizer.value)
     ok = ok and emb.all_passed
     details.append(f"embedding {len(profiles)} profiles all_passed={emb.all_passed}")
     assert verdict("10", ok, "; ".join(details))
@@ -298,10 +298,10 @@ def test_criterion_12a_concentration_level_tau_one(grid, report):
     eps_family, family = _ncs_family(grid, report)
     ncs = ncs_check(family, P0)
     tail_start = eps_family.index(1e-3)
-    tolerance = 5e-3
+    tolerance = LEVEL_TOLERANCE
+    assert tolerance == 5e-3
     lp = LogParams(1.0, 0.5)
-    level = concentration_level_check(family, lp, P0, report.sigma_p,
-                                      tolerance=tolerance, tail_start=tail_start,
+    level = concentration_level_check(family, lp, P0, report.sigma_p, tail_start=tail_start,
                                       ncs_report=ncs)
     eps = np.array(eps_family[tail_start:])
     excess = np.array(level.j_values[tail_start:]) - report.sigma_p
@@ -322,8 +322,7 @@ def test_criterion_12b_concentration_level_tau_e(grid, report):
     ncs = ncs_check(family, P0)
     tail_start = eps_family.index(1e-3)
     level = concentration_level_check(family, LogParams(math.e, 1.0), P0, report.sigma_p,
-                                      tolerance=5e-3, tail_start=tail_start,
-                                      ncs_report=ncs)
+                                      tail_start=tail_start, ncs_report=ncs)
     ok = ncs.is_ncs and not level.skipped and level.passed
     assert verdict("12b", ok,
                    f"(tau,beta)=(e,1): tail max J = {level.tail_max:.6f} vs bound "

@@ -90,7 +90,7 @@ class TestMaximizer:
         assert a.seed_epsilon == b.seed_epsilon
 
     def test_monotone_in_tau(self, grid):
-        values = [maximize_F(P0, LogParams(tau, 0.5), grid, max_iters=500).value
+        values = [maximize_F(P0, LogParams(tau, 0.5), grid).value
                   for tau in (1.0, math.e, 10.0)]
         assert values[0] <= values[1] <= values[2]
 
@@ -192,8 +192,7 @@ class TestConcentrationLevel:
         family = _bubble_family(grid, (1e-2, 1e-3, 1e-4, 1e-5))
         ncs = ncs_check(family, P0)
         level = concentration_level_check(family, LogParams(math.e, 1.0), P0,
-                                          report.sigma_p, tolerance=5e-3,
-                                          tail_start=1, ncs_report=ncs)
+                                          report.sigma_p, tail_start=1, ncs_report=ncs)
         assert not level.skipped
         assert level.passed
 

@@ -103,7 +103,7 @@ class TestComputeS:
 class TestNormScan:
     def test_fitted_exponents(self):
         eps_list = (1e-2, 1e-3, 1e-4, 1e-5)
-        table_d, table_l = bliss.bubble_norm_scan(eps_list, DC0, r0=0.2)
+        table_d, table_l = bliss.bubble_norm_scan(eps_list, DC0)
         assert abs(table_d.fitted_exponent - 1.0) <= 0.10
         assert abs(table_l.fitted_exponent - 3.0) <= 0.45
         # deviations positive and decreasing as eps shrinks
@@ -114,9 +114,9 @@ class TestNormScan:
 
     def test_dirichlet_deviation_sign(self):
         # the cutoff adds more gradient than the tail removes
-        assert bliss.bubble_dirichlet_deviation(1e-3, DC0, 0.2) > 0
+        assert bliss.bubble_dirichlet_deviation(1e-3, DC0) > 0
         # truncation only loses critical-integral mass
-        assert bliss.bubble_lpstar_deviation(1e-3, DC0, 0.2) < 0
+        assert bliss.bubble_lpstar_deviation(1e-3, DC0) < 0
 
     @pytest.mark.parametrize("deviation", [bliss.bubble_dirichlet_deviation,
                                            bliss.bubble_lpstar_deviation])
@@ -125,7 +125,7 @@ class TestNormScan:
         monkeypatch.setattr(bliss, "quad",
                             lambda *a, **k: (real_quad(*a, **k)[0], 1e-3))
         with pytest.raises(NumericalError, match=r"eps=0\.001, r0=0\.2"):
-            deviation(1e-3, DC0, 0.2)
+            deviation(1e-3, DC0)
 
 
 class TestConcentrationFunctional:
@@ -135,21 +135,21 @@ class TestConcentrationFunctional:
         g = make_grid(1000, 3.0)
         u = bliss.bubble_profile(bliss.BubbleSpec(1e-3, 1.0, 0.2), g, DC0)
         # support ends at 2 r0 = 0.4
-        assert bliss.concentration_E(0.5, 1.0, u, 1.0, self.LP, P0) == 0.0
+        assert bliss.concentration_E(0.5, 1.0, u, self.LP, P0) == 0.0
 
     def test_unit_log_region_contributes_nothing(self):
         g = make_grid(256, 1.0)
         u = Profile(g, np.full(g.m, math.e - 1.0))
-        assert bliss.concentration_E(0.2, 0.8, u, 1.0, self.LP, P0) == pytest.approx(
+        assert bliss.concentration_E(0.2, 0.8, u, self.LP, P0) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_three_way_additivity(self):
         g = make_grid(2000, 3.0)
         u = bliss.bubble_profile(bliss.BubbleSpec(1e-3, 1.0, 0.2), g, DC0)
-        parts = (bliss.concentration_E(0.0, 3e-3, u, 1.0, self.LP, P0)
-                 + bliss.concentration_E(3e-3, 0.15, u, 1.0, self.LP, P0)
-                 + bliss.concentration_E(0.15, 1.0, u, 1.0, self.LP, P0))
-        whole = bliss.concentration_E(0.0, 1.0, u, 1.0, self.LP, P0)
+        parts = (bliss.concentration_E(0.0, 3e-3, u, self.LP, P0)
+                 + bliss.concentration_E(3e-3, 0.15, u, self.LP, P0)
+                 + bliss.concentration_E(0.15, 1.0, u, self.LP, P0))
+        whole = bliss.concentration_E(0.0, 1.0, u, self.LP, P0)
         assert abs(whole - parts) < 1e-12
 
     def test_grows_like_the_lower_bound(self):
@@ -159,7 +159,7 @@ class TestConcentrationFunctional:
         rows = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             u = bliss.bubble_profile(bliss.BubbleSpec(eps, 1.0, 0.2), g, DC0)
-            rows.append((eps, bliss.concentration_E(0.0, 1.0, u, 1.0, self.LP, P0)))
+            rows.append((eps, bliss.concentration_E(0.0, 1.0, u, self.LP, P0)))
         table = rate_fit(rows, model="power-times-loglog")
         assert all(v > 0 for v in table.ordinates)
         assert abs(table.fitted_exponent - 0.5) <= 0.15 * 0.5

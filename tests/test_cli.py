@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,24 @@ class TestConfig:
         path.write_text("# comment\n\np = 3  # trailing\nalpha1 = 4\nalpha0 = 2\ntheta = 4\n")
         cfg = parse_config(str(path))
         assert cfg.p == 3.0
+
+    def test_readme_configs_parse(self, tmp_path):
+        # the config block of README.md and its four-line p1.cfg
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = next(b for b in readme.split("```")[1::2] if "grid_gamma" in b)
+        run_cfg, p1_cfg = tmp_path / "run.cfg", tmp_path / "p1.cfg"
+        run_cfg.write_text(block)
+        p1_cfg.write_text("p = 3\nalpha0 = 2\nalpha1 = 4\ntheta = 4\n")
+        assert parse_config(str(run_cfg)) == replace(RunConfig(), shoot_bracket=(20.0, 50.0))
+        p1 = parse_config(str(p1_cfg))
+        assert p1 == replace(RunConfig(), p=3.0, alpha1=4.0, theta=4.0)
+        p1.param_set()
+
+    def test_r0_is_not_a_key(self, tmp_path, capsys):
+        path = tmp_path / "r0.cfg"
+        path.write_text("p = 2\nr0 = 0.2\n")
+        assert main(["constants", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config key 'r0'" in capsys.readouterr().err
 
     def test_unparseable_value_is_fatal(self, tmp_path):
         path = tmp_path / "v.cfg"

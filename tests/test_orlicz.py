@@ -25,6 +25,7 @@ from hslog.params import (
     NumericalError,
     ValidationError,
     brent_root,
+    critical_exponent,
     derived_constants,
     validate_params,
 )
@@ -78,10 +79,6 @@ class TestConvexity:
         t = np.exp(np.linspace(-12, 12, 200))
         for tau in (1.0, 2.0, 10.0):
             assert np.all(h_tau(t, GammaSpec(2, 1, tau)) >= 1.0)
-
-    def test_narrow_grid_rejected(self):
-        with pytest.raises(ValidationError, match="decades"):
-            convexity_check(GammaSpec(6, 1, 1.0), t_lo=1e-2, t_hi=1e2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -222,21 +219,23 @@ class TestEmbedding:
         dc = derived_constants(P0)
         rep = bliss.compute_S(dc)
         res = maximize_F(P0, LP, grid, eps_seeds=(1e-2, 1e-3, 1e-4))
-        lambda0 = (1.06 * res.value) ** (1.0 / 6.0)
         rng = np.random.default_rng(8)
         profiles = [random_smooth_profile(grid, rng) for _ in range(30)]
         a_hat = rep.a_hat
         profiles += [bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, 0.2), grid, dc)
                      for e in (1e-2, 1e-3, 1e-4)]
-        report = embedding_check(profiles, LP, P0, lambda0, f_hat=res.value)
+        report = embedding_check(profiles, LP, P0, res.value)
         assert isinstance(report, EmbeddingReport)
         assert report.all_passed
 
     def test_zero_profile_passes_trivially(self, grid):
-        report = embedding_check([Profile(grid, np.zeros(grid.m))], LP, P0, 1.5)
+        report = embedding_check([Profile(grid, np.zeros(grid.m))], LP, P0, 1.0)
         assert report.all_passed
         assert report.rows[0].luxemburg == 0.0
 
-    def test_undersized_lambda0_rejected(self, grid):
-        with pytest.raises(ValidationError, match="1.05"):
-            embedding_check([], LP, P0, lambda0=0.9, f_hat=1.0)
+    @pytest.mark.parametrize("ps", [P0, validate_params(3, 2, 4, 4)])
+    @pytest.mark.parametrize("f_hat", [0.96, 1.0013, 2.5])
+    def test_lambda0_derived_from_f_hat(self, ps, f_hat):
+        report = embedding_check([], LP, ps, f_hat)
+        assert report.lambda0 == (1.06 * f_hat) ** (1 / critical_exponent(ps))
+        assert report.lambda0 ** critical_exponent(ps) >= 1.05 * f_hat

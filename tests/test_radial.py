@@ -167,12 +167,14 @@ class TestProfile:
         g = make_grid(64, 1.0)
         vals = np.linspace(-3e10, 1e10, g.m)
         u = Profile(g, vals)
-        with pytest.raises(ValidationError, match="not finite"):
+        with (pytest.raises(ValidationError, match="not finite"),
+              pytest.warns(RuntimeWarning, match="overflow")):
             u.scaled(1e300)
         for c in (math.inf, math.nan):
             with pytest.raises(ValidationError, match="not finite"):
                 u.scaled(c)
-        with pytest.raises(ValidationError, match="not finite"):
+        with (pytest.raises(ValidationError, match="not finite"),
+              pytest.warns(RuntimeWarning, match="invalid value")):
             Profile(g, np.zeros(g.m)).scaled(math.inf)     # inf * 0 is nan
         # at the edge of the double range, rejected exactly when some c u_i overflows
         edge = np.finfo(float).max / 3e10
@@ -181,7 +183,8 @@ class TestProfile:
             with np.errstate(over="ignore"):
                 overflows = not np.all(np.isfinite(c * vals))
             if overflows:
-                with pytest.raises(ValidationError):
+                with (pytest.raises(ValidationError),
+                      pytest.warns(RuntimeWarning, match="overflow")):
                     u.scaled(c)
             else:
                 assert np.all(np.isfinite(u.scaled(c).values))

@@ -29,7 +29,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def solution(grid):
-    return shoot(LP, P0, BRACKET, grid, tol=1e-8)
+    return shoot(LP, P0, BRACKET, grid)
 
 
 class TestIvp:
@@ -70,7 +70,7 @@ class TestShoot:
 
     def test_weak_residual_halves_on_refinement(self, grid, solution):
         fine = make_grid(2 * grid.m, 3.0)
-        refined = shoot(LP, P0, BRACKET, fine, tol=1e-8)
+        refined = shoot(LP, P0, BRACKET, fine)
         assert refined.weak_residual <= 0.5 * solution.weak_residual
 
     def test_pointwise_bound_holds(self, solution):
@@ -78,18 +78,18 @@ class TestShoot:
 
     def test_no_sign_change_reported(self, grid):
         with pytest.raises(NumericalError, match="sign change"):
-            shoot(LP, P0, (0.0, 1e-6), grid, tol=1e-8)
+            shoot(LP, P0, (0.0, 1e-6), grid)
 
     def test_bracket_from_zero_never_shoots_zero(self, grid, solution, monkeypatch):
         shots = _record_shots(monkeypatch)
-        res = shoot(LP, P0, (0.0, 50.0), grid, tol=1e-8)
+        res = shoot(LP, P0, (0.0, 50.0), grid)
         assert res.amplitude == pytest.approx(solution.amplitude, rel=1e-12)
         assert 0.0 not in shots
         assert res.bisection_iterations == len(shots)
 
     def test_no_amplitude_shot_twice(self, grid, monkeypatch):
         shots = _record_shots(monkeypatch)
-        res = shoot(LP, P0, BRACKET, grid, tol=1e-8)
+        res = shoot(LP, P0, BRACKET, grid)
         assert shots[:2] == list(BRACKET)
         assert len(shots) == len(set(shots)) == res.bisection_iterations
 
@@ -98,7 +98,7 @@ class TestShoot:
         monkeypatch.setattr(shooting, "boundary_value",
                             lambda a, *args: 1.0 if a < 30.0 else -1.0)
         with pytest.raises(NumericalError, match=r"did not reach \|u\(1\)\| < 1e-08"):
-            shoot(LP, P0, BRACKET, grid, tol=1e-8)
+            shoot(LP, P0, BRACKET, grid)
 
     def test_r_min_robustness(self, solution):
         a = solution.amplitude
@@ -135,7 +135,7 @@ class TestOtherExponents:
         # start; the series bootstrap has to carry the first step
         ps = validate_params(3, 2, 4, 4)
         g = make_grid(1500, 3.0)
-        res = shoot(LP, ps, (30.0, 100.0), g, tol=1e-8)
+        res = shoot(LP, ps, (30.0, 100.0), g)
         assert res.boundary_residual < 1e-8
         assert res.positive_inside
         assert res.weak_residual < 1e-4
@@ -153,7 +153,7 @@ class TestWeakResidual:
         assert weak_residual(z, LP, P0) == 0.0
 
     def test_battery_composition(self, grid):
-        battery = weak_test_profiles(grid, 20)
+        battery = weak_test_profiles(grid)
         assert len(battery) == 20
         for v in battery:
             assert v.values[-1] == 0.0
