@@ -4,9 +4,14 @@ The maximizer runs projected gradient ascent on the unit Dirichlet sphere:
 the search direction is the L^2_theta representative of dJ (pointwise
 values, well scaled on graded meshes), steps are clipped to nonnegative
 values with the boundary node pinned at zero, renormalized, and accepted
-under Armijo backtracking.  Multi-start over bubble seeds keeps the best
-result with a deterministic tie-break, so permuting the seed order cannot
-change the answer.
+under Armijo backtracking.  The backtracking halves the step only while
+step * G stays at or above the convergence threshold 1e-10 max(|J|, 1),
+with G the first-order gain of the projected step.  Below it, every step
+still to be tried gains less than the threshold to first order, and so
+small a gain ends the ascent as converged anyway: the cut-off loses no
+accepted step that would have kept the ascent going.  Multi-start over
+bubble seeds keeps the best result with a deterministic tie-break, so
+permuting the seed order cannot change the answer.
 
 Rate fits are least squares in log-log coordinates, optionally dividing
 out a ln|ln eps| factor first ("power-times-loglog"), which is the model
@@ -31,7 +36,7 @@ from hslog.params import (
     critical_exponent,
     derived_constants,
 )
-from hslog.radial import Grid, Profile, dirichlet_norm, lq_norm, normalize
+from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing, lq_norm, normalize
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
 
@@ -132,7 +137,11 @@ def maximize_F(
     critical integral instead; that variant approaches sigma_p from below
     under mesh refinement.  The seeds are bubbles with the unit-norm
     amplitude of ``bliss.compute_S``; each ascent stops once a step gains
-    less than 1e-10 relative to the value, or after 5000 steps.
+    less than 1e-10 relative to the value, or after 5000 steps.  The line
+    search of a step stops halving once the step times the first-order gain
+    of the projected step falls below that threshold: no step it could
+    still accept would gain the threshold, to first order, so the ascent
+    ends there as converged instead of halving down to 1e-16.
     """
     dc = derived_constants(ps)
     a_hat = bliss.compute_S(dc).a_hat
@@ -157,6 +166,19 @@ def _objective(u: Profile, lp: LogParams | None, ps: ParamSet) -> float:
     return sobolev_J0(u, ps) if lp is None else J(u, lp, ps)
 
 
+def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: ParamSet) -> float:
+    """d/ds J(_project(u + s h)) at s = 0, for h = direction / scale and ||u|| = 1.
+
+    The direction is >= 0 wherever u >= 0 and vanishes where u does, so the
+    clip does not bind near s = 0, and the derivative is
+    d.h - (d.u) <u, h>: the gradient d = ``_grad_J_values`` along h (d.h is
+    the scale), minus the part the renormalization takes back, whose norm
+    derivative at ||u|| = 1 is the Dirichlet pairing <u, h>.
+    """
+    h = Profile(u.grid, direction / scale)
+    return scale - float(np.einsum("i,i->", direction, u.values)) * dirichlet_pairing(u, h, ps)
+
+
 def _ascend(u, seed_eps, ps, lp, grid) -> MaximizeResult:
     value = _objective(u, lp, ps)
     step = 0.25
@@ -168,8 +190,11 @@ def _ascend(u, seed_eps, ps, lp, grid) -> MaximizeResult:
         if scale == 0.0:
             converged = True
             break
+        floor = 1e-10 * max(abs(value), 1.0)
+        gain = _first_order_gain(u, direction, scale, ps)
         accepted = False
-        while step >= 1e-16:
+        # below the floor, no step left can gain the threshold, to first order
+        while step >= 1e-16 and step * gain >= floor:
             cand = _project(u.values + (step / scale) * direction, grid, ps)
             if cand is not None:
                 cand_val = _objective(cand, lp, ps)
@@ -183,7 +208,7 @@ def _ascend(u, seed_eps, ps, lp, grid) -> MaximizeResult:
         if not accepted:
             converged = True
             break
-        if improvement < 1e-10 * max(abs(value), 1.0):
+        if improvement < floor:
             converged = True
             break
     return MaximizeResult(

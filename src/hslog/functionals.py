@@ -47,7 +47,8 @@ from typing import Callable
 import numpy as np
 
 from hslog.params import ParamSet, ValidationError, critical_exponent
-from hslog.radial import _GL16_W, _GL16_X, Profile, dirichlet_norm, weighted_integral
+from hslog.radial import (_GL16_W, _GL16_X, Profile, dirichlet_norm, dirichlet_pairing,
+                          weighted_integral)
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,7 @@ def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet) -> float
     if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
         raise ValidationError("pairing requires profiles on the same grid")
     p_star = critical_exponent(ps)
-    moments = u.grid.cell_moments(ps.alpha1)
-    su, sv = u.slopes(), v.slopes()
-    term1 = float(np.sum(moments * np.sign(su) * np.abs(su) ** (ps.p - 1.0) * sv))
+    term1 = dirichlet_pairing(u, v, ps)
     source = _on_support(
         u, lambda w, e: np.sign(w) * np.abs(w) ** (p_star - 1.0) * log_factor_nodes(e, w, lp),
         u.grid.node_power(lp.beta))

@@ -192,6 +192,16 @@ def dirichlet_norm(u: Profile, ps: ParamSet) -> float:
     return float(np.sum(moments * np.abs(s) ** ps.p) ** (1.0 / ps.p))
 
 
+def dirichlet_pairing(u: Profile, v: Profile, ps: ParamSet) -> float:
+    """integral_0^1 r^alpha1 |u'|^(p-2) u' v' dr, exact for the discrete class.
+
+    It is the derivative of ||u + s v||^p / p at s = 0.
+    """
+    moments = u.grid.cell_moments(ps.alpha1)
+    su, sv = u.slopes(), v.slopes()
+    return float(np.sum(moments * np.sign(su) * np.abs(su) ** (ps.p - 1.0) * sv))
+
+
 def lq_norm(u: Profile, q: float, w: float) -> float:
     """Weighted Lebesgue norm (integral r^w |u|^q dr)^(1/q)."""
     if q < 1:

@@ -23,7 +23,7 @@ from hslog.analysis import (
     rate_fit,
     solve_t_eps,
 )
-from hslog.functionals import LogParams, J, energy_I
+from hslog.functionals import LogParams, J, energy_I, sobolev_J0
 from hslog.params import (
     NumericalError,
     ValidationError,
@@ -80,7 +80,10 @@ class TestMaximizer:
         res = maximize_F(P0, self.LP, grid)
         assert res.value >= report.sigma_p + 1e-3
         assert dirichlet_norm(res.profile, P0) == pytest.approx(1.0, abs=1e-10)
-        assert res.value == pytest.approx(J(res.profile, self.LP, P0), rel=1e-12)
+        # the value is J of the returned profile, bit for bit
+        assert res.value == J(res.profile, self.LP, P0)
+        unperturbed = maximize_F(P0, None, grid)
+        assert unperturbed.value == sobolev_J0(unperturbed.profile, P0)
 
     def test_seed_order_invariance(self, grid):
         seeds = (1e-2, 1e-3, 1e-4)
@@ -125,6 +128,83 @@ class TestMaximizer:
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
         assert all(v < report.sigma_p for v in values)
         assert report.sigma_p - values[-1] < 5e-3
+
+
+class TestAscentLineSearch:
+    """The line search stops once step times the first-order gain of the
+    projected step is below the convergence threshold."""
+
+    # (beta, seed eps) -> (iterations, converged, value) of each ascent on the
+    # README config at M = 2000, from the search that halves down to a step of
+    # 1e-16: stopping at the first-order floor must not change where it ends
+    PINNED = {
+        (0.5, 1e-2): (13, True, 0.7660962978371948),
+        (0.5, 3e-3): (12, True, 0.9183466759537422),
+        (0.5, 1e-3): (10, True, 0.9639346052910884),
+        (0.5, 3e-4): (8, True, 0.9738853348040657),
+        (0.5, 1e-4): (7, True, 0.9724568373413087),
+        (0.5, 1e-5): (3, True, 0.9674290436243778),
+        (1.0, 1e-2): (13, True, 0.7136824140395448),
+        (1.0, 3e-3): (11, True, 0.8704143245236686),
+        (1.0, 1e-3): (9, True, 0.9285155546756096),
+        (1.0, 3e-4): (7, True, 0.9509508469463561),
+        (1.0, 1e-4): (5, True, 0.9577169309651901),
+        (1.0, 1e-5): (1, True, 0.9619754089815613),
+        (16.0, 1e-2): (13, True, 0.7074965253051048),
+        (16.0, 3e-3): (11, True, 0.8673277825175153),
+        (16.0, 1e-3): (9, True, 0.9272154925042546),
+        (16.0, 3e-4): (7, True, 0.9504904702622622),
+        (16.0, 1e-4): (5, True, 0.957544861815125),
+        (16.0, 1e-5): (1, True, 0.9619551321026827),
+    }
+
+    @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4)])
+    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5)])
+    def test_gain_matches_central_difference(self, grid, pv, lp):
+        ps = validate_params(*pv)
+        dc = derived_constants(ps)
+        bubble = bliss.bubble_profile(bliss.BubbleSpec(1e-2, bliss.compute_S(dc).a_hat),
+                                      grid, dc)
+        u = analysis._project(bubble.values, grid, ps)
+        direction = _grad_J_values(u, lp, ps)
+        scale = float(np.sqrt(direction @ direction))
+        h = direction / scale
+
+        def f(s):
+            return analysis._objective(analysis._project(u.values + s * h, grid, ps), lp, ps)
+
+        s = 1e-3
+        gain = analysis._first_order_gain(u, direction, scale, ps)
+        assert (f(s) - f(-s)) / (2 * s) == pytest.approx(gain, rel=1e-7)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 16.0])
+    def test_outcome_pinned_and_budget(self, grid, beta, monkeypatch):
+        calls = [0]
+        ascents = []
+        objective, ascend = analysis._objective, analysis._ascend
+
+        def counted_objective(*args):
+            calls[0] += 1
+            return objective(*args)
+
+        def recorded_ascend(*args):
+            calls[0] = 0
+            res = ascend(*args)
+            ascents.append((res, calls[0]))
+            return res
+
+        monkeypatch.setattr(analysis, "_objective", counted_objective)
+        monkeypatch.setattr(analysis, "_ascend", recorded_ascend)
+        maximize_F(P0, LogParams(1.0, beta), grid)
+        assert len(ascents) == 6
+        for res, n_calls in ascents:
+            iterations, converged, value = self.PINNED[(beta, res.seed_epsilon)]
+            assert (res.iterations, res.converged) == (iterations, converged)
+            assert res.value <= value
+            assert res.value == pytest.approx(value, rel=1e-14, abs=0.0)
+            # the start value and a few trials per iteration; halving to a
+            # step of 1e-16 takes some 40 in the last iteration alone
+            assert n_calls <= 3 * res.iterations + 1
 
 
 class TestBubbleLowerBound:
