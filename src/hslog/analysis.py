@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog import bliss
-from hslog.functionals import (LogParams, J, RayTerms, _on_support, energy_I, ray_sum,
-                               ray_terms, sobolev_J0)
+from hslog.functionals import LogParams, J, JNodes, RayTerms, energy_I, ray_sum, ray_terms
 from hslog.params import (
     NumericalError,
     ParamSet,
@@ -91,34 +90,48 @@ class MaximizeResult:
 def _grad_J_values(u: Profile, lp: LogParams | None, ps: ParamSet) -> np.ndarray:
     """Gradient of J with respect to the nodal values (weights folded in).
 
-    ``lp = None`` selects the unperturbed objective (log factor off).
+    ``lp = None`` selects the unperturbed objective (log factor off).  It is
+    ``JNodes.gradient`` after an evaluation of J at u, the pair the ascent
+    reads from one evaluation.
     """
-    p_star = critical_exponent(ps)
-    q = u.grid.quad_weights(ps.theta)
-    if lp is None:
-        return q * _on_support(u, lambda v: np.where(v > 0.0, p_star * v ** (p_star - 1.0), 0.0))
-
-    def kernel(v, e):
-        x = np.log(lp.tau + v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = p_star * v ** (p_star - 1.0) * x**e + v**p_star * e * x ** (e - 1.0) / (
-                lp.tau + v
-            )
-        return np.where((v > 0.0) & (x > 0.0), grad, 0.0)
-
-    return q * _on_support(u, kernel, u.grid.node_power(lp.beta))
+    nodes = JNodes(u.grid.m)
+    J(u, lp, ps, nodes)
+    return nodes.gradient(np.empty(u.grid.m))
 
 
-def _project(vals: np.ndarray, grid: Grid, ps: ParamSet) -> Profile | None:
-    """The nonnegative part of vals, pinned to 0 at r = 1, on the unit sphere."""
-    vals = np.maximum(vals, 0.0)
+class _AscentWork:
+    """The arrays the ascent writes in place, made once per ``maximize_F``.
+
+    ``at_u`` and ``at_cand`` hold J's nodal factors at the iterate and at
+    the candidate, ``spare`` takes the next candidate's values,
+    ``direction`` and ``h`` the gradient and its unit multiple, and
+    ``cells`` the per-cell terms of the Dirichlet norm and pairing.  With
+    them no step allocates a grid-length float array: on a 16000-node grid
+    such an array is 128000 bytes, under glibc's default 128 KiB trim
+    threshold, so freeing it can hand the heap top back to the system and
+    the next one faults its pages in again.
+    """
+
+    def __init__(self, m: int):
+        self.at_u, self.at_cand = JNodes(m), JNodes(m)
+        self.spare, self.direction, self.h = np.empty(m), np.empty(m), np.empty(m)
+        self.cells = np.empty((2, m - 1))
+
+
+def _project(vals: np.ndarray, grid: Grid, ps: ParamSet, work: _AscentWork) -> Profile | None:
+    """The nonnegative part of vals, pinned to 0 at r = 1, on the unit sphere.
+
+    vals is overwritten with the projection, which the returned profile
+    holds.
+    """
+    np.maximum(vals, 0.0, out=vals)
     vals[-1] = 0.0
     prof = Profile(grid, vals)
-    nrm = dirichlet_norm(prof, ps)
+    nrm = dirichlet_norm(prof, ps, work.cells[0])
     if nrm == 0.0:
         return None
-    # in place, so the checked profile becomes the projection; the quotient
-    # stays finite, since every |u_i| is bounded by a multiple of the norm
+    # the quotient stays finite, since every |u_i| is bounded by a multiple
+    # of the norm
     vals /= nrm
     return prof
 
@@ -145,16 +158,17 @@ def maximize_F(
     """
     dc = derived_constants(ps)
     a_hat = bliss.compute_S(dc).a_hat
+    work = _AscentWork(grid.m)
 
     candidates: list[MaximizeResult] = []
     for eps in eps_seeds:
         if grid.r1 > eps / 10.0:
             continue
         start = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
-        u = _project(start.values, grid, ps)
+        u = _project(start.values, grid, ps, work)
         if u is None:
             continue
-        candidates.append(_ascend(u, eps, ps, lp, grid))
+        candidates.append(_ascend(u, eps, ps, lp, grid, work))
     if not candidates:
         raise ValidationError("no bubble seed is resolvable on this grid")
     # highest value wins; exact ties resolved toward the smallest seed
@@ -162,11 +176,13 @@ def maximize_F(
     return candidates[0]
 
 
-def _objective(u: Profile, lp: LogParams | None, ps: ParamSet) -> float:
-    return sobolev_J0(u, ps) if lp is None else J(u, lp, ps)
+def _objective(u: Profile, lp: LogParams | None, ps: ParamSet, nodes: JNodes) -> float:
+    """J(u), or J0(u) for ``lp = None``, evaluated in ``nodes``."""
+    return J(u, lp, ps, nodes)
 
 
-def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: ParamSet) -> float:
+def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: ParamSet,
+                      work: _AscentWork) -> float:
     """d/ds J(_project(u + s h)) at s = 0, for h = direction / scale and ||u|| = 1.
 
     The direction is >= 0 wherever u >= 0 and vanishes where u does, so the
@@ -175,32 +191,41 @@ def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: Param
     the scale), minus the part the renormalization takes back, whose norm
     derivative at ||u|| = 1 is the Dirichlet pairing <u, h>.
     """
-    h = Profile(u.grid, direction / scale)
-    return scale - float(np.einsum("i,i->", direction, u.values)) * dirichlet_pairing(u, h, ps)
+    h = Profile(u.grid, np.divide(direction, scale, out=work.h))
+    pairing = dirichlet_pairing(u, h, ps, work.cells)
+    return scale - float(np.einsum("i,i->", direction, u.values)) * pairing
 
 
-def _ascend(u, seed_eps, ps, lp, grid) -> MaximizeResult:
-    value = _objective(u, lp, ps)
+def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
+    # J and its gradient at an iterate come from one nodal evaluation: the
+    # factors of an accepted candidate become the iterate's, and the values
+    # the iterate leaves behind take the next candidate
+    at_u, at_cand, direction, spare = work.at_u, work.at_cand, work.direction, work.spare
+    value = _objective(u, lp, ps, at_u)
     step = 0.25
     iterations = 0
     converged = False
     for iterations in range(1, 5001):
-        direction = _grad_J_values(u, lp, ps)
+        at_u.gradient(direction)
         scale = float(np.sqrt(np.einsum("i,i->", direction, direction)))
         if scale == 0.0:
             converged = True
             break
         floor = 1e-10 * max(abs(value), 1.0)
-        gain = _first_order_gain(u, direction, scale, ps)
+        gain = _first_order_gain(u, direction, scale, ps, work)
         accepted = False
         # below the floor, no step left can gain the threshold, to first order
         while step >= 1e-16 and step * gain >= floor:
-            cand = _project(u.values + (step / scale) * direction, grid, ps)
+            np.multiply(direction, step / scale, out=spare)
+            spare += u.values
+            cand = _project(spare, grid, ps, work)
             if cand is not None:
-                cand_val = _objective(cand, lp, ps)
+                cand_val = _objective(cand, lp, ps, at_cand)
                 if cand_val > value:
                     improvement = cand_val - value
+                    spare = u.values
                     u, value = cand, cand_val
+                    at_u, at_cand = at_cand, at_u
                     step *= 1.3
                     accepted = True
                     break
@@ -211,6 +236,7 @@ def _ascend(u, seed_eps, ps, lp, grid) -> MaximizeResult:
         if improvement < floor:
             converged = True
             break
+    work.spare = spare
     return MaximizeResult(
         profile=u, value=value, iterations=iterations, converged=converged,
         seed_epsilon=seed_eps,
@@ -349,18 +375,16 @@ def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
     halves its lower end until the residual is >= 0 and doubles its upper
     end until it is <= 0, then Brent's method finds the root.
     ``brent_root`` reuses the residuals at the bracket ends and returns the
-    one at the root, so no t is evaluated twice.  The residual gets the
-    terms through ``args``, not a closure, so nothing of u outlives the
-    call.  The residual at the root must be below 1e-10 relative to
-    t^(p-1) ||u||^p.
+    one at the root, so no t is evaluated twice.  The residual at the root
+    must be below 1e-10 relative to t^(p-1) ||u||^p.
     """
     terms = ray_terms(u_eps, lp, ps)
     n_p = dirichlet_norm(u_eps, ps) ** ps.p
     args = (terms, n_p, ps.p)
     lo, h_lo, hi, h_hi = bracket_decreasing(_stationarity, 0.5, _stationarity(0.5, *args),
                                             2.0, _stationarity(2.0, *args), "t_eps", args=args)
-    t_star, residual = brent_root(_stationarity, lo, h_lo, hi, h_hi, args=args, xtol=1e-15,
-                                  rtol=8.9e-16, maxiter=200)
+    t_star, residual = brent_root(_stationarity, lo, h_lo, hi, h_hi, "t_eps", args=args,
+                                  xtol=1e-15, rtol=8.9e-16, maxiter=200)
     scale = max(1.0, abs(t_star ** (ps.p - 1.0) * n_p))
     if abs(residual) >= 1e-10 * scale:
         raise NumericalError(f"t_eps residual {residual:.3e} above tolerance")

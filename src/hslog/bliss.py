@@ -5,7 +5,14 @@ The scale-eps profile is
     u*_eps(r) = c_hat eps^s / (eps^n + r^n)^(1/m),    r >= 0,
 
 whose critical and gradient integrals over (0, inf) share the common value
-S^((theta+1)/(theta-alpha1+p)), written S_power below.  Truncations to the
+S^((theta+1)/(theta-alpha1+p)), written S_power below.  With t = r^n the
+critical integral is a Beta integral,
+
+    S_power = c_hat^p* / n B(a, b),   a = (theta+1)(p-1)/gap,  b = (theta+1)/gap,
+
+gap = theta - alpha1 + p, and that closed form is what ``compute_S``
+returns; the two integrals themselves are computed by adaptive quadrature
+only when they are read, as the check that they agree.  Truncations to the
 unit interval ("bubbles") use a C^2 quintic plateau cutoff: identically 1
 on (0, r0], identically 0 on [2 r0, 1].  The plateau edge is r0 = ``R0`` =
 0.2 everywhere except where a ``BubbleSpec`` sets another.
@@ -15,14 +22,17 @@ Norm deviations of the bubbles from S_power are computed as integrals of
 live at scales r >= r0 >> eps, so adaptive quadrature resolves deviations
 of order eps^(s p*) far below the floating-point floor of the norms
 themselves.  This is what makes the asymptotic rate checks possible.
+scipy's ``quad`` is imported where it is called, so that commands which
+never integrate do not load scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from hslog.params import (
     DerivedConstants,
@@ -73,14 +83,29 @@ class ConstantsReport:
     """S and its derived forms, plus the two defining integrals.
 
     ``a_hat`` is the bubble amplitude making ||u_eps||^p = 1 + O(eps^(s p)).
+    The integrals are computed by quadrature on first access; a quadrature
+    that does not converge raises ``NumericalError`` there.
     """
 
+    dc: DerivedConstants
     S: float
     S_power: float
     sigma_p: float
-    pstar_integral: float
-    grad_integral: float
     a_hat: float
+
+    @cached_property
+    def pstar_integral(self) -> float:
+        """int_0^inf r^theta u*_1^p* dr."""
+        ps = self.dc.params
+        p_star = critical_exponent(ps)
+        return _quad_full_line(lambda r: r**ps.theta * bliss_value(1.0, r, self.dc) ** p_star)
+
+    @cached_property
+    def grad_integral(self) -> float:
+        """int_0^inf r^alpha1 |u*_1'|^p dr."""
+        ps = self.dc.params
+        return _quad_full_line(
+            lambda r: r**ps.alpha1 * abs(bliss_deriv(1.0, r, self.dc)) ** ps.p)
 
     @property
     def rel_disagreement(self) -> float:
@@ -121,6 +146,8 @@ def bubble_profile(spec: BubbleSpec, grid: Grid, dc: DerivedConstants) -> Profil
 
 def _quad_full_line(f) -> float:
     """integral_0^inf f, split at 1 with the tail mapped by r = 1/v."""
+    from scipy.integrate import quad
+
     head, err1 = quad(f, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-12)
     tail, err2 = quad(lambda v: f(1.0 / v) / v**2, 1e-14, 1.0, limit=400,
                       epsabs=1e-12, epsrel=1e-12)
@@ -132,28 +159,21 @@ def _quad_full_line(f) -> float:
 
 
 def compute_S(dc: DerivedConstants) -> ConstantsReport:
-    """Evaluate both defining integrals of S_power and derive S, Sigma_p, a_hat."""
+    """S_power in closed form (module docstring), and S, Sigma_p, a_hat from it."""
     ps = dc.params
     p_star = critical_exponent(ps)
-
-    def f_pstar(r):
-        return r**ps.theta * bliss_value(1.0, r, dc) ** p_star
-
-    def f_grad(r):
-        return r**ps.alpha1 * abs(bliss_deriv(1.0, r, dc)) ** ps.p
-
-    pstar_integral = _quad_full_line(f_pstar)
-    grad_integral = _quad_full_line(f_grad)
-    s_power = pstar_integral
     gap = ps.theta - ps.alpha1 + ps.p
+    a = (ps.theta + 1.0) * (ps.p - 1.0) / gap
+    b = (ps.theta + 1.0) / gap
+    beta_ab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    s_power = dc.c_hat**p_star / dc.n * beta_ab
     S = s_power ** (gap / (ps.theta + 1.0))
     sigma_p = S ** (-p_star / ps.p)
     return ConstantsReport(
+        dc=dc,
         S=S,
         S_power=s_power,
         sigma_p=sigma_p,
-        pstar_integral=pstar_integral,
-        grad_integral=grad_integral,
         a_hat=S ** (-(ps.theta + 1.0) / (gap * ps.p)),
     )
 
@@ -188,6 +208,8 @@ def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants) -> float:
         r = 2.0 * R0 / v
         return r**ps.alpha1 * abs(bliss_deriv(eps, r, dc)) ** ps.p * 2.0 * R0 / v**2
 
+    from scipy.integrate import quad
+
     core, err_core = quad(diff, R0, 2.0 * R0, limit=200)
     tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
     dev = core - tl
@@ -208,6 +230,8 @@ def bubble_lpstar_deviation(eps: float, dc: DerivedConstants) -> float:
     def tail(v):
         r = 2.0 * R0 / v
         return r**ps.theta * bliss_value(eps, r, dc) ** p_star * 2.0 * R0 / v**2
+
+    from scipy.integrate import quad
 
     core, err_core = quad(missing, R0, 2.0 * R0, limit=200)
     tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)

@@ -19,6 +19,8 @@ carry a power of |u|.  They are evaluated up to the last nonzero node of u
 and are exact zeros after it, which is what the full formulas give there.
 A cutoff bubble is identically 0 on [2 r0, 1], a quarter of a graded mesh,
 and pow with a zero base is several times slower than with a regular one.
+J and the ascent gradient read one set of nodal factors (``JNodes``), so
+an ascent forms |u|^p*, ln(tau+|u|) and its power once per iterate.
 
 Along the ray through a profile u the quadrature of J factors.  Since
 |s u_i|^p* = s^p* |u_i|^p* for s > 0,
@@ -84,18 +86,107 @@ def _on_support(u: Profile, kernel: Callable[..., np.ndarray], *node_arrays) -> 
     return out
 
 
-def J(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """The log-perturbed critical integral."""
-    p_star = critical_exponent(ps)
-    f = _on_support(u, lambda v, e: np.abs(v) ** p_star * log_factor_nodes(e, v, lp),
-                    u.grid.node_power(lp.beta))
-    return weighted_integral(u.grid, f, ps.theta)
+class JNodes:
+    """The nodal factors of J at one profile, in arrays kept for the next one.
+
+    ``evaluate`` takes u on its support (``Profile.support_end``, k nodes)
+    and forms pw = |u|^p*, ln = ln(tau + |u|) and lf = |ln|^e with e =
+    r^beta, then J from the integrand pw lf, which is full length with
+    exact zeros past k.  ``gradient`` reads the same arrays, so J and its
+    gradient at one profile form each power and log once.  Every array is
+    grid length and filled in place, so an ascent that keeps two of these
+    allocates no float array for J or its gradient.  The operations are
+    those of the plain formulas, in the same order, so the results are
+    theirs bit for bit.
+
+    ``lp = None`` selects the unperturbed integral J0, whose integrand is
+    |u|^p*.
+    """
+
+    def __init__(self, m: int):
+        self.pw, self.ln, self.lf = np.empty(m), np.empty(m), np.empty(m)
+        self.integrand = np.zeros(m)
+        self._work = np.empty(m), np.empty(m)
+        self._mask = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        # the profile last evaluated, and what it was evaluated with
+        self.u: Profile | None = None
+        self.lp: LogParams | None = None
+        self.ps: ParamSet | None = None
+        self.k = 0
+
+    def evaluate(self, u: Profile, lp: LogParams | None, ps: ParamSet) -> float:
+        """J(u), or J0(u) for ``lp = None``; the factors stay for ``gradient``."""
+        k = u.support_end()
+        v = u.values[:k]
+        p_star = critical_exponent(ps)
+        f = self.integrand
+        if lp is None:
+            np.abs(v, out=f[:k])
+            f[:k] **= p_star
+        else:
+            pw, ln, lf = self.pw[:k], self.ln[:k], self.lf[:k]
+            np.abs(v, out=pw)
+            np.add(pw, lp.tau, out=ln)
+            pw **= p_star
+            np.log(ln, out=ln)
+            np.abs(ln, out=lf)
+            lf **= u.grid.node_power(lp.beta)[:k]
+            np.multiply(pw, lf, out=f[:k])
+        f[k:] = 0.0
+        self.u, self.lp, self.ps, self.k = u, lp, ps, k
+        return weighted_integral(u.grid, f, ps.theta)
+
+    def gradient(self, out: np.ndarray) -> np.ndarray:
+        """The gradient of J (or J0) at the evaluated profile u with respect
+        to its nodal values, quadrature weights folded in, written to ``out``.
+
+        At a node with u > 0 and ln > 0 it is q (p* u^(p*-1) lf + pw e
+        ln^(e-1) / (tau + u)), or q p* u^(p*-1) for J0; elsewhere it is 0.
+        """
+        u, lp, ps, k = self.u, self.lp, self.ps, self.k
+        p_star = critical_exponent(ps)
+        v = u.values[:k]
+        g = out[:k]
+        h, t = self._work[0][:k], self._work[1][:k]
+        dropped, other = self._mask[0][:k], self._mask[1][:k]
+        np.abs(v, out=g)
+        g **= p_star - 1.0
+        g *= p_star
+        np.less_equal(v, 0.0, out=dropped)
+        if lp is not None:
+            e = u.grid.node_power(lp.beta)[:k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g *= self.lf[:k]
+                np.multiply(self.pw[:k], e, out=h)
+                np.subtract(e, 1.0, out=t)
+                np.power(self.ln[:k], t, out=t)
+                h *= t
+                np.abs(v, out=t)
+                t += lp.tau
+                h /= t
+                g += h
+            np.less_equal(self.ln[:k], 0.0, out=other)
+            dropped |= other
+        np.copyto(g, 0.0, where=dropped)
+        g *= u.grid.quad_weights(ps.theta)[:k]
+        out[k:] = 0.0
+        return out
+
+
+def J(u: Profile, lp: LogParams | None, ps: ParamSet, nodes: JNodes | None = None) -> float:
+    """The log-perturbed critical integral; J0 for ``lp = None``.
+
+    It is evaluated in ``nodes`` when given, which then holds the factors
+    for ``JNodes.gradient``, and in a new ``JNodes`` otherwise.
+    """
+    if nodes is None:
+        nodes = JNodes(u.grid.m)
+    return nodes.evaluate(u, lp, ps)
 
 
 def sobolev_J0(u: Profile, ps: ParamSet) -> float:
     """The unperturbed critical integral int r^th |u|^p* dr."""
-    p_star = critical_exponent(ps)
-    return weighted_integral(u.grid, np.abs(u.values) ** p_star, ps.theta)
+    return J(u, None, ps)
 
 
 def _require_tau_ge_1(lp: LogParams, what: str) -> None:
@@ -108,7 +199,8 @@ class RayTerms:
     """The per-profile factors a, w, e of J(s u), on the support of u.
 
     They run up to the last nonzero node of u; past it every term of the
-    sum is an exact zero.
+    sum is an exact zero.  ``scratch``, as long as a, holds the log factors
+    of the last ``ray_sum``, so that a sum allocates no array.
     """
 
     a: np.ndarray
@@ -116,6 +208,7 @@ class RayTerms:
     e: np.ndarray
     tau: float
     p_star: float
+    scratch: np.ndarray
 
 
 def ray_terms(u: Profile, lp: LogParams, ps: ParamSet) -> RayTerms:
@@ -129,12 +222,18 @@ def ray_terms(u: Profile, lp: LogParams, ps: ParamSet) -> RayTerms:
     p_star = critical_exponent(ps)
     a = np.abs(u.values[:k])
     w = u.grid.quad_weights(ps.theta)[:k] * a**p_star
-    return RayTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star)
+    return RayTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star, np.empty(k))
 
 
 def ray_sum(terms: RayTerms, s: float) -> float:
-    """J(s u)/s^p* = sum_i w_i ln(tau + a_i s)^(e_i), from the ray terms of u."""
-    x = np.log(terms.tau + terms.a * s) ** terms.e
+    """J(s u)/s^p* = sum_i w_i ln(tau + a_i s)^(e_i), from the ray terms of u.
+
+    The log factors are formed in ``terms.scratch``, in place.
+    """
+    x = np.multiply(terms.a, s, out=terms.scratch)
+    x += terms.tau
+    np.log(x, out=x)
+    x **= terms.e
     return float(np.einsum("i,i->", terms.w, x))
 
 

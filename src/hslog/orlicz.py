@@ -22,7 +22,7 @@ a_i/lambda)^(e_i) is nonincreasing.  From lambda0 = (sum_i w_i)^(1/p*), the
 weighted L^p* norm, with rho0 = rho(u/lambda0), the power-law point lambda1
 = lambda0 rho0^(1/p*) therefore has rho(u/lambda1) <= 1 when rho0 > 1 and
 >= 1 when rho0 < 1: the two points bracket the one root of rho(u/lambda) =
-1, and Brent's method (scipy's brentq) converges to it.
+1, and Brent's method (``params.brent_root``) converges to it.
 """
 
 from __future__ import annotations
@@ -142,8 +142,7 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     side.  Brent runs to a relative lambda tolerance near machine precision,
     so the norm keeps close to full precision (needed for the homogeneity
     contract).  The modular values at the bracket ends go to
-    ``brent_root``, so no lambda is evaluated twice.  The residual is a
-    module-level function that gets the terms through ``args``.
+    ``brent_root``, so no lambda is evaluated twice.
     """
     terms = ray_terms(u, lp, ps)
     lam0 = float(np.einsum("i->", terms.w)) ** (1.0 / terms.p_star)
@@ -156,7 +155,7 @@ def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     (lo, rho_lo), (hi, rho_hi) = sorted([(lam0, rho0), (lam1, modular(terms, lam1))])
     lo, f_lo, hi, f_hi = bracket_decreasing(_modular_excess, lo, rho_lo - 1.0, hi,
                                             rho_hi - 1.0, "the Luxemburg norm", args=(terms,))
-    lam_star, _ = brent_root(_modular_excess, lo, f_lo, hi, f_hi,
+    lam_star, _ = brent_root(_modular_excess, lo, f_lo, hi, f_hi, "the Luxemburg norm",
                              args=(terms,), xtol=1e-15 * lo, rtol=8.9e-16)
     return lam_star
 

@@ -19,15 +19,15 @@ The six relation identities tying (s, n, m, p*) together are exposed via
 them directly.
 
 ``brent_root`` is the one scalar root-finder the other modules share, and
-``bracket_decreasing`` the one bracket widener in front of it.
+``bracket_decreasing`` the one bracket widener in front of it.  Both are
+plain Python, so that no command loads scipy only to find a root.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 
 class ValidationError(ValueError):
@@ -164,24 +164,89 @@ def bracket_decreasing(f, lo: float, f_lo: float, hi: float, f_hi: float, what: 
     return lo, f_lo, hi, f_hi
 
 
-def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, args: tuple = (),
-               **tol) -> tuple[float, float]:
-    """Root of f(x, *args) in [lo, hi] by scipy's brentq; returns (x*, f(x*)).
+# the smallest rtol Brent's method accepts, scipy's brentq default
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
-    f_lo and f_hi are f at the bracket ends, which the caller has already
-    evaluated; they must not have the same sign.  No abscissa is evaluated
-    twice, and f(x*) is the stored value, not a fresh call.  ``tol`` goes to
-    brentq (xtol, rtol, maxiter, disp).  The memo holds floats only and the
-    caller's data goes through ``args``: scipy keeps the wrapped function in
-    a reference cycle, so a closure over a profile would keep it alive until
-    the next full collection.
+
+def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,
+               args: tuple = (), *, xtol: float = 2e-12, rtol: float = BRENT_RTOL,
+               maxiter: int = 100, disp: bool = True) -> tuple[float, float]:
+    """Root of f(x, *args) in [lo, hi] by Brent's method; returns (x*, f(x*)).
+
+    A line-for-line port of scipy's brentq (``Zeros/brentq.c``): the same
+    iterates, the same calls in the same order, and the same root.  It
+    starts from f_lo and f_hi, f at the bracket ends, which the caller has
+    already evaluated; they must not have the same sign.  Each iteration
+    calls f once at a new abscissa, so none is evaluated twice, and f(x*)
+    is the value of the last call there, not a fresh one.
+
+    The iteration stops when the bracket is shorter than xtol + rtol |x|
+    or f hits 0.  rtol must be at least 4 eps.  After ``maxiter``
+    iterations it raises ``NumericalError``, or with ``disp=False`` returns
+    the last iterate.  A NaN value of f, or ends of one sign, raise
+    ``NumericalError`` naming ``what``.
     """
-    known = {lo: f_lo, hi: f_hi}
+    if not xtol > 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if not rtol >= BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
+    for x, fx in ((lo, f_lo), (hi, f_hi)):
+        _require_number(fx, x, what)
+    if f_lo == 0.0:
+        return lo, f_lo
+    if f_hi == 0.0:
+        return hi, f_hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise NumericalError(f"the bracket [{lo:.17g}, {hi:.17g}] of {what} holds no "
+                             f"sign change: f = {f_lo:.3e} and {f_hi:.3e}")
+    # x_cur is the best iterate, x_pre the previous one and x_blk the
+    # contrapoint, with f(x_blk) of the other sign; s_cur and s_pre are the
+    # last two steps
+    x_pre, f_pre, x_cur, f_cur = lo, f_lo, hi, f_hi
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(maxiter):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
 
-    def once(x, *args):
-        if x not in known:
-            known[x] = f(x, *args)
-        return known[x]
+        delta = (xtol + rtol * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur, f_cur
 
-    x = float(brentq(once, lo, hi, args=args, **tol))
-    return x, known[x]
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = f(x_cur, *args)
+        _require_number(f_cur, x_cur, what)
+    if disp:
+        raise NumericalError(f"Brent's method did not converge to {what} in {maxiter} "
+                             f"iterations: f = {f_cur:.3e} at {x_cur:.17g}")
+    return x_cur, f_cur
+
+
+def _require_number(fx: float, x: float, what: str) -> None:
+    if fx != fx:
+        raise NumericalError(f"the residual of {what} is NaN at {x:.17g}")

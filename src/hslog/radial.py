@@ -121,8 +121,12 @@ class Profile:
         """c u."""
         return Profile(self.grid, c * self.values)
 
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / self.grid.cell_widths
+    def slopes(self, out: np.ndarray | None = None) -> np.ndarray:
+        """u' on each cell, written to ``out`` when given."""
+        v = self.values
+        s = np.subtract(v[1:], v[:-1], out=out)
+        s /= self.grid.cell_widths
+        return s
 
     def support_end(self) -> int:
         """One past the last nonzero node; 0 for the zero profile."""
@@ -181,25 +185,38 @@ def weighted_integral_between(grid: Grid, f: np.ndarray, w: float, a: float, b: 
     return total
 
 
-def dirichlet_norm(u: Profile, ps: ParamSet) -> float:
+def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None) -> float:
     """(integral_0^1 r^alpha1 |u'|^p dr)^(1/p), exact for the discrete class.
 
     The leading interval carries zero slope, hence no contribution; the
-    norm vanishes iff the profile is constant.
+    norm vanishes iff the profile is constant.  The per-cell terms are
+    formed in place, in ``work`` (one value per cell) when given.
     """
-    moments = u.grid.cell_moments(ps.alpha1)
-    s = u.slopes()
-    return float(np.sum(moments * np.abs(s) ** ps.p) ** (1.0 / ps.p))
+    s = u.slopes(work)
+    np.abs(s, out=s)
+    s **= ps.p
+    s *= u.grid.cell_moments(ps.alpha1)
+    return float(np.sum(s) ** (1.0 / ps.p))
 
 
-def dirichlet_pairing(u: Profile, v: Profile, ps: ParamSet) -> float:
+def dirichlet_pairing(u: Profile, v: Profile, ps: ParamSet,
+                      work: np.ndarray | None = None) -> float:
     """integral_0^1 r^alpha1 |u'|^(p-2) u' v' dr, exact for the discrete class.
 
-    It is the derivative of ||u + s v||^p / p at s = 0.
+    It is the derivative of ||u + s v||^p / p at s = 0.  The per-cell terms
+    are formed in place, in the two rows of ``work`` (shape (2, cells))
+    when given.
     """
-    moments = u.grid.cell_moments(ps.alpha1)
-    su, sv = u.slopes(), v.slopes()
-    return float(np.sum(moments * np.sign(su) * np.abs(su) ** (ps.p - 1.0) * sv))
+    if work is None:
+        work = np.empty((2, u.grid.m - 1))
+    su = u.slopes(work[0])
+    terms = np.sign(su, out=work[1])
+    terms *= u.grid.cell_moments(ps.alpha1)
+    np.abs(su, out=su)
+    su **= ps.p - 1.0
+    terms *= su
+    terms *= v.slopes(work[0])
+    return float(np.sum(terms))
 
 
 def lq_norm(u: Profile, q: float, w: float) -> float:

@@ -13,15 +13,16 @@ off the w = 0 manifold is taken with a frozen-source series, which keeps
 the start well behaved when |w|^(1/(p-1)) is not Lipschitz.
 
 Shooting finds a root of the boundary map a -> u(1; a) with Brent's method
-(scipy's brentq through ``params.brent_root``).  The map can be non-smooth
-through the log factor; Brent keeps a sign-change bracket at every step, so
-it is as robust there as bisection while it converges superlinearly where
-the map is smooth.  Each amplitude is shot once, without dense output; only
+(``params.brent_root``).  The map can be non-smooth through the log
+factor; Brent keeps a sign-change bracket at every step, so it is as robust
+there as bisection while it converges superlinearly where the map is
+smooth.  Each amplitude is shot once, without dense output; only
 the root is integrated again, to sample the solution on the grid.  That
 second integration is the cheaper design: dense output costs about half as
 much again per shot (998 against 818 right-hand-side evaluations at the
 root on the README config), so keeping it on all 9 Brent shots would cost
-more than the one extra shot.
+more than the one extra shot.  The integrator is scipy's ``solve_ivp``,
+imported at its call so that commands which never shoot do not load scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from hslog.functionals import LogParams, energy_pairing
 from hslog.params import (
@@ -113,6 +113,8 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
         u_end = 0.0
         nfev = 0
     else:
+        from scipy.integrate import solve_ivp
+
         def blowup(r, y):
             return abs(y[0]) - 1e8 * max(1.0, abs(amplitude))
 
@@ -179,8 +181,8 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid)
             f"no sign change in amplitude bracket [{a_lo:g}, {a_hi:g}]: "
             f"u(1) = {f_lo:.3e} and {f_hi:.3e}"
         )
-    a_star, f_star = brent_root(shot, a_lo, f_lo, a_hi, f_hi, args=ivp_args, xtol=1e-12,
-                                maxiter=200, disp=False)
+    a_star, f_star = brent_root(shot, a_lo, f_lo, a_hi, f_hi, "the shooting amplitude",
+                                args=ivp_args, xtol=1e-12, maxiter=200, disp=False)
     if not abs(f_star) < 1e-8:
         raise NumericalError(
             f"amplitude shooting did not reach |u(1)| < 1e-08 after {len(shots)} "

@@ -23,7 +23,7 @@ from hslog.analysis import (
     rate_fit,
     solve_t_eps,
 )
-from hslog.functionals import LogParams, J, energy_I, sobolev_J0
+from hslog.functionals import JNodes, LogParams, J, energy_I, sobolev_J0
 from hslog.params import (
     NumericalError,
     ValidationError,
@@ -103,14 +103,16 @@ class TestMaximizer:
 
     def test_projection_is_the_normalized_nonnegative_part(self, grid):
         # the profile _project checks is the one it returns, with the values
-        # of the separate division it replaces
+        # of the separate division it replaces, written over its input
         vals = random_smooth_profile(grid, np.random.default_rng(5)).values
         ref = np.maximum(vals, 0.0)
         ref[-1] = 0.0
         ref = ref / dirichlet_norm(Profile(grid, ref), P0)
-        u = analysis._project(vals, grid, P0)
+        work = analysis._AscentWork(grid.m)
+        u = analysis._project(vals, grid, P0, work)
         assert np.array_equal(u.values, ref)
-        assert analysis._project(-np.abs(vals), grid, P0) is None
+        assert u.values is vals
+        assert analysis._project(-np.abs(vals), grid, P0, work) is None
 
     def test_unresolvable_seeds_rejected(self):
         tiny = make_grid(16, 1.0)
@@ -165,16 +167,17 @@ class TestAscentLineSearch:
         dc = derived_constants(ps)
         bubble = bliss.bubble_profile(bliss.BubbleSpec(1e-2, bliss.compute_S(dc).a_hat),
                                       grid, dc)
-        u = analysis._project(bubble.values, grid, ps)
+        work = analysis._AscentWork(grid.m)
+        u = analysis._project(bubble.values, grid, ps, work)
         direction = _grad_J_values(u, lp, ps)
         scale = float(np.sqrt(direction @ direction))
         h = direction / scale
 
         def f(s):
-            return analysis._objective(analysis._project(u.values + s * h, grid, ps), lp, ps)
+            return J(analysis._project(u.values + s * h, grid, ps, work), lp, ps)
 
         s = 1e-3
-        gain = analysis._first_order_gain(u, direction, scale, ps)
+        gain = analysis._first_order_gain(u, direction, scale, ps, work)
         assert (f(s) - f(-s)) / (2 * s) == pytest.approx(gain, rel=1e-7)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 16.0])
@@ -453,3 +456,26 @@ class TestGradient:
         assert np.array_equal(grad, _grad_full(u, lp, P0))
         if kind == "zero":
             assert not np.any(grad)
+
+    @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4)])
+    @pytest.mark.parametrize("lp", [None, LogParams(0.5, 0.5), LogParams(1.0, 0.5),
+                                    LogParams(2.0, 1.0)])
+    def test_shared_evaluation_as_the_ascent_reads_it(self, grid, pv, lp):
+        # J and then the gradient from one workspace, reused over iterates
+        # whose supports shrink and grow, as the ascent reuses two of them
+        ps = validate_params(*pv)
+        rng = np.random.default_rng(41)
+        bubble = _bubble_family(grid, (1e-3,))[0]
+        spiky = np.abs(random_smooth_profile(grid, rng).values)
+        spiky[::5] = 0.0
+        spiky[-40:] = 0.0
+        nodes, out = JNodes(grid.m), np.empty(grid.m)
+        for vals in (np.abs(random_smooth_profile(grid, rng).values), bubble.values, spiky,
+                     np.zeros(grid.m), bubble.values):
+            u = Profile(grid, vals)
+            f = np.abs(vals) ** critical_exponent(ps)
+            if lp is not None:
+                f = f * np.abs(np.log(lp.tau + np.abs(vals))) ** grid.nodes**lp.beta
+            assert J(u, lp, ps, nodes) == float(np.einsum("i,i->", grid.quad_weights(ps.theta), f))
+            assert np.array_equal(nodes.gradient(out), _grad_full(u, lp, ps))
+            assert np.array_equal(out, _grad_J_values(u, lp, ps))

@@ -1,9 +1,11 @@
 """Tests for the extremal family, best constants, and concentration pieces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from hslog import bliss
 from hslog.functionals import LogParams
@@ -91,6 +93,49 @@ class TestComputeS:
             rep = bliss.compute_S(dc)
             assert rep.rel_disagreement < 1e-6
 
+    def test_closed_form_within_one_ulp_of_exact(self):
+        exact = 3**1.5 * math.pi / 16
+        assert abs(bliss.compute_S(DC0).S_power - exact) <= math.ulp(exact)
+
+    def test_closed_form_matches_both_quadratures(self):
+        # each integral by quad, split as compute_S's integrals are, with
+        # quad's own error estimate: where quad is off by more than 1e-12,
+        # its estimate says so
+        def full_line(f):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+                head, e1 = scipy.integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-12,
+                                                epsrel=1e-12)
+                tail, e2 = scipy.integrate.quad(lambda v: f(1.0 / v) / v**2, 1e-14, 1.0,
+                                                limit=400, epsabs=1e-12, epsrel=1e-12)
+            return head + tail, e1 + e2
+
+        rng = np.random.default_rng(77)
+        tuples = [(2, 2, 2, 2), (3, 2, 4, 4)]
+        for _ in range(10):
+            p = rng.uniform(1.3, 3.5)
+            alpha1 = p - 1 + rng.uniform(0.2, 3.0)
+            tuples.append((p, max(alpha1 - p, 0.0) + rng.uniform(0.0, 2.0), alpha1,
+                           max(alpha1 - p, 0.0) + rng.uniform(0.1, 3.0)))
+        for t in tuples:
+            dc = derived_constants(validate_params(*t))
+            ps, p_star = dc.params, dc.p_star
+            s_power = bliss.compute_S(dc).S_power
+            for f in (lambda r: r**ps.theta * bliss.bliss_value(1.0, r, dc) ** p_star,
+                      lambda r: r**ps.alpha1 * abs(bliss.bliss_deriv(1.0, r, dc)) ** ps.p):
+                value, err = full_line(f)
+                assert abs(s_power - value) <= 1e-12 * s_power + err
+
+    def test_integrals_are_computed_only_when_read(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("quad called")
+
+        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+        rep = bliss.compute_S(DC1)
+        assert rep.S > 0 and rep.sigma_p > 0 and rep.a_hat > 0
+        with pytest.raises(AssertionError, match="quad called"):
+            rep.pstar_integral
+
     def test_sigma_exponent_forms_identical(self):
         # S^(-p*/p) and S^(-(theta+1)/(alpha1-p+1)) are the same exponent
         for dc in (DC0, DC1):
@@ -121,8 +166,9 @@ class TestNormScan:
     @pytest.mark.parametrize("deviation", [bliss.bubble_dirichlet_deviation,
                                            bliss.bubble_lpstar_deviation])
     def test_unconverged_quadrature_raises(self, deviation, monkeypatch):
-        real_quad = bliss.quad
-        monkeypatch.setattr(bliss, "quad",
+        # the deviations import quad at their call, from scipy.integrate
+        real_quad = scipy.integrate.quad
+        monkeypatch.setattr(scipy.integrate, "quad",
                             lambda *a, **k: (real_quad(*a, **k)[0], 1e-3))
         with pytest.raises(NumericalError, match=r"eps=0\.001, r0=0\.2"):
             deviation(1e-3, DC0)

@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hslog
+from hslog import orlicz
 from hslog.cli import RunConfig, main, parse_config
 from hslog.params import ValidationError
 
@@ -174,3 +181,40 @@ class TestVerify:
         assert code == 0
         main(["verify", "--config", str(cfg_file), "--suite", "mp", "--out", str(out2)])
         assert (out1 / "mp_gap.csv").read_bytes() == (out2 / "mp_gap.csv").read_bytes()
+
+
+class TestOrlicz:
+    def test_nan_modular_exits_2_naming_the_norm(self, cfg_file, tmp_path, capsys, monkeypatch):
+        # the bracket ends are finite; Brent's first step inside meets a NaN
+        monkeypatch.setattr(orlicz, "_modular_excess", lambda lam, terms: math.nan)
+        assert main(["orlicz", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the residual of the Luxemburg norm is NaN")
+
+
+# commands that need nothing from scipy: their process must not import it
+SCIPY_FREE = ("mp-gap", "sweep-beta", "orlicz", "maximize", "ncs")
+
+_RUN_AND_LIST_SCIPY = """\
+import json, sys
+from hslog import cli
+codes = [cli.main([c, "--config", sys.argv[1], "--out", sys.argv[2]]) for c in sys.argv[3:]]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_scipy_free_commands_do_not_load_scipy(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("grid_m = 1200", "grid_m = 300"))
+    src = str(Path(hslog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_SCIPY, str(cfg),
+                           str(tmp_path / "o"), *SCIPY_FREE],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    # 2 is a red verdict with its report written, not a failure
+    assert set(codes) <= {0, 2}
+    assert "numerical failure" not in proc.stderr
+    assert scipy_modules == []

@@ -11,11 +11,14 @@ from hslog import bliss
 from hslog.functionals import (
     F_nodes,
     J,
+    JNodes,
     LogParams,
     _on_support,
     energy_I,
     energy_pairing,
     log_factor_nodes,
+    ray_sum,
+    ray_terms,
     sobolev_J0,
 )
 from hslog.params import ValidationError, critical_exponent, derived_constants, validate_params
@@ -299,6 +302,30 @@ class TestSupportTrim:
         u = _support_profile(kind)
         for ps in (P0, P1):
             assert J(u, lp, ps) == _J_full(u, lp, ps)
+
+    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(2.0, 1.0),
+                                    LogParams(0.5, 0.5)])
+    def test_J_in_a_reused_workspace(self, lp):
+        # supports that shrink and grow between evaluations in one workspace
+        nodes = JNodes(SUPPORT_GRID.m)
+        for kind in ("random", "cutoff-bubble", "zero", "interior-zeros", "cutoff-bubble"):
+            u = _support_profile(kind)
+            for ps in (P0, P1):
+                full = (weighted_integral(u.grid, np.abs(u.values) ** critical_exponent(ps),
+                                          ps.theta) if lp is None else _J_full(u, lp, ps))
+                assert J(u, lp, ps, nodes) == full
+                if lp is None:
+                    assert sobolev_J0(u, ps) == full
+
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
+    def test_ray_sum_in_its_scratch(self, lp):
+        # the scratch is overwritten by each sum
+        for kind in SUPPORT_KINDS:
+            terms = ray_terms(_support_profile(kind), lp, P1)
+            for s in (0.5, 1.0, 3.0, 0.5):
+                plain = float(np.einsum("i,i->", terms.w,
+                                        np.log(terms.tau + terms.a * s) ** terms.e))
+                assert ray_sum(terms, s) == plain
 
     @pytest.mark.parametrize("kind", SUPPORT_KINDS)
     @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
