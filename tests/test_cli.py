@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hslog
-from hslog import orlicz
+from hslog import orlicz, shooting
 from hslog.cli import RunConfig, main, parse_config
 from hslog.params import ValidationError
 
@@ -144,6 +144,17 @@ class TestShoot:
                                          "shoot_bracket = 1e-8,1e-6"))
         assert main(["shoot", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("source", [
+        lambda r, u, tau, beta, p_star: 1e12,  # |u| passes the blow-up bound
+        lambda r, u, tau, beta, p_star: math.nan if r > 0.5 else 0.0,  # the step underflows
+    ], ids=["blowup", "step-underflow"])
+    def test_stalled_ivp_exit_2(self, source, cfg_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(shooting, "_source", source)
+        assert main(["shoot", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: IVP integration stalled at r = ")
+        assert "(amplitude 20, last good state u = " in err
+
     def test_tau_below_one_exit_1(self, tmp_path, capsys):
         path = tmp_path / "t.cfg"
         path.write_text(BASE_CFG.replace("tau = 1.0", "tau = 0.5"))
@@ -193,7 +204,7 @@ class TestOrlicz:
 
 
 # commands that need nothing from scipy: their process must not import it
-SCIPY_FREE = ("mp-gap", "sweep-beta", "orlicz", "maximize", "ncs")
+SCIPY_FREE = ("mp-gap", "sweep-beta", "orlicz", "maximize", "ncs", "shoot")
 
 _RUN_AND_LIST_SCIPY = """\
 import json, sys

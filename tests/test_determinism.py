@@ -3,8 +3,10 @@
 OpenBLAS splits a long dot product or matrix-vector product across its
 threads, and each split sums in another order.  The thread count is read
 once, when the library loads, so each setting runs in its own interpreter.
-At grid_m = 16000 the nodal sums are long enough to be split.  On a
-single-core host both runs may get one thread and agree trivially.
+At grid_m = 16000 the nodal sums are long enough to be split.  The shot on
+the README config (grid_m = 2000) checks the IVP integrator, whose stage
+sums are plain float sums.  On a single-core host both runs may get one
+thread and agree trivially.
 """
 
 import os
@@ -23,6 +25,7 @@ from hslog.functionals import J, LogParams, energy_I
 from hslog.orlicz import luxemburg_norm
 from hslog.params import validate_params
 from hslog.radial import make_grid, normalize
+from hslog.shooting import shoot
 
 ps = validate_params(2, 2, 2, 2)
 lp = LogParams(1.0, 0.5)
@@ -36,6 +39,8 @@ print(res.value.hex(), res.iterations, hashlib.sha256(res.profile.values.tobytes
 for eps in (1e-3, 1e-4, 1e-5):
     mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), lp, ps, grid)
     print(mp.max_energy.hex(), mp.t_at_max.hex())
+sol = shoot(lp, ps, (20.0, 50.0), make_grid(2000, 3.0))
+print(sol.amplitude.hex(), hashlib.sha256(sol.profile.values.tobytes()).hexdigest())
 """
 
 
@@ -50,5 +55,5 @@ def _run_with_blas_threads(n: int) -> str:
 
 def test_one_and_two_blas_threads_give_the_same_bits():
     one, two = _run_with_blas_threads(1), _run_with_blas_threads(2)
-    assert len(one.splitlines()) == 24
+    assert len(one.splitlines()) == 25
     assert one == two

@@ -1,13 +1,14 @@
 """Tests for the flux-form IVP and amplitude shooting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hslog import shooting
+from hslog import dop853, shooting
 from hslog.functionals import LogParams, energy_I
-from hslog.params import NumericalError, ValidationError, validate_params
+from hslog.params import NumericalError, ValidationError, critical_exponent, validate_params
 from hslog.radial import Profile, make_grid, pointwise_bound_check
 from hslog.shooting import (
     boundary_value,
@@ -56,6 +57,139 @@ class TestIvp:
     def test_r_min_range_enforced(self):
         with pytest.raises(ValidationError, match="r_min"):
             ivp_integrate(1.0, LP, P0, r_min=1e-3)
+
+
+def _scipy_shot(amplitude, lp, ps, dense):
+    """The shot as scipy's solve_ivp takes it, with the integrator's arguments."""
+    from scipy.integrate import solve_ivp
+
+    p_star = critical_exponent(ps)
+
+    def rhs(r, y):
+        u, w = y
+        du = math.copysign((abs(w) * r**-ps.alpha1) ** (1.0 / (ps.p - 1.0)), w) if w else 0.0
+        dw = -(r**ps.theta) * shooting._source(r, u, lp.tau, lp.beta, p_star)
+        return du, dw
+
+    def blowup(r, y):
+        return abs(y[0]) - 1e8 * max(1.0, abs(amplitude))
+
+    blowup.terminal = True
+    y_boot = shooting._series_step(amplitude, 1e-7, 2e-7, lp, ps, p_star)
+    # numpy scalars overflow to inf on wild trial stages; the step is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(rhs, (2e-7, 1.0), y_boot, method="DOP853", rtol=1e-10,
+                         atol=1e-13 * max(1.0, abs(amplitude)), dense_output=dense,
+                         events=blowup)
+
+
+def _record_trajectories(monkeypatch):
+    runs = []
+    integrate = dop853.integrate
+
+    def recording(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(dop853, "integrate", recording)
+    return runs
+
+
+# the README config's bracket ends and root, and shots at two other tuples
+CROSS_CHECK_SHOTS = [
+    ((2, 2, 2, 2), (1.0, 0.5), 20.0),
+    ((2, 2, 2, 2), (1.0, 0.5), 23.2),
+    ((2, 2, 2, 2), (1.0, 0.5), 50.0),
+    ((3, 2, 4, 4), (1.0, 0.5), 30.0),
+    ((3, 2, 4, 4), (1.0, 0.5), 100.0),
+    ((1.5, 1, 1, 1), (1.0, 0.2), 2.0),
+]
+
+
+class TestDop853MatchesScipy:
+    def test_tableau_entry_for_entry(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        def dense(rows, width):
+            out = np.zeros((len(rows), width))
+            for i, row in enumerate(rows):
+                for j, a in row:
+                    out[i, j] = a
+            return out
+
+        n = ref.N_STAGES
+        assert np.array_equal(np.array(dop853.C), ref.C[:n])
+        assert np.array_equal(np.array(dop853.C_EXTRA), ref.C[n + 1:])
+        assert np.array_equal(dense(dop853.A, n), ref.A[:n, :n])
+        assert np.array_equal(dense([dop853.B], n)[0], ref.B)
+        assert np.array_equal(dense(dop853.A_EXTRA, ref.N_STAGES_EXTENDED), ref.A[n + 1:])
+        assert np.array_equal(dense([dop853.E3], n + 1)[0], ref.E3)
+        assert np.array_equal(dense([dop853.E5], n + 1)[0], ref.E5)
+        assert np.array_equal(dense(dop853.D, ref.N_STAGES_EXTENDED), ref.D)
+        # every entry is listed once, in stage order, and none is zero
+        for row in (*dop853.A, dop853.B, dop853.E3, dop853.E5, *dop853.A_EXTRA, *dop853.D):
+            stages = [j for j, _ in row]
+            assert stages == sorted(set(stages))
+            assert all(a != 0.0 for _, a in row)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["plain", "dense"])
+    @pytest.mark.parametrize("pv,lpv,amplitude", CROSS_CHECK_SHOTS)
+    def test_same_steps_and_values(self, pv, lpv, amplitude, dense, monkeypatch):
+        ps, lp = validate_params(*pv), LogParams(*lpv)
+        grid = make_grid(2000, 3.0) if dense else None
+        ref = _scipy_shot(amplitude, lp, ps, dense)
+        runs = _record_trajectories(monkeypatch)
+        profile, u_end, nfev = ivp_integrate(amplitude, lp, ps, grid=grid)
+        assert ref.status == 0 and runs[0].status == "finished"
+        assert nfev == runs[0].nfev == ref.nfev
+        assert runs[0].n_steps == len(ref.t) - 1
+        assert abs(u_end - ref.y[0, -1]) <= 1e-12 * max(1.0, abs(amplitude))
+        if dense:
+            want = np.full(grid.m, amplitude)
+            above = grid.nodes >= 2e-7
+            want[above] = ref.sol(grid.nodes[above])[0]
+            want[-1] = ref.y[0, -1]
+            assert np.all(np.abs(profile.values - want) <= 1e-10)
+
+
+_STALL = re.compile(r"IVP integration stalled at r = (\S+) \(amplitude 20, "
+                    r"last good state u = (\S+), w = (\S+)\)")
+
+
+class TestIvpFailures:
+    def test_blowup_guard_reports_the_end_of_the_crossing_step(self, monkeypatch):
+        monkeypatch.setattr(shooting, "_source", lambda r, u, tau, beta, p_star: 1e12)
+        ref = _scipy_shot(20.0, LP, P0, dense=False)
+        assert ref.status == 1
+        runs = _record_trajectories(monkeypatch)
+        with pytest.raises(NumericalError, match=_STALL) as failure:
+            boundary_value(20.0, LP, P0)
+        r, u, _ = map(float, _STALL.search(str(failure.value)).groups())
+        assert runs[0].status == "limit"
+        assert abs(u) >= 1e8 * 20.0
+        # scipy locates the crossing inside the step the port reports the end of
+        assert ref.t_events[0][0] <= r < 1.0
+        assert runs[0].nfev == ref.nfev - 3  # scipy's event search builds an interpolant
+        assert runs[0].n_steps == len(ref.t) - 1
+
+    def test_step_size_underflow(self, monkeypatch):
+        # a source that turns NaN past r = 0.5: every step across it is
+        # rejected until the step is below 10 ulp; on the way, a trial
+        # stage overflows, which the right-hand side turns into inf
+        source = shooting._source
+        monkeypatch.setattr(shooting, "_source", lambda r, u, tau, beta, p_star: (
+            math.nan if r > 0.5 else source(r, u, tau, beta, p_star)))
+        ref = _scipy_shot(20.0, LP, P0, dense=False)
+        assert ref.status == -1
+        runs = _record_trajectories(monkeypatch)
+        with pytest.raises(NumericalError, match=_STALL) as failure:
+            boundary_value(20.0, LP, P0)
+        r, u, w = map(float, _STALL.search(str(failure.value)).groups())
+        assert runs[0].status == "step"
+        # the last steps before the stall follow rounding, so their count
+        # is not scipy's; where they stop is
+        assert r == pytest.approx(0.5, abs=1e-12)
+        assert (u, w) == pytest.approx(tuple(ref.y[:, -1]), rel=1e-3)
 
 
 class TestShoot:
