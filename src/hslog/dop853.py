@@ -1,6 +1,6 @@
 """Dormand-Prince 8(5,3) on a two-component state of Python floats.
 
-A port of scipy's ``solve_ivp(method="DOP853")`` for the (u, w) system the
+A port of ``scipy.integrate.DOP853`` for the (u, w) system the
 shooting integrates.  The state is two floats, every stage sum is a
 sequential sum, and a step builds no array.  The algorithm is scipy's, step
 for step: the initial step of ``select_initial_step`` (error order 7), the
