@@ -4,7 +4,7 @@ logarithmic perturbation.
 The package works on the interval (0, 1] with the weighted measure r^w dr.
 It provides:
 
-* parameter validation and the derived Bliss-profile constants,
+* parameter validation and the closed-form constants of a parameter tuple,
 * piecewise-linear radial profiles on graded meshes with singular-weight
   quadrature,
 * the log-perturbed functionals, their energy and derivative pairing,
@@ -16,14 +16,7 @@ It provides:
 * a CLI that emits deterministic CSV reports.
 """
 
-from hslog.params import (
-    ParamSet,
-    DerivedConstants,
-    ValidationError,
-    validate_params,
-    derived_constants,
-    check_identities,
-)
+from hslog.params import ParamSet, ValidationError, validate_params, check_identities
 from hslog.radial import Grid, Profile, make_grid, weighted_integral, dirichlet_norm
 from hslog.functionals import LogParams
 
@@ -31,10 +24,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParamSet",
-    "DerivedConstants",
     "ValidationError",
     "validate_params",
-    "derived_constants",
     "check_identities",
     "Grid",
     "Profile",

@@ -26,15 +26,8 @@ import numpy as np
 
 from hslog import bliss
 from hslog.functionals import LogParams, J, JNodes, RayTerms, energy_I, ray_sum, ray_terms
-from hslog.params import (
-    NumericalError,
-    ParamSet,
-    ValidationError,
-    bracket_decreasing,
-    brent_root,
-    critical_exponent,
-    derived_constants,
-)
+from hslog.params import (NumericalError, ParamSet, ValidationError, bracket_decreasing,
+                          brent_root)
 from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing, lq_norm, normalize
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
@@ -49,7 +42,7 @@ class RateTable:
     model: str
 
 
-def rate_fit(pairs, model: str = "power-times-loglog") -> RateTable:
+def rate_fit(pairs, model: str) -> RateTable:
     """Least-squares exponent of value ~ C eps^e (optionally * ln|ln eps|)."""
     if model not in RATE_MODELS:
         raise ValidationError(f"unknown rate model {model!r}, expected one of {RATE_MODELS}")
@@ -149,22 +142,20 @@ def maximize_F(
     certified lower bound.  Passing ``lp = None`` maximizes the unperturbed
     critical integral instead; that variant approaches sigma_p from below
     under mesh refinement.  The seeds are bubbles with the unit-norm
-    amplitude of ``bliss.compute_S``; each ascent stops once a step gains
+    amplitude ``ps.a_hat``; each ascent stops once a step gains
     less than 1e-10 relative to the value, or after 5000 steps.  The line
     search of a step stops halving once the step times the first-order gain
     of the projected step falls below that threshold: no step it could
     still accept would gain the threshold, to first order, so the ascent
     ends there as converged instead of halving down to 1e-16.
     """
-    dc = derived_constants(ps)
-    a_hat = bliss.compute_S(dc).a_hat
     work = _AscentWork(grid.m)
 
     candidates: list[MaximizeResult] = []
     for eps in eps_seeds:
         if grid.r1 > eps / 10.0:
             continue
-        start = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
+        start = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
         u = _project(start.values, grid, ps, work)
         if u is None:
             continue
@@ -174,11 +165,6 @@ def maximize_F(
     # highest value wins; exact ties resolved toward the smallest seed
     candidates.sort(key=lambda c: (-c.value, c.seed_epsilon))
     return candidates[0]
-
-
-def _objective(u: Profile, lp: LogParams | None, ps: ParamSet, nodes: JNodes) -> float:
-    """J(u), or J0(u) for ``lp = None``, evaluated in ``nodes``."""
-    return J(u, lp, ps, nodes)
 
 
 def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: ParamSet,
@@ -201,7 +187,7 @@ def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
     # factors of an accepted candidate become the iterate's, and the values
     # the iterate leaves behind take the next candidate
     at_u, at_cand, direction, spare = work.at_u, work.at_cand, work.direction, work.spare
-    value = _objective(u, lp, ps, at_u)
+    value = J(u, lp, ps, at_u)
     step = 0.25
     iterations = 0
     converged = False
@@ -220,7 +206,7 @@ def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
             spare += u.values
             cand = _project(spare, grid, ps, work)
             if cand is not None:
-                cand_val = _objective(cand, lp, ps, at_cand)
+                cand_val = J(cand, lp, ps, at_cand)
                 if cand_val > value:
                     improvement = cand_val - value
                     spare = u.values
@@ -252,11 +238,9 @@ class BubbleBound:
 
 def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid) -> BubbleBound:
     """Best J over normalized cutoff bubbles; a certified lower bound for F."""
-    dc = derived_constants(ps)
-    a_hat = bliss.compute_S(dc).a_hat
     rows = []
     for eps in eps_list:
-        u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
+        u = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
         rows.append((float(eps), J(normalize(u, ps), lp, ps)))
     best_eps, best_val = max(rows, key=lambda t: (t[1], -t[0]))
     return BubbleBound(best_value=best_val, best_epsilon=best_eps, table=tuple(rows))
@@ -264,11 +248,10 @@ def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid) -> Bub
 
 def beta_sweep(ps: ParamSet, tau: float, beta_list, grid: Grid, **opts):
     """maximize_F per beta; returns rows (beta, F_hat, |F_hat - sigma_p|)."""
-    sigma_p = bliss.compute_S(derived_constants(ps)).sigma_p
     rows = []
     for beta in beta_list:
         res = maximize_F(ps, LogParams(tau=tau, beta=float(beta)), grid, **opts)
-        rows.append((float(beta), res.value, abs(res.value - sigma_p)))
+        rows.append((float(beta), res.value, abs(res.value - ps.sigma_p)))
     return rows
 
 
@@ -339,18 +322,17 @@ class ConcentrationLevelReport:
     skipped: bool
 
 
-def concentration_level_check(profiles, lp: LogParams, ps: ParamSet, sigma_p: float,
-                              tail_start: int = 0,
-                              ncs_report: NCSReport | None = None) -> ConcentrationLevelReport:
-    """Compare the running max of J over the family tail against sigma_p
-    + ``LEVEL_TOLERANCE``.
+def concentration_level_check(profiles, lp: LogParams, ps: ParamSet, tail_start: int,
+                              ncs_report: NCSReport) -> ConcentrationLevelReport:
+    """Compare the running max of J over the family from ``tail_start`` on
+    against ``ps.sigma_p`` + ``LEVEL_TOLERANCE``.
 
-    When an NCS report is supplied and fails, the bound is inapplicable and
-    the check is reported as skipped.
+    When the NCS report fails, the bound is inapplicable and the check is
+    reported as skipped.
     """
     j_values = tuple(J(u, lp, ps) for u in profiles)
-    bound = sigma_p + LEVEL_TOLERANCE
-    if ncs_report is not None and not ncs_report.is_ncs:
+    bound = ps.sigma_p + LEVEL_TOLERANCE
+    if not ncs_report.is_ncs:
         return ConcentrationLevelReport(j_values, float("nan"), bound,
                                         passed=False, skipped=True)
     tail = j_values[tail_start:]
@@ -403,7 +385,7 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet,
                       grid: Grid) -> MountainPassResult:
     """Max of t -> I(t u_eps) against the non-compactness level.
 
-    The level is (1/p - 1/p*) S_power, with S_power from ``bliss.compute_S``.
+    The level is (1/p - 1/p*) S_power, with S_power from the ``ParamSet``.
 
     The maximum sits at the root t* of d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t,
     which ``solve_t_eps`` finds.  For tau >= 1 that root is unique and is the
@@ -421,11 +403,9 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet,
     inequality rules out in the continuum), so the value is not a certified
     upper bound there.
     """
-    dc = derived_constants(ps)
-    p_star = critical_exponent(ps)
-    threshold = (1.0 / ps.p - 1.0 / p_star) * bliss.compute_S(dc).S_power
+    threshold = (1.0 / ps.p - 1.0 / ps.p_star) * ps.S_power
 
-    u = bliss.bubble_profile(spec, grid, dc)
+    u = bliss.bubble_profile(spec, grid, ps)
     t_star = solve_t_eps(u, lp, ps)
     max_energy = energy_I(u.scaled(t_star), lp, ps)
     return MountainPassResult(

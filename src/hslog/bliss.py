@@ -6,13 +6,11 @@ The scale-eps profile is
 
 whose critical and gradient integrals over (0, inf) share the common value
 S^((theta+1)/(theta-alpha1+p)), written S_power below.  With t = r^n the
-critical integral is a Beta integral,
-
-    S_power = c_hat^p* / n B(a, b),   a = (theta+1)(p-1)/gap,  b = (theta+1)/gap,
-
-gap = theta - alpha1 + p, and that closed form is what ``compute_S``
-returns; the two integrals themselves are computed by adaptive quadrature
-only when they are read, as the check that they agree.  Truncations to the
+critical integral is a Beta integral, and that closed form is
+``ParamSet.S_power``; S, sigma_p, the unit-norm amplitude a_hat and the
+exponents of u*_eps are read from the ``ParamSet`` too (``params``).  The
+two integrals themselves are computed by adaptive quadrature only in
+``extremal_integrals``, the check that they agree.  Truncations to the
 unit interval ("bubbles") use a C^2 quintic plateau cutoff: identically 1
 on (0, r0], identically 0 on [2 r0, 1].  The plateau edge is r0 = ``R0`` =
 0.2 everywhere except where a ``BubbleSpec`` sets another.
@@ -28,19 +26,11 @@ never integrate do not load scipy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from hslog.params import (
-    DerivedConstants,
-    NumericalError,
-    ParamSet,
-    ValidationError,
-    critical_exponent,
-)
+from hslog.params import NumericalError, ParamSet, ValidationError
 from hslog.radial import Grid, Profile, weighted_integral_between
 from hslog.functionals import LogParams, log_factor_nodes
 
@@ -50,7 +40,11 @@ R0 = 0.2
 def cutoff_eta(r: np.ndarray, r0: float) -> np.ndarray:
     """Quintic smoothstep plateau: 1 on (0, r0], 0 on [2 r0, 1], C^2."""
     x = np.clip((np.asarray(r, dtype=float) - r0) / r0, 0.0, 1.0)
-    return 1.0 - x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
+    eta = np.asarray(1.0 - x**3 * (10.0 - 15.0 * x + 6.0 * x * x))
+    # rounding puts eta at -2e-16 for some r just below 2 r0.  The clamp is
+    # in place: one more grid-length temporary per bubble doubled the page
+    # faults of a sweep-beta pass at M = 16000
+    return np.maximum(eta, 0.0, out=eta)
 
 
 def cutoff_eta_prime(r: np.ndarray, r0: float) -> np.ndarray:
@@ -79,68 +73,49 @@ class BubbleSpec:
 
 
 @dataclass(frozen=True)
-class ConstantsReport:
-    """S and its derived forms, plus the two defining integrals.
+class ExtremalIntegrals:
+    """int_0^inf r^theta u*_1^p* dr and int_0^inf r^alpha1 |u*_1'|^p dr, by quadrature.
 
-    ``a_hat`` is the bubble amplitude making ||u_eps||^p = 1 + O(eps^(s p)).
-    The integrals are computed by quadrature on first access; a quadrature
-    that does not converge raises ``NumericalError`` there.
+    Both equal ``ParamSet.S_power``; that they agree checks the closed form.
     """
 
-    dc: DerivedConstants
-    S: float
-    S_power: float
-    sigma_p: float
-    a_hat: float
-
-    @cached_property
-    def pstar_integral(self) -> float:
-        """int_0^inf r^theta u*_1^p* dr."""
-        ps = self.dc.params
-        p_star = critical_exponent(ps)
-        return _quad_full_line(lambda r: r**ps.theta * bliss_value(1.0, r, self.dc) ** p_star)
-
-    @cached_property
-    def grad_integral(self) -> float:
-        """int_0^inf r^alpha1 |u*_1'|^p dr."""
-        ps = self.dc.params
-        return _quad_full_line(
-            lambda r: r**ps.alpha1 * abs(bliss_deriv(1.0, r, self.dc)) ** ps.p)
+    pstar_integral: float
+    grad_integral: float
 
     @property
     def rel_disagreement(self) -> float:
         return abs(self.pstar_integral - self.grad_integral) / abs(self.grad_integral)
 
 
-def bliss_value(eps: float, r, dc: DerivedConstants):
+def bliss_value(eps: float, r, ps: ParamSet):
     """u*_eps(r); positive, strictly decreasing in r."""
     if eps <= 0:
         raise ValidationError(f"need eps > 0, got {eps}")
     r = np.asarray(r, dtype=float)
-    out = dc.c_hat * eps**dc.s / (eps**dc.n + r**dc.n) ** (1.0 / dc.m)
+    out = ps.c_hat * eps**ps.s / (eps**ps.n + r**ps.n) ** (1.0 / ps.m)
     return float(out) if out.ndim == 0 else out
 
 
-def bliss_deriv(eps: float, r, dc: DerivedConstants):
+def bliss_deriv(eps: float, r, ps: ParamSet):
     r = np.asarray(r, dtype=float)
     out = (
-        -dc.c_hat
-        * eps**dc.s
-        * (dc.n / dc.m)
-        * r ** (dc.n - 1.0)
-        * (eps**dc.n + r**dc.n) ** (-1.0 / dc.m - 1.0)
+        -ps.c_hat
+        * eps**ps.s
+        * (ps.n / ps.m)
+        * r ** (ps.n - 1.0)
+        * (eps**ps.n + r**ps.n) ** (-1.0 / ps.m - 1.0)
     )
     return float(out) if out.ndim == 0 else out
 
 
-def bubble_profile(spec: BubbleSpec, grid: Grid, dc: DerivedConstants) -> Profile:
+def bubble_profile(spec: BubbleSpec, grid: Grid, ps: ParamSet) -> Profile:
     """Sample A_hat * eta * u*_eps on the grid; vanishes on [2 r0, 1]."""
     if grid.r1 > spec.epsilon / 10.0:
         raise ValidationError(
             f"grid too coarse for eps={spec.epsilon:g}: r1={grid.r1:g} > eps/10"
         )
     r = grid.nodes
-    vals = spec.a_hat * cutoff_eta(r, spec.r0) * bliss_value(spec.epsilon, r, dc)
+    vals = spec.a_hat * cutoff_eta(r, spec.r0) * bliss_value(spec.epsilon, r, ps)
     return Profile(grid, vals)
 
 
@@ -158,23 +133,14 @@ def _quad_full_line(f) -> float:
     return head + tail
 
 
-def compute_S(dc: DerivedConstants) -> ConstantsReport:
-    """S_power in closed form (module docstring), and S, Sigma_p, a_hat from it."""
-    ps = dc.params
-    p_star = critical_exponent(ps)
-    gap = ps.theta - ps.alpha1 + ps.p
-    a = (ps.theta + 1.0) * (ps.p - 1.0) / gap
-    b = (ps.theta + 1.0) / gap
-    beta_ab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    s_power = dc.c_hat**p_star / dc.n * beta_ab
-    S = s_power ** (gap / (ps.theta + 1.0))
-    sigma_p = S ** (-p_star / ps.p)
-    return ConstantsReport(
-        dc=dc,
-        S=S,
-        S_power=s_power,
-        sigma_p=sigma_p,
-        a_hat=S ** (-(ps.theta + 1.0) / (gap * ps.p)),
+def extremal_integrals(ps: ParamSet) -> ExtremalIntegrals:
+    """Both defining integrals of S_power by quadrature; a quadrature that
+    does not converge raises ``NumericalError``."""
+    return ExtremalIntegrals(
+        pstar_integral=_quad_full_line(
+            lambda r: r**ps.theta * bliss_value(1.0, r, ps) ** ps.p_star),
+        grad_integral=_quad_full_line(
+            lambda r: r**ps.alpha1 * abs(bliss_deriv(1.0, r, ps)) ** ps.p),
     )
 
 
@@ -193,20 +159,19 @@ def _check_deviation_error(norm: str, eps: float, dev: float, err_core: float,
         )
 
 
-def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants) -> float:
+def bubble_dirichlet_deviation(eps: float, ps: ParamSet) -> float:
     """||u_eps||^p - S_power for amplitude 1, via cutoff-region difference + tail."""
-    ps = dc.params
 
     def diff(r):
-        u = bliss_value(eps, r, dc)
-        du = bliss_deriv(eps, r, dc)
+        u = bliss_value(eps, r, ps)
+        du = bliss_deriv(eps, r, ps)
         eta = float(cutoff_eta(r, R0))
         etap = float(cutoff_eta_prime(r, R0))
         return r**ps.alpha1 * (abs(etap * u + eta * du) ** ps.p - abs(du) ** ps.p)
 
     def tail(v):
         r = 2.0 * R0 / v
-        return r**ps.alpha1 * abs(bliss_deriv(eps, r, dc)) ** ps.p * 2.0 * R0 / v**2
+        return r**ps.alpha1 * abs(bliss_deriv(eps, r, ps)) ** ps.p * 2.0 * R0 / v**2
 
     from scipy.integrate import quad
 
@@ -217,19 +182,18 @@ def bubble_dirichlet_deviation(eps: float, dc: DerivedConstants) -> float:
     return dev
 
 
-def bubble_lpstar_deviation(eps: float, dc: DerivedConstants) -> float:
+def bubble_lpstar_deviation(eps: float, ps: ParamSet) -> float:
     """||u_eps||^p*_{L^p*_theta} - S_power for amplitude 1 (always negative)."""
-    ps = dc.params
-    p_star = critical_exponent(ps)
+    p_star = ps.p_star
 
     def missing(r):
-        u = bliss_value(eps, r, dc)
+        u = bliss_value(eps, r, ps)
         eta = float(cutoff_eta(r, R0))
         return r**ps.theta * u**p_star * (1.0 - eta**p_star)
 
     def tail(v):
         r = 2.0 * R0 / v
-        return r**ps.theta * bliss_value(eps, r, dc) ** p_star * 2.0 * R0 / v**2
+        return r**ps.theta * bliss_value(eps, r, ps) ** p_star * 2.0 * R0 / v**2
 
     from scipy.integrate import quad
 
@@ -240,7 +204,7 @@ def bubble_lpstar_deviation(eps: float, dc: DerivedConstants) -> float:
     return dev
 
 
-def bubble_norm_scan(eps_list, dc: DerivedConstants):
+def bubble_norm_scan(eps_list, ps: ParamSet):
     """Fit the decay exponents of both norm deviations over an eps scan.
 
     Returns (rate table for |Dirichlet deviation|, rate table for |L^p*
@@ -249,8 +213,8 @@ def bubble_norm_scan(eps_list, dc: DerivedConstants):
     from hslog.analysis import rate_fit  # local import, analysis sits above bliss
 
     eps_arr = sorted((float(e) for e in eps_list), reverse=True)
-    dev_d = [abs(bubble_dirichlet_deviation(e, dc)) for e in eps_arr]
-    dev_l = [abs(bubble_lpstar_deviation(e, dc)) for e in eps_arr]
+    dev_d = [abs(bubble_dirichlet_deviation(e, ps)) for e in eps_arr]
+    dev_l = [abs(bubble_lpstar_deviation(e, ps)) for e in eps_arr]
     table_d = rate_fit(list(zip(eps_arr, dev_d)), model="pure-power")
     table_l = rate_fit(list(zip(eps_arr, dev_l)), model="pure-power")
     return table_d, table_l
@@ -266,7 +230,6 @@ def concentration_E(a: float, b: float, u_eps: Profile, lp: LogParams, ps: Param
     """
     if not 0 <= a < b <= 1:
         raise ValidationError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
-    p_star = critical_exponent(ps)
     lf = log_factor_nodes(u_eps.grid.node_power(lp.beta), u_eps.values, lp)
-    f = np.abs(u_eps.values) ** p_star * (lf - 1.0)
+    f = np.abs(u_eps.values) ** ps.p_star * (lf - 1.0)
     return weighted_integral_between(u_eps.grid, f, ps.theta, a, b)

@@ -21,14 +21,7 @@ import numpy as np
 
 from hslog import analysis, bliss, orlicz, shooting
 from hslog.functionals import LogParams
-from hslog.params import (
-    NumericalError,
-    ValidationError,
-    check_identities,
-    critical_exponent,
-    derived_constants,
-    validate_params,
-)
+from hslog.params import NumericalError, ValidationError, check_identities, validate_params
 from hslog.radial import make_grid, normalize, pointwise_bound_check, profile_to_csv
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
@@ -115,15 +108,14 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
-    dc = derived_constants(ps)
-    ident = check_identities(dc)
-    rep = bliss.compute_S(dc)
+    ident = check_identities(ps)
+    ints = bliss.extremal_integrals(ps)
     rows = [
-        ("p_star", dc.p_star), ("s", dc.s), ("n", dc.n), ("m", dc.m),
-        ("c_hat", dc.c_hat), ("kappa", dc.kappa), ("beta_max", dc.beta_max),
+        ("p_star", ps.p_star), ("s", ps.s), ("n", ps.n), ("m", ps.m),
+        ("c_hat", ps.c_hat), ("kappa", ps.kappa), ("beta_max", ps.beta_max),
         ("identity_residual", ident.max_residual),
-        ("S", rep.S), ("S_power", rep.S_power), ("sigma_p", rep.sigma_p),
-        ("pstar_integral", rep.pstar_integral), ("grad_integral", rep.grad_integral),
+        ("S", ps.S), ("S_power", ps.S_power), ("sigma_p", ps.sigma_p),
+        ("pstar_integral", ints.pstar_integral), ("grad_integral", ints.grad_integral),
     ]
     write_csv(out / "constants.csv", "name,value", rows)
     for name, value in rows:
@@ -134,11 +126,10 @@ def cmd_constants(cfg: RunConfig, out: Path) -> int:
 def cmd_maximize(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     grid = cfg.grid()
-    rep = bliss.compute_S(derived_constants(ps))
     res = analysis.maximize_F(ps, cfg.log_params(), grid, eps_seeds=cfg.epsilon_list)
     rows = [
-        ("value", res.value), ("sigma_p", rep.sigma_p),
-        ("gap_to_sigma", res.value - rep.sigma_p),
+        ("value", res.value), ("sigma_p", ps.sigma_p),
+        ("gap_to_sigma", res.value - ps.sigma_p),
         ("iterations", res.iterations), ("converged", res.converged),
         ("seed_epsilon", res.seed_epsilon),
         ("nonnegative_restriction", "true"),
@@ -169,27 +160,25 @@ def cmd_sweep_beta(cfg: RunConfig, out: Path) -> int:
 
 def cmd_rates(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
-    dc = derived_constants(ps)
     grid = cfg.grid()
-    table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, dc)
+    table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, ps)
     for name, table in (("dirichlet", table_d), ("lpstar", table_l)):
         write_csv(out / f"rates_{name}.csv", "epsilon,value,model,fitted_exponent,residual",
                   [(e, v, table.model, table.fitted_exponent, table.fit_residual)
                    for e, v in zip(table.abscissae, table.ordinates)])
-    a_hat = bliss.compute_S(dc).a_hat
 
     e_rows = []
     for eps in cfg.epsilon_list:
-        u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
+        u = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
         e_rows.append((float(eps), bliss.concentration_E(0.0, 1.0, u, cfg.log_params(), ps)))
     table_e = analysis.rate_fit(e_rows, model="power-times-loglog")
     write_csv(out / "rates_concentration.csv", "epsilon,value,model,fitted_exponent,residual",
               [(e, v, table_e.model, table_e.fitted_exponent, table_e.fit_residual)
                for e, v in zip(table_e.abscissae, table_e.ordinates)])
     print(f"dirichlet deviation exponent: {fmt(table_d.fitted_exponent)} "
-          f"(s*p = {fmt(dc.s * ps.p)})")
+          f"(s*p = {fmt(ps.s * ps.p)})")
     print(f"lpstar deviation exponent: {fmt(table_l.fitted_exponent)} "
-          f"(s*p* = {fmt(dc.s * critical_exponent(ps))})")
+          f"(s*p* = {fmt(ps.s * ps.p_star)})")
     print(f"concentration exponent: {fmt(table_e.fitted_exponent)} (beta = {fmt(cfg.beta)})")
     return EXIT_OK
 
@@ -198,11 +187,10 @@ def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
     """(epsilon, max_I, threshold, gap) per eps on one grid, written to mp_gap.csv."""
     ps = cfg.param_set()
     grid = cfg.grid()
-    dc = derived_constants(ps)
     lp = cfg.log_params()
-    if not 0 < cfg.beta < dc.beta_max:
+    if not 0 < cfg.beta < ps.beta_max:
         print(f"warning: beta={fmt(cfg.beta)} outside the level-gap regime "
-              f"(0, {fmt(dc.beta_max)}); attempting anyway")
+              f"(0, {fmt(ps.beta_max)}); attempting anyway")
     # the level bound is a small-scale statement; fat bubbles sit above it
     rows = []
     for eps in cfg.mp_epsilon_list:
@@ -241,10 +229,9 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     if cfg.tau < 1.0:
         raise ValidationError(f"tau must be >= 1 for the BVP, got {cfg.tau}")
-    dc = derived_constants(ps)
-    if not 0 < cfg.beta < dc.beta_max:
+    if not 0 < cfg.beta < ps.beta_max:
         print(f"warning: beta={fmt(cfg.beta)} outside existence regime "
-              f"(0, {fmt(dc.beta_max)}); attempting anyway")
+              f"(0, {fmt(ps.beta_max)}); attempting anyway")
     grid = cfg.grid()
     lp = cfg.log_params()
     bracket = cfg.shoot_bracket or _auto_bracket(lp, ps)
@@ -272,13 +259,11 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     grid = cfg.grid()
     lp = cfg.log_params()
-    dc = derived_constants(ps)
     res = analysis.maximize_F(ps, lp, grid, eps_seeds=cfg.epsilon_list)
     rng = np.random.default_rng(cfg.seed)
     profiles = [analysis.random_smooth_profile(grid, rng)
                 for _ in range(cfg.n_random_profiles)]
-    a_hat = bliss.compute_S(dc).a_hat
-    profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat), grid, dc)
+    profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
                  for eps in cfg.epsilon_list]
     report = orlicz.embedding_check(profiles, lp, ps, res.value)
     write_csv(out / "orlicz.csv", "profile_id,luxemburg,dirichlet,ratio,pass",
@@ -292,17 +277,14 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
 def cmd_ncs(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     grid = cfg.grid()
-    dc = derived_constants(ps)
-    rep = bliss.compute_S(dc)
     eps_family = sorted(cfg.epsilon_list, reverse=True)
-    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, rep.a_hat), grid, dc), ps)
+    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, ps.a_hat), grid, ps), ps)
               for e in eps_family]
     ncs = analysis.ncs_check(family, ps)
     # the level bound is read on the eps <= 1e-3 tail of the family
     tail_start = next((i for i, e in enumerate(eps_family) if e <= 1e-3), len(eps_family) - 1)
-    level = analysis.concentration_level_check(
-        family, cfg.log_params(), ps, rep.sigma_p, tail_start=tail_start, ncs_report=ncs)
-    rows = [(e, j, rep.sigma_p, level.bound, j <= level.bound)
+    level = analysis.concentration_level_check(family, cfg.log_params(), ps, tail_start, ncs)
+    rows = [(e, j, ps.sigma_p, level.bound, j <= level.bound)
             for e, j in zip(eps_family, level.j_values)]
     write_csv(out / "ncs.csv", "epsilon,J,sigma_p,bound,pass", rows)
     print(f"NCS: {'yes' if ncs.is_ncs else 'no'}; level check "
@@ -313,22 +295,21 @@ def cmd_ncs(cfg: RunConfig, out: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
     ps = cfg.param_set()
-    dc = derived_constants(ps)
     checks: list[tuple[str, bool, str]] = []
 
     def run_bliss():
-        rep = bliss.compute_S(dc)
-        ident = check_identities(dc)
+        ident = check_identities(ps)
         checks.append(("parameter-identities", ident.passed,
                        f"max residual {fmt(ident.max_residual)}"))
+        ints = bliss.extremal_integrals(ps)
         checks.append(("extremal-integral-identity",
-                       rep.rel_disagreement < 1e-6,
-                       f"rel disagreement {fmt(rep.rel_disagreement)}"))
+                       ints.rel_disagreement < 1e-6,
+                       f"rel disagreement {fmt(ints.rel_disagreement)}"))
 
     def run_rates():
-        table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, dc)
-        sp = dc.s * ps.p
-        spstar = dc.s * critical_exponent(ps)
+        table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, ps)
+        sp = ps.s * ps.p
+        spstar = ps.s * ps.p_star
         checks.append(("dirichlet-deviation-rate",
                        abs(table_d.fitted_exponent - sp) <= 0.10 * sp,
                        f"fitted {fmt(table_d.fitted_exponent)} target {fmt(sp)}"))

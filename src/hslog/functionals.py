@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from hslog.params import ParamSet, ValidationError, critical_exponent
+from hslog.params import ParamSet, ValidationError
 from hslog.radial import (_GL16_W, _GL16_X, Profile, dirichlet_norm, dirichlet_pairing,
                           weighted_integral)
 
@@ -118,7 +118,7 @@ class JNodes:
         """J(u), or J0(u) for ``lp = None``; the factors stay for ``gradient``."""
         k = u.support_end()
         v = u.values[:k]
-        p_star = critical_exponent(ps)
+        p_star = ps.p_star
         f = self.integrand
         if lp is None:
             np.abs(v, out=f[:k])
@@ -144,7 +144,7 @@ class JNodes:
         ln^(e-1) / (tau + u)), or q p* u^(p*-1) for J0; elsewhere it is 0.
         """
         u, lp, ps, k = self.u, self.lp, self.ps, self.k
-        p_star = critical_exponent(ps)
+        p_star = ps.p_star
         v = u.values[:k]
         g = out[:k]
         h, t = self._work[0][:k], self._work[1][:k]
@@ -184,11 +184,6 @@ def J(u: Profile, lp: LogParams | None, ps: ParamSet, nodes: JNodes | None = Non
     return nodes.evaluate(u, lp, ps)
 
 
-def sobolev_J0(u: Profile, ps: ParamSet) -> float:
-    """The unperturbed critical integral int r^th |u|^p* dr."""
-    return J(u, None, ps)
-
-
 def _require_tau_ge_1(lp: LogParams, what: str) -> None:
     if lp.tau < 1.0:
         raise ValidationError(f"{what} is only defined for tau >= 1, got tau = {lp.tau}")
@@ -219,7 +214,7 @@ def ray_terms(u: Profile, lp: LogParams, ps: ParamSet) -> RayTerms:
     """
     _require_tau_ge_1(lp, "the ray sum of J")
     k = u.support_end()
-    p_star = critical_exponent(ps)
+    p_star = ps.p_star
     a = np.abs(u.values[:k])
     w = u.grid.quad_weights(ps.theta)[:k] * a**p_star
     return RayTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star, np.empty(k))
@@ -242,10 +237,9 @@ def F_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.nda
 
     ``e`` holds the log exponents r_i^beta of the nodes.
     """
-    p_star = critical_exponent(ps)
     a = np.abs(u)
     s = 0.5 * a * (_GL16_X[:, None] + 1.0)
-    integrand = s ** (p_star - 1.0) * log_factor_nodes(e, s, lp)
+    integrand = s ** (ps.p_star - 1.0) * log_factor_nodes(e, s, lp)
     return 0.5 * a * np.einsum("j,ji->i", _GL16_W, integrand)
 
 
@@ -267,10 +261,9 @@ def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet) -> float
     _require_tau_ge_1(lp, "the pairing")
     if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
         raise ValidationError("pairing requires profiles on the same grid")
-    p_star = critical_exponent(ps)
     term1 = dirichlet_pairing(u, v, ps)
     source = _on_support(
-        u, lambda w, e: np.sign(w) * np.abs(w) ** (p_star - 1.0) * log_factor_nodes(e, w, lp),
+        u, lambda w, e: np.sign(w) * np.abs(w) ** (ps.p_star - 1.0) * log_factor_nodes(e, w, lp),
         u.grid.node_power(lp.beta))
     term2 = weighted_integral(u.grid, source * v.values, ps.theta)
     return term1 - term2

@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.functionals import LogParams, RayTerms, ray_sum, ray_terms
-from hslog.params import (
-    ParamSet,
-    ValidationError,
-    bracket_decreasing,
-    brent_root,
-    critical_exponent,
-)
+from hslog.params import ParamSet, ValidationError, bracket_decreasing, brent_root
 from hslog.radial import Profile, dirichlet_norm
 
 
@@ -186,7 +180,7 @@ def embedding_check(profiles, lp: LogParams, ps: ParamSet, f_hat: float) -> Embe
     lambda0 = (1.06 f_hat)^(1/p*): the 1.06 leaves headroom over the 1.05
     safety floor after the p*-th root.  The report carries lambda0.
     """
-    lambda0 = (1.06 * f_hat) ** (1.0 / critical_exponent(ps))
+    lambda0 = (1.06 * f_hat) ** (1.0 / ps.p_star)
     rows = []
     for i, u in enumerate(profiles):
         lux = luxemburg_norm(u, lp, ps)

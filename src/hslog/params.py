@@ -1,10 +1,11 @@
-"""Structural parameter validation and closed-form derived constants.
+"""Structural parameter validation and the closed forms of a parameter tuple.
 
 A parameter tuple (p, alpha0, alpha1, theta) is admissible when
 
     p > 1,   alpha1 - p + 1 > 0,   alpha0 >= alpha1 - p,   theta > alpha1 - p.
 
-From an admissible tuple everything downstream is closed-form:
+From an admissible tuple everything downstream is closed-form, and each
+constant is a cached property of its :class:`ParamSet`:
 
     p* = (theta+1) p / (alpha1-p+1)            critical exponent
     s  = (alpha1-p+1) / (p^2-p)
@@ -14,9 +15,18 @@ From an admissible tuple everything downstream is closed-form:
     kappa = ((p-1)/(alpha1-p+1))^((p-1)/p)     pointwise-bound prefactor
     beta_max = min{(theta+1)/p, (alpha1-p+1)/(p-1)}
 
+and, with gap = theta-alpha1+p, the best constants of the extremal family
+(``bliss``):
+
+    S_power = c_hat^p* / n B(a, b),   a = (theta+1)(p-1)/gap,  b = (theta+1)/gap
+    S       = S_power^(gap/(theta+1))
+    sigma_p = S^(-p*/p)
+    a_hat   = S^(-(theta+1)/(gap p))         unit-norm bubble amplitude
+
 The six relation identities tying (s, n, m, p*) together are exposed via
-``check_identities`` so fault injection and random sampling can exercise
-them directly.
+``check_identities(ps)`` so fault injection and random sampling can exercise
+them directly; a fault is injected by overriding one cached value in the
+instance dict.
 
 ``brent_root`` is the one scalar root-finder the other modules share, and
 ``bracket_decreasing`` the one bracket widener in front of it.  Both are
@@ -28,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ValidationError(ValueError):
@@ -40,26 +51,78 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Admissible parameter tuple; construct through :func:`validate_params`."""
+    """Admissible parameter tuple; construct through :func:`validate_params`.
+
+    The closed forms of the module docstring are cached properties: each is
+    computed on its first read and is a plain instance attribute after it.
+    """
 
     p: float
     alpha0: float
     alpha1: float
     theta: float
 
+    # the Sobolev-case margin alpha1-p+1 > 0, and gap = theta-alpha1+p > 1
+    @property
+    def _sob(self) -> float:
+        return self.alpha1 - self.p + 1
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """All closed-form constants derived from a :class:`ParamSet`."""
+    @property
+    def _gap(self) -> float:
+        return self.theta - self.alpha1 + self.p
 
-    params: ParamSet
-    p_star: float
-    s: float
-    n: float
-    m: float
-    c_hat: float
-    kappa: float
-    beta_max: float
+    @cached_property
+    def p_star(self) -> float:
+        """The optimal embedding exponent."""
+        return (self.theta + 1) * self.p / self._sob
+
+    @cached_property
+    def s(self) -> float:
+        return self._sob / (self.p * self.p - self.p)
+
+    @cached_property
+    def n(self) -> float:
+        return self._gap / (self.p - 1)
+
+    @cached_property
+    def m(self) -> float:
+        return self._gap / self._sob
+
+    @cached_property
+    def c_hat(self) -> float:
+        p, sob = self.p, self._sob
+        return ((self.theta + 1) * (sob / (p - 1)) ** (p - 1)) ** (sob / (p * self._gap))
+
+    @cached_property
+    def kappa(self) -> float:
+        p = self.p
+        return ((p - 1) / self._sob) ** ((p - 1) / p)
+
+    @cached_property
+    def beta_max(self) -> float:
+        return min((self.theta + 1) / self.p, self._sob / (self.p - 1))
+
+    @cached_property
+    def S_power(self) -> float:
+        """The common value of the critical and gradient integrals of u*_1."""
+        gap = self._gap
+        a = (self.theta + 1.0) * (self.p - 1.0) / gap
+        b = (self.theta + 1.0) / gap
+        beta_ab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        return self.c_hat**self.p_star / self.n * beta_ab
+
+    @cached_property
+    def S(self) -> float:
+        return self.S_power ** (self._gap / (self.theta + 1.0))
+
+    @cached_property
+    def sigma_p(self) -> float:
+        return self.S ** (-self.p_star / self.p)
+
+    @cached_property
+    def a_hat(self) -> float:
+        """The bubble amplitude making ||u_eps||^p = 1 + O(eps^(s p))."""
+        return self.S ** (-(self.theta + 1.0) / (self._gap * self.p))
 
 
 @dataclass(frozen=True)
@@ -94,33 +157,10 @@ def validate_params(p: float, alpha0: float, alpha1: float, theta: float) -> Par
     return ParamSet(p=float(p), alpha0=float(alpha0), alpha1=float(alpha1), theta=float(theta))
 
 
-def derived_constants(ps: ParamSet) -> DerivedConstants:
-    p, a1, th = ps.p, ps.alpha1, ps.theta
-    sob = a1 - p + 1          # Sobolev-case margin, > 0
-    gap = th - a1 + p         # > 1 since theta > alpha1 - p
-
-    p_star = critical_exponent(ps)
-    s = sob / (p * p - p)
-    n = gap / (p - 1)
-    m = gap / sob
-    c_hat = ((th + 1) * (sob / (p - 1)) ** (p - 1)) ** (sob / (p * gap))
-    kappa = ((p - 1) / sob) ** ((p - 1) / p)
-    beta_max = min((th + 1) / p, sob / (p - 1))
-    return DerivedConstants(
-        params=ps, p_star=p_star, s=s, n=n, m=m, c_hat=c_hat, kappa=kappa, beta_max=beta_max
-    )
-
-
-def critical_exponent(ps: ParamSet) -> float:
-    """p* = (theta+1) p / (alpha1-p+1), the optimal embedding exponent."""
-    return (ps.theta + 1) * ps.p / (ps.alpha1 - ps.p + 1)
-
-
-def identity_residuals(dc: DerivedConstants) -> tuple[float, ...]:
+def identity_residuals(ps: ParamSet) -> tuple[float, ...]:
     """Absolute residuals of the six relations among (s, n, m, p*)."""
-    ps = dc.params
     p, a1, th = ps.p, ps.alpha1, ps.theta
-    s, n, m, p_star = dc.s, dc.n, dc.m, dc.p_star
+    s, n, m, p_star = ps.s, ps.n, ps.m, ps.p_star
     return (
         abs(s * m / n - 1.0 / p),
         abs((n - s * m) - (th - a1 + p) / p),
@@ -131,9 +171,9 @@ def identity_residuals(dc: DerivedConstants) -> tuple[float, ...]:
     )
 
 
-def check_identities(dc: DerivedConstants) -> IdentityReport:
+def check_identities(ps: ParamSet) -> IdentityReport:
     """Report the worst identity residual; passes iff it is below 1e-12."""
-    res = identity_residuals(dc)
+    res = identity_residuals(ps)
     worst = max(res)
     return IdentityReport(residuals=res, max_residual=worst, passed=worst < 1e-12)
 
@@ -170,7 +210,7 @@ BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
 def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,
                args: tuple = (), *, xtol: float = 2e-12, rtol: float = BRENT_RTOL,
-               maxiter: int = 100, disp: bool = True) -> tuple[float, float]:
+               maxiter: int = 100) -> tuple[float, float]:
     """Root of f(x, *args) in [lo, hi] by Brent's method; returns (x*, f(x*)).
 
     A line-for-line port of scipy's brentq (``Zeros/brentq.c``): the same
@@ -182,8 +222,7 @@ def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,
 
     The iteration stops when the bracket is shorter than xtol + rtol |x|
     or f hits 0.  rtol must be at least 4 eps.  After ``maxiter``
-    iterations it raises ``NumericalError``, or with ``disp=False`` returns
-    the last iterate.  A NaN value of f, or ends of one sign, raise
+    iterations, on a NaN value of f, or for ends of one sign it raises
     ``NumericalError`` naming ``what``.
     """
     if not xtol > 0.0:
@@ -241,10 +280,8 @@ def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,
             x_cur += delta if s_bis > 0 else -delta
         f_cur = f(x_cur, *args)
         _require_number(f_cur, x_cur, what)
-    if disp:
-        raise NumericalError(f"Brent's method did not converge to {what} in {maxiter} "
-                             f"iterations: f = {f_cur:.3e} at {x_cur:.17g}")
-    return x_cur, f_cur
+    raise NumericalError(f"Brent's method did not converge to {what} in {maxiter} "
+                         f"iterations: f = {f_cur:.3e} at {x_cur:.17g}")
 
 
 def _require_number(fx: float, x: float, what: str) -> None:

@@ -35,13 +35,7 @@ import numpy as np
 
 from hslog import dop853
 from hslog.functionals import LogParams, energy_pairing
-from hslog.params import (
-    NumericalError,
-    ParamSet,
-    ValidationError,
-    brent_root,
-    critical_exponent,
-)
+from hslog.params import NumericalError, ParamSet, ValidationError, brent_root
 from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
 
 
@@ -107,7 +101,7 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
         raise ValidationError(f"the BVP source needs tau >= 1, got {lp.tau}")
     if not 0 < r_min <= 1e-4:
         raise ValidationError(f"need r_min in (0, 1e-4], got {r_min}")
-    p_star = critical_exponent(ps)
+    p_star = ps.p_star
     alpha1, theta, inv_pm1 = ps.alpha1, ps.theta, 1.0 / (ps.p - 1.0)
     tau, beta = lp.tau, lp.beta
 
@@ -162,9 +156,10 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid)
     The bracket must hold a sign change of u(1; a).  An amplitude bracket
     starting at 0 stands in u(1) = 1 there: amplitude 0 is the trivial
     branch and small shots stay positive at r = 1.  Brent runs to an
-    amplitude tolerance of 1e-12 in at most 200 iterations; the root must
-    then have |u(1)| < 1e-8, or ``NumericalError`` is raised.  Every shot
-    starts at r_min = 1e-7.
+    amplitude tolerance of 1e-12 in at most 200 iterations, or raises
+    ``NumericalError`` naming the shooting amplitude.  The root must then
+    have |u(1)| < 1e-8, or ``NumericalError`` is raised.  Every shot starts
+    at r_min = 1e-7.
 
     The returned profile has its boundary node clamped to zero so it is a
     member of the discrete space; ``boundary_residual`` records the actual
@@ -188,11 +183,11 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid)
             f"u(1) = {f_lo:.3e} and {f_hi:.3e}"
         )
     a_star, f_star = brent_root(shot, a_lo, f_lo, a_hi, f_hi, "the shooting amplitude",
-                                args=ivp_args, xtol=1e-12, maxiter=200, disp=False)
+                                args=ivp_args, xtol=1e-12, maxiter=200)
     if not abs(f_star) < 1e-8:
         raise NumericalError(
             f"amplitude shooting did not reach |u(1)| < 1e-08 after {len(shots)} "
-            f"shots (at most 200 Brent iterations): u(1) = {f_star:.3e} "
+            f"shots: u(1) = {f_star:.3e} "
             f"at amplitude {a_star:.12g}"
         )
 

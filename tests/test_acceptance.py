@@ -35,7 +35,7 @@ from hslog.analysis import (
     random_smooth_profile,
     rate_fit,
 )
-from hslog.functionals import LogParams, energy_I, energy_pairing, ray_terms, sobolev_J0
+from hslog.functionals import J, LogParams, energy_I, energy_pairing, ray_terms
 from hslog.orlicz import (
     GammaSpec,
     convexity_check,
@@ -43,7 +43,7 @@ from hslog.orlicz import (
     luxemburg_norm,
     modular,
 )
-from hslog.params import derived_constants, validate_params
+from hslog.params import validate_params
 from hslog.radial import (
     Profile,
     dirichlet_norm,
@@ -55,7 +55,6 @@ from hslog.shooting import shoot
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
-DC0 = derived_constants(P0)
 S_POWER_EXACT = 3**1.5 * math.pi / 16
 SIGMA_P_EXACT = 256 / (27 * math.pi**2)
 MP_THRESHOLD_EXACT = math.sqrt(3) * math.pi / 16
@@ -64,11 +63,6 @@ MP_THRESHOLD_EXACT = math.sqrt(3) * math.pi / 16
 def verdict(number: str, ok: bool, detail: str) -> bool:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-@pytest.fixture(scope="module")
-def report():
-    return bliss.compute_S(DC0)
 
 
 @pytest.fixture(scope="module")
@@ -86,37 +80,38 @@ def bvp_solution():
     return shoot(LogParams(1.0, 0.5), P0, (20.0, 50.0), make_grid(2000, 3.0))
 
 
-def test_criterion_1_extremal_integral_identity(report):
+def test_criterion_1_extremal_integral_identity():
     start = time.monotonic()
-    ok = (abs(report.pstar_integral - S_POWER_EXACT) < 1e-6 * S_POWER_EXACT
-          and abs(report.grad_integral - S_POWER_EXACT) < 1e-6 * S_POWER_EXACT)
-    disagreements = [bliss.compute_S(derived_constants(P1)).rel_disagreement]
+    ints = bliss.extremal_integrals(P0)
+    ok = (abs(ints.pstar_integral - S_POWER_EXACT) < 1e-6 * S_POWER_EXACT
+          and abs(ints.grad_integral - S_POWER_EXACT) < 1e-6 * S_POWER_EXACT)
+    disagreements = [bliss.extremal_integrals(P1).rel_disagreement]
     rng = np.random.default_rng(123)
     for _ in range(5):
         p = rng.uniform(1.3, 3.5)
         alpha1 = p - 1 + rng.uniform(0.2, 3.0)
         alpha0 = max(alpha1 - p, 0.0) + rng.uniform(0.0, 2.0)
         theta = max(alpha1 - p, 0.0) + rng.uniform(0.1, 3.0)
-        dc = derived_constants(validate_params(p, alpha0, alpha1, theta))
-        disagreements.append(bliss.compute_S(dc).rel_disagreement)
+        ps = validate_params(p, alpha0, alpha1, theta)
+        disagreements.append(bliss.extremal_integrals(ps).rel_disagreement)
     elapsed = time.monotonic() - start
     ok = ok and max(disagreements) < 1e-6 and elapsed < 5.0
     assert verdict("1", ok,
-                   f"both integrals = {report.pstar_integral:.9f} "
+                   f"both integrals = {ints.pstar_integral:.9f} "
                    f"(exact {S_POWER_EXACT:.9f}); worst disagreement "
                    f"{max(disagreements):.2e}; {elapsed:.2f} s")
 
 
-def test_criterion_2_best_constant(report):
-    rel = abs(report.sigma_p - SIGMA_P_EXACT) / SIGMA_P_EXACT
+def test_criterion_2_best_constant():
+    rel = abs(P0.sigma_p - SIGMA_P_EXACT) / SIGMA_P_EXACT
     assert verdict("2", rel < 1e-6,
-                   f"sigma_p = {report.sigma_p:.9f} vs 256/(27 pi^2) = "
+                   f"sigma_p = {P0.sigma_p:.9f} vs 256/(27 pi^2) = "
                    f"{SIGMA_P_EXACT:.9f} (rel {rel:.2e})")
 
 
 def test_criterion_3_bubble_norm_rates():
     eps_list = (1e-2, 1e-3, 1e-4, 1e-5)
-    table_d, table_l = bliss.bubble_norm_scan(eps_list, DC0)
+    table_d, table_l = bliss.bubble_norm_scan(eps_list, P0)
     ok_d = abs(table_d.fitted_exponent - 1.0) <= 0.10 * 1.0
     ok_l = abs(table_l.fitted_exponent - 3.0) <= 0.15 * 3.0
     assert verdict("3", ok_d and ok_l,
@@ -124,13 +119,13 @@ def test_criterion_3_bubble_norm_rates():
                    f"L^p* exponent {table_l.fitted_exponent:.4f} (target 3, 15%)")
 
 
-def test_criterion_4_strictness_and_bubble_bounds(grid, report, maximizer):
-    ok = maximizer.value >= report.sigma_p + 1e-3
+def test_criterion_4_strictness_and_bubble_bounds(grid, maximizer):
+    ok = maximizer.value >= P0.sigma_p + 1e-3
     details = [f"maximize_F = {maximizer.value:.6f} >= sigma_p + 1e-3"]
     eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)
     for beta in (0.3, 0.5, 0.8, 2.0, 8.0):
         bb = bubble_lower_bound(P0, LogParams(1.0, beta), eps_list, grid)
-        good = bb.best_value >= report.sigma_p - 1e-3
+        good = bb.best_value >= P0.sigma_p - 1e-3
         ok = ok and good
         details.append(f"beta={beta}: {bb.best_value:.6f}")
     assert verdict("4", ok, "; ".join(details))
@@ -147,15 +142,13 @@ def test_criterion_5_beta_sweep(grid):
 
 
 def test_criterion_6_concentration_rate(grid):
-    rep = bliss.compute_S(DC0)
-    a_hat = rep.a_hat
     results = {}
     ok = True
     for beta in (0.3, 0.5, 0.8):
         lp = LogParams(1.0, beta)
         rows = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), grid, DC0)
+            u = bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat, 0.2), grid, P0)
             rows.append((eps, bliss.concentration_E(0.0, 1.0, u, lp, P0)))
         table = rate_fit(rows, model="power-times-loglog")
         results[beta] = table.fitted_exponent
@@ -186,14 +179,14 @@ def test_criterion_7b_level_gap_rate(grid):
     # gap of the same bubble with the log factor off; its mountain-pass
     # maximum has the closed form (1/p - 1/p*) (||u||^p* / J0(u))^(p/(p*-p)),
     # so the truncation term cancels and only the log lowering remains.
-    p, p_star = P0.p, DC0.p_star
+    p, p_star = P0.p, P0.p_star
     rows, raw, gap0s = [], [], []
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         spec = bliss.BubbleSpec(eps, 1.0, 0.45)
         mp = mountain_pass_gap(spec, LogParams(1.0, 0.5), P0, grid)
-        u = bliss.bubble_profile(spec, grid, DC0)
+        u = bliss.bubble_profile(spec, grid, P0)
         max0 = (1 / p - 1 / p_star) * (dirichlet_norm(u, P0) ** p_star
-                                       / sobolev_J0(u, P0)) ** (p / (p_star - p))
+                                       / J(u, None, P0)) ** (p / (p_star - p))
         gap0 = mp.threshold - max0
         rows.append((eps, mp.gap - gap0))
         raw.append((eps, mp.gap))
@@ -223,18 +216,17 @@ def test_criterion_8_bvp(bvp_solution):
                    f"on refinement; positive inside = {bvp_solution.positive_inside}")
 
 
-def test_criterion_9_pointwise_bound_everywhere(grid, report, maximizer, bvp_solution):
+def test_criterion_9_pointwise_bound_everywhere(grid, maximizer, bvp_solution):
     profiles = [maximizer.profile, bvp_solution.profile]
-    a_hat = report.a_hat
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-        u = bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), grid, DC0)
+        u = bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat, 0.2), grid, P0)
         profiles.append(normalize(u, P0))
     worst = min(pointwise_bound_check(u, P0).worst_slack for u in profiles)
     assert verdict("9", worst >= -1e-12,
                    f"worst slack {worst:+.2e} over {len(profiles)} emitted profiles")
 
 
-def test_criterion_10_orlicz(grid, report, maximizer):
+def test_criterion_10_orlicz(grid, maximizer):
     ok = True
     details = []
     for spec in (GammaSpec(6, 1, 1.0), GammaSpec(7.5, 0.5, 2.0)):
@@ -253,8 +245,7 @@ def test_criterion_10_orlicz(grid, report, maximizer):
     details.append(f"modular residual {residual:.1e}; homogeneity {hom_err:.1e}")
 
     profiles = [random_smooth_profile(grid, rng) for _ in range(100)]
-    a_hat = report.a_hat
-    profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, a_hat, 0.2), grid, DC0)
+    profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat, 0.2), grid, P0)
                  for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
     emb = embedding_check(profiles, lp, P0, maximizer.value)
     ok = ok and emb.all_passed
@@ -280,49 +271,46 @@ def test_criterion_11_gradient_consistency():
                    f"worst relative error {worst:.2e} over 150 pairs, 3 parameter sets")
 
 
-def _ncs_family(grid, report):
-    a_hat = report.a_hat
+def _ncs_family(grid):
     eps_family = (1e-2, 1e-3, 1e-4, 1e-5)
-    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, 0.2), grid, DC0), P0)
+    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, P0.a_hat, 0.2), grid, P0), P0)
               for e in eps_family]
     return eps_family, family
 
 
-def test_criterion_12a_concentration_level_tau_one(grid, report):
+def test_criterion_12a_concentration_level_tau_one(grid):
     # limsup J <= sigma_p is a statement about the limit, and the excess
     # J - sigma_p = C eps^beta ln|ln eps| - D eps^(s p) tends to 0 from above:
     # the tail max (sigma_p + 1.1e-2 at eps = 1e-4) exceeds the allowance at
     # finite eps.  The three tail points determine L + C eps^beta ln|ln eps|
     # + D eps^(s p) exactly; the limit L must be within the allowance and the
     # concentration gain C positive.
-    eps_family, family = _ncs_family(grid, report)
+    eps_family, family = _ncs_family(grid)
     ncs = ncs_check(family, P0)
     tail_start = eps_family.index(1e-3)
     tolerance = LEVEL_TOLERANCE
     assert tolerance == 5e-3
     lp = LogParams(1.0, 0.5)
-    level = concentration_level_check(family, lp, P0, report.sigma_p, tail_start=tail_start,
-                                      ncs_report=ncs)
+    level = concentration_level_check(family, lp, P0, tail_start, ncs)
     eps = np.array(eps_family[tail_start:])
-    excess = np.array(level.j_values[tail_start:]) - report.sigma_p
+    excess = np.array(level.j_values[tail_start:]) - P0.sigma_p
     model = np.column_stack([np.ones_like(eps),
                              eps**lp.beta * np.log(np.abs(np.log(eps))),
-                             eps ** (DC0.s * P0.p)])
+                             eps ** (P0.s * P0.p)])
     limit, gain, _ = np.linalg.solve(model, excess)
     ok = ncs.is_ncs and not level.skipped and gain > 0 and limit <= tolerance
     assert verdict("12a", ok,
                    f"(tau,beta)=(1,0.5): extrapolated J-sigma_p = {limit:+.1e} vs "
                    f"{tolerance:g}, gain C = {gain:.3f}; tail max J = {level.tail_max:.6f} "
                    f"vs bound {level.bound:.6f}; J-sigma_p = "
-                   + " ".join(f"{j - report.sigma_p:+.1e}" for j in level.j_values))
+                   + " ".join(f"{j - P0.sigma_p:+.1e}" for j in level.j_values))
 
 
-def test_criterion_12b_concentration_level_tau_e(grid, report):
-    eps_family, family = _ncs_family(grid, report)
+def test_criterion_12b_concentration_level_tau_e(grid):
+    eps_family, family = _ncs_family(grid)
     ncs = ncs_check(family, P0)
     tail_start = eps_family.index(1e-3)
-    level = concentration_level_check(family, LogParams(math.e, 1.0), P0, report.sigma_p,
-                                      tail_start=tail_start, ncs_report=ncs)
+    level = concentration_level_check(family, LogParams(math.e, 1.0), P0, tail_start, ncs)
     ok = ncs.is_ncs and not level.skipped and level.passed
     assert verdict("12b", ok,
                    f"(tau,beta)=(e,1): tail max J = {level.tail_max:.6f} vs bound "

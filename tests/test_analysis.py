@@ -23,23 +23,15 @@ from hslog.analysis import (
     rate_fit,
     solve_t_eps,
 )
-from hslog.functionals import JNodes, LogParams, J, energy_I, sobolev_J0
+from hslog.functionals import JNodes, LogParams, J, energy_I
 from hslog.params import (
     NumericalError,
     ValidationError,
-    critical_exponent,
-    derived_constants,
     validate_params,
 )
 from hslog.radial import Profile, dirichlet_norm, make_grid, normalize
 
 P0 = validate_params(2, 2, 2, 2)
-DC0 = derived_constants(P0)
-
-
-@pytest.fixture(scope="module")
-def report():
-    return bliss.compute_S(DC0)
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +54,12 @@ class TestRateFit:
 
     def test_needs_four_points(self):
         with pytest.raises(ValidationError, match="4 points"):
-            rate_fit([(1e-1, 1.0), (1e-2, 0.1), (1e-3, 0.01)])
+            rate_fit([(1e-1, 1.0), (1e-2, 0.1), (1e-3, 0.01)], model="pure-power")
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValidationError, match="positive"):
-            rate_fit([(1e-1, 1.0), (1e-2, -0.1), (1e-3, 0.01), (1e-4, 0.001)])
+            rate_fit([(1e-1, 1.0), (1e-2, -0.1), (1e-3, 0.01), (1e-4, 0.001)],
+                     model="pure-power")
 
     def test_unknown_model(self):
         with pytest.raises(ValidationError, match="model"):
@@ -76,14 +69,14 @@ class TestRateFit:
 class TestMaximizer:
     LP = LogParams(1.0, 0.5)
 
-    def test_exceeds_unperturbed_constant(self, grid, report):
+    def test_exceeds_unperturbed_constant(self, grid):
         res = maximize_F(P0, self.LP, grid)
-        assert res.value >= report.sigma_p + 1e-3
+        assert res.value >= P0.sigma_p + 1e-3
         assert dirichlet_norm(res.profile, P0) == pytest.approx(1.0, abs=1e-10)
         # the value is J of the returned profile, bit for bit
         assert res.value == J(res.profile, self.LP, P0)
         unperturbed = maximize_F(P0, None, grid)
-        assert unperturbed.value == sobolev_J0(unperturbed.profile, P0)
+        assert unperturbed.value == J(unperturbed.profile, None, P0)
 
     def test_seed_order_invariance(self, grid):
         seeds = (1e-2, 1e-3, 1e-4)
@@ -97,9 +90,9 @@ class TestMaximizer:
                   for tau in (1.0, math.e, 10.0)]
         assert values[0] <= values[1] <= values[2]
 
-    def test_large_beta_approaches_unperturbed_constant(self, grid, report):
+    def test_large_beta_approaches_unperturbed_constant(self, grid):
         res = maximize_F(P0, LogParams(1.0, 16.0), grid)
-        assert abs(res.value - report.sigma_p) < 0.01
+        assert abs(res.value - P0.sigma_p) < 0.01
 
     def test_projection_is_the_normalized_nonnegative_part(self, grid):
         # the profile _project checks is the one it returns, with the values
@@ -119,7 +112,7 @@ class TestMaximizer:
         with pytest.raises(ValidationError, match="seed"):
             maximize_F(P0, self.LP, tiny, eps_seeds=(1e-5,))
 
-    def test_unperturbed_variant_approaches_sigma_from_below(self, report):
+    def test_unperturbed_variant_approaches_sigma_from_below(self):
         # seeds widen with the mesh so each bubble stays well resolved;
         # within that window the discrete supremum sits under sigma_p
         couplings = [(1000, (1e-2, 3e-3, 1e-3)),
@@ -128,8 +121,8 @@ class TestMaximizer:
         values = [maximize_F(P0, None, make_grid(m, 3.0), eps_seeds=seeds).value
                   for m, seeds in couplings]
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
-        assert all(v < report.sigma_p for v in values)
-        assert report.sigma_p - values[-1] < 5e-3
+        assert all(v < P0.sigma_p for v in values)
+        assert P0.sigma_p - values[-1] < 5e-3
 
 
 class TestAscentLineSearch:
@@ -164,9 +157,7 @@ class TestAscentLineSearch:
     @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5)])
     def test_gain_matches_central_difference(self, grid, pv, lp):
         ps = validate_params(*pv)
-        dc = derived_constants(ps)
-        bubble = bliss.bubble_profile(bliss.BubbleSpec(1e-2, bliss.compute_S(dc).a_hat),
-                                      grid, dc)
+        bubble = bliss.bubble_profile(bliss.BubbleSpec(1e-2, ps.a_hat), grid, ps)
         work = analysis._AscentWork(grid.m)
         u = analysis._project(bubble.values, grid, ps, work)
         direction = _grad_J_values(u, lp, ps)
@@ -184,11 +175,11 @@ class TestAscentLineSearch:
     def test_outcome_pinned_and_budget(self, grid, beta, monkeypatch):
         calls = [0]
         ascents = []
-        objective, ascend = analysis._objective, analysis._ascend
+        j, ascend = analysis.J, analysis._ascend
 
-        def counted_objective(*args):
+        def counted_J(*args):
             calls[0] += 1
-            return objective(*args)
+            return j(*args)
 
         def recorded_ascend(*args):
             calls[0] = 0
@@ -196,7 +187,7 @@ class TestAscentLineSearch:
             ascents.append((res, calls[0]))
             return res
 
-        monkeypatch.setattr(analysis, "_objective", counted_objective)
+        monkeypatch.setattr(analysis, "J", counted_J)
         monkeypatch.setattr(analysis, "_ascend", recorded_ascend)
         maximize_F(P0, LogParams(1.0, beta), grid)
         assert len(ascents) == 6
@@ -213,10 +204,10 @@ class TestAscentLineSearch:
 class TestBubbleLowerBound:
     LP = LogParams(1.0, 0.5)
 
-    def test_within_slack_of_constant(self, grid, report):
+    def test_within_slack_of_constant(self, grid):
         bb = bubble_lower_bound(P0, self.LP, (1e-2, 1e-3, 1e-4, 1e-5), grid)
         assert isinstance(bb, BubbleBound)
-        assert bb.best_value >= report.sigma_p - 1e-3
+        assert bb.best_value >= P0.sigma_p - 1e-3
 
     def test_never_beats_the_maximizer(self, grid):
         seeds = (1e-2, 1e-3, 1e-4)
@@ -241,9 +232,7 @@ class TestBetaSweep:
 
 
 def _bubble_family(grid, eps_values, r0=0.2):
-    rep = bliss.compute_S(DC0)
-    a_hat = rep.a_hat
-    return [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, r0), grid, DC0), P0)
+    return [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, P0.a_hat, r0), grid, P0), P0)
             for e in eps_values]
 
 
@@ -271,19 +260,17 @@ class TestNcsCheck:
 
 
 class TestConcentrationLevel:
-    def test_tau_e_family_below_bound(self, grid, report):
+    def test_tau_e_family_below_bound(self, grid):
         family = _bubble_family(grid, (1e-2, 1e-3, 1e-4, 1e-5))
         ncs = ncs_check(family, P0)
-        level = concentration_level_check(family, LogParams(math.e, 1.0), P0,
-                                          report.sigma_p, tail_start=1, ncs_report=ncs)
+        level = concentration_level_check(family, LogParams(math.e, 1.0), P0, 1, ncs)
         assert not level.skipped
         assert level.passed
 
-    def test_non_concentrating_family_skipped(self, grid, report):
+    def test_non_concentrating_family_skipped(self, grid):
         u = _bubble_family(grid, (1e-2,))[0]
         ncs = ncs_check([u, u, u], P0)
-        level = concentration_level_check([u, u, u], LogParams(1.0, 0.5), P0,
-                                          report.sigma_p, ncs_report=ncs)
+        level = concentration_level_check([u, u, u], LogParams(1.0, 0.5), P0, 0, ncs)
         assert level.skipped
 
 
@@ -340,7 +327,7 @@ class TestScalarStationarity:
         # or positive (k < 1)
         u = _bubble_family(grid, (1e-3,))[0]
         n_p = dirichlet_norm(u, P0) ** P0.p
-        p_star = critical_exponent(P0)
+        p_star = P0.p_star
         monkeypatch.setattr(analysis, "ray_sum", lambda terms, t: k * n_p * t ** (P0.p - p_star))
         with pytest.raises(NumericalError, match=f"could not bracket t_eps from {side}"):
             solve_t_eps(u, self.LP, P0)
@@ -395,19 +382,19 @@ class TestMountainPass:
         assert mp.threshold == pytest.approx(math.sqrt(3) * math.pi / 16, rel=1e-9)
         assert mp.max_energy < mp.threshold
         assert mp.gap > 0
-        u = bliss.bubble_profile(self.SPEC, grid, DC0)
+        u = bliss.bubble_profile(self.SPEC, grid, P0)
         assert energy_I(u.scaled(10.0), self.LP, P0) < 0     # far end of the ray is negative
 
     def test_maximum_above_its_neighbours(self, grid):
         mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
-        u = bliss.bubble_profile(self.SPEC, grid, DC0)
+        u = bliss.bubble_profile(self.SPEC, grid, P0)
         assert mp.max_energy == energy_I(u.scaled(mp.t_at_max), self.LP, P0)
         for f in (1.0 - 1e-3, 1.0 + 1e-3):
             assert mp.max_energy >= energy_I(u.scaled(f * mp.t_at_max), self.LP, P0)
 
     def test_matches_the_scan_and_polish(self, grid):
         mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
-        polished, scanned = _scan_and_polish(bliss.bubble_profile(self.SPEC, grid, DC0),
+        polished, scanned = _scan_and_polish(bliss.bubble_profile(self.SPEC, grid, P0),
                                              self.LP, P0)
         assert abs(mp.max_energy - polished) <= 1e-14
         assert scanned <= mp.max_energy
@@ -423,7 +410,7 @@ class TestSphereScan:
 
 def _grad_full(u, lp, ps):
     # the untrimmed full-array formula
-    p_star = critical_exponent(ps)
+    p_star = ps.p_star
     r, v = u.grid.nodes, u.values
     if lp is None:
         grad = p_star * v ** (p_star - 1.0)
@@ -473,7 +460,7 @@ class TestGradient:
         for vals in (np.abs(random_smooth_profile(grid, rng).values), bubble.values, spiky,
                      np.zeros(grid.m), bubble.values):
             u = Profile(grid, vals)
-            f = np.abs(vals) ** critical_exponent(ps)
+            f = np.abs(vals) ** ps.p_star
             if lp is not None:
                 f = f * np.abs(np.log(lp.tau + np.abs(vals))) ** grid.nodes**lp.beta
             assert J(u, lp, ps, nodes) == float(np.einsum("i,i->", grid.quad_weights(ps.theta), f))

@@ -13,8 +13,9 @@ import pytest
 
 import hslog
 from hslog import orlicz, shooting
-from hslog.cli import RunConfig, main, parse_config
-from hslog.params import ValidationError
+from hslog.cli import RunConfig, _auto_bracket, main, parse_config
+from hslog.functionals import LogParams
+from hslog.params import ValidationError, validate_params
 
 BASE_CFG = """\
 p = 2
@@ -137,6 +138,20 @@ class TestShoot:
         assert keys == ["amplitude", "boundary_residual", "weak_residual",
                         "bisection_iterations", "ivp_evaluations", "positive_inside",
                         "pointwise_bound_slack", "origin_condition"]
+
+    @pytest.mark.parametrize("params, bracket", [((2, 2, 2, 2), (20.0, 50.0)),
+                                                 ((3, 2, 4, 4), (50.0, 100.0))])
+    def test_auto_bracket(self, params, bracket):
+        assert _auto_bracket(LogParams(1.0, 0.5), validate_params(*params)) == bracket
+
+    def test_without_bracket_key_as_with_the_scanned_one(self, cfg_file, tmp_path):
+        path = tmp_path / "auto.cfg"
+        path.write_text(BASE_CFG.replace("shoot_bracket = 20,50\n", ""))
+        assert parse_config(str(path)).shoot_bracket == ()
+        auto, given = tmp_path / "auto", tmp_path / "given"
+        assert main(["shoot", "--config", str(path), "--out", str(auto)]) == 0
+        assert main(["shoot", "--config", str(cfg_file), "--out", str(given)]) == 0
+        assert (auto / "solution.csv").read_bytes() == (given / "solution.csv").read_bytes()
 
     def test_empty_bracket_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nb.cfg"

@@ -21,14 +21,7 @@ from hslog.orlicz import (
     luxemburg_norm,
     modular,
 )
-from hslog.params import (
-    NumericalError,
-    ValidationError,
-    brent_root,
-    critical_exponent,
-    derived_constants,
-    validate_params,
-)
+from hslog.params import NumericalError, ValidationError, brent_root, validate_params
 from hslog.radial import Profile, make_grid
 
 P0 = validate_params(2, 2, 2, 2)
@@ -96,7 +89,7 @@ def _random_or_bubble(grid, kind):
     # the bubble is a cutoff bubble, identically 0 on [0.4, 1]
     if kind == "random":
         return random_smooth_profile(grid, np.random.default_rng(8))
-    return bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, derived_constants(P0))
+    return bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, P0)
 
 
 class TestLuxemburgNorm:
@@ -216,13 +209,10 @@ class TestLuxemburgNorm:
 
 class TestEmbedding:
     def test_random_and_bubble_profiles_pass(self, grid):
-        dc = derived_constants(P0)
-        rep = bliss.compute_S(dc)
         res = maximize_F(P0, LP, grid, eps_seeds=(1e-2, 1e-3, 1e-4))
         rng = np.random.default_rng(8)
         profiles = [random_smooth_profile(grid, rng) for _ in range(30)]
-        a_hat = rep.a_hat
-        profiles += [bliss.bubble_profile(bliss.BubbleSpec(e, a_hat, 0.2), grid, dc)
+        profiles += [bliss.bubble_profile(bliss.BubbleSpec(e, P0.a_hat, 0.2), grid, P0)
                      for e in (1e-2, 1e-3, 1e-4)]
         report = embedding_check(profiles, LP, P0, res.value)
         assert isinstance(report, EmbeddingReport)
@@ -237,5 +227,5 @@ class TestEmbedding:
     @pytest.mark.parametrize("f_hat", [0.96, 1.0013, 2.5])
     def test_lambda0_derived_from_f_hat(self, ps, f_hat):
         report = embedding_check([], LP, ps, f_hat)
-        assert report.lambda0 == (1.06 * f_hat) ** (1 / critical_exponent(ps))
-        assert report.lambda0 ** critical_exponent(ps) >= 1.05 * f_hat
+        assert report.lambda0 == (1.06 * f_hat) ** (1 / ps.p_star)
+        assert report.lambda0 ** ps.p_star >= 1.05 * f_hat

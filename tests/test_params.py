@@ -1,6 +1,5 @@
-"""Tests for parameter validation and the derived constants."""
+"""Tests for parameter validation and the closed-form constants."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +13,6 @@ from hslog.params import (
     ValidationError,
     brent_root,
     check_identities,
-    critical_exponent,
-    derived_constants,
     identity_residuals,
     validate_params,
 )
@@ -56,41 +53,44 @@ class TestValidateParams:
             validate_params(float("nan"), 2.0, 2.0, 2.0)
 
 
-class TestDerivedConstants:
+class TestClosedForms:
     def test_classical_values(self):
-        dc = derived_constants(validate_params(*P0))
-        assert dc.p_star == pytest.approx(6.0, abs=1e-14)
-        assert dc.s == pytest.approx(0.5, abs=1e-14)
-        assert dc.n == pytest.approx(2.0, abs=1e-14)
-        assert dc.m == pytest.approx(2.0, abs=1e-14)
-        assert dc.c_hat == pytest.approx(3.0**0.25, rel=1e-14)
-        assert dc.kappa == pytest.approx(1.0, abs=1e-14)
-        assert dc.beta_max == pytest.approx(1.0, abs=1e-14)
+        ps = validate_params(*P0)
+        assert ps.p_star == pytest.approx(6.0, abs=1e-14)
+        assert ps.s == pytest.approx(0.5, abs=1e-14)
+        assert ps.n == pytest.approx(2.0, abs=1e-14)
+        assert ps.m == pytest.approx(2.0, abs=1e-14)
+        assert ps.c_hat == pytest.approx(3.0**0.25, rel=1e-14)
+        assert ps.kappa == pytest.approx(1.0, abs=1e-14)
+        assert ps.beta_max == pytest.approx(1.0, abs=1e-14)
 
     def test_strict_case_values(self):
-        dc = derived_constants(validate_params(*P1))
-        assert dc.p_star == pytest.approx(7.5, abs=1e-14)
-        assert dc.s == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert dc.n == pytest.approx(1.5, abs=1e-14)
-        assert dc.m == pytest.approx(1.5, abs=1e-14)
-        assert dc.kappa == pytest.approx(1.0, abs=1e-14)
-        assert dc.beta_max == pytest.approx(1.0, abs=1e-14)
+        ps = validate_params(*P1)
+        assert ps.p_star == pytest.approx(7.5, abs=1e-14)
+        assert ps.s == pytest.approx(1.0 / 3.0, abs=1e-14)
+        assert ps.n == pytest.approx(1.5, abs=1e-14)
+        assert ps.m == pytest.approx(1.5, abs=1e-14)
+        assert ps.kappa == pytest.approx(1.0, abs=1e-14)
+        assert ps.beta_max == pytest.approx(1.0, abs=1e-14)
 
     def test_identities_exact_for_rational_cases(self):
         for params in (P0, P1):
-            report = check_identities(derived_constants(validate_params(*params)))
+            report = check_identities(validate_params(*params))
             assert report.passed
             assert report.max_residual < 1e-12
 
-    def test_injected_fault_detected(self):
-        dc = derived_constants(validate_params(*P0))
-        broken = dataclasses.replace(dc, s=dc.s + 1e-6)
-        report = check_identities(broken)
+    def test_injected_fault_detected(self, monkeypatch):
+        ps = validate_params(*P0)
+        monkeypatch.setitem(ps.__dict__, "s", ps.s + 1e-6)
+        report = check_identities(ps)
         assert not report.passed
         assert report.max_residual >= 1e-7
 
-    def test_critical_exponent_helper(self):
-        assert critical_exponent(validate_params(*P1)) == pytest.approx(7.5)
+    def test_cached_and_not_part_of_equality(self):
+        ps = validate_params(*P1)
+        assert ps.sigma_p is ps.sigma_p
+        assert "sigma_p" in vars(ps)
+        assert ps == validate_params(*P1) and hash(ps) == hash(validate_params(*P1))
 
 
 def _valid_params(p, off1, m0, m3):
@@ -110,7 +110,7 @@ def _valid_params(p, off1, m0, m3):
 )
 def test_relation_identities_hold_for_random_admissible_tuples(p, off1, m0, m3):
     ps = validate_params(*_valid_params(p, off1, m0, m3))
-    residuals = identity_residuals(derived_constants(ps))
+    residuals = identity_residuals(ps)
     assert max(residuals) < 1e-12
 
 
@@ -123,9 +123,8 @@ def test_relation_identities_hold_for_random_admissible_tuples(p, off1, m0, m3):
 )
 def test_supercriticality_and_beta_window(p, off1, m0, m3):
     ps = validate_params(*_valid_params(p, off1, m0, m3))
-    dc = derived_constants(ps)
-    assert dc.p_star > ps.p
-    assert dc.beta_max > 0
+    assert ps.p_star > ps.p
+    assert ps.beta_max > 0
 
 
 class TestBrentRoot:
@@ -205,7 +204,7 @@ class TestBrentMatchesScipy:
             xtol = 10.0 ** rng.uniform(-16.0, -2.0)
             rtol = BRENT_RTOL * 10.0 ** rng.uniform(0.0, 10.0)
             self._both(cubic, lo, hi, args=tuple(c), xtol=xtol, rtol=rtol,
-                       maxiter=int(rng.integers(1, 80)), disp=False)
+                       maxiter=int(rng.integers(1, 80)))
             checked += 1
 
     def test_step_map(self):
@@ -216,11 +215,10 @@ class TestBrentMatchesScipy:
     def test_maxiter_exhaustion(self):
         f = math.cos
         for maxiter in (1, 2, 3, 5):
-            # disp=False returns the last iterate, as brentq does
-            x, ours = self._both(f, 0.0, 3.0, xtol=1e-15, maxiter=maxiter, disp=False)
+            # it raises where brentq raises RuntimeError, after the same calls
+            x, ours = self._both(f, 0.0, 3.0, xtol=1e-15, maxiter=maxiter)
+            assert x is None
             assert len(ours) == maxiter
-            # disp=True raises where brentq raises RuntimeError
-            assert self._both(f, 0.0, 3.0, xtol=1e-15, maxiter=maxiter)[0] is None
         with pytest.raises(NumericalError, match="did not converge to the root in 3 "):
             brent_root(f, 0.0, 1.0, 3.0, f(3.0), "the root", xtol=1e-15, maxiter=3)
 
@@ -230,10 +228,9 @@ class TestBrentMatchesScipy:
         from hslog.radial import dirichlet_norm, make_grid
 
         ps = validate_params(*P0)
-        dc = derived_constants(ps)
         grid = make_grid(1000, 3.0)
         lp = LogParams(1.0, 0.5)
-        u = bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, dc)
+        u = bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, ps)
         args = (ray_terms(u, lp, ps), dirichlet_norm(u, ps) ** ps.p, ps.p)
         x, _ = self._both(analysis._stationarity, 0.5, 2.0, args=args, xtol=1e-15,
                           rtol=8.9e-16, maxiter=200)
@@ -263,7 +260,7 @@ class TestBrentMatchesScipy:
 
         ps = validate_params(*P0)
         self._both(shooting.boundary_value, 20.0, 50.0, args=(LogParams(1.0, 0.5), ps),
-                   xtol=1e-12, maxiter=200, disp=False)
+                   xtol=1e-12, maxiter=200)
 
 
 class TestBrentFailures:

@@ -8,7 +8,7 @@ import pytest
 
 from hslog import dop853, shooting
 from hslog.functionals import LogParams, energy_I
-from hslog.params import NumericalError, ValidationError, critical_exponent, validate_params
+from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import Profile, make_grid, pointwise_bound_check
 from hslog.shooting import (
     boundary_value,
@@ -63,7 +63,7 @@ def _scipy_shot(amplitude, lp, ps, dense):
     """The shot as scipy's solve_ivp takes it, with the integrator's arguments."""
     from scipy.integrate import solve_ivp
 
-    p_star = critical_exponent(ps)
+    p_star = ps.p_star
 
     def rhs(r, y):
         u, w = y
@@ -232,6 +232,14 @@ class TestShoot:
         monkeypatch.setattr(shooting, "boundary_value",
                             lambda a, *args: 1.0 if a < 30.0 else -1.0)
         with pytest.raises(NumericalError, match=r"did not reach \|u\(1\)\| < 1e-08"):
+            shoot(LP, P0, BRACKET, grid)
+
+    def test_brent_exhaustion_names_the_amplitude(self, grid, monkeypatch):
+        brent_root = shooting.brent_root
+        monkeypatch.setattr(shooting, "brent_root",
+                            lambda *args, **kw: brent_root(*args, **{**kw, "maxiter": 2}))
+        with pytest.raises(NumericalError,
+                           match="did not converge to the shooting amplitude in 2 iterations"):
             shoot(LP, P0, BRACKET, grid)
 
     def test_r_min_robustness(self, solution):
