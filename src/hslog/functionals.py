@@ -22,6 +22,13 @@ and pow with a zero base is several times slower than with a regular one.
 J and the ascent gradient read one set of nodal factors (``JNodes``), so
 an ascent forms |u|^p*, ln(tau+|u|) and its power once per iterate.
 
+The energy's primitive F is a 16-point Gauss-Legendre sum per node
+(``F_nodes``).  It is formed in node blocks of ``_F_BLOCK`` = 1000 nodes,
+in place in two (16, 1000) work arrays.  One work array is 128000 B, under
+glibc's 128 KiB mmap threshold, so it comes from the heap, and the two stay
+in cache.  16 x k temporaries, 1.5 MB each for a cutoff bubble at M = 16000,
+had their pages handed back to the system and faulted in again every call.
+
 Along the ray through a profile u the quadrature of J factors.  Since
 |s u_i|^p* = s^p* |u_i|^p* for s > 0,
 
@@ -75,9 +82,10 @@ def _on_support(u: Profile, kernel: Callable[..., np.ndarray], *node_arrays) -> 
     k is ``u.support_end()``, one past the last nonzero node of u.  Every
     kernel works node by node (F_nodes' Gauss-Legendre sum runs over the 16
     points of one node at a time), so the first k outputs are the
-    full-array ones bit for bit.  The result is full length, so the
-    quadrature sum sees the same vector as without the trim.  Interior
-    zeros are computed like any other node.
+    full-array ones bit for bit.  The one exception is F_nodes at k = 1,
+    whose einsum sums a lone node's 16 terms in another order.  The result
+    is full length, so the quadrature sum sees the same vector as without
+    the trim.  Interior zeros are computed like any other node.
     """
     v = u.values
     k = u.support_end()
@@ -232,15 +240,57 @@ def ray_sum(terms: RayTerms, s: float) -> float:
     return float(np.einsum("i,i->", terms.w, x))
 
 
+# the Gauss-Legendre points mapped from [-1, 1] to [0, 2], as a column
+_GL16_X1 = _GL16_X[:, None] + 1.0
+
+# nodes per block of F_nodes: a (16, 1000) float64 array is 128000 B, under
+# glibc's 128 KiB mmap threshold; of the widths 256-1000 timed on a 2-vCPU
+# Xeon, 1000 was the fastest
+_F_BLOCK = 1000
+
+
 def F_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.ndarray:
     """F(r_i, u_i) by 16-point Gauss-Legendre in s on [0, |u_i|]; even in u.
 
-    ``e`` holds the log exponents r_i^beta of the nodes.
+    ``e`` holds the log exponents r_i^beta of the nodes.  The integrand
+    s^(p*-1) |ln(tau + s)|^e at s_j = (|u_i|/2)(x_j + 1) is formed in place,
+    a block of at most ``_F_BLOCK`` nodes at a time, in two contiguous (16, b)
+    work arrays that stay under the mmap threshold and in cache; each
+    block's weighted sum goes straight into its slice of the result.  Per
+    node these are the operations of the one-shot 16 x k form, in the same
+    order, so the result is that form's bit for bit.  The fixed-order einsum
+    sums a node's 16 terms alike at every block width but 1, where it runs
+    along the points in another order, so a block is one node wide only for
+    k = 1, as the one-shot form's array is then.
     """
-    a = np.abs(u)
-    s = 0.5 * a * (_GL16_X[:, None] + 1.0)
-    integrand = s ** (ps.p_star - 1.0) * log_factor_nodes(e, s, lp)
-    return 0.5 * a * np.einsum("j,ji->i", _GL16_W, integrand)
+    k = u.size
+    out = np.empty(k)
+    width = min(k, _F_BLOCK)
+    half = np.empty(width)
+    s_work, t_work = np.empty(16 * width), np.empty(16 * width)
+    pm1 = ps.p_star - 1.0
+    lo = 0
+    while lo < k:
+        hi = min(lo + _F_BLOCK, k)
+        if hi == k - 1:  # leave two nodes to the last block, not one
+            hi -= 1
+        b = hi - lo
+        s = s_work[:16 * b].reshape(16, b)
+        t = t_work[:16 * b].reshape(16, b)
+        ha = np.abs(u[lo:hi], out=half[:b])
+        ha *= 0.5
+        np.multiply(ha, _GL16_X1, out=s)
+        np.abs(s, out=t)
+        t += lp.tau
+        np.log(t, out=t)
+        np.abs(t, out=t)
+        t **= e[lo:hi]
+        s **= pm1
+        s *= t
+        np.einsum("j,ji->i", _GL16_W, s, out=out[lo:hi])
+        out[lo:hi] *= ha
+        lo = hi
+    return out
 
 
 def energy_I(u: Profile, lp: LogParams, ps: ParamSet) -> float:

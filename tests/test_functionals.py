@@ -1,6 +1,7 @@
 """Tests for the log-perturbed functionals and the energy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 
 from hslog import bliss
 from hslog.functionals import (
+    _F_BLOCK,
     F_nodes,
     J,
     JNodes,
@@ -21,7 +23,8 @@ from hslog.functionals import (
     ray_terms,
 )
 from hslog.params import ValidationError, validate_params
-from hslog.radial import Profile, dirichlet_norm, make_grid, normalize, weighted_integral
+from hslog.radial import (_GL16_W, _GL16_X, Profile, dirichlet_norm, make_grid, normalize,
+                          weighted_integral)
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -271,8 +274,16 @@ def _J_full(u, lp, ps):
     return weighted_integral(u.grid, np.abs(u.values) ** p_star * lf, ps.theta)
 
 
+def _F_nodes_one_shot(e, u, lp, ps):
+    """F_nodes as one 16 x k array expression, the reference for its blocks."""
+    a = np.abs(u)
+    s = 0.5 * a * (_GL16_X[:, None] + 1.0)
+    integrand = s ** (ps.p_star - 1.0) * log_factor_nodes(e, s, lp)
+    return 0.5 * a * np.einsum("j,ji->i", _GL16_W, integrand)
+
+
 def _energy_full(u, lp, ps):
-    f = F_nodes(u.grid.nodes**lp.beta, u.values, lp, ps)
+    f = _F_nodes_one_shot(u.grid.nodes**lp.beta, u.values, lp, ps)
     return dirichlet_norm(u, ps) ** ps.p / ps.p - weighted_integral(u.grid, f, ps.theta)
 
 
@@ -355,6 +366,45 @@ class TestSupportTrim:
         seen = []
         _on_support(_support_profile(kind), lambda w: seen.append(w.size) or w)
         assert seen == [expected]
+
+
+class TestPrimitiveBlocks:
+    """F_nodes, formed in node blocks, equals the one-shot 16 x k form bit
+    for bit and allocates no 16 x k array."""
+
+    LP = LogParams(1.0, 0.5)
+    README_BUBBLE = bliss.bubble_profile(bliss.BubbleSpec(1e-3), make_grid(16000, 3.0), P0)
+
+    @pytest.mark.parametrize("k", [0, 1, _F_BLOCK - 1, _F_BLOCK, _F_BLOCK + 1,
+                                   2 * _F_BLOCK + 3])
+    @pytest.mark.parametrize("ps", [P0, P1])
+    def test_support_lengths(self, k, ps):
+        g = make_grid(2 * _F_BLOCK + 3, 3.0)
+        vals = (4.0 * _smooth(g, np.random.default_rng(k)))[:k]
+        e = g.node_power(self.LP.beta)[:k]
+        for v in (vals, -vals):
+            assert np.array_equal(F_nodes(e, v, self.LP, ps), _F_nodes_one_shot(e, v, self.LP, ps))
+
+    @pytest.mark.parametrize("ps", [P0, P1])
+    def test_readme_bubble_at_m16000(self, ps):
+        u = self.README_BUBBLE
+        k = u.support_end()
+        assert k == 11788
+        e = u.grid.node_power(self.LP.beta)[:k]
+        for v in (u.values[:k], -u.values[:k]):
+            assert np.array_equal(F_nodes(e, v, self.LP, ps), _F_nodes_one_shot(e, v, self.LP, ps))
+
+    def test_peak_memory_below_one_16_by_k_array(self):
+        u = self.README_BUBBLE
+        k = u.support_end()
+        v, e = u.values[:k], u.grid.node_power(self.LP.beta)[:k]
+        tracemalloc.start()
+        try:
+            F_nodes(e, v, self.LP, P0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * k * 8
 
 
 class TestSupremumInequalities:
