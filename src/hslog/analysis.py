@@ -80,18 +80,6 @@ class MaximizeResult:
     seed_epsilon: float
 
 
-def _grad_J_values(u: Profile, lp: LogParams | None, ps: ParamSet) -> np.ndarray:
-    """Gradient of J with respect to the nodal values (weights folded in).
-
-    ``lp = None`` selects the unperturbed objective (log factor off).  It is
-    ``JNodes.gradient`` after an evaluation of J at u, the pair the ascent
-    reads from one evaluation.
-    """
-    nodes = JNodes(u.grid.m)
-    J(u, lp, ps, nodes)
-    return nodes.gradient(np.empty(u.grid.m))
-
-
 class _AscentWork:
     """The arrays the ascent writes in place, made once per ``maximize_F``.
 
@@ -171,11 +159,11 @@ def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: Param
                       work: _AscentWork) -> float:
     """d/ds J(_project(u + s h)) at s = 0, for h = direction / scale and ||u|| = 1.
 
-    The direction is >= 0 wherever u >= 0 and vanishes where u does, so the
-    clip does not bind near s = 0, and the derivative is
-    d.h - (d.u) <u, h>: the gradient d = ``_grad_J_values`` along h (d.h is
-    the scale), minus the part the renormalization takes back, whose norm
-    derivative at ||u|| = 1 is the Dirichlet pairing <u, h>.
+    The iterate u is >= 0 and the direction vanishes where u does (it may be
+    < 0 where u > 0, for tau < 1), so the clip does not bind near s = 0, and
+    the derivative is d.h - (d.u) <u, h>: the gradient d = ``JNodes.gradient``
+    along h (d.h is the scale), minus the part the renormalization takes
+    back, whose norm derivative at ||u|| = 1 is the Dirichlet pairing <u, h>.
     """
     h = Profile(u.grid, np.divide(direction, scale, out=work.h))
     pairing = dirichlet_pairing(u, h, ps, work.cells)

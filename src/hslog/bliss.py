@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.params import NumericalError, ParamSet, ValidationError
-from hslog.radial import Grid, Profile, weighted_integral_between
+from hslog.radial import Grid, Profile, weighted_integral
 from hslog.functionals import LogParams, log_factor_nodes
 
 R0 = 0.2
@@ -223,13 +223,15 @@ def bubble_norm_scan(eps_list, ps: ParamSet):
 # --- the concentration functional ------------------------------------------
 
 
-def concentration_E(a: float, b: float, u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """E(a, b) = int_a^b r^th |u|^p* (|ln(tau + |u|)|^(r^beta) - 1) dr.
+def concentration_E(u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
+    """E = int_0^1 r^th |u|^p* (|ln(tau + |u|)|^(r^beta) - 1) dr, in the nodal rule of J.
 
-    Exact moments per cell make the value additive over interval splits.
+    The integrand is formed up to the last nonzero node of u and is an
+    exact zero past it, as in J, so E agrees with J - J0 to rounding.
     """
-    if not 0 <= a < b <= 1:
-        raise ValidationError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
-    lf = log_factor_nodes(u_eps.grid.node_power(lp.beta), u_eps.values, lp)
-    f = np.abs(u_eps.values) ** ps.p_star * (lf - 1.0)
-    return weighted_integral_between(u_eps.grid, f, ps.theta, a, b)
+    k = u_eps.support_end()
+    v = u_eps.values[:k]
+    f = np.zeros(u_eps.grid.m)
+    f[:k] = np.abs(v) ** ps.p_star * (
+        log_factor_nodes(u_eps.grid.node_power(lp.beta)[:k], v, lp) - 1.0)
+    return weighted_integral(u_eps.grid, f, ps.theta)

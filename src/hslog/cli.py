@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -170,7 +171,7 @@ def cmd_rates(cfg: RunConfig, out: Path) -> int:
     e_rows = []
     for eps in cfg.epsilon_list:
         u = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
-        e_rows.append((float(eps), bliss.concentration_E(0.0, 1.0, u, cfg.log_params(), ps)))
+        e_rows.append((float(eps), bliss.concentration_E(u, cfg.log_params(), ps)))
     table_e = analysis.rate_fit(e_rows, model="power-times-loglog")
     write_csv(out / "rates_concentration.csv", "epsilon,value,model,fitted_exponent,residual",
               [(e, v, table_e.model, table_e.fitted_exponent, table_e.fit_residual)
@@ -371,7 +372,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parse leaves no state
+    in it, so in-process callers of ``main`` reuse one."""
     parser = argparse.ArgumentParser(
         prog="hslog",
         description="Weighted radial Sobolev functionals with a supercritical "

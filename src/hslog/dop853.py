@@ -353,7 +353,7 @@ def _interpolant(fun, t, u, w, h, ku, kw, u_new):
 
 
 def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
-              atol: float, u_limit: float, dense: bool = False) -> Trajectory:
+              atol: float, u_limit: float, dense: bool) -> Trajectory:
     """Integrate (u, w)' = fun(t, u, w) from t0 to t_bound > t0.
 
     fun returns the pair (u', w') as floats.  rtol and atol apply to both

@@ -15,10 +15,15 @@ discrete energy; this is what the finite-difference consistency tests
 exercise.
 
 The nodal integrands of J, I, the pairing and the ascent gradient each
-carry a power of |u|.  They are evaluated up to the last nonzero node of u
+carry a power of |u|.  They are evaluated up to the last nonzero node of u,
+k = ``Profile.support_end()``, on the first k entries of each node array,
 and are exact zeros after it, which is what the full formulas give there.
-A cutoff bubble is identically 0 on [2 r0, 1], a quarter of a graded mesh,
-and pow with a zero base is several times slower than with a regular one.
+Every kernel works node by node, so the first k values are the full-array
+ones bit for bit (``F_nodes`` at k = 1 excepted, see there).  Interior
+zeros are computed like any other node, and the quadrature sum sees a
+full-length vector.  A cutoff bubble is identically 0 on [2 r0, 1], a
+quarter of a graded mesh, and pow with a zero base is several times slower
+than with a regular one.
 J and the ascent gradient read one set of nodal factors (``JNodes``), so
 an ascent forms |u|^p*, ln(tau+|u|) and its power once per iterate.
 
@@ -51,7 +56,6 @@ and its pairing, which are only defined for tau >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -76,32 +80,14 @@ def log_factor_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams) -> np.ndarray:
     return x**e
 
 
-def _on_support(u: Profile, kernel: Callable[..., np.ndarray], *node_arrays) -> np.ndarray:
-    """kernel(u.values[:k], *(a[:k] for a in node_arrays)), then exact zeros.
-
-    k is ``u.support_end()``, one past the last nonzero node of u.  Every
-    kernel works node by node (F_nodes' Gauss-Legendre sum runs over the 16
-    points of one node at a time), so the first k outputs are the
-    full-array ones bit for bit.  The one exception is F_nodes at k = 1,
-    whose einsum sums a lone node's 16 terms in another order.  The result
-    is full length, so the quadrature sum sees the same vector as without
-    the trim.  Interior zeros are computed like any other node.
-    """
-    v = u.values
-    k = u.support_end()
-    out = np.zeros(v.size)
-    out[:k] = kernel(v[:k], *(a[:k] for a in node_arrays))
-    return out
-
-
 class JNodes:
     """The nodal factors of J at one profile, in arrays kept for the next one.
 
     ``evaluate`` takes u on its support (``Profile.support_end``, k nodes)
-    and forms pw = |u|^p*, ln = ln(tau + |u|) and lf = |ln|^e with e =
-    r^beta, then J from the integrand pw lf, which is full length with
-    exact zeros past k.  ``gradient`` reads the same arrays, so J and its
-    gradient at one profile form each power and log once.  Every array is
+    and forms pw = |u|^p*, arg = tau + |u|, ln = ln(arg) and lf = |ln|^e
+    with e = r^beta, then J from the integrand pw lf, which is full length
+    with exact zeros past k.  ``gradient`` reads the same arrays, so J and
+    its gradient at one profile form each power and log once.  Every array is
     grid length and filled in place, so an ascent that keeps two of these
     allocates no float array for J or its gradient.  The operations are
     those of the plain formulas, in the same order, so the results are
@@ -112,7 +98,7 @@ class JNodes:
     """
 
     def __init__(self, m: int):
-        self.pw, self.ln, self.lf = np.empty(m), np.empty(m), np.empty(m)
+        self.pw, self.arg, self.ln, self.lf = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
         self.integrand = np.zeros(m)
         self._work = np.empty(m), np.empty(m)
         self._mask = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
@@ -132,11 +118,11 @@ class JNodes:
             np.abs(v, out=f[:k])
             f[:k] **= p_star
         else:
-            pw, ln, lf = self.pw[:k], self.ln[:k], self.lf[:k]
+            pw, arg, ln, lf = self.pw[:k], self.arg[:k], self.ln[:k], self.lf[:k]
             np.abs(v, out=pw)
-            np.add(pw, lp.tau, out=ln)
+            np.add(pw, lp.tau, out=arg)
             pw **= p_star
-            np.log(ln, out=ln)
+            np.log(arg, out=ln)
             np.abs(ln, out=lf)
             lf **= u.grid.node_power(lp.beta)[:k]
             np.multiply(pw, lf, out=f[:k])
@@ -148,8 +134,11 @@ class JNodes:
         """The gradient of J (or J0) at the evaluated profile u with respect
         to its nodal values, quadrature weights folded in, written to ``out``.
 
-        At a node with u > 0 and ln > 0 it is q (p* u^(p*-1) lf + pw e
-        ln^(e-1) / (tau + u)), or q p* u^(p*-1) for J0; elsewhere it is 0.
+        At a node with u > 0 and ln != 0 it is q (p* u^(p*-1) lf + pw e
+        sign(ln) |ln|^(e-1) / arg), or q p* u^(p*-1) for J0; elsewhere it is
+        0.  For tau < 1, ln < 0 wherever arg < 1, and the sign carries the
+        derivative of |ln| there.  For tau >= 1, ln > 0 wherever u > 0
+        (ln = 0 only where arg rounds to 1), so the sign is 1.
         """
         u, lp, ps, k = self.u, self.lp, self.ps, self.k
         p_star = ps.p_star
@@ -162,18 +151,18 @@ class JNodes:
         g *= p_star
         np.less_equal(v, 0.0, out=dropped)
         if lp is not None:
-            e = u.grid.node_power(lp.beta)[:k]
+            e, ln = u.grid.node_power(lp.beta)[:k], self.ln[:k]
             with np.errstate(divide="ignore", invalid="ignore"):
                 g *= self.lf[:k]
-                np.multiply(self.pw[:k], e, out=h)
+                np.abs(ln, out=h)
                 np.subtract(e, 1.0, out=t)
-                np.power(self.ln[:k], t, out=t)
+                np.power(h, t, out=t)
+                np.copysign(t, ln, out=t)
+                np.multiply(self.pw[:k], e, out=h)
                 h *= t
-                np.abs(v, out=t)
-                t += lp.tau
-                h /= t
+                h /= self.arg[:k]
                 g += h
-            np.less_equal(self.ln[:k], 0.0, out=other)
+            np.equal(ln, 0.0, out=other)
             dropped |= other
         np.copyto(g, 0.0, where=dropped)
         g *= u.grid.quad_weights(ps.theta)[:k]
@@ -297,7 +286,9 @@ def energy_I(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     """The mountain-pass energy I(u) = ||u||^p / p - int r^th F(r, u) dr."""
     _require_tau_ge_1(lp, "the energy")
     nrm = dirichlet_norm(u, ps)
-    f = _on_support(u, lambda v, e: F_nodes(e, v, lp, ps), u.grid.node_power(lp.beta))
+    k = u.support_end()
+    f = np.zeros(u.grid.m)
+    f[:k] = F_nodes(u.grid.node_power(lp.beta)[:k], u.values[:k], lp, ps)
     f_term = weighted_integral(u.grid, f, ps.theta)
     return nrm**ps.p / ps.p - f_term
 
@@ -312,8 +303,10 @@ def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet) -> float
     if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
         raise ValidationError("pairing requires profiles on the same grid")
     term1 = dirichlet_pairing(u, v, ps)
-    source = _on_support(
-        u, lambda w, e: np.sign(w) * np.abs(w) ** (ps.p_star - 1.0) * log_factor_nodes(e, w, lp),
-        u.grid.node_power(lp.beta))
+    k = u.support_end()
+    w = u.values[:k]
+    source = np.zeros(u.grid.m)
+    source[:k] = (np.sign(w) * np.abs(w) ** (ps.p_star - 1.0)
+                  * log_factor_nodes(u.grid.node_power(lp.beta)[:k], w, lp))
     term2 = weighted_integral(u.grid, source * v.values, ps.theta)
     return term1 - term2

@@ -2,10 +2,12 @@
 
 Profiles are piecewise linear between the graded nodes r_i = (i/M)^gamma,
 i = 1..M, and constant (equal to the first nodal value) on the leading
-interval (0, r_1].  All integrals against r^w dr reduce to fixed nodal
-weights: per interior cell the rule is 4-point Gauss-Legendre applied to
+interval (0, r_1].  Every integral of a nodal integrand against r^w dr
+over (0, 1) is one rule, ``weighted_integral``, with fixed nodal weights:
+per interior cell the rule is 4-point Gauss-Legendre applied to
 r^w * (hat functions), and on (0, r_1] the weight moment is taken in closed
-form.  The weights are cached per (grid, w), which also makes every
+form.  J, J0, the energy, its pairing and the concentration functional E
+all use it.  The weights are cached per (grid, w), which also makes every
 integral exactly linear in the sampled integrand.  Every quadrature sum is
 a single-threaded reduction in a fixed order (``np.einsum`` without
 ``optimize`` never calls BLAS), so an integral does not depend on the BLAS
@@ -150,39 +152,6 @@ def weighted_integral(grid: Grid, f: np.ndarray, w: float) -> float:
     if f.shape != (grid.m,):
         raise ValidationError(f"integrand needs {grid.m} samples, got shape {f.shape}")
     return float(np.einsum("i,i->", grid.quad_weights(w), f))
-
-
-def weighted_integral_between(grid: Grid, f: np.ndarray, w: float, a: float, b: float) -> float:
-    """integral_a^b r^w f(r) dr for the same piecewise-linear interpolant.
-
-    Uses exact linear-times-power moments per (partial) cell so the result
-    is additive over interval splits to rounding error.
-    """
-    if w <= -1:
-        raise ValidationError(f"weight exponent must be > -1, got {w}")
-    if not 0 <= a <= b <= 1:
-        raise ValidationError(f"need 0 <= a <= b <= 1, got [{a}, {b}]")
-    f = np.asarray(f, dtype=float)
-    r = grid.nodes
-    total = 0.0
-    # leading constant piece on (0, r_1]
-    lo, hi = min(a, r[0]), min(b, r[0])
-    if hi > lo:
-        total += f[0] * (hi ** (w + 1) - lo ** (w + 1)) / (w + 1)
-    # linear pieces
-    lo_cell = np.maximum(r[:-1], a)
-    hi_cell = np.minimum(r[1:], b)
-    mask = hi_cell > lo_cell
-    if np.any(mask):
-        ra, rb = r[:-1][mask], r[1:][mask]
-        fa, fb = f[:-1][mask], f[1:][mask]
-        lo_c, hi_c = lo_cell[mask], hi_cell[mask]
-        slope = (fb - fa) / (rb - ra)
-        const = fa - slope * ra
-        m1 = (hi_c ** (w + 1) - lo_c ** (w + 1)) / (w + 1)
-        m2 = (hi_c ** (w + 2) - lo_c ** (w + 2)) / (w + 2)
-        total += float(np.sum(const * m1 + slope * m2))
-    return total
 
 
 def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None) -> float:

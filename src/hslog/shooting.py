@@ -5,12 +5,13 @@ First-order flux form of  -r^(-th) (r^a1 |u'|^(p-2) u')' = f(r, u):
     u' = sign(w) (|w| r^(-a1))^(1/(p-1)),
     w' = -r^th (ln(tau+|u|))^(r^beta) sign(u) |u|^(p*-1),
 
-integrated from (u, w) = (amplitude, 0) at r_min with an adaptive embedded
-Runge-Kutta pair.  Zero flux at r_min is the discrete stand-in for origin
-regularity: it is the condition that makes the operator integrable against
-test functions, the boundary data itself is only u(1) = 0.  The first step
-off the w = 0 manifold is taken with a frozen-source series, which keeps
-the start well behaved when |w|^(1/(p-1)) is not Lipschitz.
+integrated from (u, w) = (amplitude, 0) at r_min = ``R_MIN`` = 1e-7 with an
+adaptive embedded Runge-Kutta pair.  Zero flux at r_min is the discrete
+stand-in for origin regularity: it is the condition that makes the operator
+integrable against test functions, the boundary data itself is only
+u(1) = 0.  The first step off the w = 0 manifold is taken with a
+frozen-source series, which keeps the start well behaved when
+|w|^(1/(p-1)) is not Lipschitz.
 
 Shooting finds a root of the boundary map a -> u(1; a) with Brent's method
 (``params.brent_root``).  The map can be non-smooth through the log
@@ -37,6 +38,9 @@ from hslog import dop853
 from hslog.functionals import LogParams, energy_pairing
 from hslog.params import NumericalError, ParamSet, ValidationError, brent_root
 from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
+
+# the radius every shot starts at, with zero flux
+R_MIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -83,12 +87,11 @@ def _series_step(amplitude: float, r_min: float, r_boot: float, lp: LogParams,
     return amplitude + float(np.sum(wts * du)), w_of(r_boot)
 
 
-def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 1e-7,
-                  grid: Grid | None = None):
-    """Integrate the flux system from r_min to 1 at relative tolerance 1e-10.
+def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, grid: Grid | None = None):
+    """Integrate the flux system from ``R_MIN`` to 1 at relative tolerance 1e-10.
 
     Returns (profile_or_None, u(1), right-hand-side evaluations).  The
-    profile is built when a grid is given: nodes below r_min carry the
+    profile is built when a grid is given: nodes below 2 ``R_MIN`` carry the
     amplitude value.  Only then does the integrator keep dense output,
     which the grid sampling needs.
 
@@ -99,8 +102,6 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the BVP source needs tau >= 1, got {lp.tau}")
-    if not 0 < r_min <= 1e-4:
-        raise ValidationError(f"need r_min in (0, 1e-4], got {r_min}")
     p_star = ps.p_star
     alpha1, theta, inv_pm1 = ps.alpha1, ps.theta, 1.0 / (ps.p - 1.0)
     tau, beta = lp.tau, lp.beta
@@ -119,8 +120,8 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
         u_end = 0.0
         nfev = 0
     else:
-        r_boot = 2.0 * r_min
-        u_boot, w_boot = _series_step(amplitude, r_min, r_boot, lp, ps, p_star)
+        r_boot = 2.0 * R_MIN
+        u_boot, w_boot = _series_step(amplitude, R_MIN, r_boot, lp, ps, p_star)
         traj = dop853.integrate(rhs, r_boot, u_boot, w_boot, 1.0, rtol=1e-10,
                                 atol=1e-13 * max(1.0, abs(amplitude)),
                                 u_limit=1e8 * max(1.0, abs(amplitude)),
@@ -138,16 +139,16 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 
     if grid is not None:
         vals = np.full(grid.m, float(amplitude))
         if traj is not None:
-            above = grid.nodes >= 2.0 * r_min
+            above = grid.nodes >= 2.0 * R_MIN
             vals[above] = traj.dense_u(grid.nodes[above])
         vals[-1] = u_end
         profile = Profile(grid, vals)
     return profile, u_end, nfev
 
 
-def boundary_value(amplitude: float, lp: LogParams, ps: ParamSet, r_min: float = 1e-7) -> float:
+def boundary_value(amplitude: float, lp: LogParams, ps: ParamSet) -> float:
     """u(1; amplitude)."""
-    return ivp_integrate(amplitude, lp, ps, r_min=r_min)[1]
+    return ivp_integrate(amplitude, lp, ps)[1]
 
 
 def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid) -> ShootResult:
@@ -159,7 +160,7 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid)
     amplitude tolerance of 1e-12 in at most 200 iterations, or raises
     ``NumericalError`` naming the shooting amplitude.  The root must then
     have |u(1)| < 1e-8, or ``NumericalError`` is raised.  Every shot starts
-    at r_min = 1e-7.
+    at ``R_MIN``.
 
     The returned profile has its boundary node clamped to zero so it is a
     member of the discrete space; ``boundary_residual`` records the actual

@@ -149,7 +149,7 @@ def test_criterion_6_concentration_rate(grid):
         rows = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             u = bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat, 0.2), grid, P0)
-            rows.append((eps, bliss.concentration_E(0.0, 1.0, u, lp, P0)))
+            rows.append((eps, bliss.concentration_E(u, lp, P0)))
         table = rate_fit(rows, model="power-times-loglog")
         results[beta] = table.fitted_exponent
         ok = ok and abs(table.fitted_exponent - beta) <= 0.15 * beta

@@ -11,7 +11,6 @@ from scipy.optimize import minimize_scalar
 from hslog import analysis, bliss
 from hslog.analysis import (
     BubbleBound,
-    _grad_J_values,
     beta_sweep,
     bubble_lower_bound,
     concentration_level_check,
@@ -154,13 +153,14 @@ class TestAscentLineSearch:
     }
 
     @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4)])
-    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5)])
+    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(0.5, 0.5)])
     def test_gain_matches_central_difference(self, grid, pv, lp):
         ps = validate_params(*pv)
         bubble = bliss.bubble_profile(bliss.BubbleSpec(1e-2, ps.a_hat), grid, ps)
         work = analysis._AscentWork(grid.m)
         u = analysis._project(bubble.values, grid, ps, work)
-        direction = _grad_J_values(u, lp, ps)
+        J(u, lp, ps, work.at_u)
+        direction = work.at_u.gradient(np.empty(grid.m))
         scale = float(np.sqrt(direction @ direction))
         h = direction / scale
 
@@ -409,7 +409,8 @@ class TestSphereScan:
 
 
 def _grad_full(u, lp, ps):
-    # the untrimmed full-array formula
+    # the untrimmed full-array formula: the derivative of |x|^e is
+    # e sign(x) |x|^(e-1), nonzero also where x = ln(tau + u) < 0 (tau < 1)
     p_star = ps.p_star
     r, v = u.grid.nodes, u.values
     if lp is None:
@@ -418,15 +419,15 @@ def _grad_full(u, lp, ps):
     e = r**lp.beta
     x = np.log(lp.tau + v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad = p_star * v ** (p_star - 1.0) * x**e + v**p_star * e * x ** (e - 1.0) / (
-            lp.tau + v
-        )
-    return u.grid.quad_weights(ps.theta) * np.where((v > 0.0) & (x > 0.0), grad, 0.0)
+        grad = p_star * v ** (p_star - 1.0) * np.abs(x) ** e + v**p_star * e * (
+            np.sign(x) * np.abs(x) ** (e - 1.0)) / (lp.tau + v)
+    return u.grid.quad_weights(ps.theta) * np.where((v > 0.0) & (x != 0.0), grad, 0.0)
 
 
 class TestGradient:
     @pytest.mark.parametrize("kind", ["cutoff-bubble", "random", "interior-zeros", "zero"])
-    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
+    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(2.0, 1.0),
+                                    LogParams(0.5, 0.5)])
     def test_trimmed_equals_full_formula(self, grid, kind, lp):
         # the ascent's profiles are nonnegative
         if kind == "cutoff-bubble":
@@ -439,7 +440,9 @@ class TestGradient:
             elif kind == "zero":
                 vals[:] = 0.0
             u = Profile(grid, vals)
-        grad = _grad_J_values(u, lp, P0)
+        nodes = JNodes(grid.m)
+        J(u, lp, P0, nodes)
+        grad = nodes.gradient(np.empty(grid.m))
         assert np.array_equal(grad, _grad_full(u, lp, P0))
         if kind == "zero":
             assert not np.any(grad)
@@ -465,4 +468,24 @@ class TestGradient:
                 f = f * np.abs(np.log(lp.tau + np.abs(vals))) ** grid.nodes**lp.beta
             assert J(u, lp, ps, nodes) == float(np.einsum("i,i->", grid.quad_weights(ps.theta), f))
             assert np.array_equal(nodes.gradient(out), _grad_full(u, lp, ps))
-            assert np.array_equal(out, _grad_J_values(u, lp, ps))
+
+    def test_matches_nodal_central_difference_below_unit_log(self):
+        # at tau = 0.5 the log is negative where u < 0.5, and |ln|^e still
+        # has a derivative there; README tuple, unit-norm bubble, M = 400
+        g = make_grid(400, 3.0)
+        lp = LogParams(0.5, 0.5)
+        u = _bubble_family(g, (1e-2,))[0]
+        v = u.values
+        nodes = JNodes(g.m)
+        J(u, lp, P0, nodes)
+        grad = nodes.gradient(np.empty(g.m))
+        fd = np.zeros(g.m)
+        for i in np.flatnonzero(v > 0.0):
+            h = 1e-6 * v[i]
+            up, down = v.copy(), v.copy()
+            up[i] += h
+            down[i] -= h
+            fd[i] = (J(Profile(g, up), lp, P0) - J(Profile(g, down), lp, P0)) / (2 * h)
+        below = (v > 0.0) & (v < 1.0 - lp.tau)
+        assert np.any(grad[below] < 0.0)
+        assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(grad))

@@ -8,9 +8,9 @@ import pytest
 import scipy.integrate
 
 from hslog import bliss
-from hslog.functionals import LogParams
+from hslog.functionals import J, LogParams, log_factor_nodes
 from hslog.params import NumericalError, ValidationError, validate_params
-from hslog.radial import Profile, dirichlet_norm, make_grid
+from hslog.radial import Profile, dirichlet_norm, make_grid, weighted_integral
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -185,26 +185,34 @@ class TestNormScan:
 class TestConcentrationFunctional:
     LP = LogParams(1.0, 0.5)
 
-    def test_zero_profile_region(self):
-        g = make_grid(1000, 3.0)
-        u = bliss.bubble_profile(bliss.BubbleSpec(1e-3, 1.0, 0.2), g, P0)
-        # support ends at 2 r0 = 0.4
-        assert bliss.concentration_E(0.5, 1.0, u, self.LP, P0) == 0.0
-
     def test_unit_log_region_contributes_nothing(self):
         g = make_grid(256, 1.0)
         u = Profile(g, np.full(g.m, math.e - 1.0))
-        assert bliss.concentration_E(0.2, 0.8, u, self.LP, P0) == pytest.approx(
-            0.0, abs=1e-15)
+        assert bliss.concentration_E(u, self.LP, P0) == pytest.approx(0.0, abs=1e-15)
 
-    def test_three_way_additivity(self):
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(math.e, 1.0)])
+    def test_trimmed_equals_full_formula(self, lp):
+        # past the support of a cutoff bubble the integrand is an exact zero
+        g = make_grid(1000, 3.0)
+        for ps in (P0, P1):
+            u = bliss.bubble_profile(bliss.BubbleSpec(1e-3, ps.a_hat), g, ps)
+            assert u.support_end() < g.m
+            f = np.abs(u.values) ** ps.p_star * (
+                log_factor_nodes(g.nodes**lp.beta, u.values, lp) - 1.0)
+            assert bliss.concentration_E(u, lp, ps) == weighted_integral(g, f, ps.theta)
+
+    @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4), (2, 1, 1.7, 0.3)])
+    @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(math.e, 1.0)])
+    def test_is_J_minus_J0_in_one_rule(self, pv, lp):
+        # E, J and J0 integrate in one quadrature rule, also for a
+        # non-integer theta, where the rule is not exact for r^theta: exact
+        # per-cell moments put E 1.5e-14 J away at theta = 0.3, eps = 1e-5
+        ps = validate_params(*pv)
         g = make_grid(2000, 3.0)
-        u = bliss.bubble_profile(bliss.BubbleSpec(1e-3, 1.0, 0.2), g, P0)
-        parts = (bliss.concentration_E(0.0, 3e-3, u, self.LP, P0)
-                 + bliss.concentration_E(3e-3, 0.15, u, self.LP, P0)
-                 + bliss.concentration_E(0.15, 1.0, u, self.LP, P0))
-        whole = bliss.concentration_E(0.0, 1.0, u, self.LP, P0)
-        assert abs(whole - parts) < 1e-12
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+            u = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), g, ps)
+            j = J(u, lp, ps)
+            assert abs(bliss.concentration_E(u, lp, ps) - (j - J(u, None, ps))) <= 8e-15 * j
 
     def test_grows_like_the_lower_bound(self):
         from hslog.analysis import rate_fit
@@ -213,7 +221,7 @@ class TestConcentrationFunctional:
         rows = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             u = bliss.bubble_profile(bliss.BubbleSpec(eps, 1.0, 0.2), g, P0)
-            rows.append((eps, bliss.concentration_E(0.0, 1.0, u, self.LP, P0)))
+            rows.append((eps, bliss.concentration_E(u, self.LP, P0)))
         table = rate_fit(rows, model="power-times-loglog")
         assert all(v > 0 for v in table.ordinates)
         assert abs(table.fitted_exponent - 0.5) <= 0.15 * 0.5

@@ -13,7 +13,7 @@ import pytest
 
 import hslog
 from hslog import orlicz, shooting
-from hslog.cli import RunConfig, _auto_bracket, main, parse_config
+from hslog.cli import RunConfig, _auto_bracket, build_parser, main, parse_config
 from hslog.functionals import LogParams
 from hslog.params import ValidationError, validate_params
 
@@ -115,6 +115,34 @@ class TestConstants:
         main(["constants", "--config", str(cfg_file), "--out", str(out1)])
         main(["constants", "--config", str(cfg_file), "--out", str(out2)])
         assert (out1 / "constants.csv").read_bytes() == (out2 / "constants.csv").read_bytes()
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_parse_leaves_no_state(self):
+        parser = build_parser()
+        assert parser.parse_args(["verify", "--config", "c", "--suite", "mp"]).suite == "mp"
+        assert not hasattr(parser.parse_args(["mp-gap", "--config", "c"]), "suite")
+        assert parser.parse_args(["verify", "--config", "c"]).suite == "all"
+
+
+class TestRates:
+    # what `rates` writes for E on BASE_CFG, pinned to every printed digit
+    CONCENTRATION_CSV = """\
+epsilon,value,model,fitted_exponent,residual
+0.01,0.0784753646413,power-times-loglog,0.453453859059,0.0333615307909
+0.001,0.0378310570207,power-times-loglog,0.453453859059,0.0333615307909
+0.0001,0.0149768191532,power-times-loglog,0.453453859059,0.0333615307909
+1e-05,0.00551529424273,power-times-loglog,0.453453859059,0.0333615307909
+"""
+
+    def test_concentration_pinned(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["rates", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert (out / "rates_concentration.csv").read_text() == self.CONCENTRATION_CSV
+        assert "concentration exponent: 0.453453859059 (beta = 0.5)" in capsys.readouterr().out
 
 
 class TestShoot:

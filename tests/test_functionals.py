@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from hslog import bliss
+from hslog import bliss, functionals
 from hslog.functionals import (
     _F_BLOCK,
     F_nodes,
     J,
     JNodes,
     LogParams,
-    _on_support,
     energy_I,
     energy_pairing,
     log_factor_nodes,
@@ -355,17 +354,22 @@ class TestSupportTrim:
         vals = 4.0 * _smooth(g, np.random.default_rng(tail))
         vals[g.m - 1 - tail:] = 0.0
         u = Profile(g, vals)
-        e = g.node_power(self.LP.beta)
-        trimmed = _on_support(u, lambda w, ek: F_nodes(ek, w, self.LP, P1), e)
-        assert np.array_equal(trimmed, F_nodes(e, vals, self.LP, P1))
+        assert energy_I(u, self.LP, P1) == _energy_full(u, self.LP, P1)
 
     @pytest.mark.parametrize("kind,expected", [("cutoff-bubble", 1473), ("random", 1999),
                                                ("interior-zeros", 1987), ("zero", 0)])
-    def test_kernel_sees_the_support(self, kind, expected):
+    def test_kernel_sees_the_support(self, kind, expected, monkeypatch):
         # one past the last nonzero node
         seen = []
-        _on_support(_support_profile(kind), lambda w: seen.append(w.size) or w)
-        assert seen == [expected]
+        for name in ("F_nodes", "log_factor_nodes"):
+            kernel = getattr(functionals, name)
+            monkeypatch.setattr(functionals, name,
+                                lambda e, w, *rest, kernel=kernel: seen.append(w.size)
+                                or kernel(e, w, *rest))
+        u = _support_profile(kind)
+        energy_I(u, self.LP, P1)
+        energy_pairing(u, u, self.LP, P1)
+        assert seen == [expected, expected]
 
 
 class TestPrimitiveBlocks:

@@ -17,7 +17,6 @@ from hslog.radial import (
     profile_from_csv,
     profile_to_csv,
     weighted_integral,
-    weighted_integral_between,
 )
 
 P0 = validate_params(2, 2, 2, 2)
@@ -121,24 +120,6 @@ def test_weighted_integral_linear_and_monotone(m, gamma, w, seed):
     assert lhs == pytest.approx(rhs, abs=1e-10)
     bigger = f + np.abs(h)
     assert weighted_integral(g, bigger, w) >= weighted_integral(g, f, w) - 1e-14
-
-
-class TestSegmentIntegral:
-    def test_matches_full_interval(self):
-        g = make_grid(200, 2.0)
-        f = np.cos(g.nodes)
-        full = weighted_integral_between(g, f, 2.0, 0.0, 1.0)
-        assert full == pytest.approx(weighted_integral(g, f, 2.0), rel=1e-9)
-
-    def test_additive_over_splits(self):
-        g = make_grid(300, 3.0)
-        rng = np.random.default_rng(3)
-        f = rng.normal(size=g.m)
-        for a, c, b in ((0.0, 0.3, 1.0), (0.1, 0.123456, 0.9), (0.0, 1e-4, 0.5)):
-            whole = weighted_integral_between(g, f, 2.0, a, b)
-            parts = (weighted_integral_between(g, f, 2.0, a, c)
-                     + weighted_integral_between(g, f, 2.0, c, b))
-            assert abs(whole - parts) < 1e-12
 
 
 class TestProfile:

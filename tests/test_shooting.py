@@ -54,10 +54,6 @@ class TestIvp:
         with pytest.raises(ValidationError, match="tau >= 1"):
             ivp_integrate(1.0, LogParams(0.5, 0.5), P0)
 
-    def test_r_min_range_enforced(self):
-        with pytest.raises(ValidationError, match="r_min"):
-            ivp_integrate(1.0, LP, P0, r_min=1e-3)
-
 
 def _scipy_shot(amplitude, lp, ps, dense):
     """The shot as scipy's solve_ivp takes it, with the integrator's arguments."""
@@ -75,10 +71,11 @@ def _scipy_shot(amplitude, lp, ps, dense):
         return abs(y[0]) - 1e8 * max(1.0, abs(amplitude))
 
     blowup.terminal = True
-    y_boot = shooting._series_step(amplitude, 1e-7, 2e-7, lp, ps, p_star)
+    r_min = shooting.R_MIN
+    y_boot = shooting._series_step(amplitude, r_min, 2 * r_min, lp, ps, p_star)
     # numpy scalars overflow to inf on wild trial stages; the step is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(rhs, (2e-7, 1.0), y_boot, method="DOP853", rtol=1e-10,
+        return solve_ivp(rhs, (2 * r_min, 1.0), y_boot, method="DOP853", rtol=1e-10,
                          atol=1e-13 * max(1.0, abs(amplitude)), dense_output=dense,
                          events=blowup)
 
@@ -146,7 +143,7 @@ class TestDop853MatchesScipy:
         assert abs(u_end - ref.y[0, -1]) <= 1e-12 * max(1.0, abs(amplitude))
         if dense:
             want = np.full(grid.m, amplitude)
-            above = grid.nodes >= 2e-7
+            above = grid.nodes >= 2 * shooting.R_MIN
             want[above] = ref.sol(grid.nodes[above])[0]
             want[-1] = ref.y[0, -1]
             assert np.all(np.abs(profile.values - want) <= 1e-10)
@@ -242,10 +239,12 @@ class TestShoot:
                            match="did not converge to the shooting amplitude in 2 iterations"):
             shoot(LP, P0, BRACKET, grid)
 
-    def test_r_min_robustness(self, solution):
+    def test_r_min_robustness(self, solution, monkeypatch):
         a = solution.amplitude
-        v1 = boundary_value(a, LP, P0, r_min=1e-7)
-        v2 = boundary_value(a, LP, P0, r_min=5e-8)
+        v1 = boundary_value(a, LP, P0)
+        monkeypatch.setattr(shooting, "R_MIN", 5e-8)
+        v2 = boundary_value(a, LP, P0)
+        assert v1 != v2
         assert abs(v1 - v2) < 1e-8
 
     def test_energy_coherent_with_its_own_ray(self, solution):
