@@ -9,7 +9,7 @@ S^((theta+1)/(theta-alpha1+p)), written S_power below.  With t = r^n the
 critical integral is a Beta integral, and that closed form is
 ``ParamSet.S_power``; S, sigma_p, the unit-norm amplitude a_hat and the
 exponents of u*_eps are read from the ``ParamSet`` too (``params``).  The
-two integrals themselves are computed by adaptive quadrature only in
+two integrals themselves are computed by quadrature only in
 ``extremal_integrals``, the check that they agree.  Truncations to the
 unit interval ("bubbles") use a C^2 quintic plateau cutoff: identically 1
 on (0, r0], identically 0 on [2 r0, 1].  The plateau edge is r0 = ``R0`` =
@@ -17,11 +17,11 @@ on (0, r0], identically 0 on [2 r0, 1].  The plateau edge is r0 = ``R0`` =
 
 Norm deviations of the bubbles from S_power are computed as integrals of
 *differences* over the cutoff region plus an exact tail: the integrands
-live at scales r >= r0 >> eps, so adaptive quadrature resolves deviations
-of order eps^(s p*) far below the floating-point floor of the norms
-themselves.  This is what makes the asymptotic rate checks possible.
-scipy's ``quad`` is imported where it is called, so that commands which
-never integrate do not load scipy.
+live at scales r >= r0 >> eps, so quadrature resolves deviations of order
+eps^(s p*) far below the floating-point floor of the norms themselves.
+This is what makes the asymptotic rate checks possible.  All of these
+integrals, and the two extremal ones, use one fixed tanh-sinh rule
+(Takahasi and Mori, 1974), ``_tanh_sinh``, with its own error estimate.
 """
 
 from __future__ import annotations
@@ -92,20 +92,18 @@ def bliss_value(eps: float, r, ps: ParamSet):
     if eps <= 0:
         raise ValidationError(f"need eps > 0, got {eps}")
     r = np.asarray(r, dtype=float)
-    out = ps.c_hat * eps**ps.s / (eps**ps.n + r**ps.n) ** (1.0 / ps.m)
-    return float(out) if out.ndim == 0 else out
+    return ps.c_hat * eps**ps.s / (eps**ps.n + r**ps.n) ** (1.0 / ps.m)
 
 
 def bliss_deriv(eps: float, r, ps: ParamSet):
     r = np.asarray(r, dtype=float)
-    out = (
+    return (
         -ps.c_hat
         * eps**ps.s
         * (ps.n / ps.m)
         * r ** (ps.n - 1.0)
         * (eps**ps.n + r**ps.n) ** (-1.0 / ps.m - 1.0)
     )
-    return float(out) if out.ndim == 0 else out
 
 
 def bubble_profile(spec: BubbleSpec, grid: Grid, ps: ParamSet) -> Profile:
@@ -119,16 +117,37 @@ def bubble_profile(spec: BubbleSpec, grid: Grid, ps: ParamSet) -> Profile:
     return Profile(grid, vals)
 
 
-def _quad_full_line(f) -> float:
-    """integral_0^inf f, split at 1 with the tail mapped by r = 1/v."""
-    from scipy.integrate import quad
+# tanh-sinh nodes x = tanh(pi/2 sinh t) on (-1, 1), t = k h with h = 1/64 and
+# |t| <= 4, held as the distance 1 - |x| to the nearer end, so that the nodes
+# next to an endpoint keep full precision; the weights are h dx/dt
+_TS_H = 1.0 / 64.0
+_TS_T = _TS_H * np.arange(-256, 257)
+_TS_D = 2.0 / (1.0 + np.exp(np.pi * np.sinh(np.abs(_TS_T))))
+_TS_W = _TS_H * 0.5 * np.pi * np.cosh(_TS_T) * _TS_D * (2.0 - _TS_D)
 
-    head, err1 = quad(f, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-12)
-    tail, err2 = quad(lambda v: f(1.0 / v) / v**2, 1e-14, 1.0, limit=400,
-                      epsabs=1e-12, epsrel=1e-12)
-    # the reported estimates are conservative; an order below the 1e-6
-    # agreement contract still leaves real margin
-    if err1 + err2 > 1e-7 * max(1.0, abs(head + tail)):
+
+def _tanh_sinh(f, a: float, b: float) -> tuple[float, float]:
+    """(integral_a^b f, error estimate) by the tanh-sinh rule above.
+
+    f takes an array of abscissae, all strictly inside (a, b) before
+    rounding, and is evaluated once.  The estimate is the difference
+    between the step-h sum and the step-2h sum over every other node.
+    """
+    half = 0.5 * (b - a)
+    x = np.where(_TS_T < 0.0, a + half * _TS_D, b - half * _TS_D)
+    terms = _TS_W * f(x)
+    fine = float(np.einsum("i->", terms))
+    coarse = 2.0 * float(np.einsum("i->", terms[::2]))
+    return half * fine, half * abs(fine - coarse)
+
+
+def _full_line(f) -> float:
+    """integral_0^inf f, split at 1 with the tail mapped by r = 1/v."""
+    head, err1 = _tanh_sinh(f, 0.0, 1.0)
+    tail, err2 = _tanh_sinh(lambda v: f(1.0 / v) / v**2, 0.0, 1.0)
+    # an order below the 1e-6 agreement contract still leaves real margin;
+    # a NaN integrand fails the test too
+    if not err1 + err2 <= 1e-7 * max(1.0, abs(head + tail)):
         raise NumericalError("quadrature for the extremal integrals did not converge")
     return head + tail
 
@@ -137,10 +156,10 @@ def extremal_integrals(ps: ParamSet) -> ExtremalIntegrals:
     """Both defining integrals of S_power by quadrature; a quadrature that
     does not converge raises ``NumericalError``."""
     return ExtremalIntegrals(
-        pstar_integral=_quad_full_line(
+        pstar_integral=_full_line(
             lambda r: r**ps.theta * bliss_value(1.0, r, ps) ** ps.p_star),
-        grad_integral=_quad_full_line(
-            lambda r: r**ps.alpha1 * abs(bliss_deriv(1.0, r, ps)) ** ps.p),
+        grad_integral=_full_line(
+            lambda r: r**ps.alpha1 * np.abs(bliss_deriv(1.0, r, ps)) ** ps.p),
     )
 
 
@@ -149,9 +168,9 @@ def extremal_integrals(ps: ParamSet) -> ExtremalIntegrals:
 
 def _check_deviation_error(norm: str, eps: float, dev: float, err_core: float,
                            err_tail: float) -> None:
-    """The rate fits rest on deviations near eps^(s p*); quad's own error
-    estimates must stay three orders below the deviation they produce."""
-    if err_core + err_tail > 1e-3 * abs(dev):
+    """The rate fits rest on deviations near eps^(s p*); the quadrature's
+    error estimates must stay three orders below the deviation they produce."""
+    if not err_core + err_tail <= 1e-3 * abs(dev):
         raise NumericalError(
             f"{norm} deviation quadrature at eps={eps:g}, r0={R0:g} did not converge: "
             f"error estimates {err_core:.3e} on the cutoff region [r0, 2 r0] and "
@@ -165,18 +184,16 @@ def bubble_dirichlet_deviation(eps: float, ps: ParamSet) -> float:
     def diff(r):
         u = bliss_value(eps, r, ps)
         du = bliss_deriv(eps, r, ps)
-        eta = float(cutoff_eta(r, R0))
-        etap = float(cutoff_eta_prime(r, R0))
-        return r**ps.alpha1 * (abs(etap * u + eta * du) ** ps.p - abs(du) ** ps.p)
+        eta = cutoff_eta(r, R0)
+        etap = cutoff_eta_prime(r, R0)
+        return r**ps.alpha1 * (np.abs(etap * u + eta * du) ** ps.p - np.abs(du) ** ps.p)
 
     def tail(v):
         r = 2.0 * R0 / v
-        return r**ps.alpha1 * abs(bliss_deriv(eps, r, ps)) ** ps.p * 2.0 * R0 / v**2
+        return r**ps.alpha1 * np.abs(bliss_deriv(eps, r, ps)) ** ps.p * 2.0 * R0 / v**2
 
-    from scipy.integrate import quad
-
-    core, err_core = quad(diff, R0, 2.0 * R0, limit=200)
-    tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
+    core, err_core = _tanh_sinh(diff, R0, 2.0 * R0)
+    tl, err_tail = _tanh_sinh(tail, 0.0, 1.0)
     dev = core - tl
     _check_deviation_error("Dirichlet", eps, dev, err_core, err_tail)
     return dev
@@ -188,17 +205,15 @@ def bubble_lpstar_deviation(eps: float, ps: ParamSet) -> float:
 
     def missing(r):
         u = bliss_value(eps, r, ps)
-        eta = float(cutoff_eta(r, R0))
+        eta = cutoff_eta(r, R0)
         return r**ps.theta * u**p_star * (1.0 - eta**p_star)
 
     def tail(v):
         r = 2.0 * R0 / v
         return r**ps.theta * bliss_value(eps, r, ps) ** p_star * 2.0 * R0 / v**2
 
-    from scipy.integrate import quad
-
-    core, err_core = quad(missing, R0, 2.0 * R0, limit=200)
-    tl, err_tail = quad(tail, 1e-14, 1.0, limit=200)
+    core, err_core = _tanh_sinh(missing, R0, 2.0 * R0)
+    tl, err_tail = _tanh_sinh(tail, 0.0, 1.0)
     dev = -(core + tl)
     _check_deviation_error("L^p*", eps, dev, err_core, err_tail)
     return dev

@@ -8,12 +8,30 @@ import pytest
 import scipy.integrate
 
 from hslog import bliss
+from hslog.cli import RunConfig
 from hslog.functionals import J, LogParams, log_factor_nodes
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import Profile, dirichlet_norm, make_grid, weighted_integral
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
+
+
+def _pinned_tuples():
+    """The README tuple, p1.cfg's and ten seeded random admissible tuples."""
+    rng = np.random.default_rng(77)
+    tuples = [(2, 2, 2, 2), (3, 2, 4, 4)]
+    for _ in range(10):
+        p = rng.uniform(1.3, 3.5)
+        alpha1 = p - 1 + rng.uniform(0.2, 3.0)
+        tuples.append((p, max(alpha1 - p, 0.0) + rng.uniform(0.0, 2.0), alpha1,
+                       max(alpha1 - p, 0.0) + rng.uniform(0.1, 3.0)))
+    return tuples
+
+
+def _extremal_integrands(ps):
+    return (lambda r: r**ps.theta * bliss.bliss_value(1.0, r, ps) ** ps.p_star,
+            lambda r: r**ps.alpha1 * np.abs(bliss.bliss_deriv(1.0, r, ps)) ** ps.p)
 
 
 class TestBlissValue:
@@ -98,29 +116,30 @@ class TestComputeS:
                                                 limit=400, epsabs=1e-12, epsrel=1e-12)
             return head + tail, e1 + e2
 
-        rng = np.random.default_rng(77)
-        tuples = [(2, 2, 2, 2), (3, 2, 4, 4)]
-        for _ in range(10):
-            p = rng.uniform(1.3, 3.5)
-            alpha1 = p - 1 + rng.uniform(0.2, 3.0)
-            tuples.append((p, max(alpha1 - p, 0.0) + rng.uniform(0.0, 2.0), alpha1,
-                           max(alpha1 - p, 0.0) + rng.uniform(0.1, 3.0)))
-        for t in tuples:
+        for t in _pinned_tuples():
             ps = validate_params(*t)
-            s_power = ps.S_power
-            for f in (lambda r: r**ps.theta * bliss.bliss_value(1.0, r, ps) ** ps.p_star,
-                      lambda r: r**ps.alpha1 * abs(bliss.bliss_deriv(1.0, r, ps)) ** ps.p):
+            for f in _extremal_integrands(ps):
                 value, err = full_line(f)
-                assert abs(s_power - value) <= 1e-12 * s_power + err
+                assert abs(ps.S_power - value) <= 1e-12 * ps.S_power + err
+
+    def test_closed_form_matches_tanh_sinh(self):
+        # the package's rule, split as extremal_integrals splits it, held to
+        # the pin above with its own error estimate
+        for t in _pinned_tuples() + [(2, 1, 1.7, 0.3), (4, 2, 6, 3)]:
+            ps = validate_params(*t)
+            for f in _extremal_integrands(ps):
+                head, e1 = bliss._tanh_sinh(f, 0.0, 1.0)
+                tail, e2 = bliss._tanh_sinh(lambda v: f(1.0 / v) / v**2, 0.0, 1.0)
+                assert abs(ps.S_power - (head + tail)) <= 1e-12 * ps.S_power + e1 + e2
 
     def test_integrals_are_computed_only_when_read(self, monkeypatch):
-        def no_quad(*args, **kwargs):
-            raise AssertionError("quad called")
+        def no_rule(*args):
+            raise AssertionError("quadrature called")
 
-        monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+        monkeypatch.setattr(bliss, "_tanh_sinh", no_rule)
         ps = validate_params(3, 2, 4, 4)
         assert ps.S > 0 and ps.sigma_p > 0 and ps.a_hat > 0
-        with pytest.raises(AssertionError, match="quad called"):
+        with pytest.raises(AssertionError, match="quadrature called"):
             bliss.extremal_integrals(ps)
 
     def test_sigma_exponent_forms_identical(self):
@@ -139,18 +158,17 @@ class TestCutoff:
         assert len(points) == 4
         assert np.all(bliss.cutoff_eta(points, 0.2) >= 0.0)
         # there the L^p* deviation's integrand on [r0, 2 r0] raised a
-        # negative float to the power p* = 7.5, which is a complex number
+        # negative float to the power p* = 7.5, which has no real value
         integrands = []
 
-        def record(f, *args, **kwargs):
+        def record(f, a, b):
             integrands.append(f)
             return 1.0, 0.0
 
-        monkeypatch.setattr(scipy.integrate, "quad", record)
+        monkeypatch.setattr(bliss, "_tanh_sinh", record)
         bliss.bubble_lpstar_deviation(1e-3, P1)
-        for point in points:
-            value = integrands[0](float(point))
-            assert isinstance(value, float) and math.isfinite(value)
+        values = integrands[0](points)
+        assert values.dtype == np.float64 and np.all(np.isfinite(values))
 
 
 class TestNormScan:
@@ -174,12 +192,58 @@ class TestNormScan:
     @pytest.mark.parametrize("deviation", [bliss.bubble_dirichlet_deviation,
                                            bliss.bubble_lpstar_deviation])
     def test_unconverged_quadrature_raises(self, deviation, monkeypatch):
-        # the deviations import quad at their call, from scipy.integrate
-        real_quad = scipy.integrate.quad
-        monkeypatch.setattr(scipy.integrate, "quad",
-                            lambda *a, **k: (real_quad(*a, **k)[0], 1e-3))
+        real_rule = bliss._tanh_sinh
+        monkeypatch.setattr(bliss, "_tanh_sinh", lambda f, a, b: (real_rule(f, a, b)[0], 1e-3))
         with pytest.raises(NumericalError, match=r"eps=0\.001, r0=0\.2"):
             deviation(1e-3, P0)
+
+    def test_nan_integrand_raises(self):
+        # the tail nodes reach r ~ 1e37, where an overflowing power can
+        # meet a zero; a NaN must not pass the error checks
+        with pytest.raises(NumericalError, match="extremal integrals"):
+            bliss._full_line(lambda r: np.full_like(r, math.nan))
+        with pytest.raises(NumericalError, match="did not converge"):
+            bliss._check_deviation_error("L^p*", 1e-3, math.nan, math.nan, math.nan)
+
+    def test_slow_tail_tuple(self):
+        # on (2, 1, 1.7, 0.3) the L^p* tail at eps = 1e-5 was the case a
+        # 1e-14-cut adaptive rule could not certify; the deviations must
+        # pass the unchanged check and match a composite Gauss-Legendre
+        # sum over geometric panels in r, with no tail map
+        ps = validate_params(2, 1, 1.7, 0.3)
+        eps_list = RunConfig().epsilon_list
+        bliss.bubble_norm_scan(eps_list, ps)
+        x, w = np.polynomial.legendre.leggauss(20)
+
+        def panels(f, edges):
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            r = (mid[:, None] + half[:, None] * x).ravel()
+            return float(np.sum(half[:, None] * w * f(r).reshape(len(mid), -1)))
+
+        r0 = bliss.R0
+        core = np.linspace(r0, 2.0 * r0, 65)
+        tail = 2.0 * r0 * 2.0 ** np.arange(0.0, 161.0)    # up to 1e48
+        for eps in eps_list:
+            def abs_du(r):
+                return np.abs(bliss.bliss_deriv(eps, r, ps))
+
+            def u(r):
+                return bliss.bliss_value(eps, r, ps)
+
+            def d_core(r):
+                grad = (bliss.cutoff_eta_prime(r, r0) * u(r)
+                        + bliss.cutoff_eta(r, r0) * bliss.bliss_deriv(eps, r, ps))
+                return r**ps.alpha1 * (np.abs(grad) ** ps.p - abs_du(r) ** ps.p)
+
+            ref_d = (panels(d_core, core)
+                     - panels(lambda r: r**ps.alpha1 * abs_du(r) ** ps.p, tail))
+            ref_l = -(panels(lambda r: r**ps.theta * u(r) ** ps.p_star
+                             * (1.0 - bliss.cutoff_eta(r, r0) ** ps.p_star), core)
+                      + panels(lambda r: r**ps.theta * u(r) ** ps.p_star, tail))
+            dev_d = bliss.bubble_dirichlet_deviation(eps, ps)
+            dev_l = bliss.bubble_lpstar_deviation(eps, ps)
+            assert abs(dev_d - ref_d) <= 1e-10 * abs(ref_d)
+            assert abs(dev_l - ref_l) <= 1e-10 * abs(ref_l)
 
 
 class TestConcentrationFunctional:
