@@ -131,7 +131,11 @@ def _tanh_sinh(f, a: float, b: float) -> tuple[float, float]:
 
     f takes an array of abscissae, all strictly inside (a, b) before
     rounding, and is evaluated once.  The estimate is the difference
-    between the step-h sum and the step-2h sum over every other node.
+    between the step-h sum and the step-2h sum over every other node.  It
+    does not see the terms cut off past |t| = 4, which is sound for an
+    integrand bounded near both ends, as every one in this module is; one
+    that blows up like d^e, e near -1, at a distance d from an end loses
+    about d_min^(1+e), d_min ~ 1e-37, unseen.
     """
     half = 0.5 * (b - a)
     x = np.where(_TS_T < 0.0, a + half * _TS_D, b - half * _TS_D)
@@ -141,25 +145,62 @@ def _tanh_sinh(f, a: float, b: float) -> tuple[float, float]:
     return half * fine, half * abs(fine - coarse)
 
 
-def _full_line(f) -> float:
-    """integral_0^inf f, split at 1 with the tail mapped by r = 1/v."""
-    head, err1 = _tanh_sinh(f, 0.0, 1.0)
-    tail, err2 = _tanh_sinh(lambda v: f(1.0 / v) / v**2, 0.0, 1.0)
+def _power_tail(k: float, lam: float, q: float, eps: float, r_split: float,
+                n: float) -> tuple[float, float]:
+    """(int_R^inf k r^(-1-lam) (1 + (eps/r)^n)^(-q) dr, error estimate), R = r_split.
+
+    Under r = R y^(-1/lam) the decay r^(-1-lam) cancels against dr, and the
+    integral is k R^(-lam) / lam times int_0^1 (1 + (eps/R)^n y^(n/lam))^(-q) dy,
+    whose integrand lies in [2^-q, 1] for eps <= R.  Neither a slow decay
+    (small lam) nor a power of r large enough to overflow reaches the rule.
+    """
+    scale = k * r_split**-lam / lam
+    c = (eps / r_split) ** n
+    value, err = _tanh_sinh(lambda y: (1.0 + c * y ** (n / lam)) ** -q, 0.0, 1.0)
+    return scale * value, scale * err
+
+
+def _pstar_tail(eps: float, r_split: float, ps: ParamSet) -> tuple[float, float]:
+    """int_R^inf r^theta u*_eps^p* dr: the integrand is (c_hat eps^s)^p* r^(-1-lam)
+    (1 + (eps/r)^n)^(-p*/m) with lam = (theta + 1)/(p - 1)."""
+    return _power_tail((ps.c_hat * eps**ps.s) ** ps.p_star, (ps.theta + 1.0) / (ps.p - 1.0),
+                       ps.p_star / ps.m, eps, r_split, ps.n)
+
+
+def _grad_tail(eps: float, r_split: float, ps: ParamSet) -> tuple[float, float]:
+    """int_R^inf r^alpha1 |u*_eps'|^p dr: the integrand is (c_hat eps^s n/m)^p
+    r^(-1-lam) (1 + (eps/r)^n)^(-p(1/m + 1)) with lam = n/m."""
+    return _power_tail((ps.c_hat * eps**ps.s * ps.n / ps.m) ** ps.p, ps.n / ps.m,
+                       ps.p * (1.0 / ps.m + 1.0), eps, r_split, ps.n)
+
+
+def _full_line(head, tail: tuple[float, float]) -> float:
+    """integral_0^inf, split at 1: head is the integrand on (0, 1], tail the
+    (value, error estimate) of the integral over (1, inf)."""
+    h, err1 = _tanh_sinh(head, 0.0, 1.0)
+    t, err2 = tail
     # an order below the 1e-6 agreement contract still leaves real margin;
     # a NaN integrand fails the test too
-    if not err1 + err2 <= 1e-7 * max(1.0, abs(head + tail)):
+    if not err1 + err2 <= 1e-7 * max(1.0, abs(h + t)):
         raise NumericalError("quadrature for the extremal integrals did not converge")
-    return head + tail
+    return h + t
 
 
 def extremal_integrals(ps: ParamSet) -> ExtremalIntegrals:
     """Both defining integrals of S_power by quadrature; a quadrature that
-    does not converge raises ``NumericalError``."""
+    does not converge raises ``NumericalError``.
+
+    The gradient head is formed as (r^(alpha1/p) |u*_1'|)^p: |u*_1'| grows
+    like r^(n-1) towards r = 0 when n < 1, and its p-th power alone can
+    overflow on the nodes next to 0 when p is large.
+    """
     return ExtremalIntegrals(
         pstar_integral=_full_line(
-            lambda r: r**ps.theta * bliss_value(1.0, r, ps) ** ps.p_star),
+            lambda r: r**ps.theta * bliss_value(1.0, r, ps) ** ps.p_star,
+            _pstar_tail(1.0, 1.0, ps)),
         grad_integral=_full_line(
-            lambda r: r**ps.alpha1 * np.abs(bliss_deriv(1.0, r, ps)) ** ps.p),
+            lambda r: np.abs(r ** (ps.alpha1 / ps.p) * bliss_deriv(1.0, r, ps)) ** ps.p,
+            _grad_tail(1.0, 1.0, ps)),
     )
 
 
@@ -188,12 +229,8 @@ def bubble_dirichlet_deviation(eps: float, ps: ParamSet) -> float:
         etap = cutoff_eta_prime(r, R0)
         return r**ps.alpha1 * (np.abs(etap * u + eta * du) ** ps.p - np.abs(du) ** ps.p)
 
-    def tail(v):
-        r = 2.0 * R0 / v
-        return r**ps.alpha1 * np.abs(bliss_deriv(eps, r, ps)) ** ps.p * 2.0 * R0 / v**2
-
     core, err_core = _tanh_sinh(diff, R0, 2.0 * R0)
-    tl, err_tail = _tanh_sinh(tail, 0.0, 1.0)
+    tl, err_tail = _grad_tail(eps, 2.0 * R0, ps)
     dev = core - tl
     _check_deviation_error("Dirichlet", eps, dev, err_core, err_tail)
     return dev
@@ -208,12 +245,8 @@ def bubble_lpstar_deviation(eps: float, ps: ParamSet) -> float:
         eta = cutoff_eta(r, R0)
         return r**ps.theta * u**p_star * (1.0 - eta**p_star)
 
-    def tail(v):
-        r = 2.0 * R0 / v
-        return r**ps.theta * bliss_value(eps, r, ps) ** p_star * 2.0 * R0 / v**2
-
     core, err_core = _tanh_sinh(missing, R0, 2.0 * R0)
-    tl, err_tail = _tanh_sinh(tail, 0.0, 1.0)
+    tl, err_tail = _pstar_tail(eps, 2.0 * R0, ps)
     dev = -(core + tl)
     _check_deviation_error("L^p*", eps, dev, err_core, err_tail)
     return dev

@@ -124,13 +124,23 @@ class TestComputeS:
 
     def test_closed_form_matches_tanh_sinh(self):
         # the package's rule, split as extremal_integrals splits it, held to
-        # the pin above with its own error estimate
-        for t in _pinned_tuples() + [(2, 1, 1.7, 0.3), (4, 2, 6, 3)]:
+        # the pin above with its own error estimate.  (2, 2, 2, 10) and
+        # (1.1, 1, 1, 1) have n >= 10, where a power of r = 1/v overflows on
+        # the nodes next to v = 0; (3, 0, 2.1, 0.5) and (10, 9.5, 9.5, 0)
+        # decay like r^-1.05 and r^-1.11, which a rule cut at r ~ 1e37
+        # misses by 1e-2 relative without its estimate showing it
+        extra = [(2, 1, 1.7, 0.3), (4, 2, 6, 3), (2, 2, 2, 10), (1.1, 1, 1, 1),
+                 (3, 0, 2.1, 0.5), (10, 9.5, 9.5, 0)]
+        for t in _pinned_tuples() + extra:
             ps = validate_params(*t)
-            for f in _extremal_integrands(ps):
+            heads = (lambda r: r**ps.theta * bliss.bliss_value(1.0, r, ps) ** ps.p_star,
+                     lambda r: np.abs(r ** (ps.alpha1 / ps.p)
+                                      * bliss.bliss_deriv(1.0, r, ps)) ** ps.p)
+            tails = (bliss._pstar_tail(1.0, 1.0, ps), bliss._grad_tail(1.0, 1.0, ps))
+            for f, (tail, e2) in zip(heads, tails):
                 head, e1 = bliss._tanh_sinh(f, 0.0, 1.0)
-                tail, e2 = bliss._tanh_sinh(lambda v: f(1.0 / v) / v**2, 0.0, 1.0)
                 assert abs(ps.S_power - (head + tail)) <= 1e-12 * ps.S_power + e1 + e2
+            assert bliss.extremal_integrals(ps).rel_disagreement < 1e-12
 
     def test_integrals_are_computed_only_when_read(self, monkeypatch):
         def no_rule(*args):
@@ -198,19 +208,23 @@ class TestNormScan:
             deviation(1e-3, P0)
 
     def test_nan_integrand_raises(self):
-        # the tail nodes reach r ~ 1e37, where an overflowing power can
-        # meet a zero; a NaN must not pass the error checks
+        # a NaN must not pass the error checks
         with pytest.raises(NumericalError, match="extremal integrals"):
-            bliss._full_line(lambda r: np.full_like(r, math.nan))
+            bliss._full_line(lambda r: np.full_like(r, math.nan), (0.0, 0.0))
         with pytest.raises(NumericalError, match="did not converge"):
             bliss._check_deviation_error("L^p*", 1e-3, math.nan, math.nan, math.nan)
 
-    def test_slow_tail_tuple(self):
-        # on (2, 1, 1.7, 0.3) the L^p* tail at eps = 1e-5 was the case a
-        # 1e-14-cut adaptive rule could not certify; the deviations must
-        # pass the unchanged check and match a composite Gauss-Legendre
-        # sum over geometric panels in r, with no tail map
-        ps = validate_params(2, 1, 1.7, 0.3)
+    @pytest.mark.parametrize("params, tail_panels", [
+        # the L^p* tail at eps = 1e-5 was the case a 1e-14-cut adaptive rule
+        # could not certify
+        ((2, 1, 1.7, 0.3), 160),
+        # n = 10: r^n overflows past r ~ 1e30, so the reference stops there
+        ((2, 2, 2, 10), 100),
+    ], ids=["slow-tail", "n10"])
+    def test_deviations_match_panel_reference(self, params, tail_panels):
+        # the deviations must pass the unchanged check and match a composite
+        # Gauss-Legendre sum over geometric panels in r, with no tail map
+        ps = validate_params(*params)
         eps_list = RunConfig().epsilon_list
         bliss.bubble_norm_scan(eps_list, ps)
         x, w = np.polynomial.legendre.leggauss(20)
@@ -222,7 +236,7 @@ class TestNormScan:
 
         r0 = bliss.R0
         core = np.linspace(r0, 2.0 * r0, 65)
-        tail = 2.0 * r0 * 2.0 ** np.arange(0.0, 161.0)    # up to 1e48
+        tail = 2.0 * r0 * 2.0 ** np.arange(0.0, tail_panels + 1.0)
         for eps in eps_list:
             def abs_du(r):
                 return np.abs(bliss.bliss_deriv(eps, r, ps))
