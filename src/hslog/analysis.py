@@ -91,29 +91,44 @@ class _AscentWork:
     such an array is 128000 bytes, under glibc's default 128 KiB trim
     threshold, so freeing it can hand the heap top back to the system and
     the next one faults its pages in again.
+
+    ``n`` counts the current seed's nodes up to its last nonzero one and
+    the zero node after it, ``support_end() + 1``.  No iterate is nonzero
+    past the seed's support, so the Dirichlet work of a step (the
+    candidate, its norm, h and the pairing) is formed on the first n nodes
+    only.  ``start`` zeroes ``spare`` and ``h`` from n on once per ascent;
+    nothing writes there after that.
     """
 
     def __init__(self, m: int):
         self.at_u, self.at_cand = JNodes(m), JNodes(m)
         self.spare, self.direction, self.h = np.empty(m), np.empty(m), np.empty(m)
         self.cells = np.empty((2, m - 1))
+        self.n = m
+
+    def start(self, seed: Profile) -> None:
+        """Trim the Dirichlet work to the support of ``seed``."""
+        self.n = min(seed.support_end() + 1, seed.grid.m)
+        self.spare[self.n:] = 0.0
+        self.h[self.n:] = 0.0
 
 
 def _project(vals: np.ndarray, grid: Grid, ps: ParamSet, work: _AscentWork) -> Profile | None:
     """The nonnegative part of vals, pinned to 0 at r = 1, on the unit sphere.
 
-    vals is overwritten with the projection, which the returned profile
-    holds.
+    vals must be 0 from node ``work.n`` on.  It is overwritten with the
+    projection, which the returned profile holds.
     """
-    np.maximum(vals, 0.0, out=vals)
+    live = vals[:work.n]
+    np.maximum(live, 0.0, out=live)
     vals[-1] = 0.0
     prof = Profile(grid, vals)
-    nrm = dirichlet_norm(prof, ps, work.cells[0])
+    nrm = dirichlet_norm(prof, ps, work.cells[0], work.n)
     if nrm == 0.0:
         return None
     # the quotient stays finite, since every |u_i| is bounded by a multiple
     # of the norm
-    vals /= nrm
+    live /= nrm
     return prof
 
 
@@ -144,6 +159,7 @@ def maximize_F(
         if grid.r1 > eps / 10.0:
             continue
         start = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
+        work.start(start)
         u = _project(start.values, grid, ps, work)
         if u is None:
             continue
@@ -164,17 +180,24 @@ def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: Param
     the derivative is d.h - (d.u) <u, h>: the gradient d = ``JNodes.gradient``
     along h (d.h is the scale), minus the part the renormalization takes
     back, whose norm derivative at ||u|| = 1 is the Dirichlet pairing <u, h>.
+    Both u and h are 0 from node ``work.n`` on, so h and the pairing are
+    formed on the first ``work.n`` nodes.
     """
-    h = Profile(u.grid, np.divide(direction, scale, out=work.h))
-    pairing = dirichlet_pairing(u, h, ps, work.cells)
+    n = work.n
+    np.divide(direction[:n], scale, out=work.h[:n])
+    pairing = dirichlet_pairing(u, Profile(u.grid, work.h), ps, work.cells, n)
     return scale - float(np.einsum("i,i->", direction, u.values)) * pairing
 
 
 def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
     # J and its gradient at an iterate come from one nodal evaluation: the
     # factors of an accepted candidate become the iterate's, and the values
-    # the iterate leaves behind take the next candidate
+    # the iterate leaves behind take the next candidate.  The direction is 0
+    # wherever u is, so no iterate is nonzero past the seed's support: a
+    # candidate is formed on the first work.n nodes, and every array that
+    # takes one is 0 from there on
     at_u, at_cand, direction, spare = work.at_u, work.at_cand, work.direction, work.spare
+    n = work.n
     value = J(u, lp, ps, at_u)
     step = 0.25
     iterations = 0
@@ -190,8 +213,8 @@ def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
         accepted = False
         # below the floor, no step left can gain the threshold, to first order
         while step >= 1e-16 and step * gain >= floor:
-            np.multiply(direction, step / scale, out=spare)
-            spare += u.values
+            np.multiply(direction[:n], step / scale, out=spare[:n])
+            spare[:n] += u.values[:n]
             cand = _project(spare, grid, ps, work)
             if cand is not None:
                 cand_val = J(cand, lp, ps, at_cand)
@@ -409,9 +432,9 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet,
 
 def random_smooth_profile(grid: Grid, rng: np.random.Generator) -> Profile:
     """Random superposition of the first 5 sine modes, vanishing at r = 1."""
-    vals = np.zeros(grid.m)
+    vals, mode = np.zeros(grid.m), np.empty(grid.m)
     for k in range(1, 6):
-        vals += rng.normal() / k * grid.sine_mode(k)
+        vals += np.multiply(grid.sine_mode(k), rng.normal() / k, out=mode)
     vals[-1] = 0.0
     return Profile(grid, vals)
 

@@ -113,7 +113,9 @@ def bubble_profile(spec: BubbleSpec, grid: Grid, ps: ParamSet) -> Profile:
             f"grid too coarse for eps={spec.epsilon:g}: r1={grid.r1:g} > eps/10"
         )
     r = grid.nodes
-    vals = spec.a_hat * cutoff_eta(r, spec.r0) * bliss_value(spec.epsilon, r, ps)
+    # the cutoff depends on the grid and r0 only, so each grid builds it once
+    eta = grid._cached(("cutoff", spec.r0), lambda: cutoff_eta(r, spec.r0))
+    vals = spec.a_hat * eta * bliss_value(spec.epsilon, r, ps)
     return Profile(grid, vals)
 
 

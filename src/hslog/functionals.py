@@ -25,7 +25,10 @@ full-length vector.  A cutoff bubble is identically 0 on [2 r0, 1], a
 quarter of a graded mesh, and pow with a zero base is several times slower
 than with a regular one.
 J and the ascent gradient read one set of nodal factors (``JNodes``), so
-an ascent forms |u|^p*, ln(tau+|u|) and its power once per iterate.
+an ascent forms |u|^p*, ln(tau+|u|) and its power once per iterate.  The
+gradient forms no power of its own: with f = |u|^p* |ln|^e the integrand
+of J and arg = tau + |u|, d/du f = f (p*/u + e/(ln arg)) for u > 0, since
+|ln|^(e-1) sign(ln) = |ln|^e / ln.
 
 The energy's primitive F is a 16-point Gauss-Legendre sum per node
 (``F_nodes``).  It is formed in node blocks of ``_F_BLOCK`` = 1000 nodes,
@@ -84,23 +87,23 @@ class JNodes:
     """The nodal factors of J at one profile, in arrays kept for the next one.
 
     ``evaluate`` takes u on its support (``Profile.support_end``, k nodes)
-    and forms pw = |u|^p*, arg = tau + |u|, ln = ln(arg) and lf = |ln|^e
-    with e = r^beta, then J from the integrand pw lf, which is full length
-    with exact zeros past k.  ``gradient`` reads the same arrays, so J and
-    its gradient at one profile form each power and log once.  Every array is
-    grid length and filled in place, so an ascent that keeps two of these
-    allocates no float array for J or its gradient.  The operations are
-    those of the plain formulas, in the same order, so the results are
-    theirs bit for bit.
+    and forms arg = tau + |u|, ln = ln(arg) and the integrand f = pw lf,
+    pw = |u|^p* and lf = |ln|^e with e = r^beta; f is full length with
+    exact zeros past k, and J is its quadrature sum.  ``gradient`` reads f,
+    ln and arg and forms no power, so J and its gradient at one profile
+    take one log and the two powers of J.  Every array is grid length and
+    filled in place, so an ascent that keeps two of these allocates no
+    float array for J or its gradient.  J's operations are those of the
+    plain formula, in the same order, so J is its value bit for bit.
 
     ``lp = None`` selects the unperturbed integral J0, whose integrand is
     |u|^p*.
     """
 
     def __init__(self, m: int):
-        self.pw, self.arg, self.ln, self.lf = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+        self.arg, self.ln = np.empty(m), np.empty(m)
         self.integrand = np.zeros(m)
-        self._work = np.empty(m), np.empty(m)
+        self._work = np.empty(m)
         self._mask = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
         # the profile last evaluated, and what it was evaluated with
         self.u: Profile | None = None
@@ -114,18 +117,17 @@ class JNodes:
         v = u.values[:k]
         p_star = ps.p_star
         f = self.integrand
+        pw = np.abs(v, out=f[:k])
         if lp is None:
-            np.abs(v, out=f[:k])
-            f[:k] **= p_star
+            pw **= p_star
         else:
-            pw, arg, ln, lf = self.pw[:k], self.arg[:k], self.ln[:k], self.lf[:k]
-            np.abs(v, out=pw)
+            arg, ln, lf = self.arg[:k], self.ln[:k], self._work[:k]
             np.add(pw, lp.tau, out=arg)
             pw **= p_star
             np.log(arg, out=ln)
             np.abs(ln, out=lf)
             lf **= u.grid.node_power(lp.beta)[:k]
-            np.multiply(pw, lf, out=f[:k])
+            pw *= lf
         f[k:] = 0.0
         self.u, self.lp, self.ps, self.k = u, lp, ps, k
         return weighted_integral(u.grid, f, ps.theta)
@@ -134,34 +136,37 @@ class JNodes:
         """The gradient of J (or J0) at the evaluated profile u with respect
         to its nodal values, quadrature weights folded in, written to ``out``.
 
-        At a node with u > 0 and ln != 0 it is q (p* u^(p*-1) lf + pw e
-        sign(ln) |ln|^(e-1) / arg), or q p* u^(p*-1) for J0; elsewhere it is
-        0.  For tau < 1, ln < 0 wherever arg < 1, and the sign carries the
-        derivative of |ln| there.  For tau >= 1, ln > 0 wherever u > 0
-        (ln = 0 only where arg rounds to 1), so the sign is 1.
+        At a node with u > 0 and ln != 0 the derivative of pw lf is
+        p* u^(p*-1) lf + pw e sign(ln) |ln|^(e-1) / arg.  Since
+        u^(p*-1) = pw/u and sign(ln) |ln|^(e-1) = lf/ln, that is
+
+            f (p*/u + e/(ln arg)),   f = pw lf the integrand of J,
+
+        and q p* f/u for J0, whose integrand f is pw; elsewhere it is 0.  So
+        the gradient forms no power: it reads the integrand, ln and arg that
+        ``evaluate`` left.  For tau < 1, ln < 0 wherever arg < 1, and lf/ln
+        carries the sign of the derivative of |ln| there.  f/u is formed
+        before it is scaled by p*: p*/u overflows at a subnormal u, where f
+        is 0, and inf * 0 would be NaN.
         """
         u, lp, ps, k = self.u, self.lp, self.ps, self.k
-        p_star = ps.p_star
         v = u.values[:k]
+        f = self.integrand[:k]
         g = out[:k]
-        h, t = self._work[0][:k], self._work[1][:k]
+        t = self._work[:k]
         dropped, other = self._mask[0][:k], self._mask[1][:k]
-        np.abs(v, out=g)
-        g **= p_star - 1.0
-        g *= p_star
+        # u = 0 gives 0/0 and ln = 0 gives x/0; both nodes are dropped below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(f, v, out=g)
+            g *= ps.p_star
+            if lp is not None:
+                ln = self.ln[:k]
+                np.multiply(ln, self.arg[:k], out=t)
+                np.divide(u.grid.node_power(lp.beta)[:k], t, out=t)
+                t *= f
+                g += t
         np.less_equal(v, 0.0, out=dropped)
         if lp is not None:
-            e, ln = u.grid.node_power(lp.beta)[:k], self.ln[:k]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g *= self.lf[:k]
-                np.abs(ln, out=h)
-                np.subtract(e, 1.0, out=t)
-                np.power(h, t, out=t)
-                np.copysign(t, ln, out=t)
-                np.multiply(self.pw[:k], e, out=h)
-                h *= t
-                h /= self.arg[:k]
-                g += h
             np.equal(ln, 0.0, out=other)
             dropped |= other
         np.copyto(g, 0.0, where=dropped)
@@ -213,7 +218,8 @@ def ray_terms(u: Profile, lp: LogParams, ps: ParamSet) -> RayTerms:
     k = u.support_end()
     p_star = ps.p_star
     a = np.abs(u.values[:k])
-    w = u.grid.quad_weights(ps.theta)[:k] * a**p_star
+    w = np.power(a, p_star)
+    w *= u.grid.quad_weights(ps.theta)[:k]
     return RayTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star, np.empty(k))
 
 

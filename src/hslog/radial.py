@@ -123,17 +123,30 @@ class Profile:
         """c u."""
         return Profile(self.grid, c * self.values)
 
-    def slopes(self, out: np.ndarray | None = None) -> np.ndarray:
-        """u' on each cell, written to ``out`` when given."""
+    def slopes(self, out: np.ndarray | None = None, n: int | None = None) -> np.ndarray:
+        """u' on each cell, written to ``out`` when given.
+
+        With ``n``, the values from node n on must be 0: the first n - 1
+        slopes are formed and the rest, which are 0, are set to 0.
+        """
         v = self.values
-        s = np.subtract(v[1:], v[:-1], out=out)
-        s /= self.grid.cell_widths
-        return s
+        c = _live_cells(self.grid, n)
+        if out is None:
+            out = np.empty(v.size - 1)
+        s = np.subtract(v[1:c + 1], v[:c], out=out[:c])
+        s /= self.grid.cell_widths[:c]
+        out[c:] = 0.0
+        return out
 
     def support_end(self) -> int:
         """One past the last nonzero node; 0 for the zero profile."""
         nonzero = self.values != 0.0
         return self.values.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+
+
+def _live_cells(grid: Grid, n: int | None) -> int:
+    """The cells among the first n nodes (all of them for ``n = None``)."""
+    return grid.m - 1 if n is None else n - 1
 
 
 def make_grid(m: int, gamma: float) -> Grid:
@@ -154,38 +167,47 @@ def weighted_integral(grid: Grid, f: np.ndarray, w: float) -> float:
     return float(np.einsum("i,i->", grid.quad_weights(w), f))
 
 
-def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None) -> float:
+def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None,
+                   n: int | None = None) -> float:
     """(integral_0^1 r^alpha1 |u'|^p dr)^(1/p), exact for the discrete class.
 
     The leading interval carries zero slope, hence no contribution; the
     norm vanishes iff the profile is constant.  The per-cell terms are
-    formed in place, in ``work`` (one value per cell) when given.
+    formed in place, in ``work`` (one value per cell) when given.  With
+    ``n``, u must be 0 from node n on: only the terms of the first n - 1
+    cells are formed, the rest are exact zeros, and the sum runs over all
+    cells as without ``n``, so the norm is the same bit for bit.
     """
-    s = u.slopes(work)
-    np.abs(s, out=s)
-    s **= ps.p
-    s *= u.grid.cell_moments(ps.alpha1)
+    c = _live_cells(u.grid, n)
+    s = u.slopes(work, n)
+    t = s[:c]
+    np.abs(t, out=t)
+    t **= ps.p
+    t *= u.grid.cell_moments(ps.alpha1)[:c]
     return float(np.sum(s) ** (1.0 / ps.p))
 
 
 def dirichlet_pairing(u: Profile, v: Profile, ps: ParamSet,
-                      work: np.ndarray | None = None) -> float:
+                      work: np.ndarray | None = None, n: int | None = None) -> float:
     """integral_0^1 r^alpha1 |u'|^(p-2) u' v' dr, exact for the discrete class.
 
     It is the derivative of ||u + s v||^p / p at s = 0.  The per-cell terms
     are formed in place, in the two rows of ``work`` (shape (2, cells))
-    when given.
+    when given.  With ``n``, u and v must be 0 from node n on, and only the
+    first n - 1 terms are formed, as in ``dirichlet_norm``.
     """
     if work is None:
         work = np.empty((2, u.grid.m - 1))
-    su = u.slopes(work[0])
-    terms = np.sign(su, out=work[1])
-    terms *= u.grid.cell_moments(ps.alpha1)
+    c = _live_cells(u.grid, n)
+    su = u.slopes(work[0], n)[:c]
+    terms = np.sign(su, out=work[1][:c])
+    terms *= u.grid.cell_moments(ps.alpha1)[:c]
     np.abs(su, out=su)
     su **= ps.p - 1.0
     terms *= su
-    terms *= v.slopes(work[0])
-    return float(np.sum(terms))
+    terms *= v.slopes(work[0], n)[:c]
+    work[1][c:] = 0.0
+    return float(np.sum(work[1]))
 
 
 def lq_norm(u: Profile, q: float, w: float) -> float:

@@ -89,6 +89,32 @@ class TestMaximizer:
                   for tau in (1.0, math.e, 10.0)]
         assert values[0] <= values[1] <= values[2]
 
+    @pytest.mark.parametrize("pv,lp,value,iterations", [
+        ((2, 2, 2, 2), LogParams(1.0, 0.5), "0x1.f2a1193e132f8p-1", 8),
+        ((2, 2, 2, 2), LogParams(0.5, 0.5), "0x1.f29789cde97c2p-1", 8),
+        ((3, 2, 4, 4), LogParams(1.0, 0.5), "0x1.f6ec3c0c93331p-1", 13),
+        ((2, 2, 2, 2), None, "0x1.ec85621133652p-1", 1),
+    ])
+    def test_outcome_pinned(self, grid, pv, lp, value, iterations):
+        # F_hat bit for bit and the winning ascent's iteration count; the
+        # profile's last bits may move with the gradient's rounding
+        res = maximize_F(validate_params(*pv), lp, grid)
+        assert (res.value.hex(), res.iterations, res.converged) == (value, iterations, True)
+
+    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(0.5, 0.5)])
+    def test_support_trim_is_bit_identical(self, grid, lp, monkeypatch):
+        # the Dirichlet work of a step runs on the seed's support and one
+        # node past it; on the whole grid the ascent makes the same iterates
+        seed = bliss.bubble_profile(bliss.BubbleSpec(1e-3, P0.a_hat), grid, P0)
+        work = analysis._AscentWork(grid.m)
+        work.start(seed)
+        assert work.n == seed.support_end() + 1 < grid.m
+        trimmed = maximize_F(P0, lp, grid)
+        monkeypatch.setattr(analysis._AscentWork, "start", lambda self, seed: None)
+        full = maximize_F(P0, lp, grid)
+        assert np.array_equal(trimmed.profile.values, full.profile.values)
+        assert (trimmed.value, trimmed.iterations) == (full.value, full.iterations)
+
     def test_large_beta_approaches_unperturbed_constant(self, grid):
         res = maximize_F(P0, LogParams(1.0, 16.0), grid)
         assert abs(res.value - P0.sigma_p) < 0.01
@@ -409,19 +435,38 @@ class TestSphereScan:
 
 
 def _grad_full(u, lp, ps):
-    # the untrimmed full-array formula: the derivative of |x|^e is
-    # e sign(x) |x|^(e-1), nonzero also where x = ln(tau + u) < 0 (tau < 1)
+    # the untrimmed full-array form of the identity the gradient uses:
+    # d/du [u^p* |x|^e] = f (p*/u + e/(x arg)), f = u^p* |x|^e, arg = tau + u,
+    # x = ln(arg), since sign(x) |x|^(e-1) = |x|^e / x; f/u is taken first
     p_star = ps.p_star
-    r, v = u.grid.nodes, u.values
-    if lp is None:
-        grad = p_star * v ** (p_star - 1.0)
-        return u.grid.quad_weights(ps.theta) * np.where(v > 0.0, grad, 0.0)
-    e = r**lp.beta
-    x = np.log(lp.tau + v)
+    v = u.values
+    f = np.abs(v) ** p_star
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad = p_star * v ** (p_star - 1.0) * np.abs(x) ** e + v**p_star * e * (
-            np.sign(x) * np.abs(x) ** (e - 1.0)) / (lp.tau + v)
+        if lp is None:
+            return u.grid.quad_weights(ps.theta) * np.where(v > 0.0, f / v * p_star, 0.0)
+        e = u.grid.nodes**lp.beta
+        arg = lp.tau + np.abs(v)
+        x = np.log(arg)
+        f = f * np.abs(x) ** e
+        grad = f / v * p_star + e / (x * arg) * f
     return u.grid.quad_weights(ps.theta) * np.where((v > 0.0) & (x != 0.0), grad, 0.0)
+
+
+def _grad_pow_terms(u, lp, ps):
+    # the reference: the two terms of the derivative by the power formula,
+    # p* u^(p*-1) |x|^e and u^p* e sign(x) |x|^(e-1) / arg, each times q;
+    # nonzero also where x = ln(tau + u) < 0 (tau < 1)
+    p_star = ps.p_star
+    q, v = u.grid.quad_weights(ps.theta), u.values
+    if lp is None:
+        return q * np.where(v > 0.0, p_star * v ** (p_star - 1.0), 0.0), np.zeros(v.size)
+    e = u.grid.nodes**lp.beta
+    x = np.log(lp.tau + v)
+    keep = (v > 0.0) & (x != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = p_star * v ** (p_star - 1.0) * np.abs(x) ** e
+        second = v**p_star * e * (np.sign(x) * np.abs(x) ** (e - 1.0)) / (lp.tau + v)
+    return q * np.where(keep, first, 0.0), q * np.where(keep, second, 0.0)
 
 
 class TestGradient:
@@ -468,6 +513,41 @@ class TestGradient:
                 f = f * np.abs(np.log(lp.tau + np.abs(vals))) ** grid.nodes**lp.beta
             assert J(u, lp, ps, nodes) == float(np.einsum("i,i->", grid.quad_weights(ps.theta), f))
             assert np.array_equal(nodes.gradient(out), _grad_full(u, lp, ps))
+
+    @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4)])
+    @pytest.mark.parametrize("m", [1000, 16000])
+    @pytest.mark.parametrize("tau", [None, 0.5, 1.0, 2.0])
+    def test_identity_matches_the_power_formula(self, pv, m, tau):
+        # the identity and the power formula round differently; per node they
+        # agree within 8 eps of the two terms' magnitudes
+        ps = validate_params(*pv)
+        g = make_grid(m, 3.0)
+        lp = None if tau is None else LogParams(tau, 0.5)
+        rng = np.random.default_rng(43)
+        bubble = normalize(bliss.bubble_profile(bliss.BubbleSpec(1e-3, ps.a_hat), g, ps), ps)
+        for u in (bubble, Profile(g, np.abs(random_smooth_profile(g, rng).values))):
+            nodes = JNodes(g.m)
+            J(u, lp, ps, nodes)
+            grad = nodes.gradient(np.empty(g.m))
+            first, second = _grad_pow_terms(u, lp, ps)
+            eps = np.finfo(float).eps
+            assert np.all(np.abs(grad - (first + second))
+                          <= 8 * eps * (np.abs(first) + np.abs(second)))
+            assert np.array_equal(grad == 0.0, (first + second) == 0.0)
+
+    @pytest.mark.parametrize("lp", [None, LogParams(2.0, 0.5), LogParams(0.5, 0.5)])
+    def test_finite_at_subnormal_values(self, grid, lp):
+        # at u = 5e-324, p*/u overflows while u^p* underflows to 0; f/u is
+        # formed first, so the gradient there is 0 and nothing warns
+        vals = np.abs(random_smooth_profile(grid, np.random.default_rng(47)).values)
+        vals[[3, 100, 900]] = [5e-324, 1e-310, 2.5e-320]
+        u = Profile(grid, vals)
+        nodes = JNodes(grid.m)
+        J(u, lp, P0, nodes)
+        with np.errstate(over="raise"):
+            grad = nodes.gradient(np.empty(grid.m))
+        assert np.all(np.isfinite(grad))
+        assert not np.any(grad[[3, 100, 900]])
 
     def test_matches_nodal_central_difference_below_unit_log(self):
         # at tau = 0.5 the log is negative where u < 0.5, and |ln|^e still

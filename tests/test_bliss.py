@@ -67,6 +67,19 @@ class TestBubbleProfile:
         assert np.allclose(u.values[inside], expect, rtol=1e-14)
         assert np.all(u.values[g.nodes >= 0.4] == 0.0)
 
+    def test_cached_cutoff_is_bit_identical_and_values_writable(self):
+        # two plateau edges on one grid, each built once and read again; the
+        # returned values are the profile's own, which the ascent overwrites
+        g = make_grid(2000, 3.0)
+        for r0 in (0.2, 0.45, 0.2, 0.45):
+            spec = bliss.BubbleSpec(1e-3, P0.a_hat, r0)
+            u = bliss.bubble_profile(spec, g, P0)
+            ref = P0.a_hat * bliss.cutoff_eta(g.nodes, r0) * bliss.bliss_value(1e-3, g.nodes, P0)
+            assert np.array_equal(u.values, ref)
+            assert u.values.flags.writeable
+            u.values[:] = -1.0
+        assert np.array_equal(bliss.bubble_profile(spec, g, P0).values, ref)
+
     def test_grid_too_coarse(self):
         g = make_grid(16, 1.0)
         with pytest.raises(ValidationError, match="too coarse"):

@@ -10,6 +10,7 @@ from hslog.params import ValidationError, validate_params
 from hslog.radial import (
     Profile,
     dirichlet_norm,
+    dirichlet_pairing,
     lq_norm,
     make_grid,
     normalize,
@@ -187,6 +188,36 @@ class TestDirichletNorm:
         u = Profile(g, rng.normal(size=g.m))
         assert dirichlet_norm(u.scaled(2.0), P0) == pytest.approx(
             2.0 * dirichlet_norm(u, P0), rel=1e-13)
+
+
+class TestTrimmedDirichlet:
+    """With n, the Dirichlet norm and pairing form the terms of the first
+    n - 1 cells only, and the sums keep the bits of the full ones."""
+
+    @pytest.mark.parametrize("zeros_from", [1, 700, 1999, 2000])
+    def test_bit_identical_to_full(self, zeros_from):
+        g = make_grid(2000, 3.0)
+        rng = np.random.default_rng(9)
+        u_vals, v_vals = rng.normal(size=(2, g.m))
+        u_vals[zeros_from:] = 0.0
+        v_vals[zeros_from:] = 0.0
+        u, v = Profile(g, u_vals), Profile(g, v_vals)
+        for ps in (P0, validate_params(3, 2, 4, 4)):
+            for n in {min(zeros_from + 1, g.m), g.m}:
+                # stale work arrays: the cells past n are written as 0
+                work = np.full((2, g.m - 1), np.nan)
+                assert dirichlet_norm(u, ps, work[0], n) == dirichlet_norm(u, ps)
+                assert (dirichlet_pairing(u, v, ps, work, n)
+                        == dirichlet_pairing(u, v, ps))
+                assert not np.any(work[1][n - 1:])
+
+    def test_slopes_past_n_are_zero(self):
+        g = make_grid(64, 2.0)
+        vals = np.linspace(1.0, 0.0, g.m)
+        vals[40:] = 0.0
+        full = Profile(g, vals).slopes()
+        out = np.full(g.m - 1, np.nan)
+        assert np.array_equal(Profile(g, vals).slopes(out, 41), full)
 
 
 class TestLqNorm:
