@@ -155,7 +155,8 @@ class JNodes:
         g = out[:k]
         t = self._work[:k]
         dropped, other = self._mask[0][:k], self._mask[1][:k]
-        # u = 0 gives 0/0 and ln = 0 gives x/0; both nodes are dropped below
+        np.less_equal(v, 0.0, out=dropped)
+        # u = 0 gives 0/0 and ln = 0 gives x/0; both nodes are dropped
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(f, v, out=g)
             g *= ps.p_star
@@ -165,10 +166,8 @@ class JNodes:
                 np.divide(u.grid.node_power(lp.beta)[:k], t, out=t)
                 t *= f
                 g += t
-        np.less_equal(v, 0.0, out=dropped)
-        if lp is not None:
-            np.equal(ln, 0.0, out=other)
-            dropped |= other
+                np.equal(ln, 0.0, out=other)
+                dropped |= other
         np.copyto(g, 0.0, where=dropped)
         g *= u.grid.quad_weights(ps.theta)[:k]
         out[k:] = 0.0
