@@ -151,10 +151,15 @@ def maximize_F(
     of the projected step falls below that threshold: no step it could
     still accept would gain the threshold, to first order, so the ascent
     ends there as converged instead of halving down to 1e-16.
+
+    The seeds' results are not collected: a running best is kept, so the
+    memory does not grow with the number of seeds.  The highest value wins,
+    and an exact tie goes to the smallest seed, so the result does not
+    depend on the order of ``eps_seeds``.
     """
     work = _AscentWork(grid.m)
 
-    candidates: list[MaximizeResult] = []
+    best: MaximizeResult | None = None
     for eps in eps_seeds:
         if grid.r1 > eps / 10.0:
             continue
@@ -163,12 +168,17 @@ def maximize_F(
         u = _project(start.values, grid, ps, work)
         if u is None:
             continue
-        candidates.append(_ascend(u, eps, ps, lp, grid, work))
-    if not candidates:
+        res = _ascend(u, eps, ps, lp, grid, work)
+        if best is None or _rank(res) < _rank(best):
+            best = res
+    if best is None:
         raise ValidationError("no bubble seed is resolvable on this grid")
-    # highest value wins; exact ties resolved toward the smallest seed
-    candidates.sort(key=lambda c: (-c.value, c.seed_epsilon))
-    return candidates[0]
+    return best
+
+
+def _rank(res: MaximizeResult) -> tuple[float, float]:
+    """Lower ranks first: the highest value, then the smallest seed."""
+    return (-res.value, res.seed_epsilon)
 
 
 def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: ParamSet,
@@ -180,12 +190,14 @@ def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: Param
     the derivative is d.h - (d.u) <u, h>: the gradient d = ``JNodes.gradient``
     along h (d.h is the scale), minus the part the renormalization takes
     back, whose norm derivative at ||u|| = 1 is the Dirichlet pairing <u, h>.
-    Both u and h are 0 from node ``work.n`` on, so h and the pairing are
-    formed on the first ``work.n`` nodes.
+    Both u and h are 0 from node ``work.n`` on, so h, its finiteness check
+    and the pairing are formed on the first ``work.n`` nodes.
     """
     n = work.n
-    np.divide(direction[:n], scale, out=work.h[:n])
-    pairing = dirichlet_pairing(u, Profile(u.grid, work.h), ps, work.cells, n)
+    h = np.divide(direction[:n], scale, out=work.h[:n])
+    if not np.isfinite(h).all():
+        raise ValidationError("the ascent direction is not finite")
+    pairing = dirichlet_pairing(u, work.h, ps, work.cells, n)
     return scale - float(np.einsum("i,i->", direction, u.values)) * pairing
 
 

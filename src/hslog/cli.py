@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -211,11 +212,20 @@ def cmd_mp_gap(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+# 1-2-5 steps per decade from 0.5 up to 1e4; (4, 2, 6, 3) changes sign
+# between 5e3 and 1e4.  Shots grow slow at large amplitudes (one at a = 1e4
+# on (2, 2, 2, 2) took 52 s on a 2-vCPU Xeon), so the scan stops there.
+_SCAN_AMPLITUDES = (0.5,) + tuple(c * 10.0**k for k in range(4) for c in (1.0, 2.0, 5.0)) + (1e4,)
+
+
 def _auto_bracket(lp, ps):
-    """Scan amplitude decades for a sign change of u(1; a)."""
-    amps = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 300.0)
+    """The first pair of consecutive scan amplitudes where u(1; a) changes sign.
+
+    The scan stops at the first shot that raises ``NumericalError``, and at
+    the last amplitude of the scan.
+    """
     prev_a, prev_v = None, None
-    for a in amps:
+    for a in _SCAN_AMPLITUDES:
         try:
             v = shooting.boundary_value(a, lp, ps)
         except NumericalError:
@@ -223,7 +233,8 @@ def _auto_bracket(lp, ps):
         if prev_v is not None and prev_v * v < 0:
             return (prev_a, a)
         prev_a, prev_v = a, v
-    raise NumericalError("no sign change of u(1; a) in the scanned amplitude range")
+    raise NumericalError(f"no sign change of u(1; a) for amplitudes from "
+                         f"{fmt(_SCAN_AMPLITUDES[0])} to {fmt(a)}")
 
 
 def cmd_shoot(cfg: RunConfig, out: Path) -> int:
@@ -262,10 +273,11 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
     lp = cfg.log_params()
     res = analysis.maximize_F(ps, lp, grid, eps_seeds=cfg.epsilon_list)
     rng = np.random.default_rng(cfg.seed)
-    profiles = [analysis.random_smooth_profile(grid, rng)
-                for _ in range(cfg.n_random_profiles)]
-    profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
-                 for eps in cfg.epsilon_list]
+    # drawn one at a time as the check reads them, so one profile is alive
+    profiles = itertools.chain(
+        (analysis.random_smooth_profile(grid, rng) for _ in range(cfg.n_random_profiles)),
+        (bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
+         for eps in cfg.epsilon_list))
     report = orlicz.embedding_check(profiles, lp, ps, res.value)
     write_csv(out / "orlicz.csv", "profile_id,luxemburg,dirichlet,ratio,pass",
               [(r.profile_id, r.luxemburg, r.dirichlet, r.ratio, r.passed)

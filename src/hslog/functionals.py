@@ -307,7 +307,7 @@ def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet) -> float
     _require_tau_ge_1(lp, "the pairing")
     if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
         raise ValidationError("pairing requires profiles on the same grid")
-    term1 = dirichlet_pairing(u, v, ps)
+    term1 = dirichlet_pairing(u, v.values, ps)
     k = u.support_end()
     w = u.values[:k]
     source = np.zeros(u.grid.m)

@@ -176,15 +176,23 @@ class EmbeddingReport:
 def embedding_check(profiles, lp: LogParams, ps: ParamSet, f_hat: float) -> EmbeddingReport:
     """Verify ||u||_Luxemburg <= lambda0 ||u|| on a profile set.
 
+    ``profiles`` is any iterable of profiles, a generator included.  It is
+    read once, in order, and row i is profile i.  No profile is kept: each
+    is released before the next is drawn, so a generator that builds them
+    one at a time holds one profile at a time.
+
     f_hat is the computed lower bound for the constrained supremum, and
     lambda0 = (1.06 f_hat)^(1/p*): the 1.06 leaves headroom over the 1.05
     safety floor after the p*-th root.  The report carries lambda0.
     """
     lambda0 = (1.06 * f_hat) ** (1.0 / ps.p_star)
     rows = []
-    for i, u in enumerate(profiles):
+    # not enumerate: its reused result tuple would hold profile i while
+    # profile i + 1 is drawn
+    for u in profiles:
         lux = luxemburg_norm(u, lp, ps)
         diri = dirichlet_norm(u, ps)
+        del u
         ratio = lux / diri if diri > 0 else 0.0
-        rows.append(EmbeddingRow(i, lux, diri, ratio, lux <= lambda0 * diri + 1e-12))
+        rows.append(EmbeddingRow(len(rows), lux, diri, ratio, lux <= lambda0 * diri + 1e-12))
     return EmbeddingReport(rows=tuple(rows), lambda0=lambda0)

@@ -129,24 +129,30 @@ class Profile:
         With ``n``, the values from node n on must be 0: the first n - 1
         slopes are formed and the rest, which are 0, are set to 0.
         """
-        v = self.values
-        c = _live_cells(self.grid, n)
-        if out is None:
-            out = np.empty(v.size - 1)
-        s = np.subtract(v[1:c + 1], v[:c], out=out[:c])
-        s /= self.grid.cell_widths[:c]
-        out[c:] = 0.0
-        return out
+        return _slopes(self.grid, self.values, out, n)
 
     def support_end(self) -> int:
         """One past the last nonzero node; 0 for the zero profile."""
-        nonzero = self.values != 0.0
-        return self.values.size - int(np.argmax(nonzero[::-1])) if nonzero.any() else 0
+        # a bool array is one byte per node, 0 or 1, and bytes.rfind scans
+        # back from the end; numpy's argmax over the reversed view would
+        # copy the whole mask first
+        return (self.values != 0.0).tobytes().rfind(1) + 1
 
 
 def _live_cells(grid: Grid, n: int | None) -> int:
     """The cells among the first n nodes (all of them for ``n = None``)."""
     return grid.m - 1 if n is None else n - 1
+
+
+def _slopes(grid: Grid, v: np.ndarray, out: np.ndarray | None, n: int | None) -> np.ndarray:
+    """``Profile.slopes`` of the nodal values v on the grid."""
+    c = _live_cells(grid, n)
+    if out is None:
+        out = np.empty(v.size - 1)
+    s = np.subtract(v[1:c + 1], v[:c], out=out[:c])
+    s /= grid.cell_widths[:c]
+    out[c:] = 0.0
+    return out
 
 
 def make_grid(m: int, gamma: float) -> Grid:
@@ -187,14 +193,16 @@ def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None,
     return float(np.sum(s) ** (1.0 / ps.p))
 
 
-def dirichlet_pairing(u: Profile, v: Profile, ps: ParamSet,
+def dirichlet_pairing(u: Profile, v: np.ndarray, ps: ParamSet,
                       work: np.ndarray | None = None, n: int | None = None) -> float:
     """integral_0^1 r^alpha1 |u'|^(p-2) u' v' dr, exact for the discrete class.
 
-    It is the derivative of ||u + s v||^p / p at s = 0.  The per-cell terms
-    are formed in place, in the two rows of ``work`` (shape (2, cells))
-    when given.  With ``n``, u and v must be 0 from node n on, and only the
-    first n - 1 terms are formed, as in ``dirichlet_norm``.
+    It is the derivative of ||u + s v||^p / p at s = 0, for v given by its
+    nodal values on the grid of u (a direction, as a gradient is; the
+    caller sees that they are finite).  The per-cell terms are formed in
+    place, in the two rows of ``work`` (shape (2, cells)) when given.
+    With ``n``, u and v must be 0 from node n on, and only the first n - 1
+    terms are formed, as in ``dirichlet_norm``.
     """
     if work is None:
         work = np.empty((2, u.grid.m - 1))
@@ -205,7 +213,7 @@ def dirichlet_pairing(u: Profile, v: Profile, ps: ParamSet,
     np.abs(su, out=su)
     su **= ps.p - 1.0
     terms *= su
-    terms *= v.slopes(work[0], n)[:c]
+    terms *= _slopes(u.grid, v, work[0], n)[:c]
     work[1][c:] = 0.0
     return float(np.sum(work[1]))
 

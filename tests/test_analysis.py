@@ -84,6 +84,29 @@ class TestMaximizer:
         assert a.value == b.value
         assert a.seed_epsilon == b.seed_epsilon
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_running_best_keeps_one_result(self, grid, order, monkeypatch):
+        # ascents scripted to tie on value: the tie goes to the smallest seed
+        # in either order, and while an ascent runs, no earlier result but
+        # the best so far and the one just returned is alive
+        values = {1e-2: 0.5, 3e-3: 0.9, 1e-3: 0.7, 3e-4: 0.9, 1e-4: 0.2, 1e-5: 0.9}
+        profiles, alive = [], []
+
+        def scripted(u, eps, *args):
+            alive.append(sum(r() is not None for r in profiles))
+            profiles.append(weakref.ref(u))
+            return analysis.MaximizeResult(u, values[eps], 1, True, eps)
+
+        monkeypatch.setattr(analysis, "_ascend", scripted)
+        gc.disable()
+        try:
+            res = maximize_F(P0, self.LP, grid, eps_seeds=tuple(values)[::order])
+            assert (res.value, res.seed_epsilon) == (0.9, 1e-5)
+            assert max(alive) <= 2
+            assert [r() for r in profiles if r() is not None] == [res.profile]
+        finally:
+            gc.enable()
+
     def test_monotone_in_tau(self, grid):
         values = [maximize_F(P0, LogParams(tau, 0.5), grid).value
                   for tau in (1.0, math.e, 10.0)]
@@ -196,6 +219,20 @@ class TestAscentLineSearch:
         s = 1e-3
         gain = analysis._first_order_gain(u, direction, scale, ps, work)
         assert (f(s) - f(-s)) / (2 * s) == pytest.approx(gain, rel=1e-7)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_gain_rejects_a_nonfinite_direction(self, grid, bad):
+        bubble = bliss.bubble_profile(bliss.BubbleSpec(1e-2, P0.a_hat), grid, P0)
+        work = analysis._AscentWork(grid.m)
+        work.start(bubble)
+        u = analysis._project(bubble.values, grid, P0, work)
+        J(u, LogParams(1.0, 0.5), P0, work.at_u)
+        direction = work.at_u.gradient(np.empty(grid.m))
+        direction[work.n // 2] = bad
+        scale = float(np.sqrt(direction @ direction))
+        # inf / inf is the NaN that h must not carry into the pairing
+        with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not finite"):
+            analysis._first_order_gain(u, direction, scale, P0, work)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 16.0])
     def test_outcome_pinned_and_budget(self, grid, beta, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import pytest
 
 import hslog
 from hslog import orlicz, shooting
-from hslog.cli import RunConfig, _auto_bracket, build_parser, main, parse_config
+from hslog.cli import (RunConfig, _auto_bracket, build_parser, cmd_orlicz, cmd_sweep_beta, main,
+                       parse_config)
 from hslog.functionals import LogParams
-from hslog.params import ValidationError, validate_params
+from hslog.params import NumericalError, ValidationError, validate_params
 
 BASE_CFG = """\
 p = 2
@@ -168,9 +170,35 @@ class TestShoot:
                         "pointwise_bound_slack", "origin_condition"]
 
     @pytest.mark.parametrize("params, bracket", [((2, 2, 2, 2), (20.0, 50.0)),
-                                                 ((3, 2, 4, 4), (50.0, 100.0))])
+                                                 ((3, 2, 4, 4), (50.0, 100.0)),
+                                                 ((4, 2, 6, 3), (5000.0, 10000.0))])
     def test_auto_bracket(self, params, bracket):
         assert _auto_bracket(LogParams(1.0, 0.5), validate_params(*params)) == bracket
+
+    def test_shoot_past_the_old_scan_end(self, tmp_path, capsys):
+        # (4, 2, 6, 3): u(1; a) changes sign only between a = 5e3 and 1e4
+        path = tmp_path / "wide.cfg"
+        path.write_text(BASE_CFG.replace("shoot_bracket = 20,50\n", "")
+                        .replace("p = 2\nalpha0 = 2\nalpha1 = 2\ntheta = 2\n",
+                                 "p = 4\nalpha0 = 2\nalpha1 = 6\ntheta = 3\n")
+                        .replace("grid_m = 1200", "grid_m = 400"))
+        out = tmp_path / "o"
+        assert main(["shoot", "--config", str(path), "--out", str(out)]) == 0
+        meta = dict(line.split(" = ", 1) for line in
+                    (out / "shoot_meta.txt").read_text().splitlines())
+        assert 5000.0 < float(meta["amplitude"]) < 10000.0
+        assert meta["positive_inside"] == "true"
+
+    @pytest.mark.parametrize("raise_from, last", [(math.inf, "10000"), (200.0, "200")])
+    def test_no_sign_change_names_the_last_amplitude(self, raise_from, last, monkeypatch):
+        def one_signed(a, lp, ps):
+            if a >= raise_from:
+                raise NumericalError("stalled")
+            return 1.0
+
+        monkeypatch.setattr(shooting, "boundary_value", one_signed)
+        with pytest.raises(NumericalError, match=f"from 0.5 to {last}$"):
+            _auto_bracket(LogParams(1.0, 0.5), validate_params(2, 2, 2, 2))
 
     def test_without_bracket_key_as_with_the_scanned_one(self, cfg_file, tmp_path):
         path = tmp_path / "auto.cfg"
@@ -244,6 +272,35 @@ class TestOrlicz:
         assert main(["orlicz", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: the residual of the Luxemburg norm is NaN")
+
+
+def traced_peak_arrays(cmd, cfg: RunConfig, out: Path) -> float:
+    """The traced peak allocation of one run of a command, in grid-length
+    float arrays (8 M bytes each).
+
+    A first, untraced run takes the imports that a command's first call
+    makes lazily.
+    """
+    cmd(cfg, out)
+    tracemalloc.start()
+    try:
+        cmd(cfg, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * cfg.grid_m)
+
+
+class TestTracedPeak:
+    """What a command holds at once does not grow with its profile or seed
+    count: on the README config at M = 2000 (100 random profiles and 6 bubbles
+    for ``orlicz``, 6 seeds per beta for ``sweep-beta``) ``orlicz`` peaks at
+    27 arrays and ``sweep-beta`` at 29.  Holding every profile (124) or every
+    seed's result (33) fails."""
+
+    @pytest.mark.parametrize("cmd, bound", [(cmd_orlicz, 40), (cmd_sweep_beta, 31)])
+    def test_peak_in_grid_arrays(self, cmd, bound, tmp_path, capsys):
+        assert traced_peak_arrays(cmd, RunConfig(), tmp_path) < bound
 
 
 # every command runs in a process where scipy cannot be imported

@@ -218,6 +218,27 @@ class TestEmbedding:
         assert isinstance(report, EmbeddingReport)
         assert report.all_passed
 
+    def test_profile_freed_before_the_next_is_drawn(self, grid):
+        # fed a generator, the check holds one profile at a time and keeps none
+        rng = np.random.default_rng(8)
+        refs = []
+        alive_at_draw = []
+
+        def draw():
+            alive_at_draw.append(sum(r() is not None for r in refs))
+            u = random_smooth_profile(grid, rng)
+            refs.append(weakref.ref(u))
+            return u
+
+        gc.disable()
+        try:
+            report = embedding_check((draw() for _ in range(5)), LP, P0, 1.0)
+            assert alive_at_draw == [0] * 5
+            assert [r() for r in refs] == [None] * 5
+        finally:
+            gc.enable()
+        assert [row.profile_id for row in report.rows] == list(range(5))
+
     def test_zero_profile_passes_trivially(self, grid):
         report = embedding_check([Profile(grid, np.zeros(grid.m))], LP, P0, 1.0)
         assert report.all_passed

@@ -171,6 +171,17 @@ class TestProfile:
             else:
                 assert np.all(np.isfinite(u.scaled(c).values))
 
+    @pytest.mark.parametrize("nonzero", [(), (0,), (63,), (0, 63), (5, 6, 40), (17,),
+                                         tuple(range(64))])
+    def test_support_end_is_one_past_the_last_nonzero(self, nonzero):
+        g = make_grid(64, 1.0)
+        vals = np.full(g.m, -0.0)     # a signed zero counts as zero
+        vals[list(nonzero)] = np.linspace(-2.0, -1.0, len(nonzero))
+        # the reversed-argmax formula it replaced
+        nz = vals != 0.0
+        expected = g.m - int(np.argmax(nz[::-1])) if nz.any() else 0
+        assert Profile(g, vals).support_end() == expected == (max(nonzero, default=-1) + 1)
+
 
 class TestDirichletNorm:
     def test_linear_profile(self):
@@ -201,14 +212,14 @@ class TestTrimmedDirichlet:
         u_vals, v_vals = rng.normal(size=(2, g.m))
         u_vals[zeros_from:] = 0.0
         v_vals[zeros_from:] = 0.0
-        u, v = Profile(g, u_vals), Profile(g, v_vals)
+        u = Profile(g, u_vals)
         for ps in (P0, validate_params(3, 2, 4, 4)):
             for n in {min(zeros_from + 1, g.m), g.m}:
                 # stale work arrays: the cells past n are written as 0
                 work = np.full((2, g.m - 1), np.nan)
                 assert dirichlet_norm(u, ps, work[0], n) == dirichlet_norm(u, ps)
-                assert (dirichlet_pairing(u, v, ps, work, n)
-                        == dirichlet_pairing(u, v, ps))
+                assert (dirichlet_pairing(u, v_vals, ps, work, n)
+                        == dirichlet_pairing(u, v_vals, ps))
                 assert not np.any(work[1][n - 1:])
 
     def test_slopes_past_n_are_zero(self):
