@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog import bliss
-from hslog.functionals import LogParams, J, JNodes, RayTerms, energy_I, ray_sum, ray_terms
+from hslog.functionals import (LogParams, J, JNodes, RayTerms, F_nodes, _require_tau_ge_1,
+                               energy_I, nodal_ray_terms, ray_sum)
 from hslog.params import (NumericalError, ParamSet, ValidationError, bracket_decreasing,
                           brent_root)
 from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing, lq_norm, normalize
@@ -372,19 +373,19 @@ def _stationarity(t: float, terms: RayTerms, n_p: float, p: float) -> float:
     return t ** (p - 1.0) * n_p - t ** (terms.p_star - 1.0) * ray_sum(terms, t)
 
 
-def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
+def solve_t_eps(terms: RayTerms, n_p: float, ps: ParamSet) -> float:
     """Root of t^(p-1) ||u||^p = t^(p*-1) int r^th |u|^p* (ln(tau+t|u|))^(r^b) dr.
 
-    The right-hand side is J(t u)/t, read from the ray terms of u, which are
-    taken once.  The bracket starts at (0.5, 2) and ``bracket_decreasing``
-    halves its lower end until the residual is >= 0 and doubles its upper
-    end until it is <= 0, then Brent's method finds the root.
-    ``brent_root`` reuses the residuals at the bracket ends and returns the
-    one at the root, so no t is evaluated twice.  The residual at the root
-    must be below 1e-10 relative to t^(p-1) ||u||^p.
+    u enters through its ray terms ``terms`` and n_p = ||u||^p; a grid
+    profile's come from ``ray_terms`` and ``dirichlet_norm``, a bubble's
+    from its tanh-sinh nodes (``mountain_pass_gap``).  The right-hand side
+    is J(t u)/t, read from the ray terms.  The bracket starts at (0.5, 2)
+    and ``bracket_decreasing`` halves its lower end until the residual is
+    >= 0 and doubles its upper end until it is <= 0, then Brent's method
+    finds the root.  ``brent_root`` reuses the residuals at the bracket
+    ends and returns the one at the root, so no t is evaluated twice.  The
+    residual at the root must be below 1e-10 relative to t^(p-1) ||u||^p.
     """
-    terms = ray_terms(u_eps, lp, ps)
-    n_p = dirichlet_norm(u_eps, ps) ** ps.p
     args = (terms, n_p, ps.p)
     lo, h_lo, hi, h_hi = bracket_decreasing(_stationarity, 0.5, _stationarity(0.5, *args),
                                             2.0, _stationarity(2.0, *args), "t_eps", args=args)
@@ -398,17 +399,36 @@ def solve_t_eps(u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
 
 @dataclass(frozen=True)
 class MountainPassResult:
+    """The maximum of I along the ray of a bubble, against the level.
+
+    ``gap0`` is the gap of the same bubble with the log factor off.
+    """
+
     max_energy: float
     t_at_max: float
     threshold: float
     gap: float
+    gap0: float
 
 
-def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet,
-                      grid: Grid) -> MountainPassResult:
+def bubble_energy(nodes: bliss.BubbleNodes, t: float, lp: LogParams, ps: ParamSet) -> float:
+    """I(t u) = t^p ||u||^p / p - int r^th F(r, t u) dr for the bubble u of ``nodes``.
+
+    The integral is the tanh-sinh sum of the primitive F (``F_nodes``) at
+    the bubble's nodes.
+    """
+    _require_tau_ge_1(lp, "the energy")
+    f = F_nodes(nodes.r ** lp.beta, t * nodes.u, lp, ps)
+    return t**ps.p * nodes.norm_p / ps.p - float(np.einsum("i,i->", nodes.q, f))
+
+
+def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet) -> MountainPassResult:
     """Max of t -> I(t u_eps) against the non-compactness level.
 
     The level is (1/p - 1/p*) S_power, with S_power from the ``ParamSet``.
+    The bubble is taken in closed form at the nodes of the tanh-sinh rule
+    (``bliss.bubble_nodes``), so no mesh is involved and every eps > 0 is
+    accepted.
 
     The maximum sits at the root t* of d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t,
     which ``solve_t_eps`` finds.  For tau >= 1 that root is unique and is the
@@ -416,26 +436,29 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet,
     because t^(p*-p) and (ln(tau + t|u|))^(r^beta) both are, so the
     derivative is positive below t* and negative above it.
 
-    The reported quantity is the maximum of the discrete energy along the
-    bubble path, not the infimum over all paths.  It stands for the
-    bubble-path upper bound on the mountain-pass level only where the mesh
-    resolves eps.  The nodal rule integrates the interpolant of |u|^p*,
-    which overstates the critical integral: on an under-resolved mesh it
-    can put the discrete Sobolev quotient above its sharp value (the
-    unperturbed maximum then falls below the threshold, which the sharp
-    inequality rules out in the continuum), so the value is not a certified
-    upper bound there.
-    """
-    threshold = (1.0 / ps.p - 1.0 / ps.p_star) * ps.S_power
+    With the log factor off, I(t u) = t^p ||u||^p / p - t^p* J0(u) / p*
+    peaks at (1/p - 1/p*) (||u||^p* / J0(u))^(p/(p*-p)); ``gap0`` is the
+    level minus that peak, from the same nodes.  The sharp inequality puts
+    it below 0 for every bubble.
 
-    u = bliss.bubble_profile(spec, grid, ps)
-    t_star = solve_t_eps(u, lp, ps)
-    max_energy = energy_I(u.scaled(t_star), lp, ps)
+    The reported quantity is the maximum of the energy along the bubble
+    path, not the infimum over all paths: an upper bound on the
+    mountain-pass level.
+    """
+    p, p_star = ps.p, ps.p_star
+    threshold = (1.0 / p - 1.0 / p_star) * ps.S_power
+    nodes = bliss.bubble_nodes(spec, ps)
+    terms = nodal_ray_terms(nodes.u, nodes.q, nodes.r ** lp.beta, lp, ps)
+    t_star = solve_t_eps(terms, nodes.norm_p, ps)
+    max_energy = bubble_energy(nodes, t_star, lp, ps)
+    max0 = (1.0 / p - 1.0 / p_star) * (nodes.norm_p ** (p_star / p)
+                                       / nodes.j0) ** (p / (p_star - p))
     return MountainPassResult(
         max_energy=max_energy,
         t_at_max=t_star,
         threshold=threshold,
         gap=threshold - max_energy,
+        gap0=threshold - max0,
     )
 
 

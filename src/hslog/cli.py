@@ -186,9 +186,12 @@ def cmd_rates(cfg: RunConfig, out: Path) -> int:
 
 
 def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
-    """(epsilon, max_I, threshold, gap) per eps on one grid, written to mp_gap.csv."""
+    """(epsilon, max_I, threshold, gap) per eps, written to mp_gap.csv.
+
+    The bubbles are taken off the mesh, so the rows do not depend on
+    ``grid_m`` or ``grid_gamma``.
+    """
     ps = cfg.param_set()
-    grid = cfg.grid()
     lp = cfg.log_params()
     if not 0 < cfg.beta < ps.beta_max:
         print(f"warning: beta={fmt(cfg.beta)} outside the level-gap regime "
@@ -196,7 +199,7 @@ def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
     # the level bound is a small-scale statement; fat bubbles sit above it
     rows = []
     for eps in cfg.mp_epsilon_list:
-        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps), lp, ps, grid)
+        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps), lp, ps)
         rows.append((float(eps), mp.max_energy, mp.threshold, mp.gap))
     write_csv(out / "mp_gap.csv", "epsilon,max_I,threshold,gap", rows)
     return rows
@@ -213,8 +216,9 @@ def cmd_mp_gap(cfg: RunConfig, out: Path) -> int:
 
 
 # 1-2-5 steps per decade from 0.5 up to 1e4; (4, 2, 6, 3) changes sign
-# between 5e3 and 1e4.  Shots grow slow at large amplitudes (one at a = 1e4
-# on (2, 2, 2, 2) took 52 s on a 2-vCPU Xeon), so the scan stops there.
+# between 5e3 and 1e4.  Past that a shot can start inside its own core and
+# run up to ``shooting.MAX_RHS_EVALUATIONS`` (a = 1e4 on (2, 2, 2, 2) does,
+# and raises after about 0.3 s on a 2-vCPU Xeon), so the scan stops there.
 _SCAN_AMPLITUDES = (0.5,) + tuple(c * 10.0**k for k in range(4) for c in (1.0, 2.0, 5.0)) + (1e4,)
 
 

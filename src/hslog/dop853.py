@@ -258,8 +258,9 @@ class Trajectory:
     """The end of an integration and what it cost.
 
     ``status`` is "finished" (t reached t_bound), "limit" (an accepted
-    step ended with |u| >= u_limit) or "step" (the step size fell below
-    10 ulp of t).  (t, u, w) is the last accepted state: for "limit" the
+    step ended with |u| >= u_limit), "step" (the step size fell below
+    10 ulp of t) or "work" (the right-hand-side calls reached their cap
+    before t_bound).  (t, u, w) is the last accepted state: for "limit" the
     end of the step that crossed the limit.  ``nfev`` counts right-hand-
     side calls, ``n_steps`` accepted steps.  With dense output, ``knots``
     holds t0 and the end of every accepted step, and ``segments`` one row
@@ -353,7 +354,7 @@ def _interpolant(fun, t, u, w, h, ku, kw, u_new):
 
 
 def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
-              atol: float, u_limit: float, dense: bool) -> Trajectory:
+              atol: float, u_limit: float, dense: bool, max_nfev: int) -> Trajectory:
     """Integrate (u, w)' = fun(t, u, w) from t0 to t_bound > t0.
 
     fun returns the pair (u', w') as floats.  rtol and atol apply to both
@@ -361,7 +362,9 @@ def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
     ends with |u| >= u_limit, the terminal event |u| - u_limit = 0 of the
     scipy call, but at the end of that step rather than at the event time.
     With ``dense`` every accepted step costs three more calls of fun and
-    keeps its interpolant of u (``Trajectory.dense_u``).
+    keeps its interpolant of u (``Trajectory.dense_u``).  No step is tried
+    once fun has been called ``max_nfev`` times; scipy has no such cap, and
+    below it the steps are scipy's.
     """
     t, u, w = t0, u0, w0
     du, dw = fun(t, u, w)
@@ -378,6 +381,8 @@ def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
         while True:
             if h_abs < min_step:
                 return Trajectory("step", t, u, w, nfev, n_steps, knots, segments)
+            if nfev >= max_nfev:
+                return Trajectory("work", t, u, w, nfev, n_steps, knots, segments)
             t_new = t + h_abs
             if t_new - t_bound > 0:
                 t_new = t_bound

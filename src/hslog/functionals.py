@@ -44,10 +44,11 @@ Along the ray through a profile u the quadrature of J factors.  Since
     a_i = |u_i|,   w_i = q_i a_i^p*,   e_i = r_i^beta,
 
 with q the r^theta quadrature weights.  a, w and e depend on u only
-(``ray_terms``); each s then costs one pass over them (``ray_sum``).  The
-mountain-pass stationarity reads J(t u) for t > 0 and the Luxemburg norm
-reads J(u/lambda) this way.  For tau >= 1 every log factor is >= 0, so the
-sum does not decrease with s.
+(``ray_terms`` on a grid, ``nodal_ray_terms`` at any node set, such as a
+bubble's tanh-sinh nodes); each s then costs one pass over them
+(``ray_sum``).  The mountain-pass stationarity reads J(t u) for t > 0 and
+the Luxemburg norm reads J(u/lambda) this way.  For tau >= 1 every log
+factor is >= 0, so the sum does not decrease with s.
 
 Conventions: the exponent r^beta is 0 at r = 0 and we set 0^0 = 1, so the
 integrand is continuous at the origin; kernels take the exponent array
@@ -208,18 +209,27 @@ class RayTerms:
 
 
 def ray_terms(u: Profile, lp: LogParams, ps: ParamSet) -> RayTerms:
-    """a_i = |u_i|, w_i = q_i a_i^p* and e_i = r_i^beta for J along the ray of u.
+    """a_i = |u_i|, w_i = q_i a_i^p* and e_i = r_i^beta for J along the ray of u,
+    on the support of u."""
+    k = u.support_end()
+    return nodal_ray_terms(u.values[:k], u.grid.quad_weights(ps.theta)[:k],
+                           u.grid.node_power(lp.beta)[:k], lp, ps)
+
+
+def nodal_ray_terms(values: np.ndarray, q: np.ndarray, e: np.ndarray, lp: LogParams,
+                    ps: ParamSet) -> RayTerms:
+    """The ray terms of J at any node set: values u_i, r^theta weights q_i
+    and exponents e_i = r_i^beta.
 
     tau >= 1 keeps ln(tau + a_i s) >= 0, which the factorization's callers
     rely on.
     """
     _require_tau_ge_1(lp, "the ray sum of J")
-    k = u.support_end()
     p_star = ps.p_star
-    a = np.abs(u.values[:k])
+    a = np.abs(values)
     w = np.power(a, p_star)
-    w *= u.grid.quad_weights(ps.theta)[:k]
-    return RayTerms(a, w, u.grid.node_power(lp.beta)[:k], lp.tau, p_star, np.empty(k))
+    w *= q
+    return RayTerms(a, w, e, lp.tau, p_star, np.empty(a.size))
 
 
 def ray_sum(terms: RayTerms, s: float) -> float:

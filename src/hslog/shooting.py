@@ -42,6 +42,13 @@ from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
 # the radius every shot starts at, with zero flux
 R_MIN = 1e-7
 
+# right-hand-side evaluations one shot may make.  Every shot the amplitude
+# scan makes on (2, 2, 2, 2), (3, 2, 4, 4) and (4, 2, 6, 3) takes 134-1718;
+# a shot started at R_MIN inside a core much smaller than R_MIN took
+# 816,938 (a = 7000 on (2, 2, 2, 2), 1.7 s on a 2-vCPU Xeon), and one at
+# a = 1e4 ran for 52 s.  At the cap a shot stops after about 0.25 s there
+MAX_RHS_EVALUATIONS = 100_000
+
 
 @dataclass(frozen=True)
 class ShootResult:
@@ -95,10 +102,11 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, grid: Grid | No
     amplitude value.  Only then does the integrator keep dense output,
     which the grid sampling needs.
 
-    A shot whose |u| reaches 1e8 max(1, |amplitude|), or whose step size
-    underflows, raises ``NumericalError`` with the last state.  For the
-    blow-up that state, and the r reported, are the end of the step that
-    crossed the bound, not the crossing point itself.
+    A shot whose |u| reaches 1e8 max(1, |amplitude|), whose step size
+    underflows, or that reaches ``MAX_RHS_EVALUATIONS`` right-hand-side
+    evaluations before r = 1 raises ``NumericalError`` with the last state.
+    For the blow-up that state, and the r reported, are the end of the step
+    that crossed the bound, not the crossing point itself.
     """
     if lp.tau < 1.0:
         raise ValidationError(f"the BVP source needs tau >= 1, got {lp.tau}")
@@ -125,8 +133,14 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, grid: Grid | No
         traj = dop853.integrate(rhs, r_boot, u_boot, w_boot, 1.0, rtol=1e-10,
                                 atol=1e-13 * max(1.0, abs(amplitude)),
                                 u_limit=1e8 * max(1.0, abs(amplitude)),
-                                dense=grid is not None)
+                                dense=grid is not None, max_nfev=MAX_RHS_EVALUATIONS)
         u_end = traj.u
+        if traj.status == "work":
+            raise NumericalError(
+                f"IVP integration used its {MAX_RHS_EVALUATIONS} right-hand-side "
+                f"evaluations at r = {traj.t:.6g} (amplitude {amplitude:g}, last good "
+                f"state u = {u_end:.3e}, w = {traj.w:.3e})"
+            )
         if traj.status != "finished":
             raise NumericalError(
                 f"IVP integration stalled at r = {traj.t:.6g} "

@@ -5,10 +5,10 @@ eps, and their tests check the limit statement rather than a finite-eps
 surrogate of it:
 
 * 7b (level-gap rate) fits the exponent of the log lowering gap - gap0,
-  where gap0 is the gap of the same bubble on the same mesh with the log
-  factor switched off.  The raw gap also carries the O(eps^(s p)) cutoff
-  truncation term, which on the pinned eps range holds its fitted exponent
-  near 0.39 even on resolved meshes; subtracting gap0 removes that term.
+  where gap0 is the gap of the same bubble, at the same tanh-sinh nodes
+  (no mesh), with the log factor switched off.  The raw gap also carries
+  the O(eps^(s p)) cutoff truncation term, which on the pinned eps range
+  holds its fitted exponent near 0.39; subtracting gap0 removes that term.
 * 12a (concentration level at (tau, beta) = (1, 1/2)) extrapolates the tail
   to its limit with the model L + C eps^beta ln|ln eps| + D eps^(s p) and
   bounds L.  The excess J - sigma_p is the genuine concentration gain and
@@ -35,7 +35,7 @@ from hslog.analysis import (
     random_smooth_profile,
     rate_fit,
 )
-from hslog.functionals import J, LogParams, energy_I, energy_pairing, ray_terms
+from hslog.functionals import LogParams, energy_I, energy_pairing, ray_terms
 from hslog.orlicz import (
     GammaSpec,
     convexity_check,
@@ -46,7 +46,6 @@ from hslog.orlicz import (
 from hslog.params import validate_params
 from hslog.radial import (
     Profile,
-    dirichlet_norm,
     make_grid,
     normalize,
     pointwise_bound_check,
@@ -157,11 +156,10 @@ def test_criterion_6_concentration_rate(grid):
                    "; ".join(f"beta={b}: fitted {e:.4f}" for b, e in results.items()))
 
 
-def test_criterion_7a_level_gap_positive(grid):
+def test_criterion_7a_level_gap_positive():
     gaps = {}
     for eps in (1e-3, 1e-4, 1e-5):
-        mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), LogParams(1.0, 0.5),
-                               P0, grid)
+        mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), LogParams(1.0, 0.5), P0)
         gaps[eps] = mp.gap
         assert mp.threshold == pytest.approx(MP_THRESHOLD_EXACT, rel=1e-9)
     ok = all(g > 0 for g in gaps.values())
@@ -170,27 +168,21 @@ def test_criterion_7a_level_gap_positive(grid):
                    + f" (threshold {MP_THRESHOLD_EXACT:.6f})")
 
 
-def test_criterion_7b_level_gap_rate(grid):
+def test_criterion_7b_level_gap_rate():
     # Wide plateau (r0 = 0.45) keeps the O(eps^(s p)) truncation term small,
     # and the fit needs a 4th point, so the scan is extended one decade below
     # the pinned range.  The raw gap still carries that term (44% of the log
-    # lowering at eps = 1e-3), which holds its exponent near 0.39 even on
-    # resolved meshes.  The rate is asserted on gap - gap0, where gap0 is the
-    # gap of the same bubble with the log factor off; its mountain-pass
-    # maximum has the closed form (1/p - 1/p*) (||u||^p* / J0(u))^(p/(p*-p)),
-    # so the truncation term cancels and only the log lowering remains.
-    p, p_star = P0.p, P0.p_star
+    # lowering at eps = 1e-3), which holds its exponent near 0.39.  The rate
+    # is asserted on gap - gap0, where gap0 is the gap of the same bubble
+    # with the log factor off, taken by mountain_pass_gap on the same nodes
+    # from its closed-form maximum, so the truncation term cancels and only
+    # the log lowering remains.
     rows, raw, gap0s = [], [], []
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
-        spec = bliss.BubbleSpec(eps, 1.0, 0.45)
-        mp = mountain_pass_gap(spec, LogParams(1.0, 0.5), P0, grid)
-        u = bliss.bubble_profile(spec, grid, P0)
-        max0 = (1 / p - 1 / p_star) * (dirichlet_norm(u, P0) ** p_star
-                                       / J(u, None, P0)) ** (p / (p_star - p))
-        gap0 = mp.threshold - max0
-        rows.append((eps, mp.gap - gap0))
+        mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.45), LogParams(1.0, 0.5), P0)
+        rows.append((eps, mp.gap - mp.gap0))
         raw.append((eps, mp.gap))
-        gap0s.append(gap0)
+        gap0s.append(mp.gap0)
     positive = all(g > 0 for _, g in raw) and all(d > 0 for _, d in rows)
     fitted = rate_fit(rows, model="power-times-loglog").fitted_exponent if positive \
         else float("nan")

@@ -12,6 +12,7 @@ from hslog import analysis, bliss
 from hslog.analysis import (
     BubbleBound,
     beta_sweep,
+    bubble_energy,
     bubble_lower_bound,
     concentration_level_check,
     energy_sphere_scan,
@@ -22,7 +23,7 @@ from hslog.analysis import (
     rate_fit,
     solve_t_eps,
 )
-from hslog.functionals import JNodes, LogParams, J, energy_I
+from hslog.functionals import JNodes, LogParams, J, energy_I, ray_terms
 from hslog.params import (
     NumericalError,
     ValidationError,
@@ -337,6 +338,11 @@ class TestConcentrationLevel:
         assert level.skipped
 
 
+def _t_eps(u, lp):
+    """solve_t_eps for a grid profile, from its ray terms and ||u||^p."""
+    return solve_t_eps(ray_terms(u, lp, P0), dirichlet_norm(u, P0) ** P0.p, P0)
+
+
 class TestScalarStationarity:
     LP = LogParams(1.0, 0.5)
 
@@ -347,7 +353,7 @@ class TestScalarStationarity:
         u = _bubble_family(grid, (1e-3,))[0].scaled(0.9)
         lp = LogParams(1e8, 0.5)
         n_p = dirichlet_norm(u, P0) ** 2
-        t_star = solve_t_eps(u, lp, P0)
+        t_star = _t_eps(u, lp)
         t_pred = (n_p / J(u, lp, P0)) ** (1.0 / 4.0)
         assert t_star == pytest.approx(t_pred, rel=1e-6)
 
@@ -355,13 +361,13 @@ class TestScalarStationarity:
         t_values = []
         for eps in (1e-3, 1e-4, 1e-5):
             u = _bubble_family(grid, (eps,))[0]
-            t_values.append(solve_t_eps(u, self.LP, P0))
+            t_values.append(_t_eps(u, self.LP))
         assert abs(t_values[-1] - 1.0) < abs(t_values[0] - 1.0)
         assert abs(t_values[-1] - 1.0) < 0.05
 
     def test_residual_contract(self, grid):
         u = _bubble_family(grid, (1e-4,))[0]
-        t_star = solve_t_eps(u, self.LP, P0)
+        t_star = _t_eps(u, self.LP)
         n_p = dirichlet_norm(u, P0) ** 2
         from hslog.functionals import log_factor_nodes
         from hslog.radial import weighted_integral
@@ -381,7 +387,7 @@ class TestScalarStationarity:
             return stationarity(t, *args)
 
         monkeypatch.setattr(analysis, "_stationarity", recording)
-        solve_t_eps(_bubble_family(grid, (1e-3,))[0].scaled(c), self.LP, P0)
+        _t_eps(_bubble_family(grid, (1e-3,))[0].scaled(c), self.LP)
         assert len(calls) == len(set(calls))
 
     def _assert_bracket_failure(self, grid, monkeypatch, k, side):
@@ -393,7 +399,7 @@ class TestScalarStationarity:
         p_star = P0.p_star
         monkeypatch.setattr(analysis, "ray_sum", lambda terms, t: k * n_p * t ** (P0.p - p_star))
         with pytest.raises(NumericalError, match=f"could not bracket t_eps from {side}"):
-            solve_t_eps(u, self.LP, P0)
+            _t_eps(u, self.LP)
 
     def test_no_sign_change_reported(self, grid, monkeypatch):
         self._assert_bracket_failure(grid, monkeypatch, 2.0, "below")
@@ -405,16 +411,16 @@ class TestScalarStationarity:
     def test_root_outside_the_start_bracket(self, grid, c):
         # the root for c u is the root for u divided by c, here outside (0.5, 2)
         u = _bubble_family(grid, (1e-4,))[0]
-        t_star = solve_t_eps(u.scaled(c), self.LP, P0)
+        t_star = _t_eps(u.scaled(c), self.LP)
         assert not 0.5 < t_star < 2.0
-        assert t_star * c == pytest.approx(solve_t_eps(u, self.LP, P0), rel=1e-12)
+        assert t_star * c == pytest.approx(_t_eps(u, self.LP), rel=1e-12)
 
     def test_profile_not_retained(self, grid):
         # with the collector off, a profile caught in a reference cycle would never be freed
         gc.disable()
         try:
             u = _bubble_family(grid, (1e-4,))[0]
-            solve_t_eps(u, self.LP, P0)
+            _t_eps(u, self.LP)
             ref = weakref.ref(u)
             del u
             assert ref() is None
@@ -422,12 +428,9 @@ class TestScalarStationarity:
             gc.enable()
 
 
-def _scan_and_polish(u, lp, ps):
+def _scan_and_polish(energy_at):
     # reference maximum of t -> I(t u) from energy values alone: 60 log-spaced
     # t in [1e-2, 10], then a bounded polish around the best; also the scan's max
-    def energy_at(t):
-        return energy_I(u.scaled(t), lp, ps)
-
     ts = np.exp(np.linspace(math.log(1e-2), math.log(10.0), 60))
     vals = np.array([energy_at(t) for t in ts])
     i = int(np.argmax(vals))
@@ -440,27 +443,68 @@ class TestMountainPass:
     LP = LogParams(1.0, 0.5)
     SPEC = bliss.BubbleSpec(1e-4, 1.0, 0.2)
 
-    def test_gap_positive_and_ray_shape(self, grid):
-        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
+    def _energy_at(self, t):
+        return bubble_energy(bliss.bubble_nodes(self.SPEC, P0), t, self.LP, P0)
+
+    def test_gap_positive_and_ray_shape(self):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0)
         assert mp.threshold == pytest.approx(math.sqrt(3) * math.pi / 16, rel=1e-9)
         assert mp.max_energy < mp.threshold
         assert mp.gap > 0
-        u = bliss.bubble_profile(self.SPEC, grid, P0)
-        assert energy_I(u.scaled(10.0), self.LP, P0) < 0     # far end of the ray is negative
+        assert self._energy_at(10.0) < 0     # far end of the ray is negative
 
-    def test_maximum_above_its_neighbours(self, grid):
-        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
-        u = bliss.bubble_profile(self.SPEC, grid, P0)
-        assert mp.max_energy == energy_I(u.scaled(mp.t_at_max), self.LP, P0)
+    def test_maximum_above_its_neighbours(self):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0)
+        assert mp.max_energy == self._energy_at(mp.t_at_max)
         for f in (1.0 - 1e-3, 1.0 + 1e-3):
-            assert mp.max_energy >= energy_I(u.scaled(f * mp.t_at_max), self.LP, P0)
+            assert mp.max_energy >= self._energy_at(f * mp.t_at_max)
 
-    def test_matches_the_scan_and_polish(self, grid):
-        mp = mountain_pass_gap(self.SPEC, self.LP, P0, grid)
-        polished, scanned = _scan_and_polish(bliss.bubble_profile(self.SPEC, grid, P0),
-                                             self.LP, P0)
+    def test_matches_the_scan_and_polish(self):
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0)
+        polished, scanned = _scan_and_polish(self._energy_at)
         assert abs(mp.max_energy - polished) <= 1e-14
         assert scanned <= mp.max_energy
+
+    def test_gap0_closed_form_peak(self):
+        # with the log factor off, I(t u) = t^p ||u||^p / p - t^p* J0 / p*;
+        # gap0 is the level minus its peak, read here from a scan
+        mp = mountain_pass_gap(self.SPEC, self.LP, P0)
+        nodes = bliss.bubble_nodes(self.SPEC, P0)
+        res = minimize_scalar(lambda t: -(t**2 * nodes.norm_p / 2 - t**6 * nodes.j0 / 6),
+                              bounds=(0.5, 2.0), method="bounded", options={"xatol": 1e-12})
+        assert mp.gap0 == pytest.approx(mp.threshold + res.fun, abs=1e-14)
+        assert mp.gap0 < 0 < mp.gap
+
+    def test_no_mesh_needed_below_any_grid(self):
+        # eps far below what a mesh could resolve still gives a finite gap,
+        # with gap0 below 0 as the sharp inequality demands
+        mp = mountain_pass_gap(bliss.BubbleSpec(1e-12), self.LP, P0)
+        assert math.isfinite(mp.gap) and mp.gap0 < 0
+
+    def test_tau_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="tau >= 1"):
+            mountain_pass_gap(self.SPEC, LogParams(0.5, 0.5), P0)
+
+
+class TestMountainPassOffTheMesh:
+    """The mesh-free maximum against the grid path it replaced, at M = 64000.
+
+    The grid path's error is second order: max_I moves by +2.1e-7, +9.6e-7
+    and +4.5e-6 from M = 16000 (eps = 1e-3, 1e-4, 1e-5), so M = 64000
+    leaves 1.3e-8, 6e-8 and 2.8e-7; the check allows twice that.
+    """
+
+    LP = LogParams(1.0, 0.5)
+
+    @pytest.mark.parametrize("eps, mesh_error", [(1e-3, 1.3e-8), (1e-4, 6e-8), (1e-5, 2.8e-7)])
+    def test_matches_the_fine_mesh(self, eps, mesh_error):
+        spec = bliss.BubbleSpec(eps)
+        u = bliss.bubble_profile(spec, make_grid(64000, 3.0), P0)
+        t_mesh = _t_eps(u, self.LP)
+        on_mesh = energy_I(u.scaled(t_mesh), self.LP, P0)
+        mp = mountain_pass_gap(spec, self.LP, P0)
+        assert abs(mp.max_energy - on_mesh) <= 2.0 * mesh_error
+        assert mp.t_at_max == pytest.approx(t_mesh, rel=1e-5)
 
 
 class TestSphereScan:

@@ -273,6 +273,72 @@ class TestNormScan:
             assert abs(dev_l - ref_l) <= 1e-10 * abs(ref_l)
 
 
+def _quad_pieces(f, eps, r0):
+    """int_0^(2 r0) f dr by scipy's quad, on [0, eps], doubling panels up to
+    r0 and [r0, 2 r0].  At this tolerance quad reports roundoff on some
+    panels; full output takes that report instead of a warning."""
+    edges = [0.0, min(eps, r0)]
+    while edges[-1] < r0:
+        edges.append(min(2.0 * edges[-1], r0))
+    edges.append(2.0 * r0)
+    return math.fsum(scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=2e-14, limit=200,
+                                          full_output=1)[0]
+                     for a, b in zip(edges, edges[1:]))
+
+
+class TestBubbleNodes:
+    @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4), (4, 2, 6, 3)])
+    @pytest.mark.parametrize("eps, r0", [(1e-3, 0.2), (1e-5, 0.2), (1e-6, 0.45), (0.3, 0.2)])
+    def test_norm_and_j0_match_quad(self, pv, eps, r0):
+        ps = validate_params(*pv)
+        spec = bliss.BubbleSpec(eps, ps.a_hat, r0)
+        nodes = bliss.bubble_nodes(spec, ps)
+
+        def u(r):
+            return spec.a_hat * bliss.cutoff_eta(r, r0) * bliss.bliss_value(eps, r, ps)
+
+        def du(r):
+            return spec.a_hat * (bliss.cutoff_eta_prime(r, r0) * bliss.bliss_value(eps, r, ps)
+                                 + bliss.cutoff_eta(r, r0) * bliss.bliss_deriv(eps, r, ps))
+
+        norm_p = _quad_pieces(lambda r: float(r**ps.alpha1 * abs(du(r)) ** ps.p), eps, r0)
+        j0 = _quad_pieces(lambda r: float(r**ps.theta * u(r) ** ps.p_star), eps, r0)
+        assert nodes.norm_p == pytest.approx(norm_p, rel=1e-14, abs=0.0)
+        assert nodes.j0 == pytest.approx(j0, rel=1e-14, abs=0.0)
+
+    def test_the_nodes_are_the_rule_s(self):
+        # one rule: each piece's sum is _tanh_sinh's integral on that piece
+        spec = bliss.BubbleSpec(1e-4, P0.a_hat, 0.2)
+        nodes = bliss.bubble_nodes(spec, P0)
+        n = bliss._TS_T.size
+        assert nodes.r.size == nodes.q.size == nodes.u.size == 3 * n
+
+        def f(r):
+            return r**P0.theta * (spec.a_hat * bliss.cutoff_eta(r, 0.2)
+                                  * bliss.bliss_value(1e-4, r, P0)) ** P0.p_star
+
+        terms = (nodes.q * nodes.u**P0.p_star).reshape(3, n).sum(axis=1)
+        for piece, (a, b) in zip(terms[::2], ((0.0, 1e-4), (0.2, 0.4))):
+            assert piece == pytest.approx(bliss._tanh_sinh(f, a, b)[0], rel=1e-14)
+        log_piece = bliss._tanh_sinh(lambda x: np.exp(x) * f(np.exp(x)),
+                                     math.log(1e-4), math.log(0.2))[0]
+        assert terms[1] == pytest.approx(log_piece, rel=1e-14)
+        assert np.array_equal(nodes.r[2 * n:], bliss._ts_nodes(0.2, 0.4)[0])
+        # the bubble vanishes past 2 r0 and nowhere before it
+        assert np.all(nodes.u[:2 * n] > 0) and nodes.r.max() <= 0.4
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        real = bliss._piece_sums
+        monkeypatch.setattr(bliss, "_piece_sums", lambda terms: (real(terms)[0], 1e-3))
+        with pytest.raises(NumericalError, match=r"bubble quadrature at eps=1e-05, r0=0\.2"):
+            bliss.bubble_nodes(bliss.BubbleSpec(1e-5), P0)
+
+    def test_nan_raises(self, monkeypatch):
+        monkeypatch.setattr(bliss, "bliss_value", lambda eps, r, ps: np.full_like(r, math.nan))
+        with pytest.raises(NumericalError, match="did not converge"):
+            bliss.bubble_nodes(bliss.BubbleSpec(1e-3), P0)
+
+
 class TestConcentrationFunctional:
     LP = LogParams(1.0, 0.5)
 

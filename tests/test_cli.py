@@ -265,6 +265,35 @@ class TestVerify:
         assert (out1 / "mp_gap.csv").read_bytes() == (out2 / "mp_gap.csv").read_bytes()
 
 
+class TestMpGap:
+    def _run(self, tmp_path, name, cfg_text):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(cfg_text)
+        out = tmp_path / name
+        code = main(["mp-gap", "--config", str(path), "--out", str(out)])
+        return code, (out / "mp_gap.csv").read_bytes()
+
+    def test_does_not_depend_on_the_grid(self, tmp_path):
+        # the bubbles are taken off the mesh, so grid_m changes no byte
+        coarse = self._run(tmp_path, "m16", BASE_CFG.replace("grid_m = 1200", "grid_m = 16"))
+        fine = self._run(tmp_path, "m16000",
+                         BASE_CFG.replace("grid_m = 1200", "grid_m = 16000"))
+        assert coarse == fine
+        assert coarse[0] == 0
+
+    def test_eps_below_the_grid_resolution(self, tmp_path):
+        # r_1 = (1/16)^3 = 2.4e-4 at grid_m = 16: a grid bubble refused every
+        # eps below 2.4e-3 with a ValidationError
+        code, csv = self._run(tmp_path, "small",
+                              BASE_CFG.replace("grid_m = 1200", "grid_m = 16")
+                              .replace("mp_epsilon_list = 1e-3,1e-4",
+                                       "mp_epsilon_list = 1e-4,1e-6"))
+        assert code == 0
+        rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [1e-4, 1e-6]
+        assert all(float(r[3]) > 0 for r in rows)
+
+
 class TestOrlicz:
     def test_nan_modular_exits_2_naming_the_norm(self, cfg_file, tmp_path, capsys, monkeypatch):
         # the bracket ends are finite; Brent's first step inside meets a NaN

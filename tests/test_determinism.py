@@ -37,7 +37,7 @@ for _ in range(20):
 res = maximize_F(ps, lp, grid, eps_seeds=(1e-5,))
 print(res.value.hex(), res.iterations, hashlib.sha256(res.profile.values.tobytes()).hexdigest())
 for eps in (1e-3, 1e-4, 1e-5):
-    mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), lp, ps, grid)
+    mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), lp, ps)
     print(mp.max_energy.hex(), mp.t_at_max.hex())
 sol = shoot(lp, ps, (20.0, 50.0), make_grid(2000, 3.0))
 print(sol.amplitude.hex(), hashlib.sha256(sol.profile.values.tobytes()).hexdigest())

@@ -234,7 +234,7 @@ class TestBrentMatchesScipy:
         args = (ray_terms(u, lp, ps), dirichlet_norm(u, ps) ** ps.p, ps.p)
         x, _ = self._both(analysis._stationarity, 0.5, 2.0, args=args, xtol=1e-15,
                           rtol=8.9e-16, maxiter=200)
-        assert x == analysis.solve_t_eps(u, lp, ps)
+        assert x == analysis.solve_t_eps(args[0], args[1], ps)
 
     def test_luxemburg_residual(self):
         from hslog import orlicz

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,40 @@ class TestIvpFailures:
         # is not scipy's; where they stop is
         assert r == pytest.approx(0.5, abs=1e-12)
         assert (u, w) == pytest.approx(tuple(ref.y[:, -1]), rel=1e-3)
+
+    def test_work_cap_stops_a_shot_inside_its_core(self, monkeypatch):
+        # a = 1e4 has a core of radius about 1e-8, inside R_MIN; this shot
+        # ran for 52 s before the cap, and now stops at it
+        runs = _record_trajectories(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match=r"IVP integration used its 100000 "
+                           r"right-hand-side evaluations at r = \S+ \(amplitude 10000,"):
+            boundary_value(1e4, LP, P0)
+        assert time.perf_counter() - start < 20.0
+        assert runs[0].status == "work"
+        # the cap is checked before each trial step of 12 calls
+        assert shooting.MAX_RHS_EVALUATIONS <= runs[0].nfev < shooting.MAX_RHS_EVALUATIONS + 12
+
+    def test_work_cap_leaves_the_steps_below_it(self):
+        # a cap the shot never reaches changes nothing; one it reaches stops
+        # the integration at the last accepted state before it
+        def shot(max_nfev):
+            ps = P0
+            r_boot = 2.0 * shooting.R_MIN
+            u0, w0 = shooting._series_step(20.0, shooting.R_MIN, r_boot, LP, ps, ps.p_star)
+
+            def rhs(r, u, w):
+                du = math.copysign(abs(w) * r**-ps.alpha1, w) if w else 0.0
+                return du, -(r**ps.theta) * shooting._source(r, u, 1.0, 0.5, ps.p_star)
+
+            return dop853.integrate(rhs, r_boot, u0, w0, 1.0, rtol=1e-10, atol=1e-13 * 20.0,
+                                    u_limit=2e9, dense=False, max_nfev=max_nfev)
+
+        full = shot(10**9)
+        assert full.status == "finished" and shot(full.nfev) == full
+        cut = shot(full.nfev // 2)
+        assert cut.status == "work" and cut.t < 1.0
+        assert full.nfev // 2 <= cut.nfev < full.nfev // 2 + 12
 
 
 class TestShoot:
