@@ -26,10 +26,10 @@ import numpy as np
 
 from hslog import bliss
 from hslog.functionals import (LogParams, J, JNodes, RayTerms, F_nodes, _require_tau_ge_1,
-                               energy_I, nodal_ray_terms, ray_sum)
+                               nodal_ray_terms, ray_sum)
 from hslog.params import (NumericalError, ParamSet, ValidationError, bracket_decreasing,
                           brent_root)
-from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing, lq_norm, normalize
+from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing, lq_norm
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
 
@@ -139,13 +139,15 @@ def maximize_F(
     grid: Grid,
     eps_seeds=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5),
 ) -> MaximizeResult:
-    """Projected-ascent lower bound for the constrained supremum F.
+    """Projected ascent for the constrained supremum F.
 
-    tau >= 1 is the attainability regime but any tau > 0 is accepted. The
-    returned value is J at a feasible unit-norm profile, hence always a
-    certified lower bound.  Passing ``lp = None`` maximizes the unperturbed
-    critical integral instead; that variant approaches sigma_p from below
-    under mesh refinement.  The seeds are bubbles with the unit-norm
+    tau >= 1 is the attainability regime but any tau > 0 is accepted.  The
+    value is the nodal J at a feasible unit-norm profile; the nodal rule
+    overstates J where the mesh does not resolve the profile, so it bounds F
+    from below only on a mesh that does.  ``lp = None`` maximizes J0, whose
+    supremum is sigma_p: on (2, 2, 2, 2) with gamma = 3 it returns
+    sigma_p + 1.28e-3 at M = 2000, which the sharp inequality rules out, and
+    sigma_p - 3.2e-4 at M = 16000.  The seeds are bubbles with the unit-norm
     amplitude ``ps.a_hat``; each ascent stops once a step gains
     less than 1e-10 relative to the value, or after 5000 steps.  The line
     search of a step stops halving once the step times the first-order gain
@@ -251,23 +253,6 @@ def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
         profile=u, value=value, iterations=iterations, converged=converged,
         seed_epsilon=seed_eps,
     )
-
-
-@dataclass(frozen=True)
-class BubbleBound:
-    best_value: float
-    best_epsilon: float
-    table: tuple[tuple[float, float], ...]
-
-
-def bubble_lower_bound(ps: ParamSet, lp: LogParams, eps_list, grid: Grid) -> BubbleBound:
-    """Best J over normalized cutoff bubbles; a certified lower bound for F."""
-    rows = []
-    for eps in eps_list:
-        u = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
-        rows.append((float(eps), J(normalize(u, ps), lp, ps)))
-    best_eps, best_val = max(rows, key=lambda t: (t[1], -t[0]))
-    return BubbleBound(best_value=best_val, best_epsilon=best_eps, table=tuple(rows))
 
 
 def beta_sweep(ps: ParamSet, tau: float, beta_list, grid: Grid, **opts):
@@ -411,14 +396,15 @@ class MountainPassResult:
     gap0: float
 
 
-def bubble_energy(nodes: bliss.BubbleNodes, t: float, lp: LogParams, ps: ParamSet) -> float:
+def bubble_energy(nodes: bliss.BubbleNodes, e: np.ndarray, t: float, lp: LogParams,
+                  ps: ParamSet) -> float:
     """I(t u) = t^p ||u||^p / p - int r^th F(r, t u) dr for the bubble u of ``nodes``.
 
     The integral is the tanh-sinh sum of the primitive F (``F_nodes``) at
-    the bubble's nodes.
+    the bubble's nodes, whose log exponents r^beta are ``e``.
     """
     _require_tau_ge_1(lp, "the energy")
-    f = F_nodes(nodes.r ** lp.beta, t * nodes.u, lp, ps)
+    f = F_nodes(e, t * nodes.u, lp, ps)
     return t**ps.p * nodes.norm_p / ps.p - float(np.einsum("i,i->", nodes.q, f))
 
 
@@ -450,7 +436,7 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet) -> Mo
     nodes = bliss.bubble_nodes(spec, ps)
     terms = nodal_ray_terms(nodes.u, nodes.q, nodes.r ** lp.beta, lp, ps)
     t_star = solve_t_eps(terms, nodes.norm_p, ps)
-    max_energy = bubble_energy(nodes, t_star, lp, ps)
+    max_energy = bubble_energy(nodes, terms.e, t_star, lp, ps)
     max0 = (1.0 / p - 1.0 / p_star) * (nodes.norm_p ** (p_star / p)
                                        / nodes.j0) ** (p / (p_star - p))
     return MountainPassResult(
@@ -473,18 +459,3 @@ def random_smooth_profile(grid: Grid, rng: np.random.Generator) -> Profile:
     vals[-1] = 0.0
     return Profile(grid, vals)
 
-
-def energy_sphere_scan(ps: ParamSet, lp: LogParams, grid: Grid, rho_list=(0.1, 0.2, 0.4),
-                       n_profiles: int = 25, seed: int = 2024):
-    """Empirical min of I over random profiles on each sphere ||u|| = rho."""
-    rng = np.random.default_rng(seed)
-    profiles = []
-    for _ in range(n_profiles):
-        u = random_smooth_profile(grid, rng)
-        nrm = dirichlet_norm(u, ps)
-        if nrm > 0:
-            profiles.append(u.scaled(1.0 / nrm))
-    out = {}
-    for rho in rho_list:
-        out[float(rho)] = min(energy_I(u.scaled(rho), lp, ps) for u in profiles)
-    return out

@@ -12,7 +12,9 @@ with F(r, a) = int_0^|a| s^(p*-1) (ln(tau+s))^(r^beta) ds the primitive of
 the source of the radial equation that the shooting solver integrates.
 Since d_a F is that source, the pairing above is the exact gradient of the
 discrete energy; this is what the finite-difference consistency tests
-exercise.
+exercise.  ``shooting.weak_residual`` reads the pairing; no command reads
+the grid energy ``energy_I``, which is its reference.  The mountain-pass gap
+takes a bubble's energy at its tanh-sinh nodes (``analysis.bubble_energy``).
 
 The nodal integrands of J, I, the pairing and the ascent gradient each
 carry a power of |u|.  They are evaluated up to the last nonzero node of u,
@@ -34,8 +36,9 @@ The energy's primitive F is a 16-point Gauss-Legendre sum per node
 (``F_nodes``).  It is formed in node blocks of ``_F_BLOCK`` = 1000 nodes,
 in place in two (16, 1000) work arrays.  One work array is 128000 B, under
 glibc's 128 KiB mmap threshold, so it comes from the heap, and the two stay
-in cache.  16 x k temporaries, 1.5 MB each for a cutoff bubble at M = 16000,
-had their pages handed back to the system and faulted in again every call.
+in cache.  Its product caller, ``analysis.bubble_energy``, passes 1539 nodes;
+a 16 x 1539 temporary, 196992 B, is over the threshold and would be mapped
+and faulted in anew every call (160 minor faults a call on a 2-vCPU Xeon).
 
 Along the ray through a profile u the quadrature of J factors.  Since
 |s u_i|^p* = s^p* |u_i|^p* for s > 0,
@@ -259,13 +262,13 @@ def F_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.nda
     ``e`` holds the log exponents r_i^beta of the nodes.  The integrand
     s^(p*-1) |ln(tau + s)|^e at s_j = (|u_i|/2)(x_j + 1) is formed in place,
     a block of at most ``_F_BLOCK`` nodes at a time, in two contiguous (16, b)
-    work arrays that stay under the mmap threshold and in cache; each
-    block's weighted sum goes straight into its slice of the result.  Per
-    node these are the operations of the one-shot 16 x k form, in the same
-    order, so the result is that form's bit for bit.  The fixed-order einsum
-    sums a node's 16 terms alike at every block width but 1, where it runs
-    along the points in another order, so a block is one node wide only for
-    k = 1, as the one-shot form's array is then.
+    work arrays that stay under the mmap threshold, as a 16 x k array at a
+    bubble's 1539 nodes does not; each block's weighted sum goes into its
+    slice of the result.  Per node these are the operations of the one-shot
+    16 x k form, in the same order, so the result is that form's bit for
+    bit.  The fixed-order einsum sums a node's 16 terms alike at every block
+    width but 1, where it runs along the points in another order, so a block
+    is one node wide only for k = 1, as the one-shot form's array is then.
     """
     k = u.size
     out = np.empty(k)
@@ -298,7 +301,10 @@ def F_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.nda
 
 
 def energy_I(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """The mountain-pass energy I(u) = ||u||^p / p - int r^th F(r, u) dr."""
+    """The energy I(u) = ||u||^p / p - int r^th F(r, u) dr of a grid profile.
+
+    No command calls it; the tests check ``energy_pairing`` against it.
+    """
     _require_tau_ge_1(lp, "the energy")
     nrm = dirichlet_norm(u, ps)
     k = u.support_end()

@@ -268,30 +268,12 @@ def normalize(u: Profile, ps: ParamSet) -> Profile:
     return u.scaled(1.0 / nrm)
 
 
-# --- CSV interchange ------------------------------------------------------
-
-CSV_HEADER = "r,u"
+# --- CSV export -----------------------------------------------------------
 
 
 def profile_to_csv(u: Profile) -> str:
     buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
+    buf.write("r,u\n")
     for r, v in zip(u.grid.nodes, u.values):
         buf.write(f"{r:.12g},{v:.12g}\n")
     return buf.getvalue()
-
-
-def profile_from_csv(text: str) -> Profile:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != CSV_HEADER:
-        raise ValidationError(f"profile CSV must start with header '{CSV_HEADER}'")
-    try:
-        rows = [ln.split(",") for ln in lines[1:]]
-        r = np.array([float(a) for a, _ in rows])
-        v = np.array([float(b) for _, b in rows])
-    except ValueError as exc:
-        raise ValidationError(f"malformed profile CSV row: {exc}") from exc
-    if r.size < 2 or np.any(np.diff(r) <= 0) or r[0] <= 0 or abs(r[-1] - 1.0) > 1e-9:
-        raise ValidationError("profile CSV nodes must be strictly increasing in (0, 1]")
-    r[-1] = 1.0
-    return Profile(Grid(nodes=r), v)

@@ -27,7 +27,6 @@ from hslog import bliss
 from hslog.analysis import (
     LEVEL_TOLERANCE,
     beta_sweep,
-    bubble_lower_bound,
     concentration_level_check,
     maximize_F,
     mountain_pass_gap,
@@ -35,7 +34,7 @@ from hslog.analysis import (
     random_smooth_profile,
     rate_fit,
 )
-from hslog.functionals import LogParams, energy_I, energy_pairing, ray_terms
+from hslog.functionals import J, LogParams, energy_I, energy_pairing, ray_terms
 from hslog.orlicz import (
     GammaSpec,
     convexity_check,
@@ -121,12 +120,14 @@ def test_criterion_3_bubble_norm_rates():
 def test_criterion_4_strictness_and_bubble_bounds(grid, maximizer):
     ok = maximizer.value >= P0.sigma_p + 1e-3
     details = [f"maximize_F = {maximizer.value:.6f} >= sigma_p + 1e-3"]
-    eps_list = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)
+    # the best J over the normalized cutoff bubbles, per beta
+    bubbles = [normalize(bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat), grid, P0), P0)
+               for eps in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)]
     for beta in (0.3, 0.5, 0.8, 2.0, 8.0):
-        bb = bubble_lower_bound(P0, LogParams(1.0, beta), eps_list, grid)
-        good = bb.best_value >= P0.sigma_p - 1e-3
+        best = max(J(u, LogParams(1.0, beta), P0) for u in bubbles)
+        good = best >= P0.sigma_p - 1e-3
         ok = ok and good
-        details.append(f"beta={beta}: {bb.best_value:.6f}")
+        details.append(f"beta={beta}: {best:.6f}")
     assert verdict("4", ok, "; ".join(details))
 
 
