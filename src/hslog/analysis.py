@@ -20,16 +20,17 @@ family behind every asymptotic acceptance check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from hslog import bliss
 from hslog.functionals import (LogParams, J, JNodes, RayTerms, F_nodes, _require_tau_ge_1,
-                               nodal_ray_terms, ray_sum)
+                               log_factor_nodes, nodal_ray_terms, ray_sum)
 from hslog.params import (NumericalError, ParamSet, ValidationError, bracket_decreasing,
                           brent_root)
-from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing, lq_norm
+from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
 
@@ -219,7 +220,7 @@ def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
     converged = False
     for iterations in range(1, 5001):
         at_u.gradient(direction)
-        scale = float(np.sqrt(np.einsum("i,i->", direction, direction)))
+        scale = math.sqrt(np.einsum("i,i->", direction, direction))
         if scale == 0.0:
             converged = True
             break
@@ -267,55 +268,41 @@ def beta_sweep(ps: ParamSet, tau: float, beta_list, grid: Grid, **opts):
 # --- concentration diagnostics ----------------------------------------------
 
 
-def tail_energy(u: Profile, ps: ParamSet, r0: float) -> float:
-    """int_{r0}^1 r^alpha1 |u'|^p dr, exact for the discrete class."""
-    r = u.grid.nodes
-    a = np.maximum(r[:-1], r0)
-    b = r[1:]
-    mask = b > a
-    mom = (b[mask] ** (ps.alpha1 + 1) - a[mask] ** (ps.alpha1 + 1)) / (ps.alpha1 + 1)
-    return float(np.sum(mom * np.abs(u.slopes()[mask]) ** ps.p))
-
-
 @dataclass(frozen=True)
 class NCSReport:
-    norms: tuple[float, ...]
     tails: dict
     lp_theta_norms: tuple[float, ...]
-    normalized_ok: bool
     tails_ok: bool
     lp_decreasing: bool
 
     @property
     def is_ncs(self) -> bool:
-        return self.normalized_ok and self.tails_ok and self.lp_decreasing
+        return self.tails_ok and self.lp_decreasing
 
 
-def ncs_check(profiles, ps: ParamSet) -> NCSReport:
-    """Check the three defining properties of a concentrating family.
+def ncs_check(family, ps: ParamSet) -> NCSReport:
+    """Check that bubbles at their nodes (``bliss.BubbleNodes``), each scaled
+    to unit norm by t = ||u||^(-1/p), concentrate.
 
-    Normalization holds to 1e-8; escape of the Dirichlet energy is checked
-    at the cut radii 0.1, 0.3 and 0.5 (decreasing tails ending below
-    1e-2); weak convergence to 0 is surrogated by decreasing
-    L^p_theta norms.
+    Escape of the Dirichlet energy is checked at the cut radii 0.1, 0.3 and
+    0.5 (decreasing tails, t^p times ``bliss.bubble_dirichlet_tail``, ending
+    below 1e-2); weak convergence to 0 by decreasing L^p_theta norms
+    (sum q |t u|^p)^(1/p).
     """
-    if len(profiles) < 3:
-        raise ValidationError(f"NCS check needs at least 3 profiles, got {len(profiles)}")
-    norms = tuple(dirichlet_norm(u, ps) for u in profiles)
-    normalized_ok = all(abs(n - 1.0) <= 1e-8 for n in norms)
+    if len(family) < 3:
+        raise ValidationError(f"NCS check needs at least 3 profiles, got {len(family)}")
     tails = {}
     tails_ok = True
-    for r0 in (0.1, 0.3, 0.5):
-        t = tuple(tail_energy(u, ps, r0) for u in profiles)
-        tails[float(r0)] = t
+    for radius in (0.1, 0.3, 0.5):
+        t = tuple(bliss.bubble_dirichlet_tail(b.spec, radius, ps) / b.norm_p for b in family)
+        tails[radius] = t
         mono = all(t[i + 1] <= t[i] for i in range(len(t) - 1))
         tails_ok = tails_ok and mono and t[-1] < 1e-2
-    lp_norms = tuple(lq_norm(u, ps.p, ps.theta) for u in profiles)
+    lp_norms = tuple(float(np.einsum("i,i->", b.q, np.abs(b.norm_p ** (-1.0 / ps.p) * b.u)
+                                     ** ps.p)) ** (1.0 / ps.p) for b in family)
     lp_decreasing = all(lp_norms[i + 1] < lp_norms[i] for i in range(len(lp_norms) - 1))
-    return NCSReport(
-        norms=norms, tails=tails, lp_theta_norms=lp_norms,
-        normalized_ok=normalized_ok, tails_ok=tails_ok, lp_decreasing=lp_decreasing,
-    )
+    return NCSReport(tails=tails, lp_theta_norms=lp_norms, tails_ok=tails_ok,
+                     lp_decreasing=lp_decreasing)
 
 
 # allowance of the concentration level check over sigma_p
@@ -331,15 +318,23 @@ class ConcentrationLevelReport:
     skipped: bool
 
 
-def concentration_level_check(profiles, lp: LogParams, ps: ParamSet, tail_start: int,
+def _unit_bubble_J(nodes: bliss.BubbleNodes, lp: LogParams, ps: ParamSet) -> float:
+    """J(t u) at the bubble's nodes, t = ||u||^(-1/p) (unit norm); any tau > 0."""
+    v = nodes.norm_p ** (-1.0 / ps.p) * nodes.u
+    f = np.abs(v) ** ps.p_star * log_factor_nodes(nodes.r**lp.beta, v, lp)
+    return float(np.einsum("i,i->", nodes.q, f))
+
+
+def concentration_level_check(family, lp: LogParams, ps: ParamSet, tail_start: int,
                               ncs_report: NCSReport) -> ConcentrationLevelReport:
     """Compare the running max of J over the family from ``tail_start`` on
     against ``ps.sigma_p`` + ``LEVEL_TOLERANCE``.
 
-    When the NCS report fails, the bound is inapplicable and the check is
+    The family is that of ``ncs_check``, and J is read at unit norm.  When
+    the NCS report fails, the bound is inapplicable and the check is
     reported as skipped.
     """
-    j_values = tuple(J(u, lp, ps) for u in profiles)
+    j_values = tuple(_unit_bubble_J(b, lp, ps) for b in family)
     bound = ps.sigma_p + LEVEL_TOLERANCE
     if not ncs_report.is_ncs:
         return ConcentrationLevelReport(j_values, float("nan"), bound,

@@ -24,7 +24,8 @@ integrals, and the two extremal ones, use one fixed tanh-sinh rule
 (Takahasi and Mori, 1974), ``_tanh_sinh``, with its own error estimate.
 The same rule's nodes carry a bubble off the mesh (``bubble_nodes``): in
 closed form on [0, eps], [eps, r0] in ln r and [r0, 2 r0], where the
-mountain-pass gap integrates it.
+mountain-pass gap, the ``ncs`` check and the ``rates`` E fit integrate it.
+Only the ascent's seeds and ``orlicz`` sample a bubble on a mesh.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.params import NumericalError, ParamSet, ValidationError
-from hslog.radial import Grid, Profile, weighted_integral
+from hslog.radial import Grid, Profile
 from hslog.functionals import LogParams, log_factor_nodes
 
 R0 = 0.2
@@ -289,11 +290,12 @@ class BubbleNodes:
     The rule is laid on three pieces: [0, eps], [eps, r0] in x = ln r, and
     [r0, 2 r0]; u is 0 past 2 r0.  For eps >= r0 the first piece ends at
     r0 and the second is empty.  ``q`` holds the weights of
-    int_0^1 r^theta f dr at the nodes ``r``, and ``u`` the bubble there.
-    ``norm_p`` is ||u||^p, formed from the closed-form u', and ``j0`` is
-    J0(u) = int r^theta u^p* dr.
+    int_0^1 r^theta f dr at the nodes ``r``, and ``u`` the bubble of
+    ``spec`` there.  ``norm_p`` is ||u||^p, formed from the closed-form u',
+    and ``j0`` is J0(u) = int r^theta u^p* dr.
     """
 
+    spec: BubbleSpec
     r: np.ndarray
     q: np.ndarray
     u: np.ndarray
@@ -301,9 +303,9 @@ class BubbleNodes:
     j0: float
 
 
-# relative bound on the rule's error estimate for ||u||^p and J0 of a bubble;
-# the estimates stay at or below 1.3e-15 over the pinned and seeded tuples of
-# the tests, for eps from 1e-12 to 0.1 and r0 in {0.2, 0.45}
+# relative bound on the rule's error estimates for a bubble; those of ||u||^p
+# and J0 stay at or below 1.3e-15 over the pinned and seeded tuples of the
+# tests, for eps from 1e-12 to 0.1 and r0 in {0.2, 0.45}
 _BUBBLE_RULE_TOL = 1e-12
 
 
@@ -319,14 +321,28 @@ def _piece_sums(terms: np.ndarray) -> tuple[float, float]:
     return float(np.einsum("i->", fine)), float(np.einsum("i->", np.abs(fine - coarse)))
 
 
+def _check_rule(what: str, err: float, scale: float) -> None:
+    """Raise ``NumericalError`` unless err <= ``_BUBBLE_RULE_TOL`` scale (a NaN fails)."""
+    if not err <= _BUBBLE_RULE_TOL * scale:
+        raise NumericalError(f"{what} did not converge: error estimate {err:.3e} "
+                             f"against {scale:.6e}")
+
+
+def _bubble_at(spec: BubbleSpec, r: np.ndarray, ps: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """u of ``spec`` at r, and r^alpha1 |u'|^p as (r^(alpha1/p) |u'|)^p from the closed-form u'."""
+    eps, r0 = spec.epsilon, spec.r0
+    eta = cutoff_eta(r, r0)
+    star = bliss_value(eps, r, ps)
+    du = spec.a_hat * (cutoff_eta_prime(r, r0) * star + eta * bliss_deriv(eps, r, ps))
+    return spec.a_hat * eta * star, np.abs(r ** (ps.alpha1 / ps.p) * du) ** ps.p
+
+
 def bubble_nodes(spec: BubbleSpec, ps: ParamSet) -> BubbleNodes:
     """The bubble of ``spec`` at the rule's nodes, with ||u||^p and J0(u).
 
-    No mesh is involved, so any eps > 0 is accepted.  The Dirichlet
-    integrand is formed as (r^(alpha1/p) |u'|)^p, as in
-    ``extremal_integrals``.  If the rule's error estimate for ||u||^p or
-    J0 exceeds ``_BUBBLE_RULE_TOL`` of the value (or either is NaN),
-    ``NumericalError`` is raised, naming eps.
+    No mesh is involved, so any eps > 0 is accepted.  If the rule's error
+    estimate for ||u||^p or J0 exceeds ``_BUBBLE_RULE_TOL`` of the value (or
+    either is NaN), ``NumericalError`` is raised, naming eps.
     """
     eps, r0 = spec.epsilon, spec.r0
     split = min(eps, r0)
@@ -336,34 +352,42 @@ def bubble_nodes(spec: BubbleSpec, ps: ParamSet) -> BubbleNodes:
     r2 = np.exp(x2)
     r = np.concatenate((x1, r2, x3))
     dr = np.concatenate((h1 * _TS_W, h2 * _TS_W * r2, h3 * _TS_W))
-    eta = cutoff_eta(r, r0)
-    star = bliss_value(eps, r, ps)
-    u = spec.a_hat * eta * star
-    du = spec.a_hat * (cutoff_eta_prime(r, r0) * star + eta * bliss_deriv(eps, r, ps))
+    u, density = _bubble_at(spec, r, ps)
     q = dr * r**ps.theta
-    norm_p, err_n = _piece_sums(dr * np.abs(r ** (ps.alpha1 / ps.p) * du) ** ps.p)
+    norm_p, err_n = _piece_sums(dr * density)
     j0, err_j = _piece_sums(q * u**ps.p_star)
-    if not (err_n <= _BUBBLE_RULE_TOL * norm_p and err_j <= _BUBBLE_RULE_TOL * j0):
-        raise NumericalError(
-            f"bubble quadrature at eps={eps:g}, r0={r0:g} did not converge: error "
-            f"estimates {err_n:.3e} for ||u||^p = {norm_p:.6e} and {err_j:.3e} for "
-            f"J0 = {j0:.6e}"
-        )
-    return BubbleNodes(r=r, q=q, u=u, norm_p=norm_p, j0=j0)
+    _check_rule(f"bubble quadrature at eps={eps:g}, r0={r0:g} for ||u||^p", err_n, norm_p)
+    _check_rule(f"bubble quadrature at eps={eps:g}, r0={r0:g} for J0", err_j, j0)
+    return BubbleNodes(spec=spec, r=r, q=q, u=u, norm_p=norm_p, j0=j0)
+
+
+def bubble_dirichlet_tail(spec: BubbleSpec, radius: float, ps: ParamSet) -> float:
+    """int_radius^1 r^alpha1 |u'|^p dr for the bubble u of ``spec``, 0 from 2 r0 on.
+
+    The rule runs on [radius, r0] and [max(radius, r0), 2 r0] where nonempty,
+    never across r0, where the cutoff's third derivative jumps.  An error
+    estimate above ``_BUBBLE_RULE_TOL`` of the tail raises ``NumericalError``.
+    """
+    r0 = spec.r0
+    pieces = [_tanh_sinh(lambda r: _bubble_at(spec, r, ps)[1], a, b)
+              for a, b in ((radius, r0), (max(radius, r0), 2.0 * r0)) if a < b]
+    tail, err = sum((v for v, _ in pieces), 0.0), sum((e for _, e in pieces), 0.0)
+    _check_rule(f"Dirichlet tail quadrature at eps={spec.epsilon:g}, radius={radius:g}",
+                err, tail)
+    return tail
 
 
 # --- the concentration functional ------------------------------------------
 
 
-def concentration_E(u_eps: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """E = int_0^1 r^th |u|^p* (|ln(tau + |u|)|^(r^beta) - 1) dr, in the nodal rule of J.
+def concentration_E(nodes: BubbleNodes, lp: LogParams, ps: ParamSet) -> float:
+    """E = int_0^1 r^th |u|^p* (|ln(tau + |u|)|^(r^beta) - 1) dr at the bubble's nodes.
 
-    The integrand is formed up to the last nonzero node of u and is an
-    exact zero past it, as in J, so E agrees with J - J0 to rounding.
+    It is summed as it stands, not as J - J0, which would cancel.  An error
+    estimate above ``_BUBBLE_RULE_TOL`` of J0 raises ``NumericalError``.
     """
-    k = u_eps.support_end()
-    v = u_eps.values[:k]
-    f = np.zeros(u_eps.grid.m)
-    f[:k] = np.abs(v) ** ps.p_star * (
-        log_factor_nodes(u_eps.grid.node_power(lp.beta)[:k], v, lp) - 1.0)
-    return weighted_integral(u_eps.grid, f, ps.theta)
+    u = nodes.u
+    f = nodes.q * np.abs(u) ** ps.p_star * (log_factor_nodes(nodes.r**lp.beta, u, lp) - 1.0)
+    e, err = _piece_sums(f)
+    _check_rule(f"concentration quadrature at eps={nodes.spec.epsilon:g}", err, nodes.j0)
+    return e

@@ -24,7 +24,7 @@ import numpy as np
 from hslog import analysis, bliss, orlicz, shooting
 from hslog.functionals import LogParams
 from hslog.params import NumericalError, ValidationError, check_identities, validate_params
-from hslog.radial import make_grid, normalize, pointwise_bound_check, profile_to_csv
+from hslog.radial import make_grid, pointwise_bound_check, profile_to_csv
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
@@ -162,17 +162,15 @@ def cmd_sweep_beta(cfg: RunConfig, out: Path) -> int:
 
 def cmd_rates(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
-    grid = cfg.grid()
+    lp = cfg.log_params()
     table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, ps)
     for name, table in (("dirichlet", table_d), ("lpstar", table_l)):
         write_csv(out / f"rates_{name}.csv", "epsilon,value,model,fitted_exponent,residual",
                   [(e, v, table.model, table.fitted_exponent, table.fit_residual)
                    for e, v in zip(table.abscissae, table.ordinates)])
 
-    e_rows = []
-    for eps in cfg.epsilon_list:
-        u = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
-        e_rows.append((float(eps), bliss.concentration_E(u, cfg.log_params(), ps)))
+    e_rows = [(float(eps), bliss.concentration_E(bliss.bubble_nodes(
+        bliss.BubbleSpec(eps, ps.a_hat), ps), lp, ps)) for eps in cfg.epsilon_list]
     table_e = analysis.rate_fit(e_rows, model="power-times-loglog")
     write_csv(out / "rates_concentration.csv", "epsilon,value,model,fitted_exponent,residual",
               [(e, v, table_e.model, table_e.fitted_exponent, table_e.fit_residual)
@@ -293,10 +291,8 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
 
 def cmd_ncs(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
-    grid = cfg.grid()
     eps_family = sorted(cfg.epsilon_list, reverse=True)
-    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, ps.a_hat), grid, ps), ps)
-              for e in eps_family]
+    family = [bliss.bubble_nodes(bliss.BubbleSpec(e, ps.a_hat), ps) for e in eps_family]
     ncs = analysis.ncs_check(family, ps)
     # the level bound is read on the eps <= 1e-3 tail of the family
     tail_start = next((i for i, e in enumerate(eps_family) if e <= 1e-3), len(eps_family) - 1)

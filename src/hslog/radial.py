@@ -6,12 +6,12 @@ interval (0, r_1].  Every integral of a nodal integrand against r^w dr
 over (0, 1) is one rule, ``weighted_integral``, with fixed nodal weights:
 per interior cell the rule is 4-point Gauss-Legendre applied to
 r^w * (hat functions), and on (0, r_1] the weight moment is taken in closed
-form.  J, J0, the energy, its pairing and the concentration functional E
-all use it.  The weights are cached per (grid, w), which also makes every
-integral exactly linear in the sampled integrand.  Every quadrature sum is
-a single-threaded reduction in a fixed order (``np.einsum`` without
-``optimize`` never calls BLAS), so an integral does not depend on the BLAS
-thread count or on the number of cores.
+form.  J, J0, the energy and its pairing use it.  The weights are cached
+per (grid, w), which also makes every integral exactly linear in the
+sampled integrand.  Every quadrature sum is a single-threaded reduction in
+a fixed order (``np.einsum`` without ``optimize`` never calls BLAS), so an
+integral does not depend on the BLAS thread count or on the number of
+cores.
 
 The Dirichlet seminorm uses exact per-cell moments of r^alpha1, so it is
 exact for the discrete profile class.
@@ -116,12 +116,8 @@ class Profile:
             raise ValidationError(
                 f"profile needs {self.grid.m} values, got shape {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValidationError("profile values are not finite")
-
-    def scaled(self, c: float) -> "Profile":
-        """c u."""
-        return Profile(self.grid, c * self.values)
 
     def slopes(self, out: np.ndarray | None = None, n: int | None = None) -> np.ndarray:
         """u' on each cell, written to ``out`` when given.
@@ -190,7 +186,7 @@ def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None,
     np.abs(t, out=t)
     t **= ps.p
     t *= u.grid.cell_moments(ps.alpha1)[:c]
-    return float(np.sum(s) ** (1.0 / ps.p))
+    return float(np.add.reduce(s) ** (1.0 / ps.p))
 
 
 def dirichlet_pairing(u: Profile, v: np.ndarray, ps: ParamSet,
@@ -215,14 +211,7 @@ def dirichlet_pairing(u: Profile, v: np.ndarray, ps: ParamSet,
     terms *= su
     terms *= _slopes(u.grid, v, work[0], n)[:c]
     work[1][c:] = 0.0
-    return float(np.sum(work[1]))
-
-
-def lq_norm(u: Profile, q: float, w: float) -> float:
-    """Weighted Lebesgue norm (integral r^w |u|^q dr)^(1/q)."""
-    if q < 1:
-        raise ValidationError(f"need q >= 1, got {q}")
-    return weighted_integral(u.grid, np.abs(u.values) ** q, w) ** (1.0 / q)
+    return float(np.add.reduce(work[1]))
 
 
 @dataclass(frozen=True)
@@ -260,20 +249,12 @@ def pointwise_bound_check(u: Profile, ps: ParamSet) -> BoundReport:
     )
 
 
-def normalize(u: Profile, ps: ParamSet) -> Profile:
-    """Rescale to unit Dirichlet norm; rejects (near-)constant profiles."""
-    nrm = dirichlet_norm(u, ps)
-    if nrm == 0.0:
-        raise ValidationError("cannot normalize a profile with zero Dirichlet norm")
-    return u.scaled(1.0 / nrm)
-
-
 # --- CSV export -----------------------------------------------------------
 
 
 def profile_to_csv(u: Profile) -> str:
     buf = io.StringIO()
     buf.write("r,u\n")
-    for r, v in zip(u.grid.nodes, u.values):
+    for r, v in zip(u.grid.nodes.tolist(), u.values.tolist()):
         buf.write(f"{r:.12g},{v:.12g}\n")
     return buf.getvalue()

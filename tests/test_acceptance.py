@@ -46,10 +46,11 @@ from hslog.params import validate_params
 from hslog.radial import (
     Profile,
     make_grid,
-    normalize,
     pointwise_bound_check,
 )
 from hslog.shooting import shoot
+
+from helpers import normalize
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -141,15 +142,15 @@ def test_criterion_5_beta_sweep(grid):
                    + f"; nonincreasing={mono}")
 
 
-def test_criterion_6_concentration_rate(grid):
+def test_criterion_6_concentration_rate():
+    # E at the bubble's tanh-sinh nodes, no mesh
+    bubbles = [(eps, bliss.bubble_nodes(bliss.BubbleSpec(eps, P0.a_hat, 0.2), P0))
+               for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
     results = {}
     ok = True
     for beta in (0.3, 0.5, 0.8):
         lp = LogParams(1.0, beta)
-        rows = []
-        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            u = bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat, 0.2), grid, P0)
-            rows.append((eps, bliss.concentration_E(u, lp, P0)))
+        rows = [(eps, bliss.concentration_E(nodes, lp, P0)) for eps, nodes in bubbles]
         table = rate_fit(rows, model="power-times-loglog")
         results[beta] = table.fitted_exponent
         ok = ok and abs(table.fitted_exponent - beta) <= 0.15 * beta
@@ -233,7 +234,8 @@ def test_criterion_10_orlicz(grid, maximizer):
     lam = luxemburg_norm(u, lp, P0)
     residual = abs(modular(ray_terms(u, lp, P0), lam) - 1.0)
     ok = ok and residual < 1e-8
-    hom_err = max(abs(luxemburg_norm(u.scaled(c), lp, P0) - c * lam) for c in (0.5, 7.0))
+    hom_err = max(abs(luxemburg_norm(Profile(grid, c * u.values), lp, P0) - c * lam)
+                  for c in (0.5, 7.0))
     ok = ok and hom_err < 1e-10
     details.append(f"modular residual {residual:.1e}; homogeneity {hom_err:.1e}")
 
@@ -264,21 +266,21 @@ def test_criterion_11_gradient_consistency():
                    f"worst relative error {worst:.2e} over 150 pairs, 3 parameter sets")
 
 
-def _ncs_family(grid):
+def _ncs_family():
+    # the bubbles at their tanh-sinh nodes, read at unit norm: no mesh
     eps_family = (1e-2, 1e-3, 1e-4, 1e-5)
-    family = [normalize(bliss.bubble_profile(bliss.BubbleSpec(e, P0.a_hat, 0.2), grid, P0), P0)
-              for e in eps_family]
+    family = [bliss.bubble_nodes(bliss.BubbleSpec(e, P0.a_hat, 0.2), P0) for e in eps_family]
     return eps_family, family
 
 
-def test_criterion_12a_concentration_level_tau_one(grid):
+def test_criterion_12a_concentration_level_tau_one():
     # limsup J <= sigma_p is a statement about the limit, and the excess
     # J - sigma_p = C eps^beta ln|ln eps| - D eps^(s p) tends to 0 from above:
     # the tail max (sigma_p + 1.1e-2 at eps = 1e-4) exceeds the allowance at
     # finite eps.  The three tail points determine L + C eps^beta ln|ln eps|
     # + D eps^(s p) exactly; the limit L must be within the allowance and the
     # concentration gain C positive.
-    eps_family, family = _ncs_family(grid)
+    eps_family, family = _ncs_family()
     ncs = ncs_check(family, P0)
     tail_start = eps_family.index(1e-3)
     tolerance = LEVEL_TOLERANCE
@@ -299,8 +301,8 @@ def test_criterion_12a_concentration_level_tau_one(grid):
                    + " ".join(f"{j - P0.sigma_p:+.1e}" for j in level.j_values))
 
 
-def test_criterion_12b_concentration_level_tau_e(grid):
-    eps_family, family = _ncs_family(grid)
+def test_criterion_12b_concentration_level_tau_e():
+    eps_family, family = _ncs_family()
     ncs = ncs_check(family, P0)
     tail_start = eps_family.index(1e-3)
     level = concentration_level_check(family, LogParams(math.e, 1.0), P0, tail_start, ncs)

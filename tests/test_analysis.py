@@ -26,7 +26,9 @@ from hslog.params import (
     ValidationError,
     validate_params,
 )
-from hslog.radial import Profile, dirichlet_norm, make_grid, normalize
+from hslog.radial import Profile, dirichlet_norm, make_grid
+
+from helpers import normalize
 
 P0 = validate_params(2, 2, 2, 2)
 
@@ -296,41 +298,49 @@ def _bubble_family(grid, eps_values, r0=0.2):
             for e in eps_values]
 
 
+def _node_family(eps_values):
+    return [bliss.bubble_nodes(bliss.BubbleSpec(e, P0.a_hat), P0) for e in eps_values]
+
+
 class TestNcsCheck:
-    def test_bubble_family_is_ncs(self, grid):
-        family = _bubble_family(grid, (1e-2, 1e-3, 1e-4))
-        report = ncs_check(family, P0)
+    def test_bubble_family_is_ncs(self):
+        report = ncs_check(_node_family((1e-2, 1e-3, 1e-4)), P0)
         assert report.is_ncs
 
-    def test_constant_family_is_not(self, grid):
-        u = _bubble_family(grid, (1e-2,))[0]
-        report = ncs_check([u, u, u], P0)
+    def test_constant_family_is_not(self):
+        b = _node_family((1e-2,))[0]
+        report = ncs_check([b, b, b], P0)
         assert not report.is_ncs             # tail energy stuck
-        assert report.normalized_ok
+        assert report.tails[0.1][0] > 1e-2
 
-    def test_wrong_normalization_detected(self, grid):
-        family = [u.scaled(2.0) for u in _bubble_family(grid, (1e-2, 1e-3, 1e-4))]
-        report = ncs_check(family, P0)
-        assert not report.normalized_ok
-
-    def test_needs_three_profiles(self, grid):
-        family = _bubble_family(grid, (1e-2, 1e-3))
+    def test_needs_three_profiles(self):
         with pytest.raises(ValidationError, match="3 profiles"):
-            ncs_check(family, P0)
+            ncs_check(_node_family((1e-2, 1e-3)), P0)
+
+    def test_tails_and_norms_at_unit_norm(self):
+        # README tuple, r0 = 0.2: the tail past 2 r0 = 0.4 is exactly 0
+        report = ncs_check(_node_family((1e-2, 1e-3, 1e-4, 1e-5)), P0)
+        assert report.tails[0.5] == (0.0, 0.0, 0.0, 0.0)
+        assert report.tails[0.1][0] == pytest.approx(2.579e-1, rel=1e-3)
+        assert report.tails[0.1][-1] == pytest.approx(2.910e-4, rel=1e-3)
+        assert report.tails[0.3][0] == pytest.approx(6.663e-2, rel=1e-3)
+        assert report.tails[0.3][-1] == pytest.approx(7.48e-5, rel=1e-3)
+        assert report.lp_theta_norms[0] == pytest.approx(6.311e-2, rel=1e-3)
+        assert report.lp_theta_norms[-1] == pytest.approx(2.174e-3, rel=1e-3)
 
 
 class TestConcentrationLevel:
-    def test_tau_e_family_below_bound(self, grid):
-        family = _bubble_family(grid, (1e-2, 1e-3, 1e-4, 1e-5))
+    def test_tau_e_family_below_bound(self):
+        family = _node_family((1e-2, 1e-3, 1e-4, 1e-5))
         ncs = ncs_check(family, P0)
         level = concentration_level_check(family, LogParams(math.e, 1.0), P0, 1, ncs)
         assert not level.skipped
         assert level.passed
 
-    def test_non_concentrating_family_skipped(self, grid):
-        u = _bubble_family(grid, (1e-2,))[0]
-        ncs = ncs_check([u, u, u], P0)
-        level = concentration_level_check([u, u, u], LogParams(1.0, 0.5), P0, 0, ncs)
+    def test_non_concentrating_family_skipped(self):
+        b = _node_family((1e-2,))[0]
+        ncs = ncs_check([b, b, b], P0)
+        level = concentration_level_check([b, b, b], LogParams(1.0, 0.5), P0, 0, ncs)
         assert level.skipped
 
 
@@ -346,7 +356,8 @@ class TestScalarStationarity:
         # at huge tau the factor barely sees t (variation O(|u|/(tau ln tau))),
         # so the root must match the explicit (||u||^p / K)^(1/(p*-p)) with K
         # evaluated at t = 1
-        u = _bubble_family(grid, (1e-3,))[0].scaled(0.9)
+        u = _bubble_family(grid, (1e-3,))[0]
+        u = Profile(grid, 0.9 * u.values)
         lp = LogParams(1e8, 0.5)
         n_p = dirichlet_norm(u, P0) ** 2
         t_star = _t_eps(u, lp)
@@ -383,7 +394,8 @@ class TestScalarStationarity:
             return stationarity(t, *args)
 
         monkeypatch.setattr(analysis, "_stationarity", recording)
-        _t_eps(_bubble_family(grid, (1e-3,))[0].scaled(c), self.LP)
+        u = _bubble_family(grid, (1e-3,))[0]
+        _t_eps(Profile(grid, c * u.values), self.LP)
         assert len(calls) == len(set(calls))
 
     def _assert_bracket_failure(self, grid, monkeypatch, k, side):
@@ -407,7 +419,7 @@ class TestScalarStationarity:
     def test_root_outside_the_start_bracket(self, grid, c):
         # the root for c u is the root for u divided by c, here outside (0.5, 2)
         u = _bubble_family(grid, (1e-4,))[0]
-        t_star = _t_eps(u.scaled(c), self.LP)
+        t_star = _t_eps(Profile(grid, c * u.values), self.LP)
         assert not 0.5 < t_star < 2.0
         assert t_star * c == pytest.approx(_t_eps(u, self.LP), rel=1e-12)
 
@@ -498,7 +510,7 @@ class TestMountainPassOffTheMesh:
         spec = bliss.BubbleSpec(eps)
         u = bliss.bubble_profile(spec, make_grid(64000, 3.0), P0)
         t_mesh = _t_eps(u, self.LP)
-        on_mesh = energy_I(u.scaled(t_mesh), self.LP, P0)
+        on_mesh = energy_I(Profile(u.grid, t_mesh * u.values), self.LP, P0)
         mp = mountain_pass_gap(spec, self.LP, P0)
         assert abs(mp.max_energy - on_mesh) <= 2.0 * mesh_error
         assert mp.t_at_max == pytest.approx(t_mesh, rel=1e-5)
@@ -510,7 +522,7 @@ class TestSphereScan:
         lp, rng = LogParams(1.0, 0.5), np.random.default_rng(2024)
         profiles = [normalize(random_smooth_profile(grid, rng), P0) for _ in range(15)]
         for rho in (0.1, 0.2, 0.4):
-            assert min(energy_I(u.scaled(rho), lp, P0) for u in profiles) > 0
+            assert min(energy_I(Profile(grid, rho * u.values), lp, P0) for u in profiles) > 0
 
 
 def _grad_full(u, lp, ps):

@@ -1,5 +1,6 @@
 """Tests for the extremal family, best constants, and concentration pieces."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from hslog import bliss
+from hslog import analysis, bliss
 from hslog.cli import RunConfig
 from hslog.functionals import J, LogParams, log_factor_nodes
 from hslog.params import NumericalError, ValidationError, validate_params
-from hslog.radial import Profile, dirichlet_norm, make_grid, weighted_integral
+from hslog.radial import dirichlet_norm, make_grid
+
+from helpers import normalize
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -339,46 +342,130 @@ class TestBubbleNodes:
             bliss.bubble_nodes(bliss.BubbleSpec(1e-3), P0)
 
 
+class TestDirichletTail:
+    @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4), (2, 1, 1.7, 0.3)])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-5])
+    @pytest.mark.parametrize("radius", [0.1, 0.2, 0.3])
+    def test_matches_quad(self, pv, eps, radius):
+        ps = validate_params(*pv)
+        spec = bliss.BubbleSpec(eps, ps.a_hat)
+
+        def density(r):
+            du = spec.a_hat * (bliss.cutoff_eta_prime(r, 0.2) * bliss.bliss_value(eps, r, ps)
+                               + bliss.cutoff_eta(r, 0.2) * bliss.bliss_deriv(eps, r, ps))
+            return float(r**ps.alpha1 * abs(du) ** ps.p)
+
+        edges = sorted({radius, max(radius, 0.2), 0.4})
+        ref = math.fsum(scipy.integrate.quad(density, a, b, epsabs=0.0, epsrel=2e-14,
+                                             limit=200, full_output=1)[0]
+                        for a, b in zip(edges, edges[1:]))
+        assert bliss.bubble_dirichlet_tail(spec, radius, ps) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("r0", [0.2, 0.45])
+    def test_zero_past_the_support(self, r0):
+        spec = bliss.BubbleSpec(1e-3, P0.a_hat, r0)
+        assert bliss.bubble_dirichlet_tail(spec, 2.0 * r0, P0) == 0.0
+        assert bliss.bubble_dirichlet_tail(spec, 0.95, P0) == 0.0
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        real = bliss._tanh_sinh
+        monkeypatch.setattr(bliss, "_tanh_sinh", lambda f, a, b: (real(f, a, b)[0], 1e-3))
+        with pytest.raises(NumericalError,
+                           match=r"Dirichlet tail quadrature at eps=1e-05, radius=0\.3 "):
+            bliss.bubble_dirichlet_tail(bliss.BubbleSpec(1e-5), 0.3, P0)
+
+
+def _concentration_integrand(spec, lp, ps):
+    def f(r):
+        u = spec.a_hat * bliss.cutoff_eta(r, spec.r0) * bliss.bliss_value(spec.epsilon, r, ps)
+        lf = abs(math.log(lp.tau + u)) ** (r**lp.beta)
+        return float(r**ps.theta * u**ps.p_star * (lf - 1.0))
+    return f
+
+
 class TestConcentrationFunctional:
     LP = LogParams(1.0, 0.5)
 
     def test_unit_log_region_contributes_nothing(self):
-        g = make_grid(256, 1.0)
-        u = Profile(g, np.full(g.m, math.e - 1.0))
-        assert bliss.concentration_E(u, self.LP, P0) == pytest.approx(0.0, abs=1e-15)
+        # at tau = 1 and u = e - 1 the log factor is 1 at every node
+        nodes = bliss.bubble_nodes(bliss.BubbleSpec(1e-3, P0.a_hat), P0)
+        flat = dataclasses.replace(nodes, u=np.full_like(nodes.u, math.e - 1.0))
+        assert bliss.concentration_E(flat, self.LP, P0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(math.e, 1.0)])
-    def test_trimmed_equals_full_formula(self, lp):
-        # past the support of a cutoff bubble the integrand is an exact zero
-        g = make_grid(1000, 3.0)
+    def test_matches_quad(self, lp):
         for ps in (P0, P1):
-            u = bliss.bubble_profile(bliss.BubbleSpec(1e-3, ps.a_hat), g, ps)
-            assert u.support_end() < g.m
-            f = np.abs(u.values) ** ps.p_star * (
-                log_factor_nodes(g.nodes**lp.beta, u.values, lp) - 1.0)
-            assert bliss.concentration_E(u, lp, ps) == weighted_integral(g, f, ps.theta)
+            for eps in (1e-3, 1e-5):
+                spec = bliss.BubbleSpec(eps, ps.a_hat)
+                ref = _quad_pieces(_concentration_integrand(spec, lp, ps), eps, spec.r0)
+                e = bliss.concentration_E(bliss.bubble_nodes(spec, ps), lp, ps)
+                assert e == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4), (2, 1, 1.7, 0.3)])
     @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(math.e, 1.0)])
     def test_is_J_minus_J0_in_one_rule(self, pv, lp):
-        # E, J and J0 integrate in one quadrature rule, also for a
-        # non-integer theta, where the rule is not exact for r^theta: exact
-        # per-cell moments put E 1.5e-14 J away at theta = 0.3, eps = 1e-5
+        # E, J and J0 are sums at the same nodes; E is formed directly, so it
+        # keeps the digits that J - J0 cancels
         ps = validate_params(*pv)
-        g = make_grid(2000, 3.0)
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-            u = bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), g, ps)
-            j = J(u, lp, ps)
-            assert abs(bliss.concentration_E(u, lp, ps) - (j - J(u, None, ps))) <= 8e-15 * j
+            nodes = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
+            j = float(np.einsum("i,i->", nodes.q, nodes.u**ps.p_star
+                                * log_factor_nodes(nodes.r**lp.beta, nodes.u, lp)))
+            assert abs(bliss.concentration_E(nodes, lp, ps) - (j - nodes.j0)) <= 8e-15 * j
 
     def test_grows_like_the_lower_bound(self):
         from hslog.analysis import rate_fit
 
-        g = make_grid(4000, 3.0)
         rows = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            u = bliss.bubble_profile(bliss.BubbleSpec(eps, 1.0, 0.2), g, P0)
-            rows.append((eps, bliss.concentration_E(u, self.LP, P0)))
+            nodes = bliss.bubble_nodes(bliss.BubbleSpec(eps, 1.0, 0.2), P0)
+            rows.append((eps, bliss.concentration_E(nodes, self.LP, P0)))
         table = rate_fit(rows, model="power-times-loglog")
         assert all(v > 0 for v in table.ordinates)
         assert abs(table.fitted_exponent - 0.5) <= 0.15 * 0.5
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        nodes = bliss.bubble_nodes(bliss.BubbleSpec(1e-5), P0)
+        real = bliss._piece_sums
+        monkeypatch.setattr(bliss, "_piece_sums", lambda terms: (real(terms)[0], 1e-3))
+        with pytest.raises(NumericalError, match=r"concentration quadrature at eps=1e-05 "):
+            bliss.concentration_E(nodes, self.LP, P0)
+
+
+class TestUnitBubbleJ:
+    """J of the README bubble at unit norm, as the ncs level check reads it."""
+
+    LP = LogParams(1.0, 0.5)
+
+    @staticmethod
+    def _level_J(eps):
+        nodes = bliss.bubble_nodes(bliss.BubbleSpec(eps, P0.a_hat), P0)
+        family = [nodes] * 3
+        ncs = analysis.ncs_check(family, P0)
+        return analysis.concentration_level_check(family, TestUnitBubbleJ.LP, P0, 0,
+                                                  ncs).j_values[0]
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_matches_quad(self, eps):
+        spec = bliss.BubbleSpec(eps, P0.a_hat)
+
+        def du(r):
+            return spec.a_hat * (bliss.cutoff_eta_prime(r, 0.2) * bliss.bliss_value(eps, r, P0)
+                                 + bliss.cutoff_eta(r, 0.2) * bliss.bliss_deriv(eps, r, P0))
+
+        norm_p = _quad_pieces(lambda r: float(r**P0.alpha1 * abs(du(r)) ** P0.p), eps, 0.2)
+        t = norm_p ** (-1.0 / P0.p)
+
+        def f(r):
+            u = t * spec.a_hat * bliss.cutoff_eta(r, 0.2) * bliss.bliss_value(eps, r, P0)
+            return float(r**P0.theta * u**P0.p_star * math.log(1.0 + u) ** math.sqrt(r))
+
+        assert self._level_J(eps) == pytest.approx(_quad_pieces(f, eps, 0.2), rel=1e-13)
+
+    # the mesh error of J at M = 64000 (ROADMAP item 18); the check allows twice that
+    @pytest.mark.parametrize("eps, mesh_error",
+                             [(1e-3, 7.5e-8), (1e-4, 3.5e-7), (1e-5, 1.6e-6), (1e-6, 7.4e-6)])
+    def test_matches_the_fine_mesh(self, eps, mesh_error):
+        g = make_grid(64000, 3.0)
+        u = normalize(bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat), g, P0), P0)
+        assert abs(J(u, self.LP, P0) - self._level_J(eps)) <= 2.0 * mesh_error

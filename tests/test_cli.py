@@ -130,21 +130,64 @@ class TestParser:
         assert parser.parse_args(["verify", "--config", "c"]).suite == "all"
 
 
+def _run_on_grids(tmp_path, command, csv, cfg_text=BASE_CFG):
+    """(exit code, bytes of csv) of command at grid_m = 16 and at 16000."""
+    runs = []
+    for m in (16, 16000):
+        path = tmp_path / f"m{m}.cfg"
+        path.write_text(cfg_text.replace("grid_m = 1200", f"grid_m = {m}"))
+        out = tmp_path / f"m{m}"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        runs.append((code, (out / csv).read_bytes()))
+    return runs
+
+
 class TestRates:
     # what `rates` writes for E on BASE_CFG, pinned to every printed digit
     CONCENTRATION_CSV = """\
 epsilon,value,model,fitted_exponent,residual
-0.01,0.0784753646413,power-times-loglog,0.453453859059,0.0333615307909
-0.001,0.0378310570207,power-times-loglog,0.453453859059,0.0333615307909
-0.0001,0.0149768191532,power-times-loglog,0.453453859059,0.0333615307909
-1e-05,0.00551529424273,power-times-loglog,0.453453859059,0.0333615307909
+0.01,0.0784682341321,power-times-loglog,0.454601077258,0.0347879652482
+0.001,0.0378158652227,power-times-loglog,0.454601077258,0.0347879652482
+0.0001,0.0149494117626,power-times-loglog,0.454601077258,0.0347879652482
+1e-05,0.0054690535916,power-times-loglog,0.454601077258,0.0347879652482
 """
 
     def test_concentration_pinned(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["rates", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert (out / "rates_concentration.csv").read_text() == self.CONCENTRATION_CSV
-        assert "concentration exponent: 0.453453859059 (beta = 0.5)" in capsys.readouterr().out
+        assert "concentration exponent: 0.454601077258 (beta = 0.5)" in capsys.readouterr().out
+
+    def test_does_not_depend_on_the_grid(self, tmp_path):
+        # E is read at the bubbles' tanh-sinh nodes, so grid_m changes no byte
+        coarse, fine = _run_on_grids(tmp_path, "rates", "rates_concentration.csv")
+        assert coarse == fine == (0, self.CONCENTRATION_CSV.encode())
+
+
+class TestNcs:
+    def test_does_not_depend_on_the_grid(self, tmp_path):
+        coarse, fine = _run_on_grids(tmp_path, "ncs", "ncs.csv")
+        assert coarse == fine
+        assert coarse[0] == 2      # the README tuple's level check is red
+
+    def test_eps_below_the_grid_resolution(self, tmp_path):
+        # r_1 = (1/16)^3 = 2.4e-4 at grid_m = 16: a grid bubble refused every
+        # eps below 2.4e-3, and ncs exited 1
+        coarse, fine = _run_on_grids(tmp_path, "ncs", "ncs.csv", BASE_CFG.replace(
+            "epsilon_list = 1e-2,1e-3,1e-4,1e-5", "epsilon_list = 1e-2,1e-4,1e-6,1e-8"))
+        assert coarse == fine
+        rows = [line.split(",") for line in coarse[1].decode().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [1e-2, 1e-4, 1e-6, 1e-8]
+
+    def test_tau_below_one_runs(self, tmp_path, capsys):
+        # J is read with |ln(tau + |u|)|, which stays defined below tau = 1
+        path = tmp_path / "tau.cfg"
+        path.write_text(BASE_CFG.replace("tau = 1.0", "tau = 0.5"))
+        out = tmp_path / "o"
+        assert main(["ncs", "--config", str(path), "--out", str(out)]) == 2
+        assert "NCS: yes; level check FAIL" in capsys.readouterr().out
+        rows = [line.split(",") for line in (out / "ncs.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4 and all(0.7 < float(r[1]) < 0.98 for r in rows)
 
 
 class TestShoot:

@@ -24,8 +24,10 @@ from hslog.analysis import maximize_F, mountain_pass_gap, random_smooth_profile
 from hslog.functionals import J, LogParams, energy_I
 from hslog.orlicz import luxemburg_norm
 from hslog.params import validate_params
-from hslog.radial import make_grid, normalize
+from hslog.radial import make_grid
 from hslog.shooting import shoot
+
+from helpers import normalize
 
 ps = validate_params(2, 2, 2, 2)
 lp = LogParams(1.0, 0.5)
@@ -47,7 +49,8 @@ print(sol.amplitude.hex(), hashlib.sha256(sol.profile.values.tobytes()).hexdiges
 def _run_with_blas_threads(n: int) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n))
     src = str(Path(hslog.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tests = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SNIPPET], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout

@@ -22,8 +22,9 @@ from hslog.functionals import (
     ray_terms,
 )
 from hslog.params import ValidationError, validate_params
-from hslog.radial import (_GL16_W, _GL16_X, Profile, dirichlet_norm, make_grid, normalize,
-                          weighted_integral)
+from hslog.radial import _GL16_W, _GL16_X, Profile, dirichlet_norm, make_grid, weighted_integral
+
+from helpers import normalize
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -164,8 +165,8 @@ class TestEnergy:
 
     def test_diverges_to_minus_infinity_along_rays(self):
         u = normalize(linear_profile(500), P0)
-        v1 = energy_I(u.scaled(1e3), self.LP, P0)
-        v2 = energy_I(u.scaled(1e4), self.LP, P0)
+        v1 = energy_I(Profile(u.grid, 1e3 * u.values), self.LP, P0)
+        v2 = energy_I(Profile(u.grid, 1e4 * u.values), self.LP, P0)
         assert v1 < 0 and v2 < v1
 
     def test_against_independent_quadrature(self):
@@ -181,7 +182,8 @@ class TestEnergy:
         # g(r, s) = r^beta sign(s)|s|^p* / (p* (tau+|s|) ln(tau+|s|)^(1-r^beta))
         grid = make_grid(120, 2.0)
         # scaled so that the F term is of the order of the norm term
-        u = normalize(Profile(grid, _smooth(grid, np.random.default_rng(5))), P0).scaled(4.0)
+        u = normalize(Profile(grid, _smooth(grid, np.random.default_rng(5))), P0)
+        u = Profile(grid, 4.0 * u.values)
         p_star = P0.p_star
 
         def g_of(s, r):
@@ -418,8 +420,9 @@ class TestSupremumInequalities:
         rng = np.random.default_rng(8)
         lp = LogParams(1.0, 0.5)
         for _ in range(20):
-            u = normalize(Profile(g, _smooth(g, rng)), P0).scaled(rng.uniform(0.05, 0.95))
+            u = normalize(Profile(g, _smooth(g, rng)), P0)
+            u = Profile(g, rng.uniform(0.05, 0.95) * u.values)
             nrm = dirichlet_norm(u, P0)
             lhs = J(u, lp, P0)
-            rhs = J(u.scaled(1.0 / nrm), lp, P0) * nrm**6
+            rhs = J(Profile(g, (1.0 / nrm) * u.values), lp, P0) * nrm**6
             assert lhs <= rhs + 1e-12

@@ -11,13 +11,13 @@ from hslog.radial import (
     Profile,
     dirichlet_norm,
     dirichlet_pairing,
-    lq_norm,
     make_grid,
-    normalize,
     pointwise_bound_check,
     profile_to_csv,
     weighted_integral,
 )
+
+from helpers import normalize
 
 P0 = validate_params(2, 2, 2, 2)
 
@@ -136,40 +136,6 @@ class TestProfile:
         with pytest.raises(ValidationError, match="finite"):
             Profile(g, vals)
 
-    @pytest.mark.parametrize("c", [2.5, -3.0, 0.0, 1e-300])
-    def test_scaled_copy(self, c):
-        g = make_grid(128, 2.0)
-        u = Profile(g, np.random.default_rng(4).normal(size=g.m))
-        v = u.scaled(c)
-        assert np.array_equal(v.values, c * u.values)
-        assert v.grid is g
-
-    def test_scaled_rejects_a_finite_factor_that_overflows(self):
-        g = make_grid(64, 1.0)
-        vals = np.linspace(-3e10, 1e10, g.m)
-        u = Profile(g, vals)
-        with (pytest.raises(ValidationError, match="not finite"),
-              pytest.warns(RuntimeWarning, match="overflow")):
-            u.scaled(1e300)
-        for c in (math.inf, math.nan):
-            with pytest.raises(ValidationError, match="not finite"):
-                u.scaled(c)
-        with (pytest.raises(ValidationError, match="not finite"),
-              pytest.warns(RuntimeWarning, match="invalid value")):
-            Profile(g, np.zeros(g.m)).scaled(math.inf)     # inf * 0 is nan
-        # at the edge of the double range, rejected exactly when some c u_i overflows
-        edge = np.finfo(float).max / 3e10
-        for c in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf), -edge):
-            c = float(c)
-            with np.errstate(over="ignore"):
-                overflows = not np.all(np.isfinite(c * vals))
-            if overflows:
-                with (pytest.raises(ValidationError),
-                      pytest.warns(RuntimeWarning, match="overflow")):
-                    u.scaled(c)
-            else:
-                assert np.all(np.isfinite(u.scaled(c).values))
-
     @pytest.mark.parametrize("nonzero", [(), (0,), (63,), (0, 63), (5, 6, 40), (17,),
                                          tuple(range(64))])
     def test_support_end_is_one_past_the_last_nonzero(self, nonzero):
@@ -196,7 +162,7 @@ class TestDirichletNorm:
         g = make_grid(128, 2.0)
         rng = np.random.default_rng(0)
         u = Profile(g, rng.normal(size=g.m))
-        assert dirichlet_norm(u.scaled(2.0), P0) == pytest.approx(
+        assert dirichlet_norm(Profile(g, 2.0 * u.values), P0) == pytest.approx(
             2.0 * dirichlet_norm(u, P0), rel=1e-13)
 
 
@@ -230,24 +196,6 @@ class TestTrimmedDirichlet:
         assert np.array_equal(Profile(g, vals).slopes(out, 41), full)
 
 
-class TestLqNorm:
-    def test_linear_profile(self):
-        g = make_grid(2000, 1.0)
-        u = Profile(g, 1.0 - g.nodes)
-        assert lq_norm(u, 6.0, 2.0) == pytest.approx((1 / 252) ** (1 / 6), rel=5e-7)
-
-    def test_zero(self):
-        g = make_grid(64, 1.0)
-        assert lq_norm(Profile(g, np.zeros(g.m)), 6.0, 2.0) == 0.0
-
-    def test_scaling(self):
-        g = make_grid(128, 2.0)
-        rng = np.random.default_rng(1)
-        u = Profile(g, rng.normal(size=g.m))
-        assert lq_norm(u.scaled(-3.0), 4.0, 2.0) == pytest.approx(
-            3.0 * lq_norm(u, 4.0, 2.0), rel=1e-12)
-
-
 class TestPointwiseBound:
     def test_linear_profile_at_half(self):
         # bound(0.5) = (0.5)^(1/2) ||u|| (0.5)^(-1/2) = ||u|| = 0.577350...
@@ -275,25 +223,6 @@ class TestPointwiseBound:
             vals[-1] = 0.0
             u = normalize(Profile(g, vals), P0)
             assert pointwise_bound_check(u, P0).worst_slack >= -1e-12
-
-
-class TestNormalize:
-    def test_linear_profile_scale(self):
-        g = make_grid(2000, 3.0)
-        u = normalize(Profile(g, 1.0 - g.nodes), P0)
-        assert dirichlet_norm(u, P0) == pytest.approx(1.0, abs=1e-14)
-        assert u.values[0] == pytest.approx((1.0 - g.r1) * 3**0.5, rel=1e-9)
-
-    def test_unit_profile_unchanged(self):
-        g = make_grid(500, 2.0)
-        u = normalize(Profile(g, np.sin(math.pi * (1 - g.nodes))), P0)
-        again = normalize(u, P0)
-        assert np.max(np.abs(again.values - u.values)) < 1e-14
-
-    def test_zero_rejected(self):
-        g = make_grid(64, 1.0)
-        with pytest.raises(ValidationError, match="zero"):
-            normalize(Profile(g, np.zeros(g.m)), P0)
 
 
 class TestCsvRoundTrip:
