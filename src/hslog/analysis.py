@@ -29,7 +29,7 @@ from hslog import bliss
 from hslog.functionals import (LogParams, J, JNodes, RayTerms, F_nodes, _require_tau_ge_1,
                                log_factor_nodes, nodal_ray_terms, ray_sum)
 from hslog.params import (NumericalError, ParamSet, ValidationError, bracket_decreasing,
-                          brent_root)
+                          brent_root, log_residual)
 from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
@@ -284,16 +284,19 @@ def ncs_check(family, ps: ParamSet) -> NCSReport:
     """Check that bubbles at their nodes (``bliss.BubbleNodes``), each scaled
     to unit norm by t = ||u||^(-1/p), concentrate.
 
-    Escape of the Dirichlet energy is checked at the cut radii 0.1, 0.3 and
-    0.5 (decreasing tails, t^p times ``bliss.bubble_dirichlet_tail``, ending
-    below 1e-2); weak convergence to 0 by decreasing L^p_theta norms
+    Escape of the Dirichlet energy is checked at the cut radii r0/2, r0
+    and 3 r0/2 about the plateau edge r0 of the first bubble, where the
+    bubbles still carry energy (each is 0 from 2 r0 on): decreasing
+    tails, t^p times ``bliss.bubble_dirichlet_tail``, ending below 1e-2.
+    Weak convergence to 0 is checked by decreasing L^p_theta norms
     (sum q |t u|^p)^(1/p).
     """
     if len(family) < 3:
         raise ValidationError(f"NCS check needs at least 3 profiles, got {len(family)}")
+    r0 = family[0].spec.r0
     tails = {}
     tails_ok = True
-    for radius in (0.1, 0.3, 0.5):
+    for radius in (0.5 * r0, r0, 1.5 * r0):
         t = tuple(bliss.bubble_dirichlet_tail(b.spec, radius, ps) / b.norm_p for b in family)
         tails[radius] = t
         mono = all(t[i + 1] <= t[i] for i in range(len(t) - 1))
@@ -348,31 +351,50 @@ def concentration_level_check(family, lp: LogParams, ps: ParamSet, tail_start: i
 # --- the scalar stationarity equation and the level gap ---------------------
 
 
-def _stationarity(t: float, terms: RayTerms, n_p: float, p: float) -> float:
-    """d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t, with J(t u)/t^p* the ray sum."""
-    return t ** (p - 1.0) * n_p - t ** (terms.p_star - 1.0) * ray_sum(terms, t)
+def _log_stationarity(x: float, terms: RayTerms, n_p: float, p: float) -> float:
+    """ln ||u||^p - (p*-p) x - ln S(e^x), with S the ray sum: the log of
+    t^(p-1) ||u||^p over J(t u)/t at t = e^x, read as 0 within 4 ulp of a
+    ratio of 1 (``log_residual``)."""
+    t = math.exp(x)
+    return -log_residual(t ** (terms.p_star - p) * ray_sum(terms, t) / n_p)
 
 
 def solve_t_eps(terms: RayTerms, n_p: float, ps: ParamSet) -> float:
     """Root of t^(p-1) ||u||^p = t^(p*-1) int r^th |u|^p* (ln(tau+t|u|))^(r^b) dr.
 
-    u enters through its ray terms ``terms`` and n_p = ||u||^p; a grid
+    u enters through its ray terms ``terms`` and n_p = ||u||^p > 0; a grid
     profile's come from ``ray_terms`` and ``dirichlet_norm``, a bubble's
     from its tanh-sinh nodes (``mountain_pass_gap``).  The right-hand side
-    is J(t u)/t, read from the ray terms.  The bracket starts at (0.5, 2)
-    and ``bracket_decreasing`` halves its lower end until the residual is
-    >= 0 and doubles its upper end until it is <= 0, then Brent's method
-    finds the root.  ``brent_root`` reuses the residuals at the bracket
+    is J(t u)/t = t^(p*-1) S(t), with S the ray sum.  The root is taken in
+    x = ln t, where the residual r(x) = ln ||u||^p - (p*-p) x - ln S(e^x)
+    is nearly linear.  For tau >= 1, S does not decrease, so r(x) <= r(x0)
+    - (p*-p)(x - x0) above x0 and >= it below: from x0 = 0, the power-law
+    point x1 = r(x0)/(p*-p) lies on the other side of the root.
+    ``bracket_decreasing`` still moves an end by ln 2 when rounding leaves
+    it on the wrong side, then Brent's method finds the root; r reads
+    exactly 0 once the ratio of the two sides is within 4 ulp of 1, which
+    stops Brent on it.  ``brent_root`` reuses the residuals at the bracket
     ends and returns the one at the root, so no t is evaluated twice.  The
-    residual at the root must be below 1e-10 relative to t^(p-1) ||u||^p.
+    residual t^(p-1) ||u||^p (1 - e^-r) of the stationarity equation at
+    the root, formed from the last r, must be below 1e-10 relative to
+    t^(p-1) ||u||^p.
     """
+    if not n_p > 0.0:
+        raise ValidationError(f"t_eps needs ||u||^p > 0, got {n_p}")
     args = (terms, n_p, ps.p)
-    lo, h_lo, hi, h_hi = bracket_decreasing(_stationarity, 0.5, _stationarity(0.5, *args),
-                                            2.0, _stationarity(2.0, *args), "t_eps", args=args)
-    t_star, residual = brent_root(_stationarity, lo, h_lo, hi, h_hi, "t_eps", args=args,
-                                  xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    scale = max(1.0, abs(t_star ** (ps.p - 1.0) * n_p))
-    if abs(residual) >= 1e-10 * scale:
+    r0 = _log_stationarity(0.0, *args)
+    x_star, r_star = 0.0, r0
+    if r0 != 0.0:
+        x1 = r0 / (terms.p_star - ps.p)
+        (lo, r_lo), (hi, r_hi) = sorted([(0.0, r0), (x1, _log_stationarity(x1, *args))])
+        lo, r_lo, hi, r_hi = bracket_decreasing(_log_stationarity, lo, r_lo, hi, r_hi, "t_eps",
+                                                args=args)
+        x_star, r_star = brent_root(_log_stationarity, lo, r_lo, hi, r_hi, "t_eps", args=args,
+                                    xtol=2e-16, rtol=8.9e-16, maxiter=200)
+    t_star = math.exp(x_star)
+    lhs = t_star ** (ps.p - 1.0) * n_p
+    residual = -lhs * math.expm1(-r_star)
+    if abs(residual) >= 1e-10 * max(1.0, lhs):
         raise NumericalError(f"t_eps residual {residual:.3e} above tolerance")
     return t_star
 

@@ -18,11 +18,14 @@ ray through u (``functionals.ray_terms``):
 
 For u != 0 and tau >= 1, lambda -> rho(u/lambda) is continuous and
 strictly decreasing, and lambda^p* rho(u/lambda) = sum_i w_i ln(tau +
-a_i/lambda)^(e_i) is nonincreasing.  From lambda0 = (sum_i w_i)^(1/p*), the
-weighted L^p* norm, with rho0 = rho(u/lambda0), the power-law point lambda1
-= lambda0 rho0^(1/p*) therefore has rho(u/lambda1) <= 1 when rho0 > 1 and
->= 1 when rho0 < 1: the two points bracket the one root of rho(u/lambda) =
-1, and Brent's method (``params.brent_root``) converges to it.
+a_i/lambda)^(e_i) is nonincreasing.  The norm is solved for y = ln lambda,
+on g(y) = ln rho(u/e^y) = ln(sum_i w_i ln(tau + a_i e^-y)^(e_i)) - p* y: a
+line of slope -p* plus a slowly varying log, nearly linear.  Since the
+first term does not increase, g(y) <= g(y0) - p* (y - y0) above any y0 and
+>= it below.  From y0 = ln lambda0, with lambda0 = (sum_i w_i)^(1/p*) the
+weighted L^p* norm, the power-law point y1 = y0 + g(y0)/p* therefore lies
+on the other side of the one root of g: the two points bracket it, and
+Brent's method (``params.brent_root``) converges to it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.functionals import LogParams, RayTerms, ray_sum, ray_terms
-from hslog.params import ParamSet, ValidationError, bracket_decreasing, brent_root
+from hslog.params import (ParamSet, ValidationError, bracket_decreasing, brent_root,
+                          log_residual)
 from hslog.radial import Profile, dirichlet_norm
 
 
@@ -115,43 +119,48 @@ def convexity_check(spec: GammaSpec) -> ConvexityReport:
 def modular(terms: RayTerms, lam: float) -> float:
     """rho(u/lambda) for the log-perturbed modular, from the ray terms of u.
 
-    The ray sum takes a_i times 1/lambda, the product ``u.scaled`` forms,
-    so the log factors are those of J(u/lambda) bit for bit.
+    The ray sum takes a_i times 1/lambda, the product a profile (1/lambda) u
+    holds, so the log factors are those of J(u/lambda) bit for bit.
     """
     return ray_sum(terms, 1.0 / lam) / lam**terms.p_star
 
 
-def _modular_excess(lam: float, terms: RayTerms) -> float:
-    return modular(terms, lam) - 1.0
+def _log_modular(y: float, terms: RayTerms) -> float:
+    """g(y) = ln rho(u/e^y), read as 0 within 4 ulp of rho = 1 (``log_residual``)."""
+    return log_residual(modular(terms, math.exp(y)))
 
 
 def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """lambda* with rho(u/lambda*) = 1, by a power-law bracket and Brent's method.
+    """lambda* with rho(u/lambda*) = 1, found as the root y* = ln lambda* of
+    g(y) = ln rho(u/e^y) by a power-law bracket and Brent's method.
 
-    The bracket ends are lambda0 = (sum_i w_i)^(1/p*), the weighted L^p*
-    norm, and lambda1 = lambda0 rho0^(1/p*).  Because lambda^p*
-    rho(u/lambda) does not increase with lambda, rho at lambda1 lies on the
-    other side of 1 from rho0 (module docstring).  ``bracket_decreasing``
-    still halves and doubles the ends when rounding leaves one on the wrong
-    side.  Brent runs to a relative lambda tolerance near machine precision,
-    so the norm keeps close to full precision (needed for the homogeneity
-    contract).  The modular values at the bracket ends go to
-    ``brent_root``, so no lambda is evaluated twice.
+    g is nearly linear in y (module docstring), so Brent's interpolation
+    lands on the root in about 3 modular passes after the bracket's two.
+    The bracket ends are y0 = ln lambda0, with lambda0 = (sum_i w_i)^(1/p*)
+    the weighted L^p* norm, and the power-law point y1 = y0 + g(y0)/p*,
+    which lies on the other side of the root.  ``bracket_decreasing``
+    still moves an end by ln 2 when rounding leaves one on the wrong side.
+    g reads exactly 0 once |rho - 1| <= 8.9e-16, which stops Brent on the
+    root; otherwise it runs to a tolerance of 2e-16 + 8.9e-16 |y| in y, so
+    the norm keeps close to full precision (needed for the homogeneity
+    contract).  The residuals at the bracket ends go to ``brent_root``, so
+    no lambda is evaluated twice.
     """
     terms = ray_terms(u, lp, ps)
-    lam0 = float(np.einsum("i->", terms.w)) ** (1.0 / terms.p_star)
-    if lam0 == 0.0:
+    mass = float(np.einsum("i->", terms.w))
+    if mass == 0.0:
         return 0.0
-    rho0 = modular(terms, lam0)
-    if rho0 == 1.0:
-        return lam0
-    lam1 = lam0 * rho0 ** (1.0 / terms.p_star)
-    (lo, rho_lo), (hi, rho_hi) = sorted([(lam0, rho0), (lam1, modular(terms, lam1))])
-    lo, f_lo, hi, f_hi = bracket_decreasing(_modular_excess, lo, rho_lo - 1.0, hi,
-                                            rho_hi - 1.0, "the Luxemburg norm", args=(terms,))
-    lam_star, _ = brent_root(_modular_excess, lo, f_lo, hi, f_hi, "the Luxemburg norm",
-                             args=(terms,), xtol=1e-15 * lo, rtol=8.9e-16)
-    return lam_star
+    y0 = math.log(mass) / terms.p_star
+    g0 = _log_modular(y0, terms)
+    if g0 == 0.0:
+        return math.exp(y0)
+    y1 = y0 + g0 / terms.p_star
+    (lo, g_lo), (hi, g_hi) = sorted([(y0, g0), (y1, _log_modular(y1, terms))])
+    lo, g_lo, hi, g_hi = bracket_decreasing(_log_modular, lo, g_lo, hi, g_hi,
+                                            "the Luxemburg norm", args=(terms,))
+    y_star, _ = brent_root(_log_modular, lo, g_lo, hi, g_hi, "the Luxemburg norm",
+                           args=(terms,), xtol=2e-16, rtol=8.9e-16)
+    return math.exp(y_star)
 
 
 @dataclass(frozen=True)

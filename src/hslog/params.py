@@ -30,7 +30,11 @@ instance dict.
 
 ``brent_root`` is the one scalar root-finder the other modules share, and
 ``bracket_decreasing`` the one bracket widener in front of it.  Both are
-plain Python, so that no command loads scipy only to find a root.
+plain Python, so that no command loads scipy only to find a root.  The
+Luxemburg norm and t_eps are roots of a power of the unknown times a slowly
+varying log factor; their callers solve for the logarithm of the unknown,
+where the residual, the logarithm of a ratio that is 1 at the root
+(``log_residual``), is nearly linear, and the widener steps by ln 2.
 """
 
 from __future__ import annotations
@@ -178,30 +182,52 @@ def check_identities(ps: ParamSet) -> IdentityReport:
     return IdentityReport(residuals=res, max_residual=worst, passed=worst < 1e-12)
 
 
+LN2 = math.log(2.0)
+
+
 def bracket_decreasing(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,
                        args: tuple = ()) -> tuple[float, float, float, float]:
-    """Widen [lo, hi] until f(lo) >= 0 >= f(hi), for a decreasing f; returns
-    (lo, f(lo), hi, f(hi)).
+    """Widen [lo, hi] until f(lo) >= 0 >= f(hi), for a decreasing f of the
+    logarithm of the unknown; returns (lo, f(lo), hi, f(hi)).
 
-    f_lo and f_hi are f at the given ends.  lo is halved, then hi doubled,
-    at most 199 times each; an end still on the wrong side raises
+    f_lo and f_hi are f at the given ends.  lo is lowered by ln 2, which
+    halves the unknown, then hi raised by ln 2, which doubles it, at most
+    199 times each; an end still on the wrong side raises
     ``NumericalError`` ("could not bracket <what> from below/above").
     """
     for _ in range(199):
         if f_lo >= 0.0:
             break
-        lo *= 0.5
+        lo -= LN2
         f_lo = f(lo, *args)
     if not f_lo >= 0.0:
         raise NumericalError(f"could not bracket {what} from below")
     for _ in range(199):
         if f_hi <= 0.0:
             break
-        hi *= 2.0
+        hi += LN2
         f_hi = f(hi, *args)
     if not f_hi <= 0.0:
         raise NumericalError(f"could not bracket {what} from above")
     return lo, f_lo, hi, f_hi
+
+
+# 4 ulp of 1: the band about 1 in which ``log_residual`` reads a ratio as on the root
+LOG_RESIDUAL_ZERO = 8.9e-16
+
+
+def log_residual(q: float) -> float:
+    """ln q for a ratio q that is 1 at a root: exactly 0 once |q - 1| <= 4
+    ulp of 1, -inf at q = 0, NaN for a NaN q.
+
+    The ratios the callers form err by more than 4 ulp (the modular's sum
+    by up to 7.6e-15 at M = 16000), so no stricter stop means anything;
+    with this one Brent's method stops on the root instead of closing its
+    bracket around it.
+    """
+    if abs(q - 1.0) <= LOG_RESIDUAL_ZERO:
+        return 0.0
+    return math.log(q) if q != 0.0 else -math.inf
 
 
 # the smallest rtol Brent's method accepts, scipy's brentq default

@@ -318,13 +318,17 @@ class TestNcsCheck:
             ncs_check(_node_family((1e-2, 1e-3)), P0)
 
     def test_tails_and_norms_at_unit_norm(self):
-        # README tuple, r0 = 0.2: the tail past 2 r0 = 0.4 is exactly 0
+        # README tuple, r0 = 0.2: the cut radii are r0/2, r0 and 3 r0/2, inside
+        # the support [0, 2 r0]
         report = ncs_check(_node_family((1e-2, 1e-3, 1e-4, 1e-5)), P0)
-        assert report.tails[0.5] == (0.0, 0.0, 0.0, 0.0)
-        assert report.tails[0.1][0] == pytest.approx(2.579e-1, rel=1e-3)
-        assert report.tails[0.1][-1] == pytest.approx(2.910e-4, rel=1e-3)
-        assert report.tails[0.3][0] == pytest.approx(6.663e-2, rel=1e-3)
-        assert report.tails[0.3][-1] == pytest.approx(7.48e-5, rel=1e-3)
+        inner, edge, outer = sorted(report.tails)
+        assert (inner, edge, outer) == pytest.approx((0.1, 0.2, 0.3), abs=1e-15)
+        assert report.tails[inner][0] == pytest.approx(2.579e-1, rel=1e-3)
+        assert report.tails[inner][-1] == pytest.approx(2.910e-4, rel=1e-3)
+        assert report.tails[edge][0] == pytest.approx(1.835e-1, rel=1e-3)
+        assert report.tails[edge][-1] == pytest.approx(2.061e-4, rel=1e-3)
+        assert report.tails[outer][0] == pytest.approx(6.663e-2, rel=1e-3)
+        assert report.tails[outer][-1] == pytest.approx(7.48e-5, rel=1e-3)
         assert report.lp_theta_norms[0] == pytest.approx(6.311e-2, rel=1e-3)
         assert report.lp_theta_norms[-1] == pytest.approx(2.174e-3, rel=1e-3)
 
@@ -385,35 +389,66 @@ class TestScalarStationarity:
 
     @pytest.mark.parametrize("c", [0.05, 1.0, 20.0])
     def test_no_t_evaluated_twice(self, grid, monkeypatch, c):
-        # brent_root reuses the residual at both bracket ends and at the root
-        calls = []
-        stationarity = analysis._stationarity
+        # brent_root reuses the residual at both bracket ends and at the root,
+        # and the stationarity check reads the last one
+        calls, sums = [], []
+        stationarity = analysis._log_stationarity
+        ray_sum = analysis.ray_sum
 
-        def recording(t, *args):
-            calls.append(t)
-            return stationarity(t, *args)
+        def recording(x, *args):
+            calls.append(x)
+            return stationarity(x, *args)
 
-        monkeypatch.setattr(analysis, "_stationarity", recording)
+        monkeypatch.setattr(analysis, "_log_stationarity", recording)
+        monkeypatch.setattr(analysis, "ray_sum",
+                            lambda terms, t: sums.append(t) or ray_sum(terms, t))
         u = _bubble_family(grid, (1e-3,))[0]
         _t_eps(Profile(grid, c * u.values), self.LP)
-        assert len(calls) == len(set(calls))
+        assert len(calls) == len(set(calls)) == len(sums)
 
-    def _assert_bracket_failure(self, grid, monkeypatch, k, side):
-        # a ray sum J(t u)/t^p* = k t^(p-p*) ||u||^p makes d/dt I(t u) =
-        # (1 - k) t^(p-1) ||u||^p, of one sign for every t: negative (k > 1)
-        # or positive (k < 1)
+    def _assert_bracket_failure(self, grid, monkeypatch, ray_sum, side):
         u = _bubble_family(grid, (1e-3,))[0]
         n_p = dirichlet_norm(u, P0) ** P0.p
-        p_star = P0.p_star
-        monkeypatch.setattr(analysis, "ray_sum", lambda terms, t: k * n_p * t ** (P0.p - p_star))
+        calls = []
+        monkeypatch.setattr(analysis, "ray_sum",
+                            lambda terms, t: calls.append(t) or ray_sum(t, n_p))
         with pytest.raises(NumericalError, match=f"could not bracket t_eps from {side}"):
             _t_eps(u, self.LP)
+        # x = 0, its power-law point and 199 steps of ln 2
+        assert len(calls) == 201
 
+    # a ray sum J(t u)/t^p* = k t^(p-p*) ||u||^p makes d/dt I(t u) =
+    # (1 - k) t^(p-1) ||u||^p, of one sign for every t: negative (k > 1)
+    # or positive (k < 1)
     def test_no_sign_change_reported(self, grid, monkeypatch):
-        self._assert_bracket_failure(grid, monkeypatch, 2.0, "below")
+        self._assert_bracket_failure(grid, monkeypatch,
+                                     lambda t, n_p: 2.0 * n_p * t ** (P0.p - P0.p_star), "below")
 
     def test_no_sign_change_above_reported(self, grid, monkeypatch):
-        self._assert_bracket_failure(grid, monkeypatch, 0.5, "above")
+        self._assert_bracket_failure(grid, monkeypatch,
+                                     lambda t, n_p: 0.5 * n_p * t ** (P0.p - P0.p_star), "above")
+
+    @pytest.mark.parametrize("value,side", [(math.inf, "below"), (0.0, "above")])
+    def test_overflow_and_underflow_reported(self, grid, monkeypatch, value, side):
+        # an overflowing (underflowing) ray sum is no ValueError of math.log
+        self._assert_bracket_failure(grid, monkeypatch, lambda t, n_p: value, side)
+
+    def test_at_most_5_ray_sums_per_root(self, monkeypatch):
+        # the README mp_epsilon_list bubbles, as mountain_pass_gap reads them;
+        # 12-13 ray sums each when the root was taken in t from (0.5, 2)
+        lp = LogParams(1.0, 0.5)
+        ray_sum = analysis.ray_sum
+        for eps in (1e-3, 1e-4, 1e-5):
+            calls = []
+            monkeypatch.setattr(analysis, "ray_sum",
+                                lambda terms, t: calls.append(t) or ray_sum(terms, t))
+            analysis.mountain_pass_gap(bliss.BubbleSpec(eps, P0.a_hat), lp, P0)
+            assert 3 <= len(calls) <= 5
+
+    def test_zero_profile_rejected(self, grid):
+        u = Profile(grid, np.zeros(grid.m))
+        with pytest.raises(ValidationError, match=r"\|\|u\|\|\^p > 0"):
+            _t_eps(u, self.LP)
 
     @pytest.mark.parametrize("c", [0.05, 20.0])
     def test_root_outside_the_start_bracket(self, grid, c):

@@ -340,10 +340,17 @@ class TestMpGap:
 class TestOrlicz:
     def test_nan_modular_exits_2_naming_the_norm(self, cfg_file, tmp_path, capsys, monkeypatch):
         # the bracket ends are finite; Brent's first step inside meets a NaN
-        monkeypatch.setattr(orlicz, "_modular_excess", lambda lam, terms: math.nan)
+        modular, calls = orlicz.modular, []
+
+        def nan_inside(terms, lam):
+            calls.append(lam)
+            return modular(terms, lam) if len(calls) <= 2 else math.nan
+
+        monkeypatch.setattr(orlicz, "modular", nan_inside)
         assert main(["orlicz", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: the residual of the Luxemburg norm is NaN")
+        assert len(calls) == 3
 
 
 def traced_peak_arrays(cmd, cfg: RunConfig, out: Path) -> float:

@@ -147,18 +147,23 @@ class TestLuxemburgNorm:
         with pytest.raises(ValidationError, match="tau >= 1"):
             luxemburg_norm(u, LogParams(0.7, 0.5), P0)
 
-    @pytest.mark.parametrize("rho,side", [(2.0, "above"), (0.5, "below")])
+    @pytest.mark.parametrize("rho,side", [(2.0, "above"), (0.5, "below"),
+                                          (math.inf, "above"), (0.0, "below")])
     def test_bracket_failure_reported(self, grid, monkeypatch, rho, side):
-        # a modular stuck above (below) 1 leaves no lambda with rho(u/lambda) < 1 (> 1)
-        monkeypatch.setattr(orlicz, "modular", lambda *args: rho)
+        # a modular stuck above (below) 1 leaves no lambda with rho(u/lambda) < 1
+        # (> 1); an overflowing or underflowing one is no ValueError of math.log
+        calls = []
+        monkeypatch.setattr(orlicz, "modular", lambda *args: calls.append(args) or rho)
         u = Profile(grid, np.ones(grid.m))
         with pytest.raises(NumericalError, match=f"bracket the Luxemburg norm from {side}"):
             luxemburg_norm(u, LP, P0)
+        # the start, its power-law point and 199 steps of ln 2
+        assert len(calls) == 201
 
     @pytest.mark.parametrize("kind", ["random", "bubble"])
     def test_no_lambda_evaluated_twice_but_the_bracket_ends(self, grid, monkeypatch, kind):
-        # brent_root reuses the modular at both bracket ends, so no lambda
-        # repeats.  The modular at the start is below 1 for the random
+        # brent_root reuses the log residual at both bracket ends, so no
+        # lambda repeats.  The modular at the start is below 1 for the random
         # profile and above 1 for the bubble.
         u = _random_or_bubble(grid, kind)
         calls = []
@@ -173,8 +178,8 @@ class TestLuxemburgNorm:
 
     @pytest.mark.parametrize("kind,start_side", [("random", "below"), ("bubble", "above")])
     def test_power_law_end_brackets_without_doubling(self, grid, monkeypatch, kind, start_side):
-        # the start lambda0 and the power-law end lambda0 rho0^(1/p*) are the
-        # only modular calls before Brent's method
+        # the start y0 = ln lambda0 and the power-law end y0 + ln(rho0)/p* are
+        # the only modular calls before Brent's method
         u = _random_or_bubble(grid, kind)
         lams, rhos, before_brent = [], [], []
 
@@ -190,9 +195,43 @@ class TestLuxemburgNorm:
         monkeypatch.setattr(orlicz, "modular", recording)
         monkeypatch.setattr(orlicz, "brent_root", brent_recording)
         luxemburg_norm(u, LP, P0)
+        y0 = math.log(np.einsum("i->", ray_terms(u, LP, P0).w)) / 6.0
         assert before_brent == [2]
-        assert lams[1] == lams[0] * rhos[0] ** (1.0 / 6.0)
+        assert lams[0] == math.exp(y0)
+        assert lams[1] == math.exp(y0 + math.log(rhos[0]) / 6.0)
         assert (rhos[0] < 1.0 < rhos[1]) if start_side == "below" else (rhos[1] < 1.0 < rhos[0])
+
+    @pytest.mark.parametrize("kind", ["random", "bubble"])
+    def test_stops_on_the_root(self, grid, monkeypatch, kind):
+        # the log residual reads 0 within 8.9e-16 of rho = 1, so Brent's last
+        # modular pass is the one at the returned norm
+        u = _random_or_bubble(grid, kind)
+        lams = []
+
+        def recording(terms, lam):
+            lams.append(lam)
+            return modular(terms, lam)
+
+        monkeypatch.setattr(orlicz, "modular", recording)
+        lam = luxemburg_norm(u, LP, P0)
+        assert lams[-1] == lam
+        assert abs(modular(ray_terms(u, LP, P0), lam) - 1.0) <= 8.9e-16
+
+    def test_at_most_5_modular_passes_per_norm(self, monkeypatch):
+        # the README config's `orlicz` profiles at seed 801 and M = 2000: 100
+        # random, then the six epsilon_list bubbles; 6.66 passes per norm when
+        # the root was taken in lambda on rho - 1
+        grid = make_grid(2000, 3.0)
+        rng = np.random.default_rng(801)
+        profiles = [random_smooth_profile(grid, rng) for _ in range(100)]
+        profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, P0.a_hat), grid, P0)
+                     for eps in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)]
+        calls = []
+        monkeypatch.setattr(orlicz, "modular",
+                            lambda terms, lam: calls.append(lam) or modular(terms, lam))
+        for u in profiles:
+            luxemburg_norm(u, LP, P0)
+        assert len(calls) / len(profiles) <= 5.0
 
     def test_profile_not_retained(self, grid):
         # with the collector off, a profile caught in a reference cycle would never be freed

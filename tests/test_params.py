@@ -11,15 +11,18 @@ from hslog.params import (
     BRENT_RTOL,
     NumericalError,
     ValidationError,
+    bracket_decreasing,
     brent_root,
     check_identities,
     identity_residuals,
+    log_residual,
     validate_params,
 )
 
 
 P0 = (2.0, 2.0, 2.0, 2.0)
 P1 = (3.0, 2.0, 4.0, 4.0)
+EPS = np.finfo(float).eps
 
 
 class TestValidateParams:
@@ -223,6 +226,8 @@ class TestBrentMatchesScipy:
             brent_root(f, 0.0, 1.0, 3.0, f(3.0), "the root", xtol=1e-15, maxiter=3)
 
     def test_t_eps_residual(self):
+        # r(x) = ln ||u||^p - (p*-p) x - ln S(e^x), from solve_t_eps's own
+        # bracket: x = 0 and the power-law point
         from hslog import analysis, bliss
         from hslog.functionals import LogParams, ray_terms
         from hslog.radial import dirichlet_norm, make_grid
@@ -232,11 +237,18 @@ class TestBrentMatchesScipy:
         lp = LogParams(1.0, 0.5)
         u = bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, ps)
         args = (ray_terms(u, lp, ps), dirichlet_norm(u, ps) ** ps.p, ps.p)
-        x, _ = self._both(analysis._stationarity, 0.5, 2.0, args=args, xtol=1e-15,
+        r0 = analysis._log_stationarity(0.0, *args)
+        lo, hi = sorted([0.0, r0 / (ps.p_star - ps.p)])
+        x, _ = self._both(analysis._log_stationarity, lo, hi, args=args, xtol=2e-16,
                           rtol=8.9e-16, maxiter=200)
-        assert x == analysis.solve_t_eps(args[0], args[1], ps)
+        assert math.exp(x) == analysis.solve_t_eps(args[0], args[1], ps)
+        # and from a bracket of x* -+ ln 2, with more steps inside
+        self._both(analysis._log_stationarity, x - math.log(2.0), x + math.log(2.0),
+                   args=args, xtol=2e-16, rtol=8.9e-16, maxiter=200)
 
     def test_luxemburg_residual(self):
+        # g(y) = ln rho(u/e^y), from luxemburg_norm's own bracket: y0 = ln
+        # lambda0 and the power-law point
         from hslog import orlicz
         from hslog.analysis import random_smooth_profile
         from hslog.functionals import LogParams, ray_terms
@@ -249,10 +261,14 @@ class TestBrentMatchesScipy:
         for _ in range(5):
             u = random_smooth_profile(grid, rng)
             terms = ray_terms(u, lp, ps)
-            lam = orlicz.luxemburg_norm(u, lp, ps)
-            lo, hi = 0.5 * lam, 2.0 * lam
-            self._both(orlicz._modular_excess, lo, hi, args=(terms,), xtol=1e-15 * lo,
-                       rtol=8.9e-16)
+            y0 = math.log(np.einsum("i->", terms.w)) / ps.p_star
+            y1 = y0 + orlicz._log_modular(y0, terms) / ps.p_star
+            lo, hi = sorted([y0, y1])
+            y, _ = self._both(orlicz._log_modular, lo, hi, args=(terms,), xtol=2e-16,
+                              rtol=8.9e-16)
+            assert math.exp(y) == orlicz.luxemburg_norm(u, lp, ps)
+            self._both(orlicz._log_modular, y - math.log(2.0), y + math.log(2.0),
+                       args=(terms,), xtol=2e-16, rtol=8.9e-16)
 
     def test_shooting_residual(self):
         from hslog import shooting
@@ -261,6 +277,101 @@ class TestBrentMatchesScipy:
         ps = validate_params(*P0)
         self._both(shooting.boundary_value, 20.0, 50.0, args=(LogParams(1.0, 0.5), ps),
                    xtol=1e-12, maxiter=200)
+
+
+class TestLogRootsMatchTheLinearOnes:
+    """The roots taken in log coordinates agree within 4 ulp with scipy's
+    brentq on the residuals in the unknown itself: rho(u/lambda) - 1 in
+    lambda, and d/dt I(t u) in t from (0.5, 2)."""
+
+    @staticmethod
+    def _assert_within_4_ulp(ours, theirs):
+        for a, b in zip(ours, theirs, strict=True):
+            assert abs(a - b) <= 4.0 * np.spacing(max(a, b)), (a, b)
+
+    @pytest.mark.parametrize("params", [P0, P1])
+    def test_luxemburg_norm(self, params):
+        # the profiles `orlicz` reads on the README config: 100 random, 6 bubbles
+        from hslog import bliss, orlicz
+        from hslog.analysis import random_smooth_profile
+        from hslog.functionals import LogParams, ray_terms
+        from hslog.radial import make_grid
+
+        ps = validate_params(*params)
+        grid = make_grid(2000, 3.0)
+        lp = LogParams(1.0, 0.5)
+        rng = np.random.default_rng(2024)
+        profiles = [random_smooth_profile(grid, rng) for _ in range(100)]
+        profiles += [bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
+                     for eps in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)]
+        ours, theirs = [], []
+        for u in profiles:
+            terms = ray_terms(u, lp, ps)
+            lam0 = np.einsum("i->", terms.w) ** (1.0 / ps.p_star)
+            theirs.append(brentq(lambda lam: orlicz.modular(terms, lam) - 1.0, 0.5 * lam0,
+                                 2.0 * lam0, xtol=5e-16 * lam0, rtol=8.9e-16))
+            ours.append(orlicz.luxemburg_norm(u, lp, ps))
+        self._assert_within_4_ulp(ours, theirs)
+
+    @pytest.mark.parametrize("params", [P0, P1])
+    def test_t_eps(self, params):
+        from hslog import analysis, bliss
+        from hslog.functionals import LogParams, nodal_ray_terms, ray_sum
+
+        ps = validate_params(*params)
+        lp = LogParams(1.0, 0.5)
+        ours, theirs = [], []
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            nodes = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
+            terms = nodal_ray_terms(nodes.u, nodes.q, nodes.r**lp.beta, lp, ps)
+
+            def dI(t):
+                return (t ** (ps.p - 1.0) * nodes.norm_p
+                        - t ** (ps.p_star - 1.0) * ray_sum(terms, t))
+
+            theirs.append(brentq(dI, 0.5, 2.0, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+            ours.append(analysis.solve_t_eps(terms, nodes.norm_p, ps))
+        self._assert_within_4_ulp(ours, theirs)
+
+
+class TestLogResidual:
+    def test_zero_within_4_ulp_of_one(self):
+        for q in (1.0, 1.0 + 4 * EPS, 1.0 - 4 * EPS, 1.0 - 8 * (EPS / 2)):
+            assert log_residual(q) == 0.0
+        for q in (1.0 + 5 * EPS, 1.0 - 9 * (EPS / 2), 2.0, 0.5):
+            assert log_residual(q) == math.log(q) != 0.0
+
+    def test_zero_nan_and_inf(self):
+        # an underflowing ratio reads -inf, not math.log's ValueError
+        assert log_residual(0.0) == -math.inf
+        assert log_residual(math.inf) == math.inf
+        assert math.isnan(log_residual(math.nan))
+
+
+class TestBracketDecreasing:
+    def test_widens_by_ln_2(self):
+        # f(x) = c - x: each step moves an end by ln 2, halving or doubling e^x
+        calls = []
+
+        def f(x, c):
+            calls.append(x)
+            return c - x
+
+        lo, f_lo, hi, f_hi = bracket_decreasing(f, 0.0, -3.0, 0.5, -2.5, "x", args=(-3.0,))
+        assert calls == pytest.approx([-math.log(2.0) * k for k in range(1, 6)], abs=1e-15)
+        assert (lo, f_lo, hi, f_hi) == (calls[-1], -3.0 - calls[-1], 0.5, -2.5)
+        calls.clear()
+        lo, f_lo, hi, f_hi = bracket_decreasing(f, 0.0, 2.0, 0.5, 1.5, "x", args=(2.0,))
+        assert calls == pytest.approx([0.5 + math.log(2.0) * k for k in range(1, 4)], abs=1e-15)
+        assert (lo, f_lo, hi, f_hi) == (0.0, 2.0, calls[-1], 2.0 - calls[-1])
+
+    @pytest.mark.parametrize("value,side", [(1.0, "above"), (-1.0, "below")])
+    def test_gives_up_after_199_steps(self, value, side):
+        calls = []
+        with pytest.raises(NumericalError, match=f"could not bracket the test root from {side}"):
+            bracket_decreasing(lambda x: calls.append(x) or value, 0.0, value, 1.0, value,
+                               "the test root")
+        assert len(calls) == 199
 
 
 class TestBrentFailures:
