@@ -86,9 +86,13 @@ class _AscentWork:
     """The arrays the ascent writes in place, made once per ``maximize_F``.
 
     ``at_u`` and ``at_cand`` hold J's nodal factors at the iterate and at
-    the candidate, ``spare`` takes the next candidate's values,
-    ``direction`` and ``h`` the gradient and its unit multiple, and
-    ``cells`` the per-cell terms of the Dirichlet norm and pairing.  With
+    the candidate, and ``pair_u`` and ``pair_cand`` their Dirichlet pairing
+    factors (``radial.pairing_factors``) before the projection's division,
+    with the norm they were divided by in ``norm_u`` and ``norm_cand``.
+    ``accept`` swaps the candidate's into the iterate's.  ``spare`` takes
+    the next candidate's values, ``direction`` the gradient, and
+    ``cells[0]`` the slopes and per-cell terms of the Dirichlet norm and
+    pairing; one of the two pairing factor arrays is ``cells[1]``.  With
     them no step allocates a grid-length float array: on a 16000-node grid
     such an array is 128000 bytes, under glibc's default 128 KiB trim
     threshold, so freeing it can hand the heap top back to the system and
@@ -97,40 +101,50 @@ class _AscentWork:
     ``n`` counts the current seed's nodes up to its last nonzero one and
     the zero node after it, ``support_end() + 1``.  No iterate is nonzero
     past the seed's support, so the Dirichlet work of a step (the
-    candidate, its norm, h and the pairing) is formed on the first n nodes
-    only.  ``start`` zeroes ``spare`` and ``h`` from n on once per ascent;
-    nothing writes there after that.
+    candidate, its norm and pairing factors, and the pairing) is formed on
+    the first n nodes only.  ``start`` zeroes ``spare`` from n on once per
+    ascent; nothing writes there after that.
     """
 
     def __init__(self, m: int):
         self.at_u, self.at_cand = JNodes(m), JNodes(m)
-        self.spare, self.direction, self.h = np.empty(m), np.empty(m), np.empty(m)
+        self.spare, self.direction, self.pair_u = np.empty(m), np.empty(m), np.empty(m - 1)
         self.cells = np.empty((2, m - 1))
+        self.pair_cand = self.cells[1]
+        self.norm_u = self.norm_cand = 1.0
         self.n = m
 
     def start(self, seed: Profile) -> None:
         """Trim the Dirichlet work to the support of ``seed``."""
         self.n = min(seed.support_end() + 1, seed.grid.m)
         self.spare[self.n:] = 0.0
-        self.h[self.n:] = 0.0
+
+    def accept(self) -> None:
+        """Make the last projected candidate the iterate."""
+        self.at_u, self.at_cand = self.at_cand, self.at_u
+        self.pair_u, self.pair_cand = self.pair_cand, self.pair_u
+        self.norm_u, self.norm_cand = self.norm_cand, self.norm_u
 
 
 def _project(vals: np.ndarray, grid: Grid, ps: ParamSet, work: _AscentWork) -> Profile | None:
     """The nonnegative part of vals, pinned to 0 at r = 1, on the unit sphere.
 
     vals must be 0 from node ``work.n`` on.  It is overwritten with the
-    projection, which the returned profile holds.
+    projection, which the returned profile holds.  The pairing factors of
+    the part before the division go to ``work.pair_cand``, and its norm to
+    ``work.norm_cand``.
     """
     live = vals[:work.n]
     np.maximum(live, 0.0, out=live)
     vals[-1] = 0.0
     prof = Profile(grid, vals)
-    nrm = dirichlet_norm(prof, ps, work.cells[0], work.n)
+    nrm = dirichlet_norm(prof, ps, work.cells[0], work.n, work.pair_cand)
     if nrm == 0.0:
         return None
     # the quotient stays finite, since every |u_i| is bounded by a multiple
     # of the norm
     live /= nrm
+    work.norm_cand = nrm
     return prof
 
 
@@ -172,6 +186,7 @@ def maximize_F(
         u = _project(start.values, grid, ps, work)
         if u is None:
             continue
+        work.accept()
         res = _ascend(u, eps, ps, lp, grid, work)
         if best is None or _rank(res) < _rank(best):
             best = res
@@ -194,32 +209,37 @@ def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: Param
     the derivative is d.h - (d.u) <u, h>: the gradient d = ``JNodes.gradient``
     along h (d.h is the scale), minus the part the renormalization takes
     back, whose norm derivative at ||u|| = 1 is the Dirichlet pairing <u, h>.
-    Both u and h are 0 from node ``work.n`` on, so h, its finiteness check
-    and the pairing are formed on the first ``work.n`` nodes.
+    u = c / ||c|| for the c that ``_project`` divided, so <u, h> is
+    <c, d> / (||c||^(p-1) scale), with <c, d> from c's pairing factors
+    ``work.pair_u``: no slope of u is formed again, and h is not formed.
+    Both u and d are 0 from node ``work.n`` on, so the pairing is formed on
+    the first ``work.n`` nodes.  scale = |d| is finite iff every entry of d
+    is and their squares do not overflow; the gain is only defined then.
     """
-    n = work.n
-    h = np.divide(direction[:n], scale, out=work.h[:n])
-    if not np.isfinite(h).all():
+    if not math.isfinite(scale):
         raise ValidationError("the ascent direction is not finite")
-    pairing = dirichlet_pairing(u, work.h, ps, work.cells, n)
-    return scale - float(np.einsum("i,i->", direction, u.values)) * pairing
+    n = work.n
+    pairing = dirichlet_pairing(work.pair_u, direction, u.grid, work.cells[0], n)
+    pairing /= work.norm_u ** (ps.p - 1.0) * scale
+    return scale - float(np.einsum("i,i->", direction[:n], u.values[:n])) * pairing
 
 
 def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
-    # J and its gradient at an iterate come from one nodal evaluation: the
-    # factors of an accepted candidate become the iterate's, and the values
-    # the iterate leaves behind take the next candidate.  The direction is 0
+    # J and its gradient at an iterate come from one nodal evaluation, and
+    # the Dirichlet pairing from the factors of its projection: an accepted
+    # candidate's become the iterate's (``work.accept``), and the values the
+    # iterate leaves behind take the next candidate.  The direction is 0
     # wherever u is, so no iterate is nonzero past the seed's support: a
     # candidate is formed on the first work.n nodes, and every array that
     # takes one is 0 from there on
-    at_u, at_cand, direction, spare = work.at_u, work.at_cand, work.direction, work.spare
+    direction, spare = work.direction, work.spare
     n = work.n
-    value = J(u, lp, ps, at_u)
+    value = J(u, lp, ps, work.at_u)
     step = 0.25
     iterations = 0
     converged = False
     for iterations in range(1, 5001):
-        at_u.gradient(direction)
+        work.at_u.gradient(direction)
         scale = math.sqrt(np.einsum("i,i->", direction, direction))
         if scale == 0.0:
             converged = True
@@ -233,12 +253,12 @@ def _ascend(u, seed_eps, ps, lp, grid, work: _AscentWork) -> MaximizeResult:
             spare[:n] += u.values[:n]
             cand = _project(spare, grid, ps, work)
             if cand is not None:
-                cand_val = J(cand, lp, ps, at_cand)
+                cand_val = J(cand, lp, ps, work.at_cand)
                 if cand_val > value:
                     improvement = cand_val - value
                     spare = u.values
                     u, value = cand, cand_val
-                    at_u, at_cand = at_cand, at_u
+                    work.accept()
                     step *= 1.3
                     accepted = True
                     break

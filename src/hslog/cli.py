@@ -216,7 +216,7 @@ def cmd_mp_gap(cfg: RunConfig, out: Path) -> int:
 # 1-2-5 steps per decade from 0.5 up to 1e4; (4, 2, 6, 3) changes sign
 # between 5e3 and 1e4.  Past that a shot can start inside its own core and
 # run up to ``shooting.MAX_RHS_EVALUATIONS`` (a = 1e4 on (2, 2, 2, 2) does,
-# and raises after about 0.3 s on a 2-vCPU Xeon), so the scan stops there.
+# and raises after about 0.1 s on a 2-vCPU Xeon), so the scan stops there.
 _SCAN_AMPLITUDES = (0.5,) + tuple(c * 10.0**k for k in range(4) for c in (1.0, 2.0, 5.0)) + (1e4,)
 
 

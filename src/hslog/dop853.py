@@ -20,6 +20,14 @@ The tableau is Hairer's published coefficients as scipy's
 (stage, coefficient) pairs; leaving a zero out of a sequential sum of
 finite terms is exact.  A stage that is not finite makes a NaN or infinite
 error estimate either way, so the step is rejected as in scipy.
+
+The tableau tuples are the one source of the coefficients.  The 12 stages,
+the B update and the E5 and E3 estimates of a step are straight-line sums
+over names unpacked once from them (``_coefficients`` checks that each
+name's stage is its entry's), with the terms of the rows in their order.
+A sum starts at its first term rather than at 0.0, which differs only in
+the sign of a sum whose every term is -0.0.  Only the three extra stages
+and the interpolant of dense output loop over their rows.
 """
 
 from __future__ import annotations
@@ -249,8 +257,38 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
-_STAGES = tuple(zip(C[1:], A[1:]))
 _EXTRA_STAGES = tuple(zip(C_EXTRA, A_EXTRA))
+
+# the stages that B, E5 and E3 weight
+_WEIGHTED = (0, 5, 6, 7, 8, 9, 10, 11)
+
+
+def _coefficients(row: tuple, stages: tuple) -> tuple:
+    """The coefficients of a tableau row, whose stages must be ``stages``."""
+    if tuple(j for j, _ in row) != stages:
+        raise ValueError(f"the tableau row weights stages {[j for j, _ in row]}, not {stages}")
+    return tuple(a for _, a in row)
+
+
+# the coefficients the step reads by name: _Ai_j is stage i's weight of stage
+# j, and _Bj, _E5_j and _E3_j weight stage j
+_C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = C[1:]
+(_A1_0,) = _coefficients(A[1], (0,))
+_A2_0, _A2_1 = _coefficients(A[2], (0, 1))
+_A3_0, _A3_2 = _coefficients(A[3], (0, 2))
+_A4_0, _A4_2, _A4_3 = _coefficients(A[4], (0, 2, 3))
+_A5_0, _A5_3, _A5_4 = _coefficients(A[5], (0, 3, 4))
+_A6_0, _A6_3, _A6_4, _A6_5 = _coefficients(A[6], (0, 3, 4, 5))
+_A7_0, _A7_3, _A7_4, _A7_5, _A7_6 = _coefficients(A[7], (0, 3, 4, 5, 6))
+_A8_0, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7 = _coefficients(A[8], (0, 3, 4, 5, 6, 7))
+_A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = _coefficients(A[9], (0, 3, 4, 5, 6, 7, 8))
+_A10_0, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = _coefficients(
+    A[10], (0, 3, 4, 5, 6, 7, 8, 9))
+_A11_0, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = _coefficients(
+    A[11], (0, 3, 4, 5, 6, 7, 8, 9, 10))
+_B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11 = _coefficients(B, _WEIGHTED)
+_E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11 = _coefficients(E5, _WEIGHTED)
+_E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11 = _coefficients(E3, _WEIGHTED)
 
 
 @dataclass
@@ -364,7 +402,9 @@ def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
     With ``dense`` every accepted step costs three more calls of fun and
     keeps its interpolant of u (``Trajectory.dense_u``).  No step is tried
     once fun has been called ``max_nfev`` times; scipy has no such cap, and
-    below it the steps are scipy's.
+    below it the steps are scipy's.  fun is called exactly ``nfev`` times:
+    twice to start, 12 times per trial step and 3 times more per accepted
+    step with ``dense``.
     """
     t, u, w = t0, u0, w0
     du, dw = fun(t, u, w)
@@ -389,27 +429,62 @@ def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
             h = t_new - t
             h_abs = abs(h)
 
-            ku = [du]
-            kw = [dw]
-            _add_stages(fun, t, u, w, h, ku, kw, _STAGES)
-            su = sw = 0.0
-            for j, b in B:
-                su += b * ku[j]
-                sw += b * kw[j]
+            su = _A1_0 * du
+            sw = _A1_0 * dw
+            k1u, k1w = fun(t + _C1 * h, u + su * h, w + sw * h)
+            su = _A2_0 * du + _A2_1 * k1u
+            sw = _A2_0 * dw + _A2_1 * k1w
+            k2u, k2w = fun(t + _C2 * h, u + su * h, w + sw * h)
+            su = _A3_0 * du + _A3_2 * k2u
+            sw = _A3_0 * dw + _A3_2 * k2w
+            k3u, k3w = fun(t + _C3 * h, u + su * h, w + sw * h)
+            su = _A4_0 * du + _A4_2 * k2u + _A4_3 * k3u
+            sw = _A4_0 * dw + _A4_2 * k2w + _A4_3 * k3w
+            k4u, k4w = fun(t + _C4 * h, u + su * h, w + sw * h)
+            su = _A5_0 * du + _A5_3 * k3u + _A5_4 * k4u
+            sw = _A5_0 * dw + _A5_3 * k3w + _A5_4 * k4w
+            k5u, k5w = fun(t + _C5 * h, u + su * h, w + sw * h)
+            su = _A6_0 * du + _A6_3 * k3u + _A6_4 * k4u + _A6_5 * k5u
+            sw = _A6_0 * dw + _A6_3 * k3w + _A6_4 * k4w + _A6_5 * k5w
+            k6u, k6w = fun(t + _C6 * h, u + su * h, w + sw * h)
+            su = _A7_0 * du + _A7_3 * k3u + _A7_4 * k4u + _A7_5 * k5u + _A7_6 * k6u
+            sw = _A7_0 * dw + _A7_3 * k3w + _A7_4 * k4w + _A7_5 * k5w + _A7_6 * k6w
+            k7u, k7w = fun(t + _C7 * h, u + su * h, w + sw * h)
+            su = _A8_0 * du + _A8_3 * k3u + _A8_4 * k4u + _A8_5 * k5u + _A8_6 * k6u + _A8_7 * k7u
+            sw = _A8_0 * dw + _A8_3 * k3w + _A8_4 * k4w + _A8_5 * k5w + _A8_6 * k6w + _A8_7 * k7w
+            k8u, k8w = fun(t + _C8 * h, u + su * h, w + sw * h)
+            su = (_A9_0 * du + _A9_3 * k3u + _A9_4 * k4u + _A9_5 * k5u + _A9_6 * k6u + _A9_7 * k7u
+                  + _A9_8 * k8u)
+            sw = (_A9_0 * dw + _A9_3 * k3w + _A9_4 * k4w + _A9_5 * k5w + _A9_6 * k6w + _A9_7 * k7w
+                  + _A9_8 * k8w)
+            k9u, k9w = fun(t + _C9 * h, u + su * h, w + sw * h)
+            su = (_A10_0 * du + _A10_3 * k3u + _A10_4 * k4u + _A10_5 * k5u + _A10_6 * k6u
+                  + _A10_7 * k7u + _A10_8 * k8u + _A10_9 * k9u)
+            sw = (_A10_0 * dw + _A10_3 * k3w + _A10_4 * k4w + _A10_5 * k5w + _A10_6 * k6w
+                  + _A10_7 * k7w + _A10_8 * k8w + _A10_9 * k9w)
+            k10u, k10w = fun(t + _C10 * h, u + su * h, w + sw * h)
+            su = (_A11_0 * du + _A11_3 * k3u + _A11_4 * k4u + _A11_5 * k5u + _A11_6 * k6u
+                  + _A11_7 * k7u + _A11_8 * k8u + _A11_9 * k9u + _A11_10 * k10u)
+            sw = (_A11_0 * dw + _A11_3 * k3w + _A11_4 * k4w + _A11_5 * k5w + _A11_6 * k6w
+                  + _A11_7 * k7w + _A11_8 * k8w + _A11_9 * k9w + _A11_10 * k10w)
+            k11u, k11w = fun(t + _C11 * h, u + su * h, w + sw * h)
+            su = (_B0 * du + _B5 * k5u + _B6 * k6u + _B7 * k7u + _B8 * k8u + _B9 * k9u
+                  + _B10 * k10u + _B11 * k11u)
+            sw = (_B0 * dw + _B5 * k5w + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w
+                  + _B10 * k10w + _B11 * k11w)
             u_new = u + h * su
             w_new = w + h * sw
             du_new, dw_new = fun(t + h, u_new, w_new)
-            ku.append(du_new)
-            kw.append(dw_new)
             nfev += 12
 
-            e5u = e5w = e3u = e3w = 0.0
-            for j, e in E5:
-                e5u += e * ku[j]
-                e5w += e * kw[j]
-            for j, e in E3:
-                e3u += e * ku[j]
-                e3w += e * kw[j]
+            e5u = (_E5_0 * du + _E5_5 * k5u + _E5_6 * k6u + _E5_7 * k7u + _E5_8 * k8u
+                   + _E5_9 * k9u + _E5_10 * k10u + _E5_11 * k11u)
+            e5w = (_E5_0 * dw + _E5_5 * k5w + _E5_6 * k6w + _E5_7 * k7w + _E5_8 * k8w
+                   + _E5_9 * k9w + _E5_10 * k10w + _E5_11 * k11w)
+            e3u = (_E3_0 * du + _E3_5 * k5u + _E3_6 * k6u + _E3_7 * k7u + _E3_8 * k8u
+                   + _E3_9 * k9u + _E3_10 * k10u + _E3_11 * k11u)
+            e3w = (_E3_0 * dw + _E3_5 * k5w + _E3_6 * k6w + _E3_7 * k7w + _E3_8 * k8w
+                   + _E3_9 * k9w + _E3_10 * k10w + _E3_11 * k11w)
             scale_u = atol + max(abs(u), abs(u_new)) * rtol
             scale_w = atol + max(abs(w), abs(w_new)) * rtol
             e5u /= scale_u
@@ -439,6 +514,8 @@ def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
             rejected = True
 
         if dense:
+            ku = [du, k1u, k2u, k3u, k4u, k5u, k6u, k7u, k8u, k9u, k10u, k11u, du_new]
+            kw = [dw, k1w, k2w, k3w, k4w, k5w, k6w, k7w, k8w, k9w, k10w, k11w, dw_new]
             segments.append(_interpolant(fun, t, u, w, h, ku, kw, u_new))
             knots.append(t_new)
             nfev += 3

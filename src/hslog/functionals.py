@@ -12,8 +12,9 @@ with F(r, a) = int_0^|a| s^(p*-1) (ln(tau+s))^(r^beta) ds the primitive of
 the source of the radial equation that the shooting solver integrates.
 Since d_a F is that source, the pairing above is the exact gradient of the
 discrete energy; this is what the finite-difference consistency tests
-exercise.  ``shooting.weak_residual`` reads the pairing; no command reads
-the grid energy ``energy_I``, which is its reference.  The mountain-pass gap
+exercise.  ``shooting.weak_residual`` reads the pairing, with u's side of
+it (``pairing_terms``) formed once for all its test profiles; no command
+reads the grid energy ``energy_I``, which is its reference.  The mountain-pass gap
 takes a bubble's energy at its tanh-sinh nodes (``analysis.bubble_energy``).
 
 The nodal integrands of J, I, the pairing and the ascent gradient each
@@ -68,7 +69,7 @@ import numpy as np
 
 from hslog.params import ParamSet, ValidationError
 from hslog.radial import (_GL16_W, _GL16_X, Profile, dirichlet_norm, dirichlet_pairing,
-                          weighted_integral)
+                          pairing_factors, weighted_integral)
 
 
 @dataclass(frozen=True)
@@ -314,20 +315,44 @@ def energy_I(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     return nrm**ps.p / ps.p - f_term
 
 
-def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """<I'(u), v>: Dirichlet pairing minus the critical source term.
+@dataclass(frozen=True)
+class PairingTerms:
+    """u's side of <I'(u), v>, formed once for any number of v.
 
-    The source carries sign(u)|u|^(p*-1), the odd form that matches both the
-    equation's right-hand side and the derivative of the discrete energy.
+    ``factors`` are u's Dirichlet pairing factors (``pairing_factors``),
+    one per cell, and ``source`` is sign(u)|u|^(p*-1) (ln(tau+|u|))^(r^beta)
+    at the nodes, an exact 0 past the support of u.
     """
+
+    factors: np.ndarray
+    source: np.ndarray
+
+
+def pairing_terms(u: Profile, lp: LogParams, ps: ParamSet) -> PairingTerms:
+    """The ``PairingTerms`` of u; the source is formed on the support of u."""
     _require_tau_ge_1(lp, "the pairing")
-    if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
-        raise ValidationError("pairing requires profiles on the same grid")
-    term1 = dirichlet_pairing(u, v.values, ps)
     k = u.support_end()
     w = u.values[:k]
     source = np.zeros(u.grid.m)
     source[:k] = (np.sign(w) * np.abs(w) ** (ps.p_star - 1.0)
                   * log_factor_nodes(u.grid.node_power(lp.beta)[:k], w, lp))
-    term2 = weighted_integral(u.grid, source * v.values, ps.theta)
+    return PairingTerms(pairing_factors(u, ps), source)
+
+
+def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet,
+                   terms: PairingTerms | None = None) -> float:
+    """<I'(u), v>: Dirichlet pairing minus the critical source term.
+
+    The source carries sign(u)|u|^(p*-1), the odd form that matches both the
+    equation's right-hand side and the derivative of the discrete energy.
+    u enters through its ``pairing_terms``, formed here unless ``terms``
+    holds them; ``shooting.weak_residual`` forms them once for all its test
+    profiles.
+    """
+    if terms is None:
+        terms = pairing_terms(u, lp, ps)
+    if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
+        raise ValidationError("pairing requires profiles on the same grid")
+    term1 = dirichlet_pairing(terms.factors, v.values, u.grid)
+    term2 = weighted_integral(u.grid, terms.source * v.values, ps.theta)
     return term1 - term2

@@ -14,7 +14,9 @@ integral does not depend on the BLAS thread count or on the number of
 cores.
 
 The Dirichlet seminorm uses exact per-cell moments of r^alpha1, so it is
-exact for the discrete profile class.
+exact for the discrete profile class.  The Dirichlet pairing reads u
+through its per-cell factors (``pairing_factors``), which can be formed once
+for many v, or from the slopes the norm takes.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def weighted_integral(grid: Grid, f: np.ndarray, w: float) -> float:
 
 
 def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None,
-                   n: int | None = None) -> float:
+                   n: int | None = None, factors: np.ndarray | None = None) -> float:
     """(integral_0^1 r^alpha1 |u'|^p dr)^(1/p), exact for the discrete class.
 
     The leading interval carries zero slope, hence no contribution; the
@@ -178,40 +180,58 @@ def dirichlet_norm(u: Profile, ps: ParamSet, work: np.ndarray | None = None,
     formed in place, in ``work`` (one value per cell) when given.  With
     ``n``, u must be 0 from node n on: only the terms of the first n - 1
     cells are formed, the rest are exact zeros, and the sum runs over all
-    cells as without ``n``, so the norm is the same bit for bit.
+    cells as without ``n``, so the norm is the same bit for bit.  With
+    ``factors`` (one value per cell), u's pairing factors
+    (``pairing_factors``) are written there too, from the same slopes, on
+    the first n - 1 cells.
     """
     c = _live_cells(u.grid, n)
     s = u.slopes(work, n)
     t = s[:c]
+    if factors is not None:
+        _pairing_factors(u.grid, t, ps, factors[:c])
     np.abs(t, out=t)
     t **= ps.p
     t *= u.grid.cell_moments(ps.alpha1)[:c]
     return float(np.add.reduce(s) ** (1.0 / ps.p))
 
 
-def dirichlet_pairing(u: Profile, v: np.ndarray, ps: ParamSet,
+def _pairing_factors(grid: Grid, s: np.ndarray, ps: ParamSet, out: np.ndarray) -> np.ndarray:
+    """mom |s|^(p-2) s on the leading cells, from their slopes s, into out.
+
+    mom is the cell moment of r^alpha1.  The factor is formed as
+    copysign(|s|^(p-1) mom, s), which leaves s as it is.  That is
+    (sign(s) mom) |s|^(p-1) bit for bit, since the sign is exact and
+    rounding symmetric, but at s = -0.0, where it is -0.0 rather than 0.0.
+    """
+    np.abs(s, out=out)
+    out **= ps.p - 1.0
+    out *= grid.cell_moments(ps.alpha1)[:s.size]
+    return np.copysign(out, s, out=out)
+
+
+def pairing_factors(u: Profile, ps: ParamSet) -> np.ndarray:
+    """u's side of the Dirichlet pairing, r^alpha1 |u'|^(p-2) u' integrated
+    over each cell: mom_i |u'_i|^(p-2) u'_i, one value per cell."""
+    return _pairing_factors(u.grid, u.slopes(), ps, np.empty(u.grid.m - 1))
+
+
+def dirichlet_pairing(factors: np.ndarray, v: np.ndarray, grid: Grid,
                       work: np.ndarray | None = None, n: int | None = None) -> float:
     """integral_0^1 r^alpha1 |u'|^(p-2) u' v' dr, exact for the discrete class.
 
     It is the derivative of ||u + s v||^p / p at s = 0, for v given by its
-    nodal values on the grid of u (a direction, as a gradient is; the
-    caller sees that they are finite).  The per-cell terms are formed in
-    place, in the two rows of ``work`` (shape (2, cells)) when given.
-    With ``n``, u and v must be 0 from node n on, and only the first n - 1
-    terms are formed, as in ``dirichlet_norm``.
+    nodal values on the grid (a direction, as a gradient is).  u enters
+    through its ``pairing_factors``, so the pairing is the sum over the
+    cells of the factors times the slopes of v, which are formed in place,
+    in ``work`` (one value per cell) when given.  With ``n``, u and v must
+    be 0 from node n on, and only the first n - 1 terms are formed (and
+    factors read), as in ``dirichlet_norm``.
     """
-    if work is None:
-        work = np.empty((2, u.grid.m - 1))
-    c = _live_cells(u.grid, n)
-    su = u.slopes(work[0], n)[:c]
-    terms = np.sign(su, out=work[1][:c])
-    terms *= u.grid.cell_moments(ps.alpha1)[:c]
-    np.abs(su, out=su)
-    su **= ps.p - 1.0
-    terms *= su
-    terms *= _slopes(u.grid, v, work[0], n)[:c]
-    work[1][c:] = 0.0
-    return float(np.add.reduce(work[1]))
+    c = _live_cells(grid, n)
+    terms = _slopes(grid, v, work, n)
+    terms[:c] *= factors[:c]
+    return float(np.add.reduce(terms))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog import dop853
-from hslog.functionals import LogParams, energy_pairing
+from hslog.functionals import LogParams, energy_pairing, pairing_terms
 from hslog.params import NumericalError, ParamSet, ValidationError, brent_root
 from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
 
@@ -46,7 +46,7 @@ R_MIN = 1e-7
 # scan makes on (2, 2, 2, 2), (3, 2, 4, 4) and (4, 2, 6, 3) takes 134-1718;
 # a shot started at R_MIN inside a core much smaller than R_MIN took
 # 816,938 (a = 7000 on (2, 2, 2, 2), 1.7 s on a 2-vCPU Xeon), and one at
-# a = 1e4 ran for 52 s.  At the cap a shot stops after about 0.25 s there
+# a = 1e4 ran for 52 s.  At the cap a shot stops after about 0.1 s there
 MAX_RHS_EVALUATIONS = 100_000
 
 
@@ -237,11 +237,16 @@ def weak_test_profiles(grid: Grid) -> list[Profile]:
 
 
 def weak_residual(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """max of |<I'(u), v>| / ||v|| over a battery of 20 test profiles."""
+    """max of |<I'(u), v>| / ||v|| over the 20 ``weak_test_profiles`` v.
+
+    u's side of the pairing (``pairing_terms``) is formed once and given to
+    ``energy_pairing`` for every v.
+    """
+    terms = pairing_terms(u, lp, ps)
     worst = 0.0
     for v in weak_test_profiles(u.grid):
         nrm = dirichlet_norm(v, ps)
         if nrm == 0.0:
             continue
-        worst = max(worst, abs(energy_pairing(u, v, lp, ps)) / nrm)
+        worst = max(worst, abs(energy_pairing(u, v, lp, ps, terms)) / nrm)
     return worst

@@ -1,6 +1,7 @@
 """Tests for rate fitting, the sphere maximizer, and concentration checks."""
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -201,6 +202,21 @@ class TestAscentLineSearch:
         (16.0, 1e-5): (1, True, 0.9619551321026827),
     }
 
+    # beta -> (F_hat.hex(), iterations, sha256 of the profile) on the README
+    # config at M = 2000
+    BITS = {
+        0.5: ("0x1.f2a1193e132f8p-1", 8,
+              "de9ad064b840d0cc0f4cc0b3ebb9b9d0cbbc9715c63116748351f61127691d38"),
+        16.0: ("0x1.ec85621133652p-1", 1,
+               "5846a20a0c12624231631782f57f8064f0f4ba93accb33c935f7c18227210119"),
+    }
+
+    @pytest.mark.parametrize("beta", sorted(BITS))
+    def test_maximizer_bits(self, grid, beta):
+        res = maximize_F(P0, LogParams(1.0, beta), grid)
+        digest = hashlib.sha256(res.profile.values.tobytes()).hexdigest()
+        assert (res.value.hex(), res.iterations, digest) == self.BITS[beta]
+
     @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4)])
     @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(0.5, 0.5)])
     def test_gain_matches_central_difference(self, grid, pv, lp):
@@ -208,6 +224,7 @@ class TestAscentLineSearch:
         bubble = bliss.bubble_profile(bliss.BubbleSpec(1e-2, ps.a_hat), grid, ps)
         work = analysis._AscentWork(grid.m)
         u = analysis._project(bubble.values, grid, ps, work)
+        work.accept()
         J(u, lp, ps, work.at_u)
         direction = work.at_u.gradient(np.empty(grid.m))
         scale = float(np.sqrt(direction @ direction))
@@ -226,13 +243,26 @@ class TestAscentLineSearch:
         work = analysis._AscentWork(grid.m)
         work.start(bubble)
         u = analysis._project(bubble.values, grid, P0, work)
+        work.accept()
         J(u, LogParams(1.0, 0.5), P0, work.at_u)
         direction = work.at_u.gradient(np.empty(grid.m))
         direction[work.n // 2] = bad
+        # the norm of the direction is then inf or NaN, which the gain checks
         scale = float(np.sqrt(direction @ direction))
-        # inf / inf is the NaN that h must not carry into the pairing
         with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not finite"):
             analysis._first_order_gain(u, direction, scale, P0, work)
+
+    def test_ascent_rejects_a_nan_direction(self, grid, monkeypatch):
+        gradient = analysis.JNodes.gradient
+
+        def poisoned(self, out):
+            gradient(self, out)
+            out[np.flatnonzero(out)[0]] = np.nan
+            return out
+
+        monkeypatch.setattr(analysis.JNodes, "gradient", poisoned)
+        with pytest.raises(ValidationError, match="^the ascent direction is not finite$"):
+            maximize_F(P0, LogParams(1.0, 0.5), grid, eps_seeds=(1e-3,))
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 16.0])
     def test_outcome_pinned_and_budget(self, grid, beta, monkeypatch):

@@ -42,7 +42,8 @@ for eps in (1e-3, 1e-4, 1e-5):
     mp = mountain_pass_gap(bliss.BubbleSpec(eps, 1.0, 0.2), lp, ps)
     print(mp.max_energy.hex(), mp.t_at_max.hex())
 sol = shoot(lp, ps, (20.0, 50.0), make_grid(2000, 3.0))
-print(sol.amplitude.hex(), hashlib.sha256(sol.profile.values.tobytes()).hexdigest())
+print(sol.amplitude.hex(), hashlib.sha256(sol.profile.values.tobytes()).hexdigest(),
+      sol.weak_residual.hex(), sol.ivp_evaluations)
 """
 
 

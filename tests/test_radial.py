@@ -12,6 +12,7 @@ from hslog.radial import (
     dirichlet_norm,
     dirichlet_pairing,
     make_grid,
+    pairing_factors,
     pointwise_bound_check,
     profile_to_csv,
     weighted_integral,
@@ -166,9 +167,27 @@ class TestDirichletNorm:
             2.0 * dirichlet_norm(u, P0), rel=1e-13)
 
 
+class TestDirichletPairing:
+    @pytest.mark.parametrize("pv", [(2, 2, 2, 2), (3, 2, 4, 4), (1.5, 1, 1, 1)])
+    def test_factors_are_the_plain_formula(self, pv):
+        # mom sign(u') |u'|^(p-1), zero slopes included, bit for bit
+        ps = validate_params(*pv)
+        g = make_grid(500, 3.0)
+        vals = np.random.default_rng(4).normal(size=g.m)
+        vals[100:140] = 0.25
+        u = Profile(g, vals)
+        s = u.slopes()
+        plain = g.cell_moments(ps.alpha1) * np.sign(s) * np.abs(s) ** (ps.p - 1.0)
+        factors = pairing_factors(u, ps)
+        assert np.array_equal(factors, plain)
+        v = np.random.default_rng(5).normal(size=g.m)
+        assert dirichlet_pairing(factors, v, g) == float(np.sum(plain * Profile(g, v).slopes()))
+
+
 class TestTrimmedDirichlet:
-    """With n, the Dirichlet norm and pairing form the terms of the first
-    n - 1 cells only, and the sums keep the bits of the full ones."""
+    """With n, the Dirichlet norm, the pairing factors it writes and the
+    pairing form the terms of the first n - 1 cells only, and the sums keep
+    the bits of the full ones."""
 
     @pytest.mark.parametrize("zeros_from", [1, 700, 1999, 2000])
     def test_bit_identical_to_full(self, zeros_from):
@@ -182,10 +201,12 @@ class TestTrimmedDirichlet:
             for n in {min(zeros_from + 1, g.m), g.m}:
                 # stale work arrays: the cells past n are written as 0
                 work = np.full((2, g.m - 1), np.nan)
-                assert dirichlet_norm(u, ps, work[0], n) == dirichlet_norm(u, ps)
-                assert (dirichlet_pairing(u, v_vals, ps, work, n)
-                        == dirichlet_pairing(u, v_vals, ps))
-                assert not np.any(work[1][n - 1:])
+                factors = pairing_factors(u, ps)
+                assert dirichlet_norm(u, ps, work[0], n, work[1]) == dirichlet_norm(u, ps)
+                assert np.array_equal(work[1][:n - 1], factors[:n - 1])
+                assert (dirichlet_pairing(work[1], v_vals, g, work[0], n)
+                        == dirichlet_pairing(factors, v_vals, g))
+                assert not np.any(work[0][n - 1:])
 
     def test_slopes_past_n_are_zero(self):
         g = make_grid(64, 2.0)

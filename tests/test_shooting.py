@@ -1,5 +1,6 @@
 """Tests for the flux-form IVP and amplitude shooting."""
 
+import hashlib
 import math
 import re
 import time
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from hslog import dop853, shooting
-from hslog.functionals import LogParams, energy_I
+from hslog.functionals import LogParams, energy_I, energy_pairing
 from hslog.params import NumericalError, ValidationError, validate_params
-from hslog.radial import Profile, make_grid, pointwise_bound_check
+from hslog.radial import Profile, dirichlet_norm, make_grid, pointwise_bound_check
 from hslog.shooting import (
     boundary_value,
     ivp_integrate,
@@ -148,6 +149,73 @@ class TestDop853MatchesScipy:
             want[above] = ref.sol(grid.nodes[above])[0]
             want[-1] = ref.y[0, -1]
             assert np.all(np.abs(profile.values - want) <= 1e-10)
+
+
+def _count_calls(monkeypatch):
+    """(trajectory, calls of its right-hand side) of each integration."""
+    runs = []
+    integrate = dop853.integrate
+
+    def counting(fun, *args, **kwargs):
+        calls = [0]
+
+        def counted(*state):
+            calls[0] += 1
+            return fun(*state)
+
+        traj = integrate(counted, *args, **kwargs)
+        runs.append((traj, calls[0]))
+        return traj
+
+    monkeypatch.setattr(dop853, "integrate", counting)
+    return runs
+
+
+class TestDop853Calls:
+    """The integrator calls the right-hand side exactly ``nfev`` times."""
+
+    @pytest.mark.parametrize("amplitude", [20.0, 23.2, 50.0])
+    @pytest.mark.parametrize("dense", [False, True], ids=["plain", "dense"])
+    def test_calls_equal_nfev(self, amplitude, dense, grid, monkeypatch):
+        runs = _count_calls(monkeypatch)
+        ivp_integrate(amplitude, LP, P0, grid=grid if dense else None)
+        (traj, calls), = runs
+        assert traj.status == "finished" and calls == traj.nfev
+        # two calls start the integration, every trial step makes 12 and a
+        # dense step 3 more; these shots reject some trial steps
+        trials, rest = divmod(traj.nfev - 2 - (3 * traj.n_steps if dense else 0), 12)
+        assert rest == 0 and trials > traj.n_steps
+
+    def test_calls_equal_nfev_at_a_blowup(self, monkeypatch):
+        monkeypatch.setattr(shooting, "_source", lambda r, u, tau, beta, p_star: 1e12)
+        runs = _count_calls(monkeypatch)
+        with pytest.raises(NumericalError):
+            boundary_value(20.0, LP, P0)
+        (traj, calls), = runs
+        assert traj.status == "limit" and calls == traj.nfev
+
+
+class TestBitPins:
+    """The README shots, the shooting solution and its weak residual, bit for bit."""
+
+    # amplitude -> (u(1).hex(), right-hand-side calls) of the plain shot
+    SHOTS = {
+        20.0: ("0x1.57636b028a1b8p-6", 770),
+        23.2: ("-0x1.27f6195c4e200p-16", 818),
+        50.0: ("-0x1.531061e78fc41p-4", 1070),
+    }
+
+    @pytest.mark.parametrize("amplitude", sorted(SHOTS))
+    def test_readme_shot(self, amplitude):
+        _, u_end, nfev = ivp_integrate(amplitude, LP, P0)
+        assert (u_end.hex(), nfev) == self.SHOTS[amplitude]
+
+    def test_readme_solution(self, solution):
+        digest = hashlib.sha256(solution.profile.values.tobytes()).hexdigest()
+        assert solution.amplitude.hex() == "0x1.7326c39cce8c0p+4"
+        assert digest == "83dbe82314a30e03c6cba9fffb5cb3dc78ba5bcb8566145344ee0bbbfaf09830"
+        assert solution.weak_residual.hex() == "0x1.1956c045071eap-16"
+        assert (solution.bisection_iterations, solution.ivp_evaluations) == (9, 998)
 
 
 _STALL = re.compile(r"IVP integration stalled at r = (\S+) \(amplitude 20, "
@@ -334,6 +402,19 @@ class TestWeakResidual:
         assert len(battery) == 20
         for v in battery:
             assert v.values[-1] == 0.0
+
+    @pytest.mark.parametrize("lpv", [(1.0, 0.5), (2.0, 3.0)])
+    def test_is_the_max_of_the_pairings(self, grid, solution, lpv):
+        # u's side is formed once, and each ratio is that of a plain
+        # energy_pairing, which forms it anew, bit for bit
+        lp = LogParams(*lpv)
+        rng = np.random.default_rng(8)
+        vals = np.abs(rng.normal(size=grid.m))
+        vals[-1] = 0.0
+        for u in (solution.profile, Profile(grid, vals)):
+            want = max(abs(energy_pairing(u, v, lp, P0)) / dirichlet_norm(v, P0)
+                       for v in weak_test_profiles(grid))
+            assert weak_residual(u, lp, P0) == want
 
     def test_random_profile_is_far_from_solving(self, grid):
         rng = np.random.default_rng(77)
