@@ -215,6 +215,15 @@ def _first_order_gain(u: Profile, direction: np.ndarray, scale: float, ps: Param
     Both u and d are 0 from node ``work.n`` on, so the pairing is formed on
     the first ``work.n`` nodes.  scale = |d| is finite iff every entry of d
     is and their squares do not overflow; the gain is only defined then.
+
+    This is the gain of the direct form d.h - (d.u) <u, h> in exact
+    arithmetic, not in floating point: the rounding differs by a few ulps.
+    The gain only gates the step halving (step * gain against a floor), so
+    the iterates are those of the direct form unless some gate sits within
+    that rounding of the floor.  No run checked so far has one: the
+    maximizers pinned in the tests and every seed's ascent on (2, 2, 2, 2)
+    and (3, 2, 4, 4) at M = 2000 and 16000, for J0 and four (tau, beta),
+    came out bit for bit the same.
     """
     if not math.isfinite(scale):
         raise ValidationError("the ascent direction is not finite")

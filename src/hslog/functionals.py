@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.params import ParamSet, ValidationError
-from hslog.radial import (_GL16_W, _GL16_X, Profile, dirichlet_norm, dirichlet_pairing,
+from hslog.radial import (_GL16_W, _GL16_X, Grid, Profile, dirichlet_norm, dirichlet_pairing,
                           pairing_factors, weighted_integral)
 
 
@@ -321,9 +321,10 @@ class PairingTerms:
 
     ``factors`` are u's Dirichlet pairing factors (``pairing_factors``),
     one per cell, and ``source`` is sign(u)|u|^(p*-1) (ln(tau+|u|))^(r^beta)
-    at the nodes, an exact 0 past the support of u.
+    at the nodes of ``grid``, an exact 0 past the support of u.
     """
 
+    grid: Grid
     factors: np.ndarray
     source: np.ndarray
 
@@ -336,23 +337,20 @@ def pairing_terms(u: Profile, lp: LogParams, ps: ParamSet) -> PairingTerms:
     source = np.zeros(u.grid.m)
     source[:k] = (np.sign(w) * np.abs(w) ** (ps.p_star - 1.0)
                   * log_factor_nodes(u.grid.node_power(lp.beta)[:k], w, lp))
-    return PairingTerms(pairing_factors(u, ps), source)
+    return PairingTerms(u.grid, pairing_factors(u, ps), source)
 
 
-def energy_pairing(u: Profile, v: Profile, lp: LogParams, ps: ParamSet,
-                   terms: PairingTerms | None = None) -> float:
+def energy_pairing(terms: PairingTerms, v: Profile, ps: ParamSet) -> float:
     """<I'(u), v>: Dirichlet pairing minus the critical source term.
 
-    The source carries sign(u)|u|^(p*-1), the odd form that matches both the
+    u enters through its ``pairing_terms``, so one set of them serves any
+    number of v (``shooting.weak_residual`` pairs one u with 20).  The
+    source carries sign(u)|u|^(p*-1), the odd form that matches both the
     equation's right-hand side and the derivative of the discrete energy.
-    u enters through its ``pairing_terms``, formed here unless ``terms``
-    holds them; ``shooting.weak_residual`` forms them once for all its test
-    profiles.
     """
-    if terms is None:
-        terms = pairing_terms(u, lp, ps)
-    if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
+    grid = terms.grid
+    if grid is not v.grid and not np.array_equal(grid.nodes, v.grid.nodes):
         raise ValidationError("pairing requires profiles on the same grid")
-    term1 = dirichlet_pairing(terms.factors, v.values, u.grid)
-    term2 = weighted_integral(u.grid, terms.source * v.values, ps.theta)
+    term1 = dirichlet_pairing(terms.factors, v.values, grid)
+    term2 = weighted_integral(grid, terms.source * v.values, ps.theta)
     return term1 - term2

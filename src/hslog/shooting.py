@@ -248,5 +248,5 @@ def weak_residual(u: Profile, lp: LogParams, ps: ParamSet) -> float:
         nrm = dirichlet_norm(v, ps)
         if nrm == 0.0:
             continue
-        worst = max(worst, abs(energy_pairing(u, v, lp, ps, terms)) / nrm)
+        worst = max(worst, abs(energy_pairing(terms, v, ps)) / nrm)
     return worst

@@ -34,7 +34,8 @@ from hslog.analysis import (
     random_smooth_profile,
     rate_fit,
 )
-from hslog.functionals import J, LogParams, energy_I, energy_pairing, ray_terms
+from hslog.functionals import (J, LogParams, energy_I, energy_pairing, pairing_terms,
+                               ray_terms)
 from hslog.orlicz import (
     GammaSpec,
     convexity_check,
@@ -260,7 +261,7 @@ def test_criterion_11_gradient_consistency():
             v = random_smooth_profile(g, rng)
             fd = (energy_I(Profile(g, u.values + h * v.values), lp, ps)
                   - energy_I(Profile(g, u.values - h * v.values), lp, ps)) / (2 * h)
-            pairing = energy_pairing(u, v, lp, ps)
+            pairing = energy_pairing(pairing_terms(u, lp, ps), v, ps)
             worst = max(worst, abs(fd - pairing) / max(1.0, abs(pairing)))
     assert verdict("11", worst < 1e-5,
                    f"worst relative error {worst:.2e} over 150 pairs, 3 parameter sets")

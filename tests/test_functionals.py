@@ -18,6 +18,7 @@ from hslog.functionals import (
     energy_I,
     energy_pairing,
     log_factor_nodes,
+    pairing_terms,
     ray_sum,
     ray_terms,
 )
@@ -214,7 +215,7 @@ class TestEnergyPairing:
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = Profile(g, rng.normal(size=g.m))
-            assert energy_pairing(z, v, self.LP, P0) == 0.0
+            assert energy_pairing(pairing_terms(z, self.LP, P0), v, P0) == 0.0
 
     def test_additive_in_direction(self):
         g = make_grid(256, 2.0)
@@ -223,9 +224,9 @@ class TestEnergyPairing:
         v1 = Profile(g, rng.normal(size=g.m))
         v2 = Profile(g, rng.normal(size=g.m))
         combined = Profile(g, v1.values + v2.values)
-        assert energy_pairing(u, combined, self.LP, P0) == pytest.approx(
-            energy_pairing(u, v1, self.LP, P0) + energy_pairing(u, v2, self.LP, P0),
-            abs=1e-12)
+        terms = pairing_terms(u, self.LP, P0)
+        assert energy_pairing(terms, combined, P0) == pytest.approx(
+            energy_pairing(terms, v1, P0) + energy_pairing(terms, v2, P0), abs=1e-12)
 
     @pytest.mark.parametrize("ps", [P0, P1, validate_params(2.5, 1.0, 3.0, 2.5)])
     def test_matches_central_differences(self, ps):
@@ -237,8 +238,14 @@ class TestEnergyPairing:
             v = Profile(g, _smooth(g, rng))
             fd = (energy_I(Profile(g, u.values + h * v.values), self.LP, ps)
                   - energy_I(Profile(g, u.values - h * v.values), self.LP, ps)) / (2 * h)
-            pairing = energy_pairing(u, v, self.LP, ps)
+            pairing = energy_pairing(pairing_terms(u, self.LP, ps), v, ps)
             assert abs(fd - pairing) / max(1.0, abs(pairing)) < 1e-5
+
+    def test_rejects_a_direction_on_another_grid(self):
+        u = Profile(make_grid(256, 2.0), np.ones(256))
+        v = Profile(make_grid(256, 3.0), np.ones(256))
+        with pytest.raises(ValidationError, match="on the same grid"):
+            energy_pairing(pairing_terms(u, self.LP, P0), v, P0)
 
 
 def _smooth(grid, rng):
@@ -345,7 +352,8 @@ class TestSupportTrim:
         v = Profile(u.grid, _smooth(u.grid, np.random.default_rng(23)))
         for ps in (P0, P1):
             assert energy_I(u, lp, ps) == _energy_full(u, lp, ps)
-            assert energy_pairing(u, v, lp, ps) == _pairing_full(u, v, lp, ps)
+            pairing = energy_pairing(pairing_terms(u, lp, ps), v, ps)
+            assert pairing == _pairing_full(u, v, lp, ps)
 
     @pytest.mark.parametrize("tail", range(17))
     def test_primitive_for_every_tail_length(self, tail):
@@ -370,7 +378,7 @@ class TestSupportTrim:
                                 or kernel(e, w, *rest))
         u = _support_profile(kind)
         energy_I(u, self.LP, P1)
-        energy_pairing(u, u, self.LP, P1)
+        energy_pairing(pairing_terms(u, self.LP, P1), u, P1)
         assert seen == [expected, expected]
 
 

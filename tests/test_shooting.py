@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hslog import dop853, shooting
-from hslog.functionals import LogParams, energy_I, energy_pairing
+from hslog.functionals import LogParams, energy_I, energy_pairing, pairing_terms
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import Profile, dirichlet_norm, make_grid, pointwise_bound_check
 from hslog.shooting import (
@@ -405,15 +405,15 @@ class TestWeakResidual:
 
     @pytest.mark.parametrize("lpv", [(1.0, 0.5), (2.0, 3.0)])
     def test_is_the_max_of_the_pairings(self, grid, solution, lpv):
-        # u's side is formed once, and each ratio is that of a plain
-        # energy_pairing, which forms it anew, bit for bit
+        # u's side is formed once, and each ratio is that of an
+        # energy_pairing of u's terms formed anew, bit for bit
         lp = LogParams(*lpv)
         rng = np.random.default_rng(8)
         vals = np.abs(rng.normal(size=grid.m))
         vals[-1] = 0.0
         for u in (solution.profile, Profile(grid, vals)):
-            want = max(abs(energy_pairing(u, v, lp, P0)) / dirichlet_norm(v, P0)
-                       for v in weak_test_profiles(grid))
+            want = max(abs(energy_pairing(pairing_terms(u, lp, P0), v, P0))
+                       / dirichlet_norm(v, P0) for v in weak_test_profiles(grid))
             assert weak_residual(u, lp, P0) == want
 
     def test_random_profile_is_far_from_solving(self, grid):
