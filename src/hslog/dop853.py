@@ -6,9 +6,11 @@ sequential sum, and a step builds no array.  The algorithm is scipy's, step
 for step: the initial step of ``select_initial_step`` (error order 7), the
 12-stage step with its last stage reused as the next first one (FSAL), the
 E5/E3 error norm, the controller (safety 0.9, step factors 0.2 to 10,
-exponent -1/8, a minimum step of 10 ulp of t) and, on request, the
+exponent -1/8, a minimum step of 10 ulp of t) and the
 ``Dop853DenseOutput`` polynomial of u with ``OdeSolution``'s choice of
-segment.
+segment.  The dense output is built when u is first sampled, from the
+stages each accepted step keeps, so a trajectory that is never sampled
+pays for it nothing but the keeping.
 
 The results agree with scipy's to rounding, not bit for bit: scipy forms
 each stage sum with ``np.dot`` on a (2, s) view, which BLAS evaluates in its
@@ -33,7 +35,8 @@ and the interpolant of dense output loop over their rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -300,9 +303,9 @@ class Trajectory:
     10 ulp of t) or "work" (the right-hand-side calls reached their cap
     before t_bound).  (t, u, w) is the last accepted state: for "limit" the
     end of the step that crossed the limit.  ``nfev`` counts right-hand-
-    side calls, ``n_steps`` accepted steps.  With dense output, ``knots``
-    holds t0 and the end of every accepted step, and ``segments`` one row
-    per step: t_old, h, u_old and the seven interpolant coefficients of u.
+    side calls.  ``steps`` holds one row per accepted step: t_old, h, u_old,
+    w_old, u_new and the 13 stages of u' and of w' (f at t_old first, f at
+    t_old + h last), which the dense output of ``fun`` is built from.
     """
 
     status: str
@@ -310,18 +313,26 @@ class Trajectory:
     u: float
     w: float
     nfev: int
-    n_steps: int
-    knots: list
-    segments: list
+    steps: list
+    fun: object = field(repr=False, compare=False)
+
+    @cached_property
+    def _segments(self) -> np.ndarray:
+        """One row per step: t_old, h, u_old and the seven interpolant
+        coefficients of u.  Building them calls fun 3 times per step, and
+        ``nfev`` counts those calls from then on."""
+        self.nfev += 3 * len(self.steps)
+        return np.array([_interpolant(self.fun, *step) for step in self.steps])
 
     def dense_u(self, t: np.ndarray) -> np.ndarray:
         """u at the points t in [t0, t_bound], from each one's step polynomial.
 
         A point on a knot takes the earlier step, as ``OdeSolution`` does.
         """
-        seg = np.searchsorted(np.asarray(self.knots), t, side="left") - 1
-        np.clip(seg, 0, len(self.segments) - 1, out=seg)
-        rows = np.asarray(self.segments)[seg]
+        rows = self._segments
+        seg = np.searchsorted(np.append(rows[:, 0], self.t), t, side="left") - 1
+        np.clip(seg, 0, len(rows) - 1, out=seg)
+        rows = rows[seg]
         x = (t - rows[:, 0]) / rows[:, 1]
         y = np.zeros(len(t))
         for i, k in enumerate(range(9, 2, -1)):
@@ -373,12 +384,13 @@ def _add_stages(fun, t, u, w, h, ku, kw, stages):
         kw.append(fw)
 
 
-def _interpolant(fun, t, u, w, h, ku, kw, u_new):
-    """Row of ``Trajectory.segments`` for the step from (t, u, w) of length h.
+def _interpolant(fun, t, h, u, w, u_new, ku, kw):
+    """Row of ``Trajectory._segments`` for the step from (t, u, w) of length h.
 
-    Adds the three extra stages to ku and kw, as scipy's
+    Adds the three extra stages to the 13 of ku and kw, as scipy's
     ``DOP853._dense_output_impl`` does, and keeps the u coefficients.
     """
+    ku, kw = list(ku), list(kw)
     _add_stages(fun, t, u, w, h, ku, kw, _EXTRA_STAGES)
     delta = u_new - u
     f_old, f_new = ku[0], ku[12]
@@ -392,27 +404,23 @@ def _interpolant(fun, t, u, w, h, ku, kw, u_new):
 
 
 def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
-              atol: float, u_limit: float, dense: bool, max_nfev: int) -> Trajectory:
+              atol: float, u_limit: float, max_nfev: int) -> Trajectory:
     """Integrate (u, w)' = fun(t, u, w) from t0 to t_bound > t0.
 
     fun returns the pair (u', w') as floats.  rtol and atol apply to both
     components.  The integration stops after the first accepted step that
     ends with |u| >= u_limit, the terminal event |u| - u_limit = 0 of the
     scipy call, but at the end of that step rather than at the event time.
-    With ``dense`` every accepted step costs three more calls of fun and
-    keeps its interpolant of u (``Trajectory.dense_u``).  No step is tried
-    once fun has been called ``max_nfev`` times; scipy has no such cap, and
-    below it the steps are scipy's.  fun is called exactly ``nfev`` times:
-    twice to start, 12 times per trial step and 3 times more per accepted
-    step with ``dense``.
+    No step is tried once fun has been called ``max_nfev`` times; scipy has
+    no such cap, and below it the steps are scipy's.  fun is called exactly
+    ``nfev`` times: twice to start, 12 times per trial step and, once u is
+    sampled (``Trajectory.dense_u``), 3 times more per accepted step.
     """
     t, u, w = t0, u0, w0
     du, dw = fun(t, u, w)
     h_abs = _initial_step(fun, t, u, w, du, dw, t_bound, rtol, atol)
     nfev = 2
-    n_steps = 0
-    knots = [t0] if dense else []
-    segments = []
+    steps = []
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -420,9 +428,9 @@ def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
         rejected = False
         while True:
             if h_abs < min_step:
-                return Trajectory("step", t, u, w, nfev, n_steps, knots, segments)
+                return Trajectory("step", t, u, w, nfev, steps, fun)
             if nfev >= max_nfev:
-                return Trajectory("work", t, u, w, nfev, n_steps, knots, segments)
+                return Trajectory("work", t, u, w, nfev, steps, fun)
             t_new = t + h_abs
             if t_new - t_bound > 0:
                 t_new = t_bound
@@ -513,15 +521,11 @@ def integrate(fun, t0: float, u0: float, w0: float, t_bound: float, rtol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
 
-        if dense:
-            ku = [du, k1u, k2u, k3u, k4u, k5u, k6u, k7u, k8u, k9u, k10u, k11u, du_new]
-            kw = [dw, k1w, k2w, k3w, k4w, k5w, k6w, k7w, k8w, k9w, k10w, k11w, dw_new]
-            segments.append(_interpolant(fun, t, u, w, h, ku, kw, u_new))
-            knots.append(t_new)
-            nfev += 3
+        steps.append((t, h, u, w, u_new,
+                      (du, k1u, k2u, k3u, k4u, k5u, k6u, k7u, k8u, k9u, k10u, k11u, du_new),
+                      (dw, k1w, k2w, k3w, k4w, k5w, k6w, k7w, k8w, k9w, k10w, k11w, dw_new)))
         t, u, w, du, dw = t_new, u_new, w_new, du_new, dw_new
-        n_steps += 1
         if abs(u) >= u_limit:
-            return Trajectory("limit", t, u, w, nfev, n_steps, knots, segments)
+            return Trajectory("limit", t, u, w, nfev, steps, fun)
         if t - t_bound >= 0:
-            return Trajectory("finished", t, u, w, nfev, n_steps, knots, segments)
+            return Trajectory("finished", t, u, w, nfev, steps, fun)

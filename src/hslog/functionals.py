@@ -12,9 +12,10 @@ with F(r, a) = int_0^|a| s^(p*-1) (ln(tau+s))^(r^beta) ds the primitive of
 the source of the radial equation that the shooting solver integrates.
 Since d_a F is that source, the pairing above is the exact gradient of the
 discrete energy; this is what the finite-difference consistency tests
-exercise.  ``shooting.weak_residual`` reads the pairing, with u's side of
-it (``pairing_terms``) formed once for all its test profiles; no command
-reads the grid energy ``energy_I``, which is its reference.  The mountain-pass gap
+exercise.  ``shooting.weak_residual`` takes the dual norm of the pairing
+from u's side of it (``pairing_terms``) in closed form; no command reads
+the pairing ``energy_pairing``, which is that norm's reference, nor the
+grid energy ``energy_I``, which is the pairing's.  The mountain-pass gap
 takes a bubble's energy at its tanh-sinh nodes (``analysis.bubble_energy``).
 
 The nodal integrands of J, I, the pairing and the ascent gradient each
@@ -344,9 +345,10 @@ def energy_pairing(terms: PairingTerms, v: Profile, ps: ParamSet) -> float:
     """<I'(u), v>: Dirichlet pairing minus the critical source term.
 
     u enters through its ``pairing_terms``, so one set of them serves any
-    number of v (``shooting.weak_residual`` pairs one u with 20).  The
-    source carries sign(u)|u|^(p*-1), the odd form that matches both the
-    equation's right-hand side and the derivative of the discrete energy.
+    number of v.  No command calls it; the tests check ``radial.dual_norm``
+    against it.  The source carries sign(u)|u|^(p*-1), the odd form that
+    matches both the equation's right-hand side and the derivative of the
+    discrete energy.
     """
     grid = terms.grid
     if grid is not v.grid and not np.array_equal(grid.nodes, v.grid.nodes):

@@ -21,7 +21,6 @@ for many v, or from the slopes the norm takes.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -234,6 +233,29 @@ def dirichlet_pairing(factors: np.ndarray, v: np.ndarray, grid: Grid,
     return float(np.add.reduce(terms))
 
 
+def dual_norm(factors: np.ndarray, source: np.ndarray, grid: Grid, ps: ParamSet) -> float:
+    """sup over v of |l(v)| / ||v||, exact for the discrete class with v(1) = 0.
+
+    l(v) = integral r^alpha1 |u'|^(p-2) u' v' - integral r^theta source v,
+    with u given by its ``pairing_factors`` T and the source by its nodal
+    values, the functional ``functionals.energy_pairing`` evaluates.  A v
+    with v(1) = 0 is fixed by its slopes s_i, v_j = -sum_{i>=j} h_i s_i, so
+    with q the r^theta weights and Q_i = sum_{j<=i} q_j source_j,
+    l(v) = sum_i c_i s_i for c_i = T_i + h_i Q_i, and ||v||^p =
+    sum_i mom_i |s_i|^p.  By Hoelder's equality the supremum is
+    (sum_i |c_i|^p' mom_i^(1-p'))^(1/p'), p' = p/(p-1), attained at
+    s_i = sign(c_i) (|c_i| / mom_i)^(1/(p-1)).
+    """
+    c = np.cumsum(grid.quad_weights(ps.theta)[:-1] * source[:-1])
+    c *= grid.cell_widths
+    c += factors
+    dual = ps.p / (ps.p - 1.0)
+    np.abs(c, out=c)
+    c **= dual
+    c *= grid.cell_moments(ps.alpha1) ** (1.0 - dual)
+    return float(np.add.reduce(c) ** (1.0 / dual))
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of the pointwise decay-bound check.
@@ -273,8 +295,5 @@ def pointwise_bound_check(u: Profile, ps: ParamSet) -> BoundReport:
 
 
 def profile_to_csv(u: Profile) -> str:
-    buf = io.StringIO()
-    buf.write("r,u\n")
-    for r, v in zip(u.grid.nodes.tolist(), u.values.tolist()):
-        buf.write(f"{r:.12g},{v:.12g}\n")
-    return buf.getvalue()
+    return "r,u\n" + "".join(["%.12g,%.12g\n" % row
+                               for row in zip(u.grid.nodes.tolist(), u.values.tolist())])

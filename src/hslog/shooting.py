@@ -17,14 +17,16 @@ Shooting finds a root of the boundary map a -> u(1; a) with Brent's method
 (``params.brent_root``).  The map can be non-smooth through the log
 factor; Brent keeps a sign-change bracket at every step, so it is as robust
 there as bisection while it converges superlinearly where the map is
-smooth.  Each amplitude is shot once, without dense output; only
-the root is integrated again, to sample the solution on the grid.  That
-second integration is the cheaper design: dense output costs about half as
-much again per shot (998 against 818 right-hand-side evaluations at the
-root on the README config), so keeping it on all 9 Brent shots would cost
-more than the one extra shot.  The integrator is ``dop853.integrate``, a
-port of scipy's DOP853 to a state of two Python floats, so shooting loads
-no scipy.
+smooth.  Each amplitude is shot once.  A shot keeps the stages of its
+steps, and the root's shot, which Brent has already taken, is sampled on
+the grid from them: its dense output is built then, for that shot only
+(998 right-hand-side evaluations at the root on the README config, 818 of
+them the shot's own).  The integrator is ``dop853.integrate``, a port of
+scipy's DOP853 to a state of two Python floats, so shooting loads no
+scipy.
+
+The weak residual is the dual norm of I'(u) over the discrete profiles
+that vanish at r = 1, in closed form (``radial.dual_norm``).
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog import dop853
-from hslog.functionals import LogParams, energy_pairing, pairing_terms
+from hslog.functionals import LogParams, pairing_terms
 from hslog.params import NumericalError, ParamSet, ValidationError, brent_root
-from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dirichlet_norm
+from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dual_norm
 
 # the radius every shot starts at, with zero flux
 R_MIN = 1e-7
@@ -57,8 +59,8 @@ class ShootResult:
     ``bisection_iterations`` counts the amplitudes shot to find the root,
     bracket ends included (amplitude 0 is never shot); the name is kept
     because the shoot metadata and its readers use it.  ``ivp_evaluations``
-    counts the right-hand-side evaluations of the final shot only, the one
-    that samples the solution on the grid.
+    counts the right-hand-side evaluations of the root's shot only, with
+    the three per step that its sampling on the grid adds.
     """
 
     profile: Profile
@@ -94,13 +96,11 @@ def _series_step(amplitude: float, r_min: float, r_boot: float, lp: LogParams,
     return amplitude + float(np.sum(wts * du)), w_of(r_boot)
 
 
-def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, grid: Grid | None = None):
+def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet) -> dop853.Trajectory:
     """Integrate the flux system from ``R_MIN`` to 1 at relative tolerance 1e-10.
 
-    Returns (profile_or_None, u(1), right-hand-side evaluations).  The
-    profile is built when a grid is given: nodes below 2 ``R_MIN`` carry the
-    amplitude value.  Only then does the integrator keep dense output,
-    which the grid sampling needs.
+    Returns the finished ``dop853.Trajectory``: u(1) is its ``u`` and its
+    ``dense_u`` samples u on (2 ``R_MIN``, 1].  Amplitude 0 gives u = 0.
 
     A shot whose |u| reaches 1e8 max(1, |amplitude|), whose step size
     underflows, or that reaches ``MAX_RHS_EVALUATIONS`` right-hand-side
@@ -123,46 +123,30 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet, grid: Grid | No
             return math.inf, math.inf
         return du, dw
 
-    if amplitude == 0.0:
-        traj = None
-        u_end = 0.0
-        nfev = 0
-    else:
-        r_boot = 2.0 * R_MIN
-        u_boot, w_boot = _series_step(amplitude, R_MIN, r_boot, lp, ps, p_star)
-        traj = dop853.integrate(rhs, r_boot, u_boot, w_boot, 1.0, rtol=1e-10,
-                                atol=1e-13 * max(1.0, abs(amplitude)),
-                                u_limit=1e8 * max(1.0, abs(amplitude)),
-                                dense=grid is not None, max_nfev=MAX_RHS_EVALUATIONS)
-        u_end = traj.u
-        if traj.status == "work":
-            raise NumericalError(
-                f"IVP integration used its {MAX_RHS_EVALUATIONS} right-hand-side "
-                f"evaluations at r = {traj.t:.6g} (amplitude {amplitude:g}, last good "
-                f"state u = {u_end:.3e}, w = {traj.w:.3e})"
-            )
-        if traj.status != "finished":
-            raise NumericalError(
-                f"IVP integration stalled at r = {traj.t:.6g} "
-                f"(amplitude {amplitude:g}, last good state u = {u_end:.3e}, "
-                f"w = {traj.w:.3e})"
-            )
-        nfev = traj.nfev
-
-    profile = None
-    if grid is not None:
-        vals = np.full(grid.m, float(amplitude))
-        if traj is not None:
-            above = grid.nodes >= 2.0 * R_MIN
-            vals[above] = traj.dense_u(grid.nodes[above])
-        vals[-1] = u_end
-        profile = Profile(grid, vals)
-    return profile, u_end, nfev
+    r_boot = 2.0 * R_MIN
+    u_boot, w_boot = _series_step(amplitude, R_MIN, r_boot, lp, ps, p_star)
+    traj = dop853.integrate(rhs, r_boot, u_boot, w_boot, 1.0, rtol=1e-10,
+                            atol=1e-13 * max(1.0, abs(amplitude)),
+                            u_limit=1e8 * max(1.0, abs(amplitude)),
+                            max_nfev=MAX_RHS_EVALUATIONS)
+    if traj.status == "work":
+        raise NumericalError(
+            f"IVP integration used its {MAX_RHS_EVALUATIONS} right-hand-side "
+            f"evaluations at r = {traj.t:.6g} (amplitude {amplitude:g}, last good "
+            f"state u = {traj.u:.3e}, w = {traj.w:.3e})"
+        )
+    if traj.status != "finished":
+        raise NumericalError(
+            f"IVP integration stalled at r = {traj.t:.6g} "
+            f"(amplitude {amplitude:g}, last good state u = {traj.u:.3e}, "
+            f"w = {traj.w:.3e})"
+        )
+    return traj
 
 
 def boundary_value(amplitude: float, lp: LogParams, ps: ParamSet) -> float:
     """u(1; amplitude)."""
-    return ivp_integrate(amplitude, lp, ps)[1]
+    return ivp_integrate(amplitude, lp, ps).u
 
 
 def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid) -> ShootResult:
@@ -184,11 +168,11 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid)
     if not 0 <= a_lo < a_hi:
         raise ValidationError(f"need 0 <= a_lo < a_hi, got {bracket}")
     ivp_args = (lp, ps)
-    shots = []
+    shots = {}
 
     def shot(a, *args):
-        shots.append(a)
-        return boundary_value(a, *args)
+        shots[a] = ivp_integrate(a, *args)
+        return shots[a].u
 
     f_lo = shot(a_lo, *ivp_args) if a_lo > 0 else 1.0
     f_hi = shot(a_hi, *ivp_args)
@@ -206,47 +190,30 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid)
             f"at amplitude {a_star:.12g}"
         )
 
-    profile, _, nfev = ivp_integrate(a_star, lp, ps, grid=grid)
-    inner = profile.values[:-1]
-    positive = bool(np.all(inner > 0.0))
-    vals = profile.values.copy()
+    # nodes below the shot's start carry the amplitude
+    traj = shots[a_star]
+    vals = np.full(grid.m, a_star)
+    above = grid.nodes >= 2.0 * R_MIN
+    vals[above] = traj.dense_u(grid.nodes[above])
+    positive = bool(np.all(vals[:-1] > 0.0))
     vals[-1] = 0.0
-    clamped = Profile(grid, vals)
-    wres = weak_residual(clamped, lp, ps)
+    profile = Profile(grid, vals)
     return ShootResult(
-        profile=clamped,
+        profile=profile,
         amplitude=a_star,
         boundary_residual=abs(f_star),
-        weak_residual=wres,
+        weak_residual=weak_residual(profile, lp, ps),
         bisection_iterations=len(shots),
-        ivp_evaluations=nfev,
+        ivp_evaluations=traj.nfev,
         positive_inside=positive,
     )
 
 
-def weak_test_profiles(grid: Grid) -> list[Profile]:
-    """10 low-frequency sine bumps and 10 log-spaced tents, all vanishing at r = 1."""
-    r = grid.nodes
-    battery = [Profile(grid, grid.sine_mode(k)) for k in range(1, 11)]
-    for c in np.exp(np.linspace(math.log(2e-3), math.log(0.7), 10)):
-        width = 0.75 * c
-        vals = np.maximum(0.0, 1.0 - np.abs(r - c) / width)
-        vals[-1] = 0.0
-        battery.append(Profile(grid, vals))
-    return battery
-
-
 def weak_residual(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """max of |<I'(u), v>| / ||v|| over the 20 ``weak_test_profiles`` v.
+    """sup of |<I'(u), v>| / ||v|| over the profiles v on u's grid with v(1) = 0.
 
-    u's side of the pairing (``pairing_terms``) is formed once and given to
-    ``energy_pairing`` for every v.
+    The exact dual norm of I'(u) on the discrete class, ``radial.dual_norm``
+    of u's ``pairing_terms``.
     """
     terms = pairing_terms(u, lp, ps)
-    worst = 0.0
-    for v in weak_test_profiles(u.grid):
-        nrm = dirichlet_norm(v, ps)
-        if nrm == 0.0:
-            continue
-        worst = max(worst, abs(energy_pairing(terms, v, ps)) / nrm)
-    return worst
+    return dual_norm(terms.factors, terms.source, u.grid, ps)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +13,7 @@ from hslog import dop853, shooting
 from hslog.functionals import LogParams, energy_I, energy_pairing, pairing_terms
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import Profile, dirichlet_norm, make_grid, pointwise_bound_check
-from hslog.shooting import (
-    boundary_value,
-    ivp_integrate,
-    shoot,
-    weak_test_profiles,
-    weak_residual,
-)
+from hslog.shooting import boundary_value, ivp_integrate, shoot, weak_residual
 
 P0 = validate_params(2, 2, 2, 2)
 LP = LogParams(1.0, 0.5)
@@ -35,11 +30,21 @@ def solution(grid):
     return shoot(LP, P0, BRACKET, grid)
 
 
+def _sampled(amplitude, traj, grid):
+    """The shot's profile on the grid, as ``shoot`` samples the root's shot:
+    the amplitude below the shot's start, u(1) at the last node."""
+    vals = np.full(grid.m, amplitude)
+    above = grid.nodes >= 2 * shooting.R_MIN
+    vals[above] = traj.dense_u(grid.nodes[above])
+    vals[-1] = traj.u
+    return vals
+
+
 class TestIvp:
     def test_zero_amplitude_is_fixed_point(self, grid):
-        profile, u_end, _ = ivp_integrate(0.0, LP, P0, grid=grid)
-        assert u_end == 0.0
-        assert np.all(profile.values == 0.0)
+        traj = ivp_integrate(0.0, LP, P0)
+        assert traj.u == 0.0
+        assert np.all(_sampled(0.0, traj, grid) == 0.0)
 
     def test_odd_symmetry(self):
         up = boundary_value(5.0, LP, P0)
@@ -47,8 +52,7 @@ class TestIvp:
         assert down == pytest.approx(-up, rel=1e-9)
 
     def test_decreasing_while_positive(self, grid):
-        profile, _, _ = ivp_integrate(5.0, LP, P0, grid=grid)
-        vals = profile.values
+        vals = _sampled(5.0, ivp_integrate(5.0, LP, P0), grid)
         positive = vals > 0
         assert np.all(np.diff(vals[positive]) <= 1e-12)
 
@@ -133,26 +137,28 @@ class TestDop853MatchesScipy:
 
     @pytest.mark.parametrize("dense", [False, True], ids=["plain", "dense"])
     @pytest.mark.parametrize("pv,lpv,amplitude", CROSS_CHECK_SHOTS)
-    def test_same_steps_and_values(self, pv, lpv, amplitude, dense, monkeypatch):
+    def test_same_steps_and_values(self, pv, lpv, amplitude, dense):
         ps, lp = validate_params(*pv), LogParams(*lpv)
         grid = make_grid(2000, 3.0) if dense else None
         ref = _scipy_shot(amplitude, lp, ps, dense)
-        runs = _record_trajectories(monkeypatch)
-        profile, u_end, nfev = ivp_integrate(amplitude, lp, ps, grid=grid)
-        assert ref.status == 0 and runs[0].status == "finished"
-        assert nfev == runs[0].nfev == ref.nfev
-        assert runs[0].n_steps == len(ref.t) - 1
-        assert abs(u_end - ref.y[0, -1]) <= 1e-12 * max(1.0, abs(amplitude))
+        traj = ivp_integrate(amplitude, lp, ps)
+        # scipy's dense shot counts the interpolant's stages; the port's
+        # counts them once u is sampled
+        vals = _sampled(amplitude, traj, grid) if dense else None
+        assert ref.status == 0 and traj.status == "finished"
+        assert traj.nfev == ref.nfev
+        assert len(traj.steps) == len(ref.t) - 1
+        assert abs(traj.u - ref.y[0, -1]) <= 1e-12 * max(1.0, abs(amplitude))
         if dense:
             want = np.full(grid.m, amplitude)
             above = grid.nodes >= 2 * shooting.R_MIN
             want[above] = ref.sol(grid.nodes[above])[0]
             want[-1] = ref.y[0, -1]
-            assert np.all(np.abs(profile.values - want) <= 1e-10)
+            assert np.all(np.abs(vals - want) <= 1e-10)
 
 
 def _count_calls(monkeypatch):
-    """(trajectory, calls of its right-hand side) of each integration."""
+    """(trajectory, [calls of its right-hand side]) of each integration."""
     runs = []
     integrate = dop853.integrate
 
@@ -164,7 +170,7 @@ def _count_calls(monkeypatch):
             return fun(*state)
 
         traj = integrate(counted, *args, **kwargs)
-        runs.append((traj, calls[0]))
+        runs.append((traj, calls))
         return traj
 
     monkeypatch.setattr(dop853, "integrate", counting)
@@ -178,13 +184,17 @@ class TestDop853Calls:
     @pytest.mark.parametrize("dense", [False, True], ids=["plain", "dense"])
     def test_calls_equal_nfev(self, amplitude, dense, grid, monkeypatch):
         runs = _count_calls(monkeypatch)
-        ivp_integrate(amplitude, LP, P0, grid=grid if dense else None)
-        (traj, calls), = runs
-        assert traj.status == "finished" and calls == traj.nfev
-        # two calls start the integration, every trial step makes 12 and a
-        # dense step 3 more; these shots reject some trial steps
-        trials, rest = divmod(traj.nfev - 2 - (3 * traj.n_steps if dense else 0), 12)
-        assert rest == 0 and trials > traj.n_steps
+        traj = ivp_integrate(amplitude, LP, P0)
+        if dense:
+            _sampled(amplitude, traj, grid)
+            _sampled(amplitude, traj, grid)
+        (_, calls), = runs
+        assert traj.status == "finished" and calls[0] == traj.nfev
+        # two calls start the integration, every trial step makes 12 and,
+        # once u is first sampled, every accepted step 3 more; these shots
+        # reject some trial steps
+        trials, rest = divmod(traj.nfev - 2 - (3 * len(traj.steps) if dense else 0), 12)
+        assert rest == 0 and trials > len(traj.steps)
 
     def test_calls_equal_nfev_at_a_blowup(self, monkeypatch):
         monkeypatch.setattr(shooting, "_source", lambda r, u, tau, beta, p_star: 1e12)
@@ -192,7 +202,7 @@ class TestDop853Calls:
         with pytest.raises(NumericalError):
             boundary_value(20.0, LP, P0)
         (traj, calls), = runs
-        assert traj.status == "limit" and calls == traj.nfev
+        assert traj.status == "limit" and calls[0] == traj.nfev
 
 
 class TestBitPins:
@@ -207,14 +217,14 @@ class TestBitPins:
 
     @pytest.mark.parametrize("amplitude", sorted(SHOTS))
     def test_readme_shot(self, amplitude):
-        _, u_end, nfev = ivp_integrate(amplitude, LP, P0)
-        assert (u_end.hex(), nfev) == self.SHOTS[amplitude]
+        traj = ivp_integrate(amplitude, LP, P0)
+        assert (traj.u.hex(), traj.nfev) == self.SHOTS[amplitude]
 
     def test_readme_solution(self, solution):
         digest = hashlib.sha256(solution.profile.values.tobytes()).hexdigest()
         assert solution.amplitude.hex() == "0x1.7326c39cce8c0p+4"
         assert digest == "83dbe82314a30e03c6cba9fffb5cb3dc78ba5bcb8566145344ee0bbbfaf09830"
-        assert solution.weak_residual.hex() == "0x1.1956c045071eap-16"
+        assert solution.weak_residual.hex() == "0x1.08b9b70b42591p-14"
         assert (solution.bisection_iterations, solution.ivp_evaluations) == (9, 998)
 
 
@@ -236,7 +246,7 @@ class TestIvpFailures:
         # scipy locates the crossing inside the step the port reports the end of
         assert ref.t_events[0][0] <= r < 1.0
         assert runs[0].nfev == ref.nfev - 3  # scipy's event search builds an interpolant
-        assert runs[0].n_steps == len(ref.t) - 1
+        assert len(runs[0].steps) == len(ref.t) - 1
 
     def test_step_size_underflow(self, monkeypatch):
         # a source that turns NaN past r = 0.5: every step across it is
@@ -283,7 +293,7 @@ class TestIvpFailures:
                 return du, -(r**ps.theta) * shooting._source(r, u, 1.0, 0.5, ps.p_star)
 
             return dop853.integrate(rhs, r_boot, u0, w0, 1.0, rtol=1e-10, atol=1e-13 * 20.0,
-                                    u_limit=2e9, dense=False, max_nfev=max_nfev)
+                                    u_limit=2e9, max_nfev=max_nfev)
 
         full = shot(10**9)
         assert full.status == "finished" and shot(full.nfev) == full
@@ -329,8 +339,8 @@ class TestShoot:
 
     def test_tol_not_reached_reported(self, grid, monkeypatch):
         # a jump in the boundary map: Brent closes in on it, |u(1)| stays 1
-        monkeypatch.setattr(shooting, "boundary_value",
-                            lambda a, *args: 1.0 if a < 30.0 else -1.0)
+        monkeypatch.setattr(shooting, "ivp_integrate",
+                            lambda a, *args: SimpleNamespace(u=1.0 if a < 30.0 else -1.0))
         with pytest.raises(NumericalError, match=r"did not reach \|u\(1\)\| < 1e-08"):
             shoot(LP, P0, BRACKET, grid)
 
@@ -350,6 +360,25 @@ class TestShoot:
         assert v1 != v2
         assert abs(v1 - v2) < 1e-8
 
+    def test_one_integration_per_amplitude(self, grid, monkeypatch):
+        # Brent's 9 shots on the README config are all the integrations:
+        # the root is not integrated again to be sampled
+        runs = _count_calls(monkeypatch)
+        shots = _record_shots(monkeypatch)
+        res = shoot(LP, P0, BRACKET, grid)
+        monkeypatch.undo()
+        assert len(runs) == len(shots) == res.bisection_iterations == 9
+        for a, (traj, calls) in zip(shots, runs):
+            # only the root's shot builds its dense output, 3 calls a step
+            dense = 3 * len(traj.steps) if a == res.amplitude else 0
+            assert calls[0] == traj.nfev == ivp_integrate(a, LP, P0).nfev + dense
+        assert runs[shots.index(res.amplitude)][0].nfev == res.ivp_evaluations == 998
+        # the reference: the root shot integrated anew, then sampled
+        vals = _sampled(res.amplitude, ivp_integrate(res.amplitude, LP, P0), grid)
+        assert abs(vals[-1]) == res.boundary_residual
+        vals[-1] = 0.0
+        assert res.profile.values.tobytes() == vals.tobytes()
+
     def test_energy_coherent_with_its_own_ray(self, solution):
         # the critical point maximizes I along its ray at t = 1
         ts = np.linspace(0.97, 1.03, 25)
@@ -368,9 +397,9 @@ def _record_shots(monkeypatch):
 
     def recording(a, *args):
         shots.append(a)
-        return boundary_value(a, *args)
+        return ivp_integrate(a, *args)
 
-    monkeypatch.setattr(shooting, "boundary_value", recording)
+    monkeypatch.setattr(shooting, "ivp_integrate", recording)
     return shots
 
 
@@ -383,8 +412,12 @@ class TestOtherExponents:
         res = shoot(LP, ps, (30.0, 100.0), g)
         assert res.boundary_residual < 1e-8
         assert res.positive_inside
-        assert res.weak_residual < 1e-4
         assert pointwise_bound_check(res.profile, ps).passed
+        # the weak residual is the mesh's error, of order 2 in 1/M: 3.05e-4
+        # here, below 1e-4 on twice the nodes
+        fine = shoot(LP, ps, (30.0, 100.0), make_grid(3000, 3.0))
+        assert fine.weak_residual <= 0.5 * res.weak_residual
+        assert fine.weak_residual < 1e-4
 
     def test_ivp_p_below_two(self):
         ps = validate_params(1.5, 1.0, 1.0, 1.0)
@@ -392,29 +425,60 @@ class TestOtherExponents:
         assert 0.0 < v < 2.0
 
 
+def _dual_maximizer(u, lp, ps):
+    """The v with v(1) = 0 at which |<I'(u), v>| / ||v|| is largest: slopes
+    sign(c) (|c| / mom)^(1/(p-1)), with c u's pairing factors plus the cell
+    widths times the running r^theta-weighted source."""
+    g = u.grid
+    terms = pairing_terms(u, lp, ps)
+    c = terms.factors + g.cell_widths * np.cumsum(g.quad_weights(ps.theta)[:-1]
+                                                  * terms.source[:-1])
+    s = np.sign(c) * (np.abs(c) / g.cell_moments(ps.alpha1)) ** (1.0 / (ps.p - 1.0))
+    v = np.zeros(g.m)
+    v[:-1] = -np.cumsum((g.cell_widths * s)[::-1])[::-1]
+    return Profile(g, v)
+
+
+def _pairing_ratio(u, v, lp, ps):
+    return abs(energy_pairing(pairing_terms(u, lp, ps), v, ps)) / dirichlet_norm(v, ps)
+
+
 class TestWeakResidual:
     def test_zero_profile(self, grid):
         z = Profile(grid, np.zeros(grid.m))
         assert weak_residual(z, LP, P0) == 0.0
 
-    def test_battery_composition(self, grid):
-        battery = weak_test_profiles(grid)
-        assert len(battery) == 20
-        for v in battery:
-            assert v.values[-1] == 0.0
-
     @pytest.mark.parametrize("lpv", [(1.0, 0.5), (2.0, 3.0)])
     def test_is_the_max_of_the_pairings(self, grid, solution, lpv):
-        # u's side is formed once, and each ratio is that of an
-        # energy_pairing of u's terms formed anew, bit for bit
+        # the pairing ratio at the maximizer the closed form implies is the
+        # closed form, and no other v does better
         lp = LogParams(*lpv)
         rng = np.random.default_rng(8)
         vals = np.abs(rng.normal(size=grid.m))
         vals[-1] = 0.0
         for u in (solution.profile, Profile(grid, vals)):
-            want = max(abs(energy_pairing(pairing_terms(u, lp, P0), v, P0))
-                       / dirichlet_norm(v, P0) for v in weak_test_profiles(grid))
-            assert weak_residual(u, lp, P0) == want
+            best = weak_residual(u, lp, P0)
+            assert _pairing_ratio(u, _dual_maximizer(u, lp, P0), lp, P0) == pytest.approx(
+                best, rel=1e-10)
+            for _ in range(5):
+                v = rng.normal(size=grid.m)
+                v[-1] = 0.0
+                assert _pairing_ratio(u, Profile(grid, v), lp, P0) <= best * (1 + 1e-12)
+
+    def test_attained_at_its_maximizer_for_p_three(self, grid):
+        # p1.cfg's tuple, where p' = 3/2 and mom^(1-p') carry p
+        ps = validate_params(3, 2, 4, 4)
+        u = shoot(LP, ps, (50.0, 100.0), grid).profile
+        ratio = _pairing_ratio(u, _dual_maximizer(u, LP, ps), LP, ps)
+        assert ratio == pytest.approx(weak_residual(u, LP, ps), rel=1e-10)
+
+    # M, the value, half a unit in its last digit
+    @pytest.mark.parametrize("m, want, half_unit", [(2000, 6.3115465e-5, 5e-13),
+                                                    (16000, 9.862e-7, 5e-11)])
+    def test_readme_values(self, m, want, half_unit):
+        # the 20-profile maximum it replaced read 1.677e-5 and 2.612e-7
+        res = shoot(LP, P0, BRACKET, make_grid(m, 3.0))
+        assert abs(res.weak_residual - want) <= half_unit
 
     def test_random_profile_is_far_from_solving(self, grid):
         rng = np.random.default_rng(77)
