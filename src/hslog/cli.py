@@ -5,7 +5,10 @@ shoot, orlicz, ncs.  Every run is deterministic (fixed seeds, fixed
 iteration order, fixed-order single-threaded quadrature sums,
 12-significant-digit formatting), so re-running a command with the same
 config produces byte-identical files, whatever the BLAS thread count or the
-number of cores.
+number of cores.  A subcommand loads only the modules it runs: each one
+imports ``analysis``, ``bliss``, ``orlicz`` or ``shooting`` in its body, so
+``shoot`` never loads the maximizer and ``constants`` never loads the IVP
+solver.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 """
@@ -21,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from hslog import analysis, bliss, orlicz, shooting
 from hslog.functionals import LogParams
 from hslog.params import NumericalError, ValidationError, check_identities, validate_params
 from hslog.radial import make_grid, pointwise_bound_check, profile_to_csv
@@ -92,8 +94,13 @@ def parse_config(path: str) -> RunConfig:
                 setattr(cfg, key, kind(value))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    if not cfg.epsilon_list or not cfg.beta_list:
-        raise ValidationError("epsilon_list and beta_list must be nonempty")
+    if not cfg.epsilon_list or not cfg.beta_list or not cfg.mp_epsilon_list:
+        raise ValidationError("epsilon_list, beta_list and mp_epsilon_list must be nonempty")
+    if len(cfg.shoot_bracket) not in (0, 2):
+        raise ValidationError(f"shoot_bracket needs two amplitudes, got "
+                              f"{len(cfg.shoot_bracket)}: {cfg.shoot_bracket}")
+    if cfg.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -109,6 +116,8 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
+    from hslog import bliss
+
     ps = cfg.param_set()
     ident = check_identities(ps)
     ints = bliss.extremal_integrals(ps)
@@ -126,6 +135,8 @@ def cmd_constants(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_maximize(cfg: RunConfig, out: Path) -> int:
+    from hslog import analysis
+
     ps = cfg.param_set()
     grid = cfg.grid()
     res = analysis.maximize_F(ps, cfg.log_params(), grid, eps_seeds=cfg.epsilon_list)
@@ -147,6 +158,8 @@ def cmd_maximize(cfg: RunConfig, out: Path) -> int:
 
 def _beta_sweep_rows(cfg: RunConfig, out: Path) -> list:
     """(beta, F_hat, gap_to_sigma) per beta, written to beta_sweep.csv."""
+    from hslog import analysis
+
     rows = analysis.beta_sweep(cfg.param_set(), cfg.tau, cfg.beta_list, cfg.grid(),
                                eps_seeds=cfg.epsilon_list)
     write_csv(out / "beta_sweep.csv", "beta,F_hat,gap_to_sigma", rows)
@@ -161,6 +174,8 @@ def cmd_sweep_beta(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_rates(cfg: RunConfig, out: Path) -> int:
+    from hslog import analysis, bliss
+
     ps = cfg.param_set()
     lp = cfg.log_params()
     table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, ps)
@@ -189,6 +204,8 @@ def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
     The bubbles are taken off the mesh, so the rows do not depend on
     ``grid_m`` or ``grid_gamma``.
     """
+    from hslog import analysis, bliss
+
     ps = cfg.param_set()
     lp = cfg.log_params()
     if not 0 < cfg.beta < ps.beta_max:
@@ -226,6 +243,8 @@ def _auto_bracket(lp, ps):
     The scan stops at the first shot that raises ``NumericalError``, and at
     the last amplitude of the scan.
     """
+    from hslog import shooting
+
     prev_a, prev_v = None, None
     for a in _SCAN_AMPLITUDES:
         try:
@@ -240,6 +259,8 @@ def _auto_bracket(lp, ps):
 
 
 def cmd_shoot(cfg: RunConfig, out: Path) -> int:
+    from hslog import shooting
+
     ps = cfg.param_set()
     if cfg.tau < 1.0:
         raise ValidationError(f"tau must be >= 1 for the BVP, got {cfg.tau}")
@@ -270,6 +291,8 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
+    from hslog import analysis, bliss, orlicz
+
     ps = cfg.param_set()
     grid = cfg.grid()
     lp = cfg.log_params()
@@ -290,6 +313,8 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_ncs(cfg: RunConfig, out: Path) -> int:
+    from hslog import analysis, bliss
+
     ps = cfg.param_set()
     eps_family = sorted(cfg.epsilon_list, reverse=True)
     family = [bliss.bubble_nodes(bliss.BubbleSpec(e, ps.a_hat), ps) for e in eps_family]
@@ -307,6 +332,8 @@ def cmd_ncs(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
+    from hslog import bliss
+
     ps = cfg.param_set()
     checks: list[tuple[str, bool, str]] = []
 
@@ -347,6 +374,8 @@ def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
         checks.append(("ncs-concentration-level", code == EXIT_OK, "see ncs.csv"))
 
     def run_orlicz():
+        from hslog import orlicz
+
         for spec in (orlicz.GammaSpec(6, 1, 1.0), orlicz.GammaSpec(7.5, 0.5, 2.0)):
             rrep = orlicz.convexity_check(spec)
             checks.append((f"gamma-convexity-a{fmt(spec.a)}-b{fmt(spec.b)}", rrep.convex,

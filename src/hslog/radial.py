@@ -11,7 +11,9 @@ per (grid, w), which also makes every integral exactly linear in the
 sampled integrand.  Every quadrature sum is a single-threaded reduction in
 a fixed order (``np.einsum`` without ``optimize`` never calls BLAS), so an
 integral does not depend on the BLAS thread count or on the number of
-cores.
+cores.  The 4- and 16-point Gauss-Legendre tables are written out as
+literals, equal bit for bit to ``np.polynomial.legendre.leggauss``'s, so
+importing the package does not load ``numpy.polynomial``.
 
 The Dirichlet seminorm uses exact per-cell moments of r^alpha1, so it is
 exact for the discrete profile class.  The Dirichlet pairing reads u
@@ -28,8 +30,23 @@ import numpy as np
 
 from hslog.params import ParamSet, ValidationError
 
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+# Gauss-Legendre nodes and weights on [-1, 1]: leggauss(4) and leggauss(16)
+_GL4_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                   0.33998104358485626, 0.8611363115940526])
+_GL4_W = np.array([0.34785484513745357, 0.6521451548625464,
+                   0.6521451548625464, 0.34785484513745357])
+_GL16_X = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL16_W = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 
 
 @dataclass(frozen=True)

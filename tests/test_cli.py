@@ -96,6 +96,25 @@ class TestConfig:
         with pytest.raises(ValidationError, match="bad value"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("line, match", [
+        ("shoot_bracket = 20", "shoot_bracket needs two amplitudes, got 1"),
+        ("shoot_bracket = 20,50,80", "shoot_bracket needs two amplitudes, got 3"),
+        ("seed = -1", "seed must be >= 0"),
+        ("mp_epsilon_list =", "mp_epsilon_list must be nonempty"),
+    ], ids=["bracket-1", "bracket-3", "negative-seed", "empty-mp-list"])
+    def test_malformed_value_is_fatal(self, line, match, tmp_path, capsys):
+        # past the parser, each would end in a traceback or, for the empty mp
+        # list, in a header-only mp_gap.csv and a vacuous PASS
+        path = tmp_path / "m.cfg"
+        path.write_text(BASE_CFG + line + "\n")
+        with pytest.raises(ValidationError, match=match):
+            parse_config(str(path))
+        out = tmp_path / "o"
+        for cmd in (["shoot"], ["orlicz"], ["mp-gap"], ["verify", "--suite", "all"]):
+            assert main([*cmd, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count("validation error: ") == 4
+
 
 class TestConstants:
     def test_values_and_exit_code(self, cfg_file, tmp_path, capsys):
@@ -382,6 +401,16 @@ class TestTracedPeak:
         assert traced_peak_arrays(cmd, RunConfig(), tmp_path) < bound
 
 
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c script args`` in a fresh interpreter that imports hslog
+    from this checkout."""
+    src = str(Path(hslog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 # every command runs in a process where scipy cannot be imported
 _RUN_WITHOUT_SCIPY = """\
 import json, sys
@@ -396,22 +425,57 @@ sys.meta_path.insert(0, NoScipy())
 from hslog import cli
 runs = [[c] for c in cli.COMMANDS] + [["verify", "--suite", "all"]]
 codes = [cli.main([*r, "--config", sys.argv[1], "--out", sys.argv[2]]) for r in runs]
-print(json.dumps(codes))
+print(json.dumps([codes, "numpy.polynomial" in sys.modules]))
 """
 
 
 def test_every_command_runs_without_scipy(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(BASE_CFG.replace("grid_m = 1200", "grid_m = 300"))
-    src = str(Path(hslog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, str(cfg),
-                           str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env, timeout=300)
+    proc = run_python(_RUN_WITHOUT_SCIPY, str(cfg), str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
-    codes = json.loads(proc.stdout.splitlines()[-1])
+    codes, polynomial_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert len(codes) == 9
     # 2 is a red verdict with its report written, not a failure
     assert set(codes) <= {0, 2}
     assert "numerical failure" not in proc.stderr
+    assert not polynomial_loaded
+
+
+# the hslog modules, and whether numpy.polynomial, a fresh process has loaded
+# after parsing a config and running the command given (if any)
+_LOADED_MODULES = """\
+import json, sys
+from hslog import cli
+cfg, out, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+cli.parse_config(cfg)
+if argv:
+    cli.main([*argv, "--config", cfg, "--out", out])
+print(json.dumps([sorted(m.removeprefix("hslog.") for m in sys.modules
+                         if m.startswith("hslog.")),
+                  "numpy.polynomial" in sys.modules]))
+"""
+
+# every command needs the modules the package __init__ imports, and cli;
+# each command line below loads those and exactly the hslog modules beside it
+_BASE = {"cli", "params", "radial", "functionals"}
+_LOADS = [
+    ("", set()),
+    ("constants", {"bliss"}),
+    ("shoot", {"shooting", "dop853"}),
+    *((cmd, {"analysis", "bliss"}) for cmd in ("maximize", "sweep-beta", "rates", "mp-gap", "ncs")),
+    ("orlicz", {"analysis", "bliss", "orlicz"}),
+    ("verify --suite all", {"analysis", "bliss", "orlicz"}),
+]
+
+
+@pytest.mark.parametrize("command, extra", _LOADS, ids=[c or "parse-only" for c, _ in _LOADS])
+def test_a_command_loads_only_the_modules_it_runs(command, extra, tmp_path):
+    # a cold one-shot run pays to compile and execute every module it loads
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(BASE_CFG.replace("grid_m = 1200", "grid_m = 300"))
+    proc = run_python(_LOADED_MODULES, str(cfg), str(tmp_path / "o"), *command.split())
+    assert proc.returncode == 0, proc.stderr
+    modules, polynomial_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert set(modules) == _BASE | extra
+    assert not polynomial_loaded

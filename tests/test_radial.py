@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from hslog import radial
 from hslog.params import ValidationError, validate_params
 from hslog.radial import (
     Profile,
@@ -68,6 +70,13 @@ class TestMakeGrid:
 
 
 class TestWeightedIntegral:
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_gauss_legendre_tables_are_leggauss(self, n):
+        # the literal tables stand in for leggauss, bit for bit
+        x, w = leggauss(n)
+        assert getattr(radial, f"_GL{n}_X").tobytes() == x.tobytes()
+        assert getattr(radial, f"_GL{n}_W").tobytes() == w.tobytes()
+
     def test_monomial(self):
         g = make_grid(64, 1.0)
         assert weighted_integral(g, np.ones(g.m), 2.0) == pytest.approx(1 / 3, abs=1e-12)
