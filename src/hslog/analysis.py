@@ -26,10 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog import bliss
-from hslog.functionals import (LogParams, J, JNodes, RayTerms, F_nodes, _require_tau_ge_1,
-                               log_factor_nodes, nodal_ray_terms, ray_sum)
-from hslog.params import (NumericalError, ParamSet, ValidationError, bracket_decreasing,
-                          brent_root, log_residual)
+from hslog.functionals import LogParams, J, J_at, JNodes, RayTerms, energy_I, ray_sum, ray_terms
+from hslog.params import NumericalError, ParamSet, ValidationError, log_residual, log_root
 from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing
 
 RATE_MODELS = ("pure-power", "power-times-loglog")
@@ -330,7 +328,7 @@ def ncs_check(family, ps: ParamSet) -> NCSReport:
         tails[radius] = t
         mono = all(t[i + 1] <= t[i] for i in range(len(t) - 1))
         tails_ok = tails_ok and mono and t[-1] < 1e-2
-    lp_norms = tuple(float(np.einsum("i,i->", b.q, np.abs(b.norm_p ** (-1.0 / ps.p) * b.u)
+    lp_norms = tuple(float(np.einsum("i,i->", b.nodes.q, np.abs(b.norm_p ** (-1.0 / ps.p) * b.u)
                                      ** ps.p)) ** (1.0 / ps.p) for b in family)
     lp_decreasing = all(lp_norms[i + 1] < lp_norms[i] for i in range(len(lp_norms) - 1))
     return NCSReport(tails=tails, lp_theta_norms=lp_norms, tails_ok=tails_ok,
@@ -350,23 +348,18 @@ class ConcentrationLevelReport:
     skipped: bool
 
 
-def _unit_bubble_J(nodes: bliss.BubbleNodes, lp: LogParams, ps: ParamSet) -> float:
-    """J(t u) at the bubble's nodes, t = ||u||^(-1/p) (unit norm); any tau > 0."""
-    v = nodes.norm_p ** (-1.0 / ps.p) * nodes.u
-    f = np.abs(v) ** ps.p_star * log_factor_nodes(nodes.r**lp.beta, v, lp)
-    return float(np.einsum("i,i->", nodes.q, f))
-
-
 def concentration_level_check(family, lp: LogParams, ps: ParamSet, tail_start: int,
                               ncs_report: NCSReport) -> ConcentrationLevelReport:
     """Compare the running max of J over the family from ``tail_start`` on
     against ``ps.sigma_p`` + ``LEVEL_TOLERANCE``.
 
-    The family is that of ``ncs_check``, and J is read at unit norm.  When
+    The family is that of ``ncs_check``, and J(t u), t = ||u||^(-1/p), is
+    read at each bubble's nodes under the rule's check, naming eps.  When
     the NCS report fails, the bound is inapplicable and the check is
     reported as skipped.
     """
-    j_values = tuple(_unit_bubble_J(b, lp, ps) for b in family)
+    j_values = tuple(J_at(b.nodes, b.norm_p ** (-1.0 / ps.p) * b.u, lp, ps,
+                          f"unit-norm J quadrature at eps={b.spec.epsilon:g}") for b in family)
     bound = ps.sigma_p + LEVEL_TOLERANCE
     if not ncs_report.is_ncs:
         return ConcentrationLevelReport(j_values, float("nan"), bound,
@@ -396,30 +389,17 @@ def solve_t_eps(terms: RayTerms, n_p: float, ps: ParamSet) -> float:
     from its tanh-sinh nodes (``mountain_pass_gap``).  The right-hand side
     is J(t u)/t = t^(p*-1) S(t), with S the ray sum.  The root is taken in
     x = ln t, where the residual r(x) = ln ||u||^p - (p*-p) x - ln S(e^x)
-    is nearly linear.  For tau >= 1, S does not decrease, so r(x) <= r(x0)
-    - (p*-p)(x - x0) above x0 and >= it below: from x0 = 0, the power-law
-    point x1 = r(x0)/(p*-p) lies on the other side of the root.
-    ``bracket_decreasing`` still moves an end by ln 2 when rounding leaves
-    it on the wrong side, then Brent's method finds the root; r reads
-    exactly 0 once the ratio of the two sides is within 4 ulp of 1, which
-    stops Brent on it.  ``brent_root`` reuses the residuals at the bracket
-    ends and returns the one at the root, so no t is evaluated twice.  The
-    residual t^(p-1) ||u||^p (1 - e^-r) of the stationarity equation at
-    the root, formed from the last r, must be below 1e-10 relative to
-    t^(p-1) ||u||^p.
+    is nearly linear.  For tau >= 1, S does not decrease, so r falls at
+    least as fast as (p*-p) x, and ``params.log_root`` finds the root from
+    x0 = 0; r reads exactly 0 once the ratio of the two sides is within 4
+    ulp of 1, which stops Brent on it.  The residual t^(p-1) ||u||^p
+    (1 - e^-r) of the stationarity equation at the root, formed from the
+    last r, must be below 1e-10 relative to t^(p-1) ||u||^p.
     """
     if not n_p > 0.0:
         raise ValidationError(f"t_eps needs ||u||^p > 0, got {n_p}")
-    args = (terms, n_p, ps.p)
-    r0 = _log_stationarity(0.0, *args)
-    x_star, r_star = 0.0, r0
-    if r0 != 0.0:
-        x1 = r0 / (terms.p_star - ps.p)
-        (lo, r_lo), (hi, r_hi) = sorted([(0.0, r0), (x1, _log_stationarity(x1, *args))])
-        lo, r_lo, hi, r_hi = bracket_decreasing(_log_stationarity, lo, r_lo, hi, r_hi, "t_eps",
-                                                args=args)
-        x_star, r_star = brent_root(_log_stationarity, lo, r_lo, hi, r_hi, "t_eps", args=args,
-                                    xtol=2e-16, rtol=8.9e-16, maxiter=200)
+    x_star, r_star = log_root(_log_stationarity, 0.0, terms.p_star - ps.p, "t_eps",
+                              (terms, n_p, ps.p))
     t_star = math.exp(x_star)
     lhs = t_star ** (ps.p - 1.0) * n_p
     residual = -lhs * math.expm1(-r_star)
@@ -442,25 +422,13 @@ class MountainPassResult:
     gap0: float
 
 
-def bubble_energy(nodes: bliss.BubbleNodes, e: np.ndarray, t: float, lp: LogParams,
-                  ps: ParamSet) -> float:
-    """I(t u) = t^p ||u||^p / p - int r^th F(r, t u) dr for the bubble u of ``nodes``.
-
-    The integral is the tanh-sinh sum of the primitive F (``F_nodes``) at
-    the bubble's nodes, whose log exponents r^beta are ``e``.
-    """
-    _require_tau_ge_1(lp, "the energy")
-    f = F_nodes(e, t * nodes.u, lp, ps)
-    return t**ps.p * nodes.norm_p / ps.p - float(np.einsum("i,i->", nodes.q, f))
-
-
 def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet) -> MountainPassResult:
     """Max of t -> I(t u_eps) against the non-compactness level.
 
     The level is (1/p - 1/p*) S_power, with S_power from the ``ParamSet``.
     The bubble is taken in closed form at the nodes of the tanh-sinh rule
     (``bliss.bubble_nodes``), so no mesh is involved and every eps > 0 is
-    accepted.
+    accepted; the energy's sum there is checked against the rule's estimate.
 
     The maximum sits at the root t* of d/dt I(t u) = t^(p-1) ||u||^p - J(t u)/t,
     which ``solve_t_eps`` finds.  For tau >= 1 that root is unique and is the
@@ -479,12 +447,12 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet) -> Mo
     """
     p, p_star = ps.p, ps.p_star
     threshold = (1.0 / p - 1.0 / p_star) * ps.S_power
-    nodes = bliss.bubble_nodes(spec, ps)
-    terms = nodal_ray_terms(nodes.u, nodes.q, nodes.r ** lp.beta, lp, ps)
-    t_star = solve_t_eps(terms, nodes.norm_p, ps)
-    max_energy = bubble_energy(nodes, terms.e, t_star, lp, ps)
-    max0 = (1.0 / p - 1.0 / p_star) * (nodes.norm_p ** (p_star / p)
-                                       / nodes.j0) ** (p / (p_star - p))
+    bubble = bliss.bubble_nodes(spec, ps)
+    t_star = solve_t_eps(ray_terms(bubble.nodes, bubble.u, lp, ps), bubble.norm_p, ps)
+    max_energy = energy_I(bubble.nodes, t_star * bubble.u, t_star**p * bubble.norm_p, lp, ps,
+                          f"energy quadrature at eps={spec.epsilon:g}")
+    max0 = (1.0 / p - 1.0 / p_star) * (bubble.norm_p ** (p_star / p)
+                                       / bubble.j0) ** (p / (p_star - p))
     return MountainPassResult(
         max_energy=max_energy,
         t_at_max=t_star,

@@ -23,9 +23,10 @@ This is what makes the asymptotic rate checks possible.  All of these
 integrals, and the two extremal ones, use one fixed tanh-sinh rule
 (Takahasi and Mori, 1974), ``_tanh_sinh``, with its own error estimate.
 The same rule's nodes carry a bubble off the mesh (``bubble_nodes``): in
-closed form on [0, eps], [eps, r0] in ln r and [r0, 2 r0], where the
-mountain-pass gap, the ``ncs`` check and the ``rates`` E fit integrate it.
-Only the ascent's seeds and ``orlicz`` sample a bubble on a mesh.
+closed form on [0, eps], [eps, r0] in ln r and [r0, 2 r0], a node set
+(``radial.NodeSet``) at which the mountain-pass gap, the ``ncs`` check and
+the ``rates`` E fit integrate it with ``functionals``' kernels.  Only the
+ascent's seeds and ``orlicz`` sample a bubble on a mesh.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.params import NumericalError, ParamSet, ValidationError
-from hslog.radial import Grid, Profile
-from hslog.functionals import LogParams, log_factor_nodes
+from hslog.radial import Grid, NodeSet, Profile, _cached, _check_rule, _piece_sums
+from hslog.functionals import J_at, LogParams, nodal_factors
 
 R0 = 0.2
 
@@ -118,7 +119,7 @@ def bubble_profile(spec: BubbleSpec, grid: Grid, ps: ParamSet) -> Profile:
         )
     r = grid.nodes
     # the cutoff depends on the grid and r0 only, so each grid builds it once
-    eta = grid._cached(("cutoff", spec.r0), lambda: cutoff_eta(r, spec.r0))
+    eta = _cached(grid._cache, ("cutoff", spec.r0), lambda: cutoff_eta(r, spec.r0))
     vals = spec.a_hat * eta * bliss_value(spec.epsilon, r, ps)
     return Profile(grid, vals)
 
@@ -151,10 +152,8 @@ def _tanh_sinh(f, a: float, b: float) -> tuple[float, float]:
     about d_min^(1+e), d_min ~ 1e-37, unseen.
     """
     x, half = _ts_nodes(a, b)
-    terms = _TS_W * f(x)
-    fine = float(np.einsum("i->", terms))
-    coarse = 2.0 * float(np.einsum("i->", terms[::2]))
-    return half * fine, half * abs(fine - coarse)
+    value, err = _piece_sums(_TS_W * f(x), 1)
+    return half * value, half * err
 
 
 def _power_tail(k: float, lam: float, q: float, eps: float, r_split: float,
@@ -289,43 +288,16 @@ class BubbleNodes:
 
     The rule is laid on three pieces: [0, eps], [eps, r0] in x = ln r, and
     [r0, 2 r0]; u is 0 past 2 r0.  For eps >= r0 the first piece ends at
-    r0 and the second is empty.  ``q`` holds the weights of
-    int_0^1 r^theta f dr at the nodes ``r``, and ``u`` the bubble of
-    ``spec`` there.  ``norm_p`` is ||u||^p, formed from the closed-form u',
-    and ``j0`` is J0(u) = int r^theta u^p* dr.
+    r0 and the second is empty; ``nodes`` is that node set, and ``u`` the
+    bubble of ``spec`` at its nodes.  ``norm_p`` is ||u||^p, formed from the
+    closed-form u', and ``j0`` is J0(u) = int r^theta u^p* dr.
     """
 
     spec: BubbleSpec
-    r: np.ndarray
-    q: np.ndarray
+    nodes: NodeSet
     u: np.ndarray
     norm_p: float
     j0: float
-
-
-# relative bound on the rule's error estimates for a bubble; those of ||u||^p
-# and J0 stay at or below 1.3e-15 over the pinned and seeded tuples of the
-# tests, for eps from 1e-12 to 0.1 and r0 in {0.2, 0.45}
-_BUBBLE_RULE_TOL = 1e-12
-
-
-def _piece_sums(terms: np.ndarray) -> tuple[float, float]:
-    """(sum, error estimate) of the rule's terms on consecutive pieces.
-
-    The estimate adds up, piece by piece, the difference between the
-    step-h sum and the step-2h sum, as ``_tanh_sinh`` forms it.
-    """
-    t = terms.reshape(-1, _TS_T.size)
-    fine = np.einsum("ij->i", t)
-    coarse = 2.0 * np.einsum("ij->i", t[:, ::2])
-    return float(np.einsum("i->", fine)), float(np.einsum("i->", np.abs(fine - coarse)))
-
-
-def _check_rule(what: str, err: float, scale: float) -> None:
-    """Raise ``NumericalError`` unless err <= ``_BUBBLE_RULE_TOL`` scale (a NaN fails)."""
-    if not err <= _BUBBLE_RULE_TOL * scale:
-        raise NumericalError(f"{what} did not converge: error estimate {err:.3e} "
-                             f"against {scale:.6e}")
 
 
 def _bubble_at(spec: BubbleSpec, r: np.ndarray, ps: ParamSet) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +313,7 @@ def bubble_nodes(spec: BubbleSpec, ps: ParamSet) -> BubbleNodes:
     """The bubble of ``spec`` at the rule's nodes, with ||u||^p and J0(u).
 
     No mesh is involved, so any eps > 0 is accepted.  If the rule's error
-    estimate for ||u||^p or J0 exceeds ``_BUBBLE_RULE_TOL`` of the value (or
+    estimate for ||u||^p or J0 exceeds ``radial._RULE_TOL`` of the value (or
     either is NaN), ``NumericalError`` is raised, naming eps.
     """
     eps, r0 = spec.epsilon, spec.r0
@@ -353,12 +325,12 @@ def bubble_nodes(spec: BubbleSpec, ps: ParamSet) -> BubbleNodes:
     r = np.concatenate((x1, r2, x3))
     dr = np.concatenate((h1 * _TS_W, h2 * _TS_W * r2, h3 * _TS_W))
     u, density = _bubble_at(spec, r, ps)
-    q = dr * r**ps.theta
-    norm_p, err_n = _piece_sums(dr * density)
-    j0, err_j = _piece_sums(q * u**ps.p_star)
-    _check_rule(f"bubble quadrature at eps={eps:g}, r0={r0:g} for ||u||^p", err_n, norm_p)
-    _check_rule(f"bubble quadrature at eps={eps:g}, r0={r0:g} for J0", err_j, j0)
-    return BubbleNodes(spec=spec, r=r, q=q, u=u, norm_p=norm_p, j0=j0)
+    nodes = NodeSet(r, dr * r**ps.theta, 3, {})
+    where = f"bubble quadrature at eps={eps:g}, r0={r0:g}"
+    norm_p, err = _piece_sums(dr * density, 3)
+    _check_rule(f"{where} for ||u||^p", err, norm_p)
+    j0 = J_at(nodes, u, None, ps, f"{where} for J0")
+    return BubbleNodes(spec=spec, nodes=nodes, u=u, norm_p=norm_p, j0=j0)
 
 
 def bubble_dirichlet_tail(spec: BubbleSpec, radius: float, ps: ParamSet) -> float:
@@ -366,7 +338,7 @@ def bubble_dirichlet_tail(spec: BubbleSpec, radius: float, ps: ParamSet) -> floa
 
     The rule runs on [radius, r0] and [max(radius, r0), 2 r0] where nonempty,
     never across r0, where the cutoff's third derivative jumps.  An error
-    estimate above ``_BUBBLE_RULE_TOL`` of the tail raises ``NumericalError``.
+    estimate above ``radial._RULE_TOL`` of the tail raises ``NumericalError``.
     """
     r0 = spec.r0
     pieces = [_tanh_sinh(lambda r: _bubble_at(spec, r, ps)[1], a, b)
@@ -380,14 +352,14 @@ def bubble_dirichlet_tail(spec: BubbleSpec, radius: float, ps: ParamSet) -> floa
 # --- the concentration functional ------------------------------------------
 
 
-def concentration_E(nodes: BubbleNodes, lp: LogParams, ps: ParamSet) -> float:
+def concentration_E(bubble: BubbleNodes, lp: LogParams, ps: ParamSet) -> float:
     """E = int_0^1 r^th |u|^p* (|ln(tau + |u|)|^(r^beta) - 1) dr at the bubble's nodes.
 
-    It is summed as it stands, not as J - J0, which would cancel.  An error
-    estimate above ``_BUBBLE_RULE_TOL`` of J0 raises ``NumericalError``.
+    It is summed as it stands, from J's factors, not as J - J0, which would
+    cancel.  An error estimate above ``radial._RULE_TOL`` of J0 raises
+    ``NumericalError``.
     """
-    u = nodes.u
-    f = nodes.q * np.abs(u) ** ps.p_star * (log_factor_nodes(nodes.r**lp.beta, u, lp) - 1.0)
-    e, err = _piece_sums(f)
-    _check_rule(f"concentration quadrature at eps={nodes.spec.epsilon:g}", err, nodes.j0)
-    return e
+    f, lf = nodal_factors(bubble.nodes, bubble.u, lp, ps)
+    lf -= 1.0
+    return bubble.nodes.integral(f, lf, f"concentration quadrature at eps={bubble.spec.epsilon:g}",
+                                 bubble.j0)

@@ -14,33 +14,25 @@ Since d_a F is that source, the pairing above is the exact gradient of the
 discrete energy; this is what the finite-difference consistency tests
 exercise.  ``shooting.weak_residual`` takes the dual norm of the pairing
 from u's side of it (``pairing_terms``) in closed form; no command reads
-the pairing ``energy_pairing``, which is that norm's reference, nor the
-grid energy ``energy_I``, which is the pairing's.  The mountain-pass gap
-takes a bubble's energy at its tanh-sinh nodes (``analysis.bubble_energy``).
+the pairing ``energy_pairing``, which is that norm's reference.
 
-The nodal integrands of J, I, the pairing and the ascent gradient each
-carry a power of |u|.  They are evaluated up to the last nonzero node of u,
-k = ``Profile.support_end()``, on the first k entries of each node array,
-and are exact zeros after it, which is what the full formulas give there.
-Every kernel works node by node, so the first k values are the full-array
-ones bit for bit (``F_nodes`` at k = 1 excepted, see there).  Interior
-zeros are computed like any other node, and the quadrature sum sees a
-full-length vector.  A cutoff bubble is identically 0 on [2 r0, 1], a
-quarter of a graded mesh, and pow with a zero base is several times slower
-than with a regular one.
-J and the ascent gradient read one set of nodal factors (``JNodes``), so
-an ascent forms |u|^p*, ln(tau+|u|) and its power once per iterate.  The
-gradient forms no power of its own: with f = |u|^p* |ln|^e the integrand
-of J and arg = tau + |u|, d/du f = f (p*/u + e/(ln arg)) for u > 0, since
-|ln|^(e-1) sign(ln) = |ln|^e / ln.
-
-The energy's primitive F is a 16-point Gauss-Legendre sum per node
-(``F_nodes``).  It is formed in node blocks of ``_F_BLOCK`` = 1000 nodes,
-in place in two (16, 1000) work arrays.  One work array is 128000 B, under
-glibc's 128 KiB mmap threshold, so it comes from the heap, and the two stay
-in cache.  Its product caller, ``analysis.bubble_energy``, passes 1539 nodes;
-a 16 x 1539 temporary, 196992 B, is over the threshold and would be mapped
-and faulted in anew every call (160 minor faults a call on a 2-vCPU Xeon).
+J and J0 (``J_at``), the ray terms of J (``ray_terms``) and the energy
+(``energy_I``) each take a node set (``radial.NodeSet``) and the values of
+u at its nodes, on a grid and at a bubble's tanh-sinh nodes alike; so does
+E (``bliss.concentration_E``), from J's factors (``nodal_factors``).  On a
+grid each nodal integrand is formed up to the last nonzero node of u,
+k = ``Profile.support_end()``, and is an exact zero after it, which is
+what the full formulas give there.  Every kernel works node by node, so
+the first k values are the full-array ones bit for bit (``F_nodes`` at
+k = 1 excepted, see there), and the sum sees a full-length vector.  A
+cutoff bubble is identically 0 on [2 r0, 1], a quarter of a graded mesh,
+and pow with a zero base is several times slower than with a regular one.
+The ascent reads J and its gradient from one set of nodal factors
+(``JNodes``), formed in place by J's own kernel.  The gradient forms no
+power of its own: with f = |u|^p* |ln|^e the integrand of J and
+arg = tau + |u|, d/du f = f (p*/u + e/(ln arg)) for u > 0, since
+|ln|^(e-1) sign(ln) = |ln|^e / ln.  The energy's primitive F is a
+16-point Gauss-Legendre sum per node, formed in node blocks (``F_nodes``).
 
 Along the ray through a profile u the quadrature of J factors.  Since
 |s u_i|^p* = s^p* |u_i|^p* for s > 0,
@@ -48,18 +40,16 @@ Along the ray through a profile u the quadrature of J factors.  Since
     J(s u) = s^p* sum_i w_i ln(tau + a_i s)^(e_i),
     a_i = |u_i|,   w_i = q_i a_i^p*,   e_i = r_i^beta,
 
-with q the r^theta quadrature weights.  a, w and e depend on u only
-(``ray_terms`` on a grid, ``nodal_ray_terms`` at any node set, such as a
-bubble's tanh-sinh nodes); each s then costs one pass over them
-(``ray_sum``).  The mountain-pass stationarity reads J(t u) for t > 0 and
-the Luxemburg norm reads J(u/lambda) this way.  For tau >= 1 every log
-factor is >= 0, so the sum does not decrease with s.
+with q the r^theta weights of the node set.  a, w and e depend on u only
+(``ray_terms``); each s then costs one fixed-order pass over them
+(``ray_sum``).  The mountain-pass stationarity reads J(t u) and the
+Luxemburg norm J(u/lambda) this way.  For tau >= 1 every log factor is
+>= 0, so the sum does not decrease with s.
 
-Conventions: the exponent r^beta is 0 at r = 0 and we set 0^0 = 1, so the
-integrand is continuous at the origin; kernels take the exponent array
-e = r^beta that ``Grid.node_power`` caches.  tau < 1 is accepted in J (the
-absolute value keeps it meaningful) but rejected in the ray sum, the energy
-and its pairing, which are only defined for tau >= 1.
+Conventions: r^beta (``NodeSet.power``) is 0 at r = 0 and 0^0 = 1, so the
+integrand is continuous at the origin.  tau < 1 is accepted in J (the
+absolute value keeps it meaningful) but rejected in the ray sum, the
+energy and its pairing, which are only defined for tau >= 1.
 """
 
 from __future__ import annotations
@@ -69,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.params import ParamSet, ValidationError
-from hslog.radial import (_GL16_W, _GL16_X, Grid, Profile, dirichlet_norm, dirichlet_pairing,
+from hslog.radial import (_GL16_W, _GL16_X, Grid, NodeSet, Profile, dirichlet_pairing,
                           pairing_factors, weighted_integral)
 
 
@@ -83,27 +73,51 @@ class LogParams:
             raise ValidationError(f"need tau > 0 and beta > 0, got {self.tau}, {self.beta}")
 
 
-def log_factor_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams) -> np.ndarray:
-    """|ln(tau+|u|)|^e, with the exponents e = r^beta of the nodes."""
-    x = np.abs(np.log(lp.tau + np.abs(u)))
-    return x**e
+def _j_factors(nodes: NodeSet, v: np.ndarray, lp: LogParams | None, p_star: float,
+               pw: np.ndarray, arg: np.ndarray, ln: np.ndarray, lf: np.ndarray):
+    """J's factors at the first v.size nodes, in place: pw takes |v|^p*, and
+    unless lp is None (J0), arg tau + |v|, ln its log and lf |ln|^(r^beta),
+    which is returned."""
+    np.abs(v, out=pw)
+    if lp is None:
+        pw **= p_star
+        return None
+    np.add(pw, lp.tau, out=arg)
+    pw **= p_star
+    np.log(arg, out=ln)
+    np.abs(ln, out=lf)
+    lf **= nodes.power(lp.beta)[:v.size]
+    return lf
+
+
+def nodal_factors(nodes: NodeSet, values: np.ndarray, lp: LogParams | None,
+                  ps: ParamSet) -> tuple[np.ndarray, np.ndarray | None]:
+    """(f, lf) at a node set, the integrand of J being f lf: f = |u|^p*, as
+    long as the set and 0 past the support of u (``NodeSet.support``), and
+    lf = |ln(tau+|u|)|^(r^beta) on the support, None for lp None (J0)."""
+    k = nodes.support(values)
+    f = np.zeros(values.size)
+    work = np.empty((3, k))
+    return f, _j_factors(nodes, values[:k], lp, ps.p_star, f[:k], *work)
+
+
+def J_at(nodes: NodeSet, values: np.ndarray, lp: LogParams | None, ps: ParamSet,
+         what: str) -> float:
+    """J (J0 for ``lp = None``) of u at a node set, from its values there;
+    ``what`` names it if a tanh-sinh set's sum does not converge."""
+    return nodes.integral(*nodal_factors(nodes, values, lp, ps), what, None)
 
 
 class JNodes:
-    """The nodal factors of J at one profile, in arrays kept for the next one.
+    """J's nodal factors at one grid profile, in arrays kept for the next one.
 
-    ``evaluate`` takes u on its support (``Profile.support_end``, k nodes)
-    and forms arg = tau + |u|, ln = ln(arg) and the integrand f = pw lf,
-    pw = |u|^p* and lf = |ln|^e with e = r^beta; f is full length with
-    exact zeros past k, and J is its quadrature sum.  ``gradient`` reads f,
-    ln and arg and forms no power, so J and its gradient at one profile
-    take one log and the two powers of J.  Every array is grid length and
-    filled in place, so an ascent that keeps two of these allocates no
-    float array for J or its gradient.  J's operations are those of the
-    plain formula, in the same order, so J is its value bit for bit.
-
-    ``lp = None`` selects the unperturbed integral J0, whose integrand is
-    |u|^p*.
+    ``evaluate`` forms them on the support of u (k nodes) with ``J_at``'s
+    kernel: arg = tau + |u|, ln = ln(arg) and the integrand f = pw lf,
+    pw = |u|^p* and lf = |ln|^e with e = r^beta (f = pw for J0, ``lp =
+    None``); f is full length with exact zeros past k, and J is ``J_at``'s
+    value bit for bit.  ``gradient`` reads f, ln and arg and forms no power.
+    Every array is grid length and filled in place, so an ascent that keeps
+    two of these allocates no float array for J or its gradient.
     """
 
     def __init__(self, m: int):
@@ -111,32 +125,20 @@ class JNodes:
         self.integrand = np.zeros(m)
         self._work = np.empty(m)
         self._mask = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-        # the profile last evaluated, and what it was evaluated with
-        self.u: Profile | None = None
-        self.lp: LogParams | None = None
-        self.ps: ParamSet | None = None
+        # the profile last evaluated, its node set and support, and lp and ps
+        self.u = self.nodes = self.lp = self.ps = None
         self.k = 0
 
     def evaluate(self, u: Profile, lp: LogParams | None, ps: ParamSet) -> float:
         """J(u), or J0(u) for ``lp = None``; the factors stay for ``gradient``."""
-        k = u.support_end()
-        v = u.values[:k]
-        p_star = ps.p_star
+        nodes = u.grid.node_set(ps.theta)
+        k = nodes.support(u.values)
         f = self.integrand
-        pw = np.abs(v, out=f[:k])
-        if lp is None:
-            pw **= p_star
-        else:
-            arg, ln, lf = self.arg[:k], self.ln[:k], self._work[:k]
-            np.add(pw, lp.tau, out=arg)
-            pw **= p_star
-            np.log(arg, out=ln)
-            np.abs(ln, out=lf)
-            lf **= u.grid.node_power(lp.beta)[:k]
-            pw *= lf
+        lf = _j_factors(nodes, u.values[:k], lp, ps.p_star, f[:k], self.arg[:k], self.ln[:k],
+                        self._work[:k])
         f[k:] = 0.0
-        self.u, self.lp, self.ps, self.k = u, lp, ps, k
-        return weighted_integral(u.grid, f, ps.theta)
+        self.u, self.lp, self.ps, self.nodes, self.k = u, lp, ps, nodes, k
+        return nodes.integral(f, lf, "J", None)
 
     def gradient(self, out: np.ndarray) -> np.ndarray:
         """The gradient of J (or J0) at the evaluated profile u with respect
@@ -169,25 +171,25 @@ class JNodes:
             if lp is not None:
                 ln = self.ln[:k]
                 np.multiply(ln, self.arg[:k], out=t)
-                np.divide(u.grid.node_power(lp.beta)[:k], t, out=t)
+                np.divide(self.nodes.power(lp.beta)[:k], t, out=t)
                 t *= f
                 g += t
                 np.equal(ln, 0.0, out=other)
                 dropped |= other
         np.copyto(g, 0.0, where=dropped)
-        g *= u.grid.quad_weights(ps.theta)[:k]
+        g *= self.nodes.q[:k]
         out[k:] = 0.0
         return out
 
 
 def J(u: Profile, lp: LogParams | None, ps: ParamSet, nodes: JNodes | None = None) -> float:
-    """The log-perturbed critical integral; J0 for ``lp = None``.
+    """The log-perturbed critical integral of a grid profile; J0 for ``lp = None``.
 
     It is evaluated in ``nodes`` when given, which then holds the factors
-    for ``JNodes.gradient``, and in a new ``JNodes`` otherwise.
+    for ``JNodes.gradient``, and at the grid's node set (``J_at``) otherwise.
     """
     if nodes is None:
-        nodes = JNodes(u.grid.m)
+        return J_at(u.grid.node_set(ps.theta), u.values, lp, ps, "J")
     return nodes.evaluate(u, lp, ps)
 
 
@@ -198,12 +200,9 @@ def _require_tau_ge_1(lp: LogParams, what: str) -> None:
 
 @dataclass(frozen=True)
 class RayTerms:
-    """The per-profile factors a, w, e of J(s u), on the support of u.
-
-    They run up to the last nonzero node of u; past it every term of the
-    sum is an exact zero.  ``scratch``, as long as a, holds the log factors
-    of the last ``ray_sum``, so that a sum allocates no array.
-    """
+    """The per-node factors a, w, e of J(s u) on the support of u, past which
+    every term is 0.  ``scratch``, as long as a, takes the log factors of each
+    ``ray_sum``, so that a sum allocates no array."""
 
     a: np.ndarray
     w: np.ndarray
@@ -213,28 +212,16 @@ class RayTerms:
     scratch: np.ndarray
 
 
-def ray_terms(u: Profile, lp: LogParams, ps: ParamSet) -> RayTerms:
-    """a_i = |u_i|, w_i = q_i a_i^p* and e_i = r_i^beta for J along the ray of u,
-    on the support of u."""
-    k = u.support_end()
-    return nodal_ray_terms(u.values[:k], u.grid.quad_weights(ps.theta)[:k],
-                           u.grid.node_power(lp.beta)[:k], lp, ps)
-
-
-def nodal_ray_terms(values: np.ndarray, q: np.ndarray, e: np.ndarray, lp: LogParams,
-                    ps: ParamSet) -> RayTerms:
-    """The ray terms of J at any node set: values u_i, r^theta weights q_i
-    and exponents e_i = r_i^beta.
-
-    tau >= 1 keeps ln(tau + a_i s) >= 0, which the factorization's callers
-    rely on.
-    """
+def ray_terms(nodes: NodeSet, values: np.ndarray, lp: LogParams, ps: ParamSet) -> RayTerms:
+    """a_i = |u_i|, w_i = q_i a_i^p* and e_i = r_i^beta on the support of u at
+    a node set; tau >= 1 keeps ln(tau + a_i s) >= 0, as the callers need."""
     _require_tau_ge_1(lp, "the ray sum of J")
-    p_star = ps.p_star
-    a = np.abs(values)
-    w = np.power(a, p_star)
-    w *= q
-    return RayTerms(a, w, e, lp.tau, p_star, np.empty(a.size))
+    k = nodes.support(values)
+    e = nodes.power(lp.beta)[:k]
+    a = np.abs(values[:k])
+    w = np.power(a, ps.p_star)
+    w *= nodes.q[:k]
+    return RayTerms(a, w, e, lp.tau, ps.p_star, np.empty(k))
 
 
 def ray_sum(terms: RayTerms, s: float) -> float:
@@ -302,18 +289,15 @@ def F_nodes(e: np.ndarray, u: np.ndarray, lp: LogParams, ps: ParamSet) -> np.nda
     return out
 
 
-def energy_I(u: Profile, lp: LogParams, ps: ParamSet) -> float:
-    """The energy I(u) = ||u||^p / p - int r^th F(r, u) dr of a grid profile.
-
-    No command calls it; the tests check ``energy_pairing`` against it.
-    """
+def energy_I(nodes: NodeSet, values: np.ndarray, norm_p: float, lp: LogParams, ps: ParamSet,
+             what: str) -> float:
+    """I(u) = ||u||^p / p - int r^th F(r, u) dr from norm_p = ||u||^p and the
+    values of u at a node set; ``what`` names the integral for its check."""
     _require_tau_ge_1(lp, "the energy")
-    nrm = dirichlet_norm(u, ps)
-    k = u.support_end()
-    f = np.zeros(u.grid.m)
-    f[:k] = F_nodes(u.grid.node_power(lp.beta)[:k], u.values[:k], lp, ps)
-    f_term = weighted_integral(u.grid, f, ps.theta)
-    return nrm**ps.p / ps.p - f_term
+    k = nodes.support(values)
+    f = np.zeros(values.size)
+    f[:k] = F_nodes(nodes.power(lp.beta)[:k], values[:k], lp, ps)
+    return norm_p / ps.p - nodes.integral(f, None, what, None)
 
 
 @dataclass(frozen=True)
@@ -333,11 +317,10 @@ class PairingTerms:
 def pairing_terms(u: Profile, lp: LogParams, ps: ParamSet) -> PairingTerms:
     """The ``PairingTerms`` of u; the source is formed on the support of u."""
     _require_tau_ge_1(lp, "the pairing")
-    k = u.support_end()
-    w = u.values[:k]
+    _, lf = nodal_factors(u.grid.node_set(ps.theta), u.values, lp, ps)
+    w = u.values[:lf.size]
     source = np.zeros(u.grid.m)
-    source[:k] = (np.sign(w) * np.abs(w) ** (ps.p_star - 1.0)
-                  * log_factor_nodes(u.grid.node_power(lp.beta)[:k], w, lp))
+    source[:w.size] = np.sign(w) * np.abs(w) ** (ps.p_star - 1.0) * lf
     return PairingTerms(u.grid, pairing_factors(u, ps), source)
 
 

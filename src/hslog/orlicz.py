@@ -20,12 +20,9 @@ For u != 0 and tau >= 1, lambda -> rho(u/lambda) is continuous and
 strictly decreasing, and lambda^p* rho(u/lambda) = sum_i w_i ln(tau +
 a_i/lambda)^(e_i) is nonincreasing.  The norm is solved for y = ln lambda,
 on g(y) = ln rho(u/e^y) = ln(sum_i w_i ln(tau + a_i e^-y)^(e_i)) - p* y: a
-line of slope -p* plus a slowly varying log, nearly linear.  Since the
-first term does not increase, g(y) <= g(y0) - p* (y - y0) above any y0 and
->= it below.  From y0 = ln lambda0, with lambda0 = (sum_i w_i)^(1/p*) the
-weighted L^p* norm, the power-law point y1 = y0 + g(y0)/p* therefore lies
-on the other side of the one root of g: the two points bracket it, and
-Brent's method (``params.brent_root``) converges to it.
+line of slope -p* plus a slowly varying log, nearly linear.  The first
+term does not increase, so g falls at least as fast as p* y, and
+``params.log_root`` brackets its one root from any start.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hslog.functionals import LogParams, RayTerms, ray_sum, ray_terms
-from hslog.params import (ParamSet, ValidationError, bracket_decreasing, brent_root,
-                          log_residual)
+from hslog.params import ParamSet, ValidationError, log_residual, log_root
 from hslog.radial import Profile, dirichlet_norm
 
 
@@ -132,34 +128,21 @@ def _log_modular(y: float, terms: RayTerms) -> float:
 
 def luxemburg_norm(u: Profile, lp: LogParams, ps: ParamSet) -> float:
     """lambda* with rho(u/lambda*) = 1, found as the root y* = ln lambda* of
-    g(y) = ln rho(u/e^y) by a power-law bracket and Brent's method.
+    g(y) = ln rho(u/e^y) by ``params.log_root`` from y0 = ln lambda0, with
+    lambda0 = (sum_i w_i)^(1/p*) the weighted L^p* norm (module docstring).
 
-    g is nearly linear in y (module docstring), so Brent's interpolation
-    lands on the root in about 3 modular passes after the bracket's two.
-    The bracket ends are y0 = ln lambda0, with lambda0 = (sum_i w_i)^(1/p*)
-    the weighted L^p* norm, and the power-law point y1 = y0 + g(y0)/p*,
-    which lies on the other side of the root.  ``bracket_decreasing``
-    still moves an end by ln 2 when rounding leaves one on the wrong side.
-    g reads exactly 0 once |rho - 1| <= 8.9e-16, which stops Brent on the
-    root; otherwise it runs to a tolerance of 2e-16 + 8.9e-16 |y| in y, so
-    the norm keeps close to full precision (needed for the homogeneity
-    contract).  The residuals at the bracket ends go to ``brent_root``, so
-    no lambda is evaluated twice.
+    g is nearly linear in y, so Brent's interpolation lands on the root in
+    about 3 modular passes after the bracket's two.  g reads exactly 0 once
+    |rho - 1| <= 8.9e-16, which stops Brent on the root; otherwise it runs
+    to a tolerance of 2e-16 + 8.9e-16 |y| in y, so the norm keeps close to
+    full precision (needed for the homogeneity contract).
     """
-    terms = ray_terms(u, lp, ps)
+    terms = ray_terms(u.grid.node_set(ps.theta), u.values, lp, ps)
     mass = float(np.einsum("i->", terms.w))
     if mass == 0.0:
         return 0.0
-    y0 = math.log(mass) / terms.p_star
-    g0 = _log_modular(y0, terms)
-    if g0 == 0.0:
-        return math.exp(y0)
-    y1 = y0 + g0 / terms.p_star
-    (lo, g_lo), (hi, g_hi) = sorted([(y0, g0), (y1, _log_modular(y1, terms))])
-    lo, g_lo, hi, g_hi = bracket_decreasing(_log_modular, lo, g_lo, hi, g_hi,
-                                            "the Luxemburg norm", args=(terms,))
-    y_star, _ = brent_root(_log_modular, lo, g_lo, hi, g_hi, "the Luxemburg norm",
-                           args=(terms,), xtol=2e-16, rtol=8.9e-16)
+    y_star, _ = log_root(_log_modular, math.log(mass) / terms.p_star, terms.p_star,
+                         "the Luxemburg norm", (terms,))
     return math.exp(y_star)
 
 

@@ -32,9 +32,9 @@ instance dict.
 ``bracket_decreasing`` the one bracket widener in front of it.  Both are
 plain Python, so that no command loads scipy only to find a root.  The
 Luxemburg norm and t_eps are roots of a power of the unknown times a slowly
-varying log factor; their callers solve for the logarithm of the unknown,
-where the residual, the logarithm of a ratio that is 1 at the root
-(``log_residual``), is nearly linear, and the widener steps by ln 2.
+varying log factor; both are solved for the logarithm of the unknown by
+``log_root``, where the residual, the logarithm of a ratio that is 1 at the
+root (``log_residual``), is nearly linear, and the widener steps by ln 2.
 """
 
 from __future__ import annotations
@@ -308,6 +308,23 @@ def brent_root(f, lo: float, f_lo: float, hi: float, f_hi: float, what: str,
         _require_number(f_cur, x_cur, what)
     raise NumericalError(f"Brent's method did not converge to {what} in {maxiter} "
                          f"iterations: f = {f_cur:.3e} at {x_cur:.17g}")
+
+
+def log_root(f, x0: float, slope: float, what: str, args: tuple) -> tuple[float, float]:
+    """(x*, f(x*)) for the root of f(x, *args), a residual that falls at least
+    as fast as slope > 0 times x, as the log of a power law does: from x0
+    and the power-law point x0 + f(x0)/slope, which brackets the root with
+    it, through ``bracket_decreasing`` and ``brent_root`` (to 2e-16 +
+    8.9e-16 |x*|).  Each x is evaluated once; f(x0) = 0 returns x0.
+    """
+    f0 = f(x0, *args)
+    if f0 == 0.0:
+        return x0, f0
+    x1 = x0 + f0 / slope
+    (lo, f_lo), (hi, f_hi) = sorted([(x0, f0), (x1, f(x1, *args))])
+    lo, f_lo, hi, f_hi = bracket_decreasing(f, lo, f_lo, hi, f_hi, what, args=args)
+    return brent_root(f, lo, f_lo, hi, f_hi, what, args=args, xtol=2e-16,
+                      rtol=8.9e-16, maxiter=200)
 
 
 def _require_number(fx: float, x: float, what: str) -> None:

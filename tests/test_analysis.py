@@ -12,7 +12,6 @@ from scipy.optimize import minimize_scalar
 from hslog import analysis, bliss
 from hslog.analysis import (
     beta_sweep,
-    bubble_energy,
     concentration_level_check,
     maximize_F,
     mountain_pass_gap,
@@ -21,7 +20,7 @@ from hslog.analysis import (
     rate_fit,
     solve_t_eps,
 )
-from hslog.functionals import JNodes, LogParams, J, energy_I, ray_terms
+from hslog.functionals import JNodes, LogParams, J, energy_I
 from hslog.params import (
     NumericalError,
     ValidationError,
@@ -29,7 +28,7 @@ from hslog.params import (
 )
 from hslog.radial import Profile, dirichlet_norm, make_grid
 
-from helpers import normalize
+from helpers import grid_energy, grid_ray_terms, normalize, plain_log_factor
 
 P0 = validate_params(2, 2, 2, 2)
 
@@ -380,7 +379,7 @@ class TestConcentrationLevel:
 
 def _t_eps(u, lp):
     """solve_t_eps for a grid profile, from its ray terms and ||u||^p."""
-    return solve_t_eps(ray_terms(u, lp, P0), dirichlet_norm(u, P0) ** P0.p, P0)
+    return solve_t_eps(grid_ray_terms(u, lp, P0), dirichlet_norm(u, P0) ** P0.p, P0)
 
 
 class TestScalarStationarity:
@@ -410,10 +409,9 @@ class TestScalarStationarity:
         u = _bubble_family(grid, (1e-4,))[0]
         t_star = _t_eps(u, self.LP)
         n_p = dirichlet_norm(u, P0) ** 2
-        from hslog.functionals import log_factor_nodes
         from hslog.radial import weighted_integral
 
-        lf = log_factor_nodes(u.grid.node_power(self.LP.beta), t_star * u.values, self.LP)
+        lf = plain_log_factor(u.grid.nodes**self.LP.beta, t_star * u.values, self.LP)
         k = weighted_integral(u.grid, np.abs(u.values) ** 6 * lf, 2.0)
         assert abs(t_star * n_p - t_star**5 * k) < 1e-10
 
@@ -517,8 +515,8 @@ class TestMountainPass:
     SPEC = bliss.BubbleSpec(1e-4, 1.0, 0.2)
 
     def _energy_at(self, t):
-        nodes = bliss.bubble_nodes(self.SPEC, P0)
-        return bubble_energy(nodes, nodes.r ** self.LP.beta, t, self.LP, P0)
+        bubble = bliss.bubble_nodes(self.SPEC, P0)
+        return energy_I(bubble.nodes, t * bubble.u, t**P0.p * bubble.norm_p, self.LP, P0, "I")
 
     def test_gap_positive_and_ray_shape(self):
         mp = mountain_pass_gap(self.SPEC, self.LP, P0)
@@ -575,7 +573,7 @@ class TestMountainPassOffTheMesh:
         spec = bliss.BubbleSpec(eps)
         u = bliss.bubble_profile(spec, make_grid(64000, 3.0), P0)
         t_mesh = _t_eps(u, self.LP)
-        on_mesh = energy_I(Profile(u.grid, t_mesh * u.values), self.LP, P0)
+        on_mesh = grid_energy(Profile(u.grid, t_mesh * u.values), self.LP, P0)
         mp = mountain_pass_gap(spec, self.LP, P0)
         assert abs(mp.max_energy - on_mesh) <= 2.0 * mesh_error
         assert mp.t_at_max == pytest.approx(t_mesh, rel=1e-5)
@@ -587,7 +585,7 @@ class TestSphereScan:
         lp, rng = LogParams(1.0, 0.5), np.random.default_rng(2024)
         profiles = [normalize(random_smooth_profile(grid, rng), P0) for _ in range(15)]
         for rho in (0.1, 0.2, 0.4):
-            assert min(energy_I(Profile(grid, rho * u.values), lp, P0) for u in profiles) > 0
+            assert min(grid_energy(Profile(grid, rho * u.values), lp, P0) for u in profiles) > 0
 
 
 def _grad_full(u, lp, ps):

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from hslog import analysis, bliss
+from hslog import analysis, bliss, radial
 from hslog.cli import RunConfig
-from hslog.functionals import J, LogParams, log_factor_nodes
+from hslog.functionals import J, LogParams
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import dirichlet_norm, make_grid
 
-from helpers import normalize
+from helpers import normalize, plain_log_factor
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -312,15 +312,17 @@ class TestBubbleNodes:
     def test_the_nodes_are_the_rule_s(self):
         # one rule: each piece's sum is _tanh_sinh's integral on that piece
         spec = bliss.BubbleSpec(1e-4, P0.a_hat, 0.2)
-        nodes = bliss.bubble_nodes(spec, P0)
+        bubble = bliss.bubble_nodes(spec, P0)
+        nodes = bubble.nodes
         n = bliss._TS_T.size
-        assert nodes.r.size == nodes.q.size == nodes.u.size == 3 * n
+        assert nodes.r.size == nodes.q.size == bubble.u.size == 3 * n
+        assert nodes.pieces == 3
 
         def f(r):
             return r**P0.theta * (spec.a_hat * bliss.cutoff_eta(r, 0.2)
                                   * bliss.bliss_value(1e-4, r, P0)) ** P0.p_star
 
-        terms = (nodes.q * nodes.u**P0.p_star).reshape(3, n).sum(axis=1)
+        terms = (nodes.q * bubble.u**P0.p_star).reshape(3, n).sum(axis=1)
         for piece, (a, b) in zip(terms[::2], ((0.0, 1e-4), (0.2, 0.4))):
             assert piece == pytest.approx(bliss._tanh_sinh(f, a, b)[0], rel=1e-14)
         log_piece = bliss._tanh_sinh(lambda x: np.exp(x) * f(np.exp(x)),
@@ -328,11 +330,10 @@ class TestBubbleNodes:
         assert terms[1] == pytest.approx(log_piece, rel=1e-14)
         assert np.array_equal(nodes.r[2 * n:], bliss._ts_nodes(0.2, 0.4)[0])
         # the bubble vanishes past 2 r0 and nowhere before it
-        assert np.all(nodes.u[:2 * n] > 0) and nodes.r.max() <= 0.4
+        assert np.all(bubble.u[:2 * n] > 0) and nodes.r.max() <= 0.4
 
     def test_unconverged_rule_raises(self, monkeypatch):
-        real = bliss._piece_sums
-        monkeypatch.setattr(bliss, "_piece_sums", lambda terms: (real(terms)[0], 1e-3))
+        monkeypatch.setattr(radial, "_RULE_TOL", -1.0)   # no estimate passes
         with pytest.raises(NumericalError, match=r"bubble quadrature at eps=1e-05, r0=0\.2"):
             bliss.bubble_nodes(bliss.BubbleSpec(1e-5), P0)
 
@@ -408,10 +409,11 @@ class TestConcentrationFunctional:
         # keeps the digits that J - J0 cancels
         ps = validate_params(*pv)
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-            nodes = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
-            j = float(np.einsum("i,i->", nodes.q, nodes.u**ps.p_star
-                                * log_factor_nodes(nodes.r**lp.beta, nodes.u, lp)))
-            assert abs(bliss.concentration_E(nodes, lp, ps) - (j - nodes.j0)) <= 8e-15 * j
+            bubble = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
+            nodes = bubble.nodes
+            j = float(np.einsum("i,i->", nodes.q, bubble.u**ps.p_star
+                                * plain_log_factor(nodes.r**lp.beta, bubble.u, lp)))
+            assert abs(bliss.concentration_E(bubble, lp, ps) - (j - bubble.j0)) <= 8e-15 * j
 
     def test_grows_like_the_lower_bound(self):
         from hslog.analysis import rate_fit
@@ -426,10 +428,67 @@ class TestConcentrationFunctional:
 
     def test_unconverged_rule_raises(self, monkeypatch):
         nodes = bliss.bubble_nodes(bliss.BubbleSpec(1e-5), P0)
-        real = bliss._piece_sums
-        monkeypatch.setattr(bliss, "_piece_sums", lambda terms: (real(terms)[0], 1e-3))
+        monkeypatch.setattr(radial, "_RULE_TOL", -1.0)   # no estimate passes
         with pytest.raises(NumericalError, match=r"concentration quadrature at eps=1e-05 "):
             bliss.concentration_E(nodes, self.LP, P0)
+
+
+class TestBubbleBitPins:
+    """The bubble numbers bit for bit, at tau = 1 and beta = 1/2: ||u||^p and
+    J0 at the nodes, E, and the mountain-pass root t* and gap0.
+
+    ``bubble_nodes`` and E read the bubble of amplitude a_hat, as ``ncs`` and
+    ``rates`` do; ``mountain_pass_gap`` reads that of amplitude 1, as
+    ``mp-gap`` does.
+    """
+
+    LP = LogParams(1.0, 0.5)
+    PINS = {
+        ((2, 2, 2, 2), 1e-3): ("0x1.031aae4a9c05ep+0", "0x1.ebdd91f0d52a4p-1",
+                               "0x1.35c99e0cd9576p-5", "0x1.fc9b930080ed4p-1",
+                               "-0x1.969e7c9e5b500p-8"),
+        ((2, 2, 2, 2), 1e-5): ("0x1.0007f26ba3381p+0", "0x1.ebdd957dd5a10p-1",
+                               "0x1.666b7e50e4f88p-8", "0x1.ff49e884d482ep-1",
+                               "-0x1.0376902c35000p-14"),
+        ((3, 2, 4, 4), 1e-3): ("0x1.1440c01057272p+0", "0x1.f218781b33f1cp-1",
+                               "0x1.f409e3aa40802p-5", "0x1.00dd74430916bp+0",
+                               "-0x1.c395db97e2ee0p-6"),
+        ((3, 2, 4, 4), 1e-5): ("0x1.0033e03582292p+0", "0x1.f2193e56a5ab0p-1",
+                               "0x1.17a2593e60656p-7", "0x1.ff18c7e93fd50p-1",
+                               "-0x1.19de943cde800p-12"),
+    }
+
+    @pytest.mark.parametrize("pv, eps", list(PINS))
+    def test_bits(self, pv, eps):
+        ps = validate_params(*pv)
+        bubble = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
+        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps), self.LP, ps)
+        got = (bubble.norm_p, bubble.j0, bliss.concentration_E(bubble, self.LP, ps),
+               mp.t_at_max, mp.gap0)
+        assert tuple(v.hex() for v in got) == self.PINS[pv, eps]
+
+    # the two sums that are checked piece by piece against the rule's
+    # estimate, where they were plain sums over the nodes: the unit-norm J of
+    # ``ncs`` and the energy at t*; (3, 2, 4, 4) at eps = 1e-5 is p1.cfg's
+    # mp-gap row, whose gap moved from 0.000903661027687 to 0.000903661027686
+    REORDERED = {
+        ((2, 2, 2, 2), 1e-3): ("0x1.ed0aa6ca5ced8p-1", "0x1.5c207897d2656p-2"),
+        ((2, 2, 2, 2), 1e-5): ("0x1.ee7c5cddc482ep-1", "0x1.5b57d2de95386p-2"),
+        ((3, 2, 4, 4), 1e-3): ("0x1.b57758efc3c5fp-1", "0x1.c741bb55d8145p-3"),
+        ((3, 2, 4, 4), 1e-5): ("0x1.f5798f5cefb40p-1", "0x1.9f55d4f607b8ap-3"),
+    }
+
+    @pytest.mark.parametrize("pv, eps", list(REORDERED))
+    def test_bits_of_the_reordered_sums(self, pv, eps):
+        ps = validate_params(*pv)
+        bubble = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
+        ncs = analysis.ncs_check([bubble] * 3, ps)
+        unit_j = analysis.concentration_level_check([bubble] * 3, self.LP, ps, 0,
+                                                    ncs).j_values[0]
+        mp = analysis.mountain_pass_gap(bliss.BubbleSpec(eps), self.LP, ps)
+        assert (unit_j.hex(), mp.max_energy.hex()) == self.REORDERED[pv, eps]
+        if pv == (3, 2, 4, 4) and eps == 1e-5:
+            assert "%.12g" % mp.gap == "0.000903661027686"
 
 
 class TestUnitBubbleJ:

@@ -1,7 +1,10 @@
 """Every function and class in src/hslog is reached from src/hslog itself.
 
 A name counts as reached when the package's code reads it, as a name or an
-attribute; a definition, a docstring or a test does not reach it.
+attribute; a definition, a docstring or a test does not reach it.  And the
+exponent r^beta is formed in ``functionals``' kernels alone (and in
+``shooting``'s scalar right-hand side): the modules above them read no
+``beta``.
 """
 
 import ast
@@ -11,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hslog"
 
 # definitions no package code reaches, each kept for the reason given
 ALLOWED = {
-    "energy_I": "the grid energy that energy_pairing is checked against",
     "energy_pairing": "the pairing that radial.dual_norm is checked against",
 }
 
@@ -32,3 +34,10 @@ def callerless(src: Path) -> set[str]:
 
 def test_no_callerless_definition():
     assert callerless(SRC) == set(ALLOWED)
+
+
+def test_no_beta_above_the_kernels():
+    for name in ("analysis", "bliss", "orlicz"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "beta"], name

@@ -21,13 +21,13 @@ import hashlib
 import numpy as np
 from hslog import bliss
 from hslog.analysis import maximize_F, mountain_pass_gap, random_smooth_profile
-from hslog.functionals import J, LogParams, energy_I
+from hslog.functionals import J, LogParams
 from hslog.orlicz import luxemburg_norm
 from hslog.params import validate_params
 from hslog.radial import make_grid
 from hslog.shooting import shoot
 
-from helpers import normalize
+from helpers import grid_energy, normalize
 
 ps = validate_params(2, 2, 2, 2)
 lp = LogParams(1.0, 0.5)
@@ -35,7 +35,7 @@ grid = make_grid(16000, 3.0)
 rng = np.random.default_rng(5)
 for _ in range(20):
     u = normalize(random_smooth_profile(grid, rng), ps)
-    print(J(u, lp, ps).hex(), energy_I(u, lp, ps).hex(), luxemburg_norm(u, lp, ps).hex())
+    print(J(u, lp, ps).hex(), grid_energy(u, lp, ps).hex(), luxemburg_norm(u, lp, ps).hex())
 res = maximize_F(ps, lp, grid, eps_seeds=(1e-5,))
 print(res.value.hex(), res.iterations, hashlib.sha256(res.profile.values.tobytes()).hexdigest())
 for eps in (1e-3, 1e-4, 1e-5):

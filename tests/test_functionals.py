@@ -14,18 +14,18 @@ from hslog.functionals import (
     F_nodes,
     J,
     JNodes,
+    J_at,
     LogParams,
-    energy_I,
     energy_pairing,
-    log_factor_nodes,
+    nodal_factors,
     pairing_terms,
     ray_sum,
-    ray_terms,
 )
 from hslog.params import ValidationError, validate_params
-from hslog.radial import _GL16_W, _GL16_X, Profile, dirichlet_norm, make_grid, weighted_integral
+from hslog.radial import (_GL16_W, _GL16_X, NodeSet, Profile, dirichlet_norm, make_grid,
+                          weighted_integral)
 
-from helpers import normalize
+from helpers import grid_energy, grid_ray_terms, normalize, plain_log_factor
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)
@@ -37,7 +37,9 @@ def linear_profile(m=2000, gamma=1.0):
 
 
 def log_factor(r, u, lp):
-    return log_factor_nodes(np.array([r]) ** lp.beta, np.array([u]), lp)[0]
+    """J's log factor at one node, from its kernel on a one-node set."""
+    nodes = NodeSet(np.array([float(r)]), np.ones(1), 1, {})
+    return nodal_factors(nodes, np.array([float(u)]), lp, P0)[1][0]
 
 
 class TestLogFactor:
@@ -142,7 +144,7 @@ class TestGAndPrimitive:
     def G(self, r, u, ps):
         p_star = ps.p_star
         e = r**self.LP.beta
-        return (np.abs(u) ** p_star * log_factor_nodes(e, u, self.LP) / p_star
+        return (np.abs(u) ** p_star * plain_log_factor(e, u, self.LP) / p_star
                 - F_nodes(e, u, self.LP, ps))
 
     def test_vanishes_at_origin(self):
@@ -162,19 +164,19 @@ class TestEnergy:
 
     def test_zero_profile(self):
         g = make_grid(64, 1.0)
-        assert energy_I(Profile(g, np.zeros(g.m)), self.LP, P0) == 0.0
+        assert grid_energy(Profile(g, np.zeros(g.m)), self.LP, P0) == 0.0
 
     def test_diverges_to_minus_infinity_along_rays(self):
         u = normalize(linear_profile(500), P0)
-        v1 = energy_I(Profile(u.grid, 1e3 * u.values), self.LP, P0)
-        v2 = energy_I(Profile(u.grid, 1e4 * u.values), self.LP, P0)
+        v1 = grid_energy(Profile(u.grid, 1e3 * u.values), self.LP, P0)
+        v2 = grid_energy(Profile(u.grid, 1e4 * u.values), self.LP, P0)
         assert v1 < 0 and v2 < v1
 
     def test_against_independent_quadrature(self):
         # reference from nested adaptive quadrature (energy of 1-r at
         # tau=1, beta=1/2), abs err below 1e-8
         u = linear_profile(20000)
-        assert energy_I(u, self.LP, P0) == pytest.approx(0.16623147784225153, abs=1e-9)
+        assert grid_energy(u, self.LP, P0) == pytest.approx(0.16623147784225153, abs=1e-9)
 
     @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
     def test_equals_the_by_parts_form(self, lp):
@@ -199,11 +201,11 @@ class TestEnergy:
                           for r, v in zip(grid.nodes, u.values)])
         by_parts = (dirichlet_norm(u, P0) ** P0.p / P0.p - J(u, lp, P0) / p_star
                     + weighted_integral(grid, big_g, P0.theta))
-        assert energy_I(u, lp, P0) == pytest.approx(by_parts, abs=1e-12)
+        assert grid_energy(u, lp, P0) == pytest.approx(by_parts, abs=1e-12)
 
     def test_tau_below_one_rejected(self):
         with pytest.raises(ValidationError, match="tau >= 1"):
-            energy_I(linear_profile(64), LogParams(0.9, 1.0), P0)
+            grid_energy(linear_profile(64), LogParams(0.9, 1.0), P0)
 
 
 class TestEnergyPairing:
@@ -236,8 +238,8 @@ class TestEnergyPairing:
         for _ in range(50):
             u = Profile(g, _smooth(g, rng))
             v = Profile(g, _smooth(g, rng))
-            fd = (energy_I(Profile(g, u.values + h * v.values), self.LP, ps)
-                  - energy_I(Profile(g, u.values - h * v.values), self.LP, ps)) / (2 * h)
+            fd = (grid_energy(Profile(g, u.values + h * v.values), self.LP, ps)
+                  - grid_energy(Profile(g, u.values - h * v.values), self.LP, ps)) / (2 * h)
             pairing = energy_pairing(pairing_terms(u, self.LP, ps), v, ps)
             assert abs(fd - pairing) / max(1.0, abs(pairing)) < 1e-5
 
@@ -278,7 +280,7 @@ SUPPORT_KINDS = ["cutoff-bubble", "random", "interior-zeros", "zero"]
 
 def _J_full(u, lp, ps):
     p_star = ps.p_star
-    lf = log_factor_nodes(u.grid.nodes**lp.beta, u.values, lp)
+    lf = plain_log_factor(u.grid.nodes**lp.beta, u.values, lp)
     return weighted_integral(u.grid, np.abs(u.values) ** p_star * lf, ps.theta)
 
 
@@ -286,7 +288,7 @@ def _F_nodes_one_shot(e, u, lp, ps):
     """F_nodes as one 16 x k array expression, the reference for its blocks."""
     a = np.abs(u)
     s = 0.5 * a * (_GL16_X[:, None] + 1.0)
-    integrand = s ** (ps.p_star - 1.0) * log_factor_nodes(e, s, lp)
+    integrand = s ** (ps.p_star - 1.0) * plain_log_factor(e, s, lp)
     return 0.5 * a * np.einsum("j,ji->i", _GL16_W, integrand)
 
 
@@ -302,7 +304,7 @@ def _pairing_full(u, v, lp, ps):
                          * np.abs(su) ** (ps.p - 1.0) * sv))
     uu = u.values
     f = (np.sign(uu) * np.abs(uu) ** (p_star - 1.0)
-         * log_factor_nodes(u.grid.nodes**lp.beta, uu, lp) * v.values)
+         * plain_log_factor(u.grid.nodes**lp.beta, uu, lp) * v.values)
     return term1 - weighted_integral(u.grid, f, ps.theta)
 
 
@@ -335,11 +337,21 @@ class TestSupportTrim:
                 if lp is None:
                     assert J(u, None, ps) == full
 
+    @pytest.mark.parametrize("kind", SUPPORT_KINDS)
+    @pytest.mark.parametrize("lp", [None, LogParams(1.0, 0.5), LogParams(0.5, 0.5)])
+    def test_node_set_J_is_the_ascent_s(self, kind, lp):
+        # J at the grid's node set, from the integrand trimmed to the support,
+        # and J through the ascent's JNodes are one value bit for bit
+        u = _support_profile(kind)
+        for ps in (P0, P1):
+            at_nodes = J_at(u.grid.node_set(ps.theta), u.values, lp, ps, "J")
+            assert at_nodes == J(u, lp, ps, JNodes(u.grid.m))
+
     @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
     def test_ray_sum_in_its_scratch(self, lp):
         # the scratch is overwritten by each sum
         for kind in SUPPORT_KINDS:
-            terms = ray_terms(_support_profile(kind), lp, P1)
+            terms = grid_ray_terms(_support_profile(kind), lp, P1)
             for s in (0.5, 1.0, 3.0, 0.5):
                 plain = float(np.einsum("i,i->", terms.w,
                                         np.log(terms.tau + terms.a * s) ** terms.e))
@@ -351,7 +363,7 @@ class TestSupportTrim:
         u = _support_profile(kind)
         v = Profile(u.grid, _smooth(u.grid, np.random.default_rng(23)))
         for ps in (P0, P1):
-            assert energy_I(u, lp, ps) == _energy_full(u, lp, ps)
+            assert grid_energy(u, lp, ps) == _energy_full(u, lp, ps)
             pairing = energy_pairing(pairing_terms(u, lp, ps), v, ps)
             assert pairing == _pairing_full(u, v, lp, ps)
 
@@ -364,20 +376,20 @@ class TestSupportTrim:
         vals = 4.0 * _smooth(g, np.random.default_rng(tail))
         vals[g.m - 1 - tail:] = 0.0
         u = Profile(g, vals)
-        assert energy_I(u, self.LP, P1) == _energy_full(u, self.LP, P1)
+        assert grid_energy(u, self.LP, P1) == _energy_full(u, self.LP, P1)
 
     @pytest.mark.parametrize("kind,expected", [("cutoff-bubble", 1473), ("random", 1999),
                                                ("interior-zeros", 1987), ("zero", 0)])
     def test_kernel_sees_the_support(self, kind, expected, monkeypatch):
         # one past the last nonzero node
         seen = []
-        for name in ("F_nodes", "log_factor_nodes"):
+        for name in ("F_nodes", "_j_factors"):
             kernel = getattr(functionals, name)
             monkeypatch.setattr(functionals, name,
                                 lambda e, w, *rest, kernel=kernel: seen.append(w.size)
                                 or kernel(e, w, *rest))
         u = _support_profile(kind)
-        energy_I(u, self.LP, P1)
+        grid_energy(u, self.LP, P1)
         energy_pairing(pairing_terms(u, self.LP, P1), u, P1)
         assert seen == [expected, expected]
 
@@ -395,7 +407,7 @@ class TestPrimitiveBlocks:
     def test_support_lengths(self, k, ps):
         g = make_grid(2 * _F_BLOCK + 3, 3.0)
         vals = (4.0 * _smooth(g, np.random.default_rng(k)))[:k]
-        e = g.node_power(self.LP.beta)[:k]
+        e = g.node_set(P0.theta).power(self.LP.beta)[:k]
         for v in (vals, -vals):
             assert np.array_equal(F_nodes(e, v, self.LP, ps), _F_nodes_one_shot(e, v, self.LP, ps))
 
@@ -404,14 +416,14 @@ class TestPrimitiveBlocks:
         u = self.README_BUBBLE
         k = u.support_end()
         assert k == 11788
-        e = u.grid.node_power(self.LP.beta)[:k]
+        e = u.grid.node_set(P0.theta).power(self.LP.beta)[:k]
         for v in (u.values[:k], -u.values[:k]):
             assert np.array_equal(F_nodes(e, v, self.LP, ps), _F_nodes_one_shot(e, v, self.LP, ps))
 
     def test_peak_memory_below_one_16_by_k_array(self):
         u = self.README_BUBBLE
         k = u.support_end()
-        v, e = u.values[:k], u.grid.node_power(self.LP.beta)[:k]
+        v, e = u.values[:k], u.grid.node_set(P0.theta).power(self.LP.beta)[:k]
         tracemalloc.start()
         try:
             F_nodes(e, v, self.LP, P0)

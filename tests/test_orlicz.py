@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hslog import bliss, orlicz
+from hslog import bliss, orlicz, params
 from hslog.analysis import maximize_F, random_smooth_profile
-from hslog.functionals import J, LogParams, ray_sum, ray_terms
+from hslog.functionals import J, LogParams, ray_sum
 from hslog.orlicz import (
     EmbeddingReport,
     GammaSpec,
@@ -23,6 +23,8 @@ from hslog.orlicz import (
 )
 from hslog.params import NumericalError, ValidationError, brent_root, validate_params
 from hslog.radial import Profile, make_grid
+
+from helpers import grid_ray_terms
 
 P0 = validate_params(2, 2, 2, 2)
 LP = LogParams(1.0, 0.5)
@@ -103,19 +105,27 @@ class TestLuxemburgNorm:
         rng = np.random.default_rng(4)
         u = random_smooth_profile(grid, rng)
         lam = luxemburg_norm(u, LP, P0)
-        assert abs(modular(ray_terms(u, LP, P0), lam) - 1.0) < 1e-14
+        assert abs(modular(grid_ray_terms(u, LP, P0), lam) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("kind", ["random", "bubble"])
     @pytest.mark.parametrize("lp", [LogParams(1.0, 0.5), LogParams(2.0, 1.0)])
     def test_modular_from_terms_is_J_of_the_scaled_profile(self, grid, kind, lp):
         u = _random_or_bubble(grid, kind)
-        terms = ray_terms(u, lp, P0)
+        terms = grid_ray_terms(u, lp, P0)
         for lam in (0.05, 0.1, 0.5, 1.0, 5.0):
             ref = J(Profile(grid, (1.0 / lam) * u.values), lp, P0)
             assert abs(modular(terms, lam) - ref) <= 1e-14 * ref
         for s in (0.2, 1.0, 2.0, 10.0, 20.0):
             ref = J(Profile(grid, s * u.values), lp, P0)
             assert abs(ray_sum(terms, s) * s**6 - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("pv, bits", [((2, 2, 2, 2), "0x1.ffe295158e12bp-1"),
+                                          ((3, 2, 4, 4), "0x1.012638d9695f1p+0")])
+    def test_bits_of_a_grid_bubble(self, pv, bits):
+        # the eps = 1e-3 bubble of amplitude a_hat at M = 2000, tau = 1, beta = 1/2
+        ps = validate_params(*pv)
+        u = bliss.bubble_profile(bliss.BubbleSpec(1e-3, ps.a_hat), make_grid(2000, 3.0), ps)
+        assert luxemburg_norm(u, LP, ps).hex() == bits
 
     def test_homogeneity(self, grid):
         rng = np.random.default_rng(5)
@@ -128,7 +138,7 @@ class TestLuxemburgNorm:
         rng = np.random.default_rng(6)
         u = random_smooth_profile(grid, rng)
         lams = np.array([0.05, 0.1, 0.5, 1.0, 5.0])
-        terms = ray_terms(u, LP, P0)
+        terms = grid_ray_terms(u, LP, P0)
         vals = [modular(terms, lam) for lam in lams]
         assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
 
@@ -193,9 +203,9 @@ class TestLuxemburgNorm:
             return brent_root(*args, **kwargs)
 
         monkeypatch.setattr(orlicz, "modular", recording)
-        monkeypatch.setattr(orlicz, "brent_root", brent_recording)
+        monkeypatch.setattr(params, "brent_root", brent_recording)
         luxemburg_norm(u, LP, P0)
-        y0 = math.log(np.einsum("i->", ray_terms(u, LP, P0).w)) / 6.0
+        y0 = math.log(np.einsum("i->", grid_ray_terms(u, LP, P0).w)) / 6.0
         assert before_brent == [2]
         assert lams[0] == math.exp(y0)
         assert lams[1] == math.exp(y0 + math.log(rhos[0]) / 6.0)
@@ -215,7 +225,7 @@ class TestLuxemburgNorm:
         monkeypatch.setattr(orlicz, "modular", recording)
         lam = luxemburg_norm(u, LP, P0)
         assert lams[-1] == lam
-        assert abs(modular(ray_terms(u, LP, P0), lam) - 1.0) <= 8.9e-16
+        assert abs(modular(grid_ray_terms(u, LP, P0), lam) - 1.0) <= 8.9e-16
 
     def test_at_most_5_modular_passes_per_norm(self, monkeypatch):
         # the README config's `orlicz` profiles at seed 801 and M = 2000: 100

@@ -229,14 +229,15 @@ class TestBrentMatchesScipy:
         # r(x) = ln ||u||^p - (p*-p) x - ln S(e^x), from solve_t_eps's own
         # bracket: x = 0 and the power-law point
         from hslog import analysis, bliss
-        from hslog.functionals import LogParams, ray_terms
+        from hslog.functionals import LogParams
         from hslog.radial import dirichlet_norm, make_grid
+        from helpers import grid_ray_terms
 
         ps = validate_params(*P0)
         grid = make_grid(1000, 3.0)
         lp = LogParams(1.0, 0.5)
         u = bliss.bubble_profile(bliss.BubbleSpec(1e-3), grid, ps)
-        args = (ray_terms(u, lp, ps), dirichlet_norm(u, ps) ** ps.p, ps.p)
+        args = (grid_ray_terms(u, lp, ps), dirichlet_norm(u, ps) ** ps.p, ps.p)
         r0 = analysis._log_stationarity(0.0, *args)
         lo, hi = sorted([0.0, r0 / (ps.p_star - ps.p)])
         x, _ = self._both(analysis._log_stationarity, lo, hi, args=args, xtol=2e-16,
@@ -251,8 +252,9 @@ class TestBrentMatchesScipy:
         # lambda0 and the power-law point
         from hslog import orlicz
         from hslog.analysis import random_smooth_profile
-        from hslog.functionals import LogParams, ray_terms
+        from hslog.functionals import LogParams
         from hslog.radial import make_grid
+        from helpers import grid_ray_terms
 
         ps = validate_params(*P0)
         grid = make_grid(1000, 3.0)
@@ -260,7 +262,7 @@ class TestBrentMatchesScipy:
         rng = np.random.default_rng(5)
         for _ in range(5):
             u = random_smooth_profile(grid, rng)
-            terms = ray_terms(u, lp, ps)
+            terms = grid_ray_terms(u, lp, ps)
             y0 = math.log(np.einsum("i->", terms.w)) / ps.p_star
             y1 = y0 + orlicz._log_modular(y0, terms) / ps.p_star
             lo, hi = sorted([y0, y1])
@@ -294,8 +296,9 @@ class TestLogRootsMatchTheLinearOnes:
         # the profiles `orlicz` reads on the README config: 100 random, 6 bubbles
         from hslog import bliss, orlicz
         from hslog.analysis import random_smooth_profile
-        from hslog.functionals import LogParams, ray_terms
+        from hslog.functionals import LogParams
         from hslog.radial import make_grid
+        from helpers import grid_ray_terms
 
         ps = validate_params(*params)
         grid = make_grid(2000, 3.0)
@@ -306,7 +309,7 @@ class TestLogRootsMatchTheLinearOnes:
                      for eps in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5)]
         ours, theirs = [], []
         for u in profiles:
-            terms = ray_terms(u, lp, ps)
+            terms = grid_ray_terms(u, lp, ps)
             lam0 = np.einsum("i->", terms.w) ** (1.0 / ps.p_star)
             theirs.append(brentq(lambda lam: orlicz.modular(terms, lam) - 1.0, 0.5 * lam0,
                                  2.0 * lam0, xtol=5e-16 * lam0, rtol=8.9e-16))
@@ -316,21 +319,21 @@ class TestLogRootsMatchTheLinearOnes:
     @pytest.mark.parametrize("params", [P0, P1])
     def test_t_eps(self, params):
         from hslog import analysis, bliss
-        from hslog.functionals import LogParams, nodal_ray_terms, ray_sum
+        from hslog.functionals import LogParams, ray_sum, ray_terms
 
         ps = validate_params(*params)
         lp = LogParams(1.0, 0.5)
         ours, theirs = [], []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            nodes = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
-            terms = nodal_ray_terms(nodes.u, nodes.q, nodes.r**lp.beta, lp, ps)
+            bubble = bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat), ps)
+            terms = ray_terms(bubble.nodes, bubble.u, lp, ps)
 
             def dI(t):
-                return (t ** (ps.p - 1.0) * nodes.norm_p
+                return (t ** (ps.p - 1.0) * bubble.norm_p
                         - t ** (ps.p_star - 1.0) * ray_sum(terms, t))
 
             theirs.append(brentq(dI, 0.5, 2.0, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-            ours.append(analysis.solve_t_eps(terms, nodes.norm_p, ps))
+            ours.append(analysis.solve_t_eps(terms, bubble.norm_p, ps))
         self._assert_within_4_ulp(ours, theirs)
 
 

@@ -52,8 +52,9 @@ class TestMakeGrid:
     def test_node_power_cached_and_exact(self):
         g = make_grid(16000, 3.0)
         for b in (0.3, 1.0 / 3.0, 0.5, 1, 2, 16):
-            e = g.node_power(b)
-            assert g.node_power(b) is e
+            # two node sets of one grid read one cached array
+            e = g.node_set(2.0).power(b)
+            assert g.node_set(0.0).power(b) is e
             assert np.array_equal(e, g.nodes**b)
             for k in (1, 7, 11777, 15999):
                 assert np.array_equal(e[:k], g.nodes[:k] ** b)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from hslog import dop853, shooting
-from hslog.functionals import LogParams, energy_I, energy_pairing, pairing_terms
+from hslog.functionals import LogParams, energy_pairing, pairing_terms
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import Profile, dirichlet_norm, make_grid, pointwise_bound_check
 from hslog.shooting import boundary_value, ivp_integrate, shoot, weak_residual
+
+from helpers import grid_energy
 
 P0 = validate_params(2, 2, 2, 2)
 LP = LogParams(1.0, 0.5)
@@ -383,13 +385,13 @@ class TestShoot:
         # the critical point maximizes I along its ray at t = 1
         ts = np.linspace(0.97, 1.03, 25)
         u = solution.profile
-        vals = [energy_I(Profile(u.grid, t * u.values), LP, P0) for t in ts]
+        vals = [grid_energy(Profile(u.grid, t * u.values), LP, P0) for t in ts]
         t_best = ts[int(np.argmax(vals))]
         assert abs(t_best - 1.0) <= 1e-3 + (ts[1] - ts[0])
 
     def test_energy_below_noncompactness_level(self, solution):
         level = math.sqrt(3) * math.pi / 16
-        assert energy_I(solution.profile, LP, P0) < level + 1e-3
+        assert grid_energy(solution.profile, LP, P0) < level + 1e-3
 
 
 def _record_shots(monkeypatch):
