@@ -8,9 +8,10 @@ It provides:
 * piecewise-linear radial profiles on graded meshes with singular-weight
   quadrature,
 * the log-perturbed functionals, their energy and derivative pairing,
-* the explicit extremal (bubble) family and the best constants S, Sigma_p,
-* constrained maximization on the unit gradient sphere, rate fitting and
-  concentration diagnostics,
+* the explicit extremal (bubble) family, the best constants S, Sigma_p and
+  the rate fits of its norm deviations,
+* constrained maximization on the unit gradient sphere and concentration
+  diagnostics,
 * an amplitude-shooting solver for the associated quasilinear BVP,
 * the Young-function family Gamma_{a,b} with Luxemburg-norm machinery,
 * a CLI that emits deterministic CSV reports.

@@ -1,4 +1,4 @@
-"""Constrained maximization, rate fitting, and concentration diagnostics.
+"""Constrained maximization, concentration diagnostics and the level gap.
 
 The maximizer runs projected gradient ascent on the unit Dirichlet sphere:
 the search direction is the L^2_theta representative of dJ (pointwise
@@ -12,10 +12,6 @@ small a gain ends the ascent as converged anyway: the cut-off loses no
 accepted step that would have kept the ascent going.  Multi-start over
 bubble seeds keeps the best result with a deterministic tie-break, so
 permuting the seed order cannot change the answer.
-
-Rate fits are least squares in log-log coordinates, optionally dividing
-out a ln|ln eps| factor first ("power-times-loglog"), which is the model
-family behind every asymptotic acceptance check.
 """
 
 from __future__ import annotations
@@ -29,44 +25,6 @@ from hslog import bliss
 from hslog.functionals import LogParams, J, J_at, JNodes, RayTerms, energy_I, ray_sum, ray_terms
 from hslog.params import NumericalError, ParamSet, ValidationError, log_residual, log_root
 from hslog.radial import Grid, Profile, dirichlet_norm, dirichlet_pairing
-
-RATE_MODELS = ("pure-power", "power-times-loglog")
-
-
-@dataclass(frozen=True)
-class RateTable:
-    abscissae: tuple[float, ...]
-    ordinates: tuple[float, ...]
-    fitted_exponent: float
-    fit_residual: float
-    model: str
-
-
-def rate_fit(pairs, model: str) -> RateTable:
-    """Least-squares exponent of value ~ C eps^e (optionally * ln|ln eps|)."""
-    if model not in RATE_MODELS:
-        raise ValidationError(f"unknown rate model {model!r}, expected one of {RATE_MODELS}")
-    pts = sorted(((float(e), float(v)) for e, v in pairs), key=lambda t: -t[0])
-    if len(pts) < 4:
-        raise ValidationError(f"rate fit needs at least 4 points, got {len(pts)}")
-    eps = np.array([e for e, _ in pts])
-    val = np.array([v for _, v in pts])
-    if np.any(val <= 0):
-        raise ValidationError("rate fit needs strictly positive values")
-    x = np.log(eps)
-    y = np.log(val)
-    if model == "power-times-loglog":
-        y = y - np.log(np.log(np.abs(np.log(eps))))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateTable(
-        abscissae=tuple(eps),
-        ordinates=tuple(val),
-        fitted_exponent=float(slope),
-        fit_residual=resid,
-        model=model,
-    )
-
 
 # --- constrained maximization ----------------------------------------------
 
@@ -316,7 +274,7 @@ def ncs_check(family, ps: ParamSet) -> NCSReport:
     bubbles still carry energy (each is 0 from 2 r0 on): decreasing
     tails, t^p times ``bliss.bubble_dirichlet_tail``, ending below 1e-2.
     Weak convergence to 0 is checked by decreasing L^p_theta norms
-    (sum q |t u|^p)^(1/p).
+    (sum q |t u|^p)^(1/p), each sum under the rule's check, naming eps.
     """
     if len(family) < 3:
         raise ValidationError(f"NCS check needs at least 3 profiles, got {len(family)}")
@@ -328,8 +286,9 @@ def ncs_check(family, ps: ParamSet) -> NCSReport:
         tails[radius] = t
         mono = all(t[i + 1] <= t[i] for i in range(len(t) - 1))
         tails_ok = tails_ok and mono and t[-1] < 1e-2
-    lp_norms = tuple(float(np.einsum("i,i->", b.nodes.q, np.abs(b.norm_p ** (-1.0 / ps.p) * b.u)
-                                     ** ps.p)) ** (1.0 / ps.p) for b in family)
+    lp_norms = tuple(b.nodes.integral(np.abs(b.norm_p ** (-1.0 / ps.p) * b.u) ** ps.p, None,
+                                      f"L^p_theta norm quadrature at eps={b.spec.epsilon:g}",
+                                      None) ** (1.0 / ps.p) for b in family)
     lp_decreasing = all(lp_norms[i + 1] < lp_norms[i] for i in range(len(lp_norms) - 1))
     return NCSReport(tails=tails, lp_theta_norms=lp_norms, tails_ok=tails_ok,
                      lp_decreasing=lp_decreasing)

@@ -19,7 +19,10 @@ Norm deviations of the bubbles from S_power are computed as integrals of
 *differences* over the cutoff region plus an exact tail: the integrands
 live at scales r >= r0 >> eps, so quadrature resolves deviations of order
 eps^(s p*) far below the floating-point floor of the norms themselves.
-This is what makes the asymptotic rate checks possible.  All of these
+This is what makes the asymptotic rate checks possible.  Their rate fits
+are least squares in log-log coordinates, optionally dividing out a
+ln|ln eps| factor first ("power-times-loglog"), which is the model family
+behind every asymptotic acceptance check.  All of these
 integrals, and the two extremal ones, use one fixed tanh-sinh rule
 (Takahasi and Mori, 1974), ``_tanh_sinh``, with its own error estimate.
 The same rule's nodes carry a bubble off the mesh (``bubble_nodes``): in
@@ -215,7 +218,45 @@ def extremal_integrals(ps: ParamSet) -> ExtremalIntegrals:
     )
 
 
-# --- norm deviation scan ---------------------------------------------------
+# --- norm deviation scan and rate fits --------------------------------------
+
+
+RATE_MODELS = ("pure-power", "power-times-loglog")
+
+
+@dataclass(frozen=True)
+class RateTable:
+    abscissae: tuple[float, ...]
+    ordinates: tuple[float, ...]
+    fitted_exponent: float
+    fit_residual: float
+    model: str
+
+
+def rate_fit(pairs, model: str) -> RateTable:
+    """Least-squares exponent of value ~ C eps^e (optionally * ln|ln eps|)."""
+    if model not in RATE_MODELS:
+        raise ValidationError(f"unknown rate model {model!r}, expected one of {RATE_MODELS}")
+    pts = sorted(((float(e), float(v)) for e, v in pairs), key=lambda t: -t[0])
+    if len(pts) < 4:
+        raise ValidationError(f"rate fit needs at least 4 points, got {len(pts)}")
+    eps = np.array([e for e, _ in pts])
+    val = np.array([v for _, v in pts])
+    if np.any(val <= 0):
+        raise ValidationError("rate fit needs strictly positive values")
+    x = np.log(eps)
+    y = np.log(val)
+    if model == "power-times-loglog":
+        y = y - np.log(np.log(np.abs(np.log(eps))))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return RateTable(
+        abscissae=tuple(eps),
+        ordinates=tuple(val),
+        fitted_exponent=float(slope),
+        fit_residual=resid,
+        model=model,
+    )
 
 
 def _check_deviation_error(norm: str, eps: float, dev: float, err_core: float,
@@ -269,8 +310,6 @@ def bubble_norm_scan(eps_list, ps: ParamSet):
     Returns (rate table for |Dirichlet deviation|, rate table for |L^p*
     deviation|); the expected exponents are s*p and s*p*.
     """
-    from hslog.analysis import rate_fit  # local import, analysis sits above bliss
-
     eps_arr = sorted((float(e) for e in eps_list), reverse=True)
     dev_d = [abs(bubble_dirichlet_deviation(e, ps)) for e in eps_arr]
     dev_l = [abs(bubble_lpstar_deviation(e, ps)) for e in eps_arr]

@@ -88,12 +88,13 @@ def parse_config(path: str) -> RunConfig:
         if kind is None:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if kind is tuple:
-                setattr(cfg, key, tuple(float(v) for v in value.split(",") if v.strip()))
-            else:
-                setattr(cfg, key, kind(value))
+            parsed = (tuple(float(v) for v in value.split(",") if v.strip()) if kind is tuple
+                      else kind(value))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if kind in (float, tuple) and not np.all(np.isfinite(parsed)):
+            raise ValidationError(f"{path}:{lineno}: {key!r} must be finite, got {value!r}")
+        setattr(cfg, key, parsed)
     if not cfg.epsilon_list or not cfg.beta_list or not cfg.mp_epsilon_list:
         raise ValidationError("epsilon_list, beta_list and mp_epsilon_list must be nonempty")
     if len(cfg.shoot_bracket) not in (0, 2):
@@ -174,7 +175,7 @@ def cmd_sweep_beta(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_rates(cfg: RunConfig, out: Path) -> int:
-    from hslog import analysis, bliss
+    from hslog import bliss
 
     ps = cfg.param_set()
     lp = cfg.log_params()
@@ -186,7 +187,7 @@ def cmd_rates(cfg: RunConfig, out: Path) -> int:
 
     e_rows = [(float(eps), bliss.concentration_E(bliss.bubble_nodes(
         bliss.BubbleSpec(eps, ps.a_hat), ps), lp, ps)) for eps in cfg.epsilon_list]
-    table_e = analysis.rate_fit(e_rows, model="power-times-loglog")
+    table_e = bliss.rate_fit(e_rows, model="power-times-loglog")
     write_csv(out / "rates_concentration.csv", "epsilon,value,model,fitted_exponent,residual",
               [(e, v, table_e.model, table_e.fitted_exponent, table_e.fit_residual)
                for e, v in zip(table_e.abscissae, table_e.ordinates)])
@@ -230,34 +231,6 @@ def cmd_mp_gap(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-# 1-2-5 steps per decade from 0.5 up to 1e4; (4, 2, 6, 3) changes sign
-# between 5e3 and 1e4.  Past that a shot can start inside its own core and
-# run up to ``shooting.MAX_RHS_EVALUATIONS`` (a = 1e4 on (2, 2, 2, 2) does,
-# and raises after about 0.1 s on a 2-vCPU Xeon), so the scan stops there.
-_SCAN_AMPLITUDES = (0.5,) + tuple(c * 10.0**k for k in range(4) for c in (1.0, 2.0, 5.0)) + (1e4,)
-
-
-def _auto_bracket(lp, ps):
-    """The first pair of consecutive scan amplitudes where u(1; a) changes sign.
-
-    The scan stops at the first shot that raises ``NumericalError``, and at
-    the last amplitude of the scan.
-    """
-    from hslog import shooting
-
-    prev_a, prev_v = None, None
-    for a in _SCAN_AMPLITUDES:
-        try:
-            v = shooting.boundary_value(a, lp, ps)
-        except NumericalError:
-            break
-        if prev_v is not None and prev_v * v < 0:
-            return (prev_a, a)
-        prev_a, prev_v = a, v
-    raise NumericalError(f"no sign change of u(1; a) for amplitudes from "
-                         f"{fmt(_SCAN_AMPLITUDES[0])} to {fmt(a)}")
-
-
 def cmd_shoot(cfg: RunConfig, out: Path) -> int:
     from hslog import shooting
 
@@ -268,9 +241,7 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> int:
         print(f"warning: beta={fmt(cfg.beta)} outside existence regime "
               f"(0, {fmt(ps.beta_max)}); attempting anyway")
     grid = cfg.grid()
-    lp = cfg.log_params()
-    bracket = cfg.shoot_bracket or _auto_bracket(lp, ps)
-    res = shooting.shoot(lp, ps, bracket, grid)
+    res = shooting.shoot(cfg.log_params(), ps, cfg.shoot_bracket, grid)
     bound = pointwise_bound_check(res.profile, ps)
     out.mkdir(parents=True, exist_ok=True)
     (out / "solution.csv").write_text(profile_to_csv(res.profile))
@@ -282,7 +253,7 @@ def cmd_shoot(cfg: RunConfig, out: Path) -> int:
         ("ivp_evaluations", fmt(res.ivp_evaluations)),
         ("positive_inside", fmt(res.positive_inside)),
         ("pointwise_bound_slack", fmt(bound.worst_slack)),
-        ("origin_condition", "zero-flux at r_min (our choice; only u(1)=0 is imposed)"),
+        ("origin_condition", shooting.ORIGIN_CONDITION),
     ]
     (out / "shoot_meta.txt").write_text("".join(f"{k} = {v}\n" for k, v in meta))
     for k, v in meta:

@@ -17,11 +17,13 @@ Shooting finds a root of the boundary map a -> u(1; a) with Brent's method
 (``params.brent_root``).  The map can be non-smooth through the log
 factor; Brent keeps a sign-change bracket at every step, so it is as robust
 there as bisection while it converges superlinearly where the map is
-smooth.  Each amplitude is shot once.  A shot keeps the stages of its
-steps, and the root's shot, which Brent has already taken, is sampled on
-the grid from them: its dense output is built then, for that shot only
-(998 right-hand-side evaluations at the root on the README config, 818 of
-them the shot's own).  The integrator is ``dop853.integrate``, a port of
+smooth.  Without a given bracket, ``shoot`` scans amplitudes from 0.5 to
+1e4 for the first sign change of u(1; a), and Brent starts from the two
+shots on either side of it.  Each amplitude is shot once, the scan's
+included.  A shot keeps the stages of its steps, and the root's shot,
+which Brent has already taken, is sampled on the grid from them: its dense
+output is built then, for that shot only (998 right-hand-side evaluations
+at the root on the README config, 818 of them the shot's own).  The integrator is ``dop853.integrate``, a port of
 scipy's DOP853 to a state of two Python floats, so shooting loads no
 scipy.
 
@@ -41,8 +43,10 @@ from hslog.functionals import LogParams, pairing_terms
 from hslog.params import NumericalError, ParamSet, ValidationError, brent_root
 from hslog.radial import _GL16_W, _GL16_X, Grid, Profile, dual_norm
 
-# the radius every shot starts at, with zero flux
+# the radius every shot starts at, with zero flux, and that start as
+# ``shoot_meta.txt`` states it
 R_MIN = 1e-7
+ORIGIN_CONDITION = "zero-flux at r_min (our choice; only u(1)=0 is imposed)"
 
 # right-hand-side evaluations one shot may make.  Every shot the amplitude
 # scan makes on (2, 2, 2, 2), (3, 2, 4, 4) and (4, 2, 6, 3) takes 134-1718;
@@ -56,11 +60,12 @@ MAX_RHS_EVALUATIONS = 100_000
 class ShootResult:
     """A shooting solution and what it cost.
 
-    ``bisection_iterations`` counts the amplitudes shot to find the root,
-    bracket ends included (amplitude 0 is never shot); the name is kept
-    because the shoot metadata and its readers use it.  ``ivp_evaluations``
-    counts the right-hand-side evaluations of the root's shot only, with
-    the three per step that its sampling on the grid adds.
+    ``bisection_iterations`` counts the two bracket ends and Brent's shots
+    (amplitude 0 is never shot, and the scan's shots below a found bracket
+    are not counted); the name is kept because the shoot metadata and its
+    readers use it.  ``ivp_evaluations`` counts the right-hand-side
+    evaluations of the root's shot only, with the three per step that its
+    sampling on the grid adds.
     """
 
     profile: Profile
@@ -144,34 +149,58 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet) -> dop853.Traje
     return traj
 
 
-def boundary_value(amplitude: float, lp: LogParams, ps: ParamSet) -> float:
-    """u(1; amplitude)."""
-    return ivp_integrate(amplitude, lp, ps).u
+# 1-2-5 steps per decade from 0.5 up to 1e4; (4, 2, 6, 3) changes sign
+# between 5e3 and 1e4.  Past that a shot can start inside its own core and
+# run up to ``MAX_RHS_EVALUATIONS`` (a = 1e4 on (2, 2, 2, 2) does, and
+# raises after about 0.1 s on a 2-vCPU Xeon), so the scan stops there
+_SCAN_AMPLITUDES = (0.5,) + tuple(c * 10.0**k for k in range(4) for c in (1.0, 2.0, 5.0)) + (1e4,)
 
 
-def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, float], grid: Grid) -> ShootResult:
+def _scan(lp: LogParams, ps: ParamSet) -> dict:
+    """The shots of the first pair of consecutive scan amplitudes where u(1; a)
+    changes sign, by amplitude.
+
+    The scan stops at the first shot that raises ``NumericalError``, and at
+    the last amplitude of the scan, and then raises ``NumericalError``.
+    """
+    prev_a, prev = None, None
+    for a in _SCAN_AMPLITUDES:
+        try:
+            traj = ivp_integrate(a, lp, ps)
+        except NumericalError:
+            break
+        if prev is not None and prev.u * traj.u < 0:
+            return {prev_a: prev, a: traj}
+        prev_a, prev = a, traj
+    raise NumericalError(f"no sign change of u(1; a) for amplitudes from "
+                         f"{_SCAN_AMPLITUDES[0]:.12g} to {a:.12g}")
+
+
+def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, ...], grid: Grid) -> ShootResult:
     """Find the amplitude with u(1) = 0 by Brent's method; certify the weak residual.
 
-    The bracket must hold a sign change of u(1; a).  An amplitude bracket
-    starting at 0 stands in u(1) = 1 there: amplitude 0 is the trivial
-    branch and small shots stay positive at r = 1.  Brent runs to an
-    amplitude tolerance of 1e-12 in at most 200 iterations, or raises
-    ``NumericalError`` naming the shooting amplitude.  The root must then
-    have |u(1)| < 1e-8, or ``NumericalError`` is raised.  Every shot starts
-    at ``R_MIN``.
+    A given bracket (a_lo, a_hi) must hold a sign change of u(1; a).  An
+    amplitude bracket starting at 0 stands in u(1) = 1 there: amplitude 0 is
+    the trivial branch and small shots stay positive at r = 1.  An empty
+    bracket is found by ``_scan``, whose two shots are not taken again.
+    Brent runs to an amplitude tolerance of 1e-12 in at most 200
+    iterations, or raises ``NumericalError`` naming the shooting amplitude.
+    The root must then have |u(1)| < 1e-8, or ``NumericalError`` is raised.
+    Every shot starts at ``R_MIN``.
 
     The returned profile has its boundary node clamped to zero so it is a
     member of the discrete space; ``boundary_residual`` records the actual
     |u(1)| before clamping.
     """
-    a_lo, a_hi = bracket
+    ivp_args = (lp, ps)
+    shots = {} if bracket else _scan(lp, ps)
+    a_lo, a_hi = bracket or shots
     if not 0 <= a_lo < a_hi:
         raise ValidationError(f"need 0 <= a_lo < a_hi, got {bracket}")
-    ivp_args = (lp, ps)
-    shots = {}
 
     def shot(a, *args):
-        shots[a] = ivp_integrate(a, *args)
+        if a not in shots:
+            shots[a] = ivp_integrate(a, *args)
         return shots[a].u
 
     f_lo = shot(a_lo, *ivp_args) if a_lo > 0 else 1.0

@@ -32,8 +32,8 @@ from hslog.analysis import (
     mountain_pass_gap,
     ncs_check,
     random_smooth_profile,
-    rate_fit,
 )
+from hslog.bliss import rate_fit
 from hslog.functionals import J, LogParams, energy_pairing, pairing_terms
 from hslog.orlicz import (
     GammaSpec,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from hslog import analysis, bliss
+from hslog import analysis, bliss, radial
 from hslog.analysis import (
     beta_sweep,
     concentration_level_check,
@@ -17,9 +17,9 @@ from hslog.analysis import (
     mountain_pass_gap,
     ncs_check,
     random_smooth_profile,
-    rate_fit,
     solve_t_eps,
 )
+from hslog.bliss import rate_fit
 from hslog.functionals import JNodes, LogParams, J, energy_I
 from hslog.params import (
     NumericalError,
@@ -345,6 +345,15 @@ class TestNcsCheck:
     def test_needs_three_profiles(self):
         with pytest.raises(ValidationError, match="3 profiles"):
             ncs_check(_node_family((1e-2, 1e-3)), P0)
+
+    def test_unconverged_norm_rule_names_eps(self, monkeypatch):
+        # the L^p_theta norms are sums at the bubbles' nodes under the rule's check
+        family = _node_family((1e-2, 1e-3, 1e-4))
+        monkeypatch.setattr(bliss, "bubble_dirichlet_tail", lambda spec, radius, ps: 1e-3)
+        monkeypatch.setattr(radial, "_RULE_TOL", -1.0)   # no estimate passes
+        with pytest.raises(NumericalError, match=r"L\^p_theta norm quadrature at eps=0.01 "
+                                                 r"did not converge"):
+            ncs_check(family, P0)
 
     def test_tails_and_norms_at_unit_norm(self):
         # README tuple, r0 = 0.2: the cut radii are r0/2, r0 and 3 r0/2, inside

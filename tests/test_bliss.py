@@ -416,13 +416,11 @@ class TestConcentrationFunctional:
             assert abs(bliss.concentration_E(bubble, lp, ps) - (j - bubble.j0)) <= 8e-15 * j
 
     def test_grows_like_the_lower_bound(self):
-        from hslog.analysis import rate_fit
-
         rows = []
         for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             nodes = bliss.bubble_nodes(bliss.BubbleSpec(eps, 1.0, 0.2), P0)
             rows.append((eps, bliss.concentration_E(nodes, self.LP, P0)))
-        table = rate_fit(rows, model="power-times-loglog")
+        table = bliss.rate_fit(rows, model="power-times-loglog")
         assert all(v > 0 for v in table.ordinates)
         assert abs(table.fitted_exponent - 0.5) <= 0.15 * 0.5
 

@@ -14,10 +14,8 @@ import pytest
 
 import hslog
 from hslog import orlicz, shooting
-from hslog.cli import (RunConfig, _auto_bracket, build_parser, cmd_orlicz, cmd_sweep_beta, main,
-                       parse_config)
-from hslog.functionals import LogParams
-from hslog.params import NumericalError, ValidationError, validate_params
+from hslog.cli import RunConfig, build_parser, cmd_orlicz, cmd_sweep_beta, main, parse_config
+from hslog.params import ValidationError
 
 BASE_CFG = """\
 p = 2
@@ -101,10 +99,18 @@ class TestConfig:
         ("shoot_bracket = 20,50,80", "shoot_bracket needs two amplitudes, got 3"),
         ("seed = -1", "seed must be >= 0"),
         ("mp_epsilon_list =", "mp_epsilon_list must be nonempty"),
-    ], ids=["bracket-1", "bracket-3", "negative-seed", "empty-mp-list"])
+        ("grid_gamma = inf", "'grid_gamma' must be finite, got 'inf'"),
+        ("tau = inf", "'tau' must be finite"),
+        ("shoot_bracket = 20,inf", "'shoot_bracket' must be finite, got '20,inf'"),
+        ("mp_epsilon_list = 1e-3,inf", "'mp_epsilon_list' must be finite"),
+        ("epsilon_list = 1e-2,nan,1e-4,1e-5", "'epsilon_list' must be finite"),
+    ], ids=["bracket-1", "bracket-3", "negative-seed", "empty-mp-list", "inf-grid-gamma",
+            "inf-tau", "inf-in-bracket", "inf-in-mp-list", "nan-in-eps-list"])
     def test_malformed_value_is_fatal(self, line, match, tmp_path, capsys):
-        # past the parser, each would end in a traceback or, for the empty mp
-        # list, in a header-only mp_gap.csv and a vacuous PASS
+        # past the parser, each would end in a traceback, in a run to the
+        # shot's work cap, in a NaN quadrature or deviation (exit 2) or, for
+        # the empty mp list and an infinite grid_gamma, in a vacuous PASS or
+        # a NaN pointwise bound slack (exit 0)
         path = tmp_path / "m.cfg"
         path.write_text(BASE_CFG + line + "\n")
         with pytest.raises(ValidationError, match=match):
@@ -233,12 +239,6 @@ class TestShoot:
                         "bisection_iterations", "ivp_evaluations", "positive_inside",
                         "pointwise_bound_slack", "origin_condition"]
 
-    @pytest.mark.parametrize("params, bracket", [((2, 2, 2, 2), (20.0, 50.0)),
-                                                 ((3, 2, 4, 4), (50.0, 100.0)),
-                                                 ((4, 2, 6, 3), (5000.0, 10000.0))])
-    def test_auto_bracket(self, params, bracket):
-        assert _auto_bracket(LogParams(1.0, 0.5), validate_params(*params)) == bracket
-
     def test_shoot_past_the_old_scan_end(self, tmp_path, capsys):
         # (4, 2, 6, 3): u(1; a) changes sign only between a = 5e3 and 1e4
         path = tmp_path / "wide.cfg"
@@ -252,17 +252,6 @@ class TestShoot:
                     (out / "shoot_meta.txt").read_text().splitlines())
         assert 5000.0 < float(meta["amplitude"]) < 10000.0
         assert meta["positive_inside"] == "true"
-
-    @pytest.mark.parametrize("raise_from, last", [(math.inf, "10000"), (200.0, "200")])
-    def test_no_sign_change_names_the_last_amplitude(self, raise_from, last, monkeypatch):
-        def one_signed(a, lp, ps):
-            if a >= raise_from:
-                raise NumericalError("stalled")
-            return 1.0
-
-        monkeypatch.setattr(shooting, "boundary_value", one_signed)
-        with pytest.raises(NumericalError, match=f"from 0.5 to {last}$"):
-            _auto_bracket(LogParams(1.0, 0.5), validate_params(2, 2, 2, 2))
 
     def test_without_bracket_key_as_with_the_scanned_one(self, cfg_file, tmp_path):
         path = tmp_path / "auto.cfg"
@@ -465,7 +454,8 @@ _LOADS = [
     ("", set()),
     ("constants", {"bliss"}),
     ("shoot", {"shooting", "dop853"}),
-    *((cmd, {"analysis", "bliss"}) for cmd in ("maximize", "sweep-beta", "rates", "mp-gap", "ncs")),
+    ("rates", {"bliss"}),
+    *((cmd, {"analysis", "bliss"}) for cmd in ("maximize", "sweep-beta", "mp-gap", "ncs")),
     ("orlicz", {"analysis", "bliss", "orlicz"}),
     ("verify --suite all", {"analysis", "bliss", "orlicz"}),
 ]

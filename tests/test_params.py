@@ -277,7 +277,8 @@ class TestBrentMatchesScipy:
         from hslog.functionals import LogParams
 
         ps = validate_params(*P0)
-        self._both(shooting.boundary_value, 20.0, 50.0, args=(LogParams(1.0, 0.5), ps),
+        self._both(lambda a, *args: shooting.ivp_integrate(a, *args).u, 20.0, 50.0,
+                   args=(LogParams(1.0, 0.5), ps),
                    xtol=1e-12, maxiter=200)
 
 

@@ -4,16 +4,18 @@ import hashlib
 import math
 import re
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hslog import dop853, shooting
+from hslog.cli import RunConfig, cmd_shoot
 from hslog.functionals import LogParams, energy_pairing, pairing_terms
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import Profile, dirichlet_norm, make_grid, pointwise_bound_check
-from hslog.shooting import boundary_value, ivp_integrate, shoot, weak_residual
+from hslog.shooting import ivp_integrate, shoot, weak_residual
 
 from helpers import grid_energy
 
@@ -49,8 +51,8 @@ class TestIvp:
         assert np.all(_sampled(0.0, traj, grid) == 0.0)
 
     def test_odd_symmetry(self):
-        up = boundary_value(5.0, LP, P0)
-        down = boundary_value(-5.0, LP, P0)
+        up = ivp_integrate(5.0, LP, P0).u
+        down = ivp_integrate(-5.0, LP, P0).u
         assert down == pytest.approx(-up, rel=1e-9)
 
     def test_decreasing_while_positive(self, grid):
@@ -202,7 +204,7 @@ class TestDop853Calls:
         monkeypatch.setattr(shooting, "_source", lambda r, u, tau, beta, p_star: 1e12)
         runs = _count_calls(monkeypatch)
         with pytest.raises(NumericalError):
-            boundary_value(20.0, LP, P0)
+            ivp_integrate(20.0, LP, P0).u
         (traj, calls), = runs
         assert traj.status == "limit" and calls[0] == traj.nfev
 
@@ -229,6 +231,31 @@ class TestBitPins:
         assert solution.weak_residual.hex() == "0x1.08b9b70b42591p-14"
         assert (solution.bisection_iterations, solution.ivp_evaluations) == (9, 998)
 
+    # `hslog shoot` without shoot_bracket on the README config, by tuple (p1.cfg
+    # is (3, 2, 4, 4)): the amplitude and the weak residual by hex(), the
+    # profile's sha256, and the shots and right-hand-side calls
+    # shoot_meta.txt prints; the README tuple's are those of its bracket
+    UNBRACKETED = {
+        (2, 2, 2, 2): ("0x1.7326c39cce8c0p+4",
+                       "83dbe82314a30e03c6cba9fffb5cb3dc78ba5bcb8566145344ee0bbbfaf09830",
+                       "0x1.08b9b70b42591p-14", 9, 998),
+        (3, 2, 4, 4): ("0x1.81e96743df757p+6",
+                       "0175f8416e7a2965d7ae0e6f83cfe618d651ea9beb3eebde06a58ee00c5aa632",
+                       "0x1.67a50416c9d80p-13", 10, 1214),
+    }
+
+    @pytest.mark.parametrize("params", sorted(UNBRACKETED))
+    def test_unbracketed_solution(self, params, tmp_path, monkeypatch):
+        results = []
+        monkeypatch.setattr(shooting, "shoot",
+                            lambda *args: results.append(shoot(*args)) or results[-1])
+        cfg = replace(RunConfig(), **dict(zip(("p", "alpha0", "alpha1", "theta"), params)))
+        assert cmd_shoot(cfg, tmp_path) == 0
+        res, = results
+        assert (res.amplitude.hex(), hashlib.sha256(res.profile.values.tobytes()).hexdigest(),
+                res.weak_residual.hex(), res.bisection_iterations,
+                res.ivp_evaluations) == self.UNBRACKETED[params]
+
 
 _STALL = re.compile(r"IVP integration stalled at r = (\S+) \(amplitude 20, "
                     r"last good state u = (\S+), w = (\S+)\)")
@@ -241,7 +268,7 @@ class TestIvpFailures:
         assert ref.status == 1
         runs = _record_trajectories(monkeypatch)
         with pytest.raises(NumericalError, match=_STALL) as failure:
-            boundary_value(20.0, LP, P0)
+            ivp_integrate(20.0, LP, P0).u
         r, u, _ = map(float, _STALL.search(str(failure.value)).groups())
         assert runs[0].status == "limit"
         assert abs(u) >= 1e8 * 20.0
@@ -261,7 +288,7 @@ class TestIvpFailures:
         assert ref.status == -1
         runs = _record_trajectories(monkeypatch)
         with pytest.raises(NumericalError, match=_STALL) as failure:
-            boundary_value(20.0, LP, P0)
+            ivp_integrate(20.0, LP, P0).u
         r, u, w = map(float, _STALL.search(str(failure.value)).groups())
         assert runs[0].status == "step"
         # the last steps before the stall follow rounding, so their count
@@ -276,7 +303,7 @@ class TestIvpFailures:
         start = time.perf_counter()
         with pytest.raises(NumericalError, match=r"IVP integration used its 100000 "
                            r"right-hand-side evaluations at r = \S+ \(amplitude 10000,"):
-            boundary_value(1e4, LP, P0)
+            ivp_integrate(1e4, LP, P0).u
         assert time.perf_counter() - start < 20.0
         assert runs[0].status == "work"
         # the cap is checked before each trial step of 12 calls
@@ -333,11 +360,36 @@ class TestShoot:
         assert 0.0 not in shots
         assert res.bisection_iterations == len(shots)
 
-    def test_no_amplitude_shot_twice(self, grid, monkeypatch):
-        shots = _record_shots(monkeypatch)
-        res = shoot(LP, P0, BRACKET, grid)
-        assert shots[:2] == list(BRACKET)
-        assert len(shots) == len(set(shots)) == res.bisection_iterations
+    def test_no_amplitude_shot_twice(self, tmp_path, monkeypatch):
+        # over a whole `hslog shoot` run on the README config, with its
+        # bracket and without, where the scan's last two shots are its ends;
+        # the scan's shots below them are not counted as Brent's
+        for bracket, scanned in ((BRACKET, ()), ((), (0.5, 1.0, 2.0, 5.0, 10.0))):
+            shots = _record_shots(monkeypatch)
+            assert cmd_shoot(replace(RunConfig(), shoot_bracket=bracket), tmp_path) == 0
+            meta = dict(line.split(" = ", 1) for line in
+                        (tmp_path / "shoot_meta.txt").read_text().splitlines())
+            assert shots[:len(scanned) + 2] == [*scanned, *BRACKET]
+            assert len(shots) == len(set(shots)) == len(scanned) + int(
+                meta["bisection_iterations"])
+
+    @pytest.mark.parametrize("params, bracket", [((2, 2, 2, 2), (20.0, 50.0)),
+                                                 ((3, 2, 4, 4), (50.0, 100.0)),
+                                                 ((4, 2, 6, 3), (5000.0, 10000.0))])
+    def test_auto_bracket(self, params, bracket):
+        assert tuple(shooting._scan(LP, validate_params(*params))) == bracket
+
+    @pytest.mark.parametrize("raise_from, last", [(math.inf, "10000"), (200.0, "200")])
+    def test_no_sign_change_names_the_last_amplitude(self, raise_from, last, grid,
+                                                      monkeypatch):
+        def one_signed(a, lp, ps):
+            if a >= raise_from:
+                raise NumericalError("stalled")
+            return SimpleNamespace(u=1.0)
+
+        monkeypatch.setattr(shooting, "ivp_integrate", one_signed)
+        with pytest.raises(NumericalError, match=f"from 0.5 to {last}$"):
+            shoot(LP, P0, (), grid)
 
     def test_tol_not_reached_reported(self, grid, monkeypatch):
         # a jump in the boundary map: Brent closes in on it, |u(1)| stays 1
@@ -356,9 +408,9 @@ class TestShoot:
 
     def test_r_min_robustness(self, solution, monkeypatch):
         a = solution.amplitude
-        v1 = boundary_value(a, LP, P0)
+        v1 = ivp_integrate(a, LP, P0).u
         monkeypatch.setattr(shooting, "R_MIN", 5e-8)
-        v2 = boundary_value(a, LP, P0)
+        v2 = ivp_integrate(a, LP, P0).u
         assert v1 != v2
         assert abs(v1 - v2) < 1e-8
 
@@ -423,7 +475,7 @@ class TestOtherExponents:
 
     def test_ivp_p_below_two(self):
         ps = validate_params(1.5, 1.0, 1.0, 1.0)
-        v = boundary_value(2.0, LogParams(1.0, 0.2), ps)
+        v = ivp_integrate(2.0, LogParams(1.0, 0.2), ps).u
         assert 0.0 < v < 2.0
 
 
