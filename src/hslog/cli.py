@@ -30,7 +30,15 @@ from hslog.radial import make_grid, pointwise_bound_check, profile_to_csv
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2
 
-SUITES = ("bliss", "rates", "sweep", "mp", "ncs", "orlicz", "all")
+# The thresholds of ``verify``'s verdicts, each compared in one verdict
+# function below; the acceptance gate calls those functions and pins these.
+EXTREMAL_TOLERANCE = 1e-6      # relative disagreement of the two S_power integrals
+DIRICHLET_RATE_WINDOW = 0.10   # relative window about s p
+LPSTAR_RATE_WINDOW = 0.15      # relative window about s p*
+SWEEP_SLACK = 1e-9             # rise allowed from one beta's gap to the next
+FINAL_GAP_BOUND = 0.01         # bound on the last beta's gap
+# (a, b, tau) of the Young functions t^a |ln(tau + t)|^b checked convex
+CONVEXITY_SPECS = ((6, 1, 1.0), (7.5, 0.5, 2.0))
 
 
 def fmt(x) -> str:
@@ -100,8 +108,9 @@ def parse_config(path: str) -> RunConfig:
     if len(cfg.shoot_bracket) not in (0, 2):
         raise ValidationError(f"shoot_bracket needs two amplitudes, got "
                               f"{len(cfg.shoot_bracket)}: {cfg.shoot_bracket}")
-    if cfg.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
+    for key in ("seed", "n_random_profiles"):
+        if getattr(cfg, key) < 0:
+            raise ValidationError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -111,6 +120,55 @@ def write_csv(path: Path, header: str, rows) -> None:
     for row in rows:
         lines.append(",".join(fmt(x) if not isinstance(x, str) else x for x in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+# --- verdicts: (name, passed, detail) tuples of computed results ------------
+
+
+def bliss_verdicts(ps) -> list:
+    from hslog import bliss
+
+    ident, ints = check_identities(ps), bliss.extremal_integrals(ps)
+    return [("parameter-identities", ident.passed, f"max residual {fmt(ident.max_residual)}"),
+            ("extremal-integral-identity", ints.rel_disagreement < EXTREMAL_TOLERANCE,
+             f"rel disagreement {fmt(ints.rel_disagreement)}")]
+
+
+def rate_verdicts(ps, epsilon_list) -> list:
+    from hslog import bliss
+
+    table_d, table_l = bliss.bubble_norm_scan(epsilon_list, ps)
+    return [(name, abs(table.fitted_exponent - target) <= window * target,
+             f"fitted {fmt(table.fitted_exponent)} target {fmt(target)}")
+            for name, table, target, window in (
+                ("dirichlet-deviation-rate", table_d, ps.s * ps.p, DIRICHLET_RATE_WINDOW),
+                ("lpstar-deviation-rate", table_l, ps.s * ps.p_star, LPSTAR_RATE_WINDOW))]
+
+
+def sweep_verdicts(gaps) -> list:
+    """Of the gaps |F_hat - sigma_p| of a beta sweep, in beta order."""
+    mono = all(later <= earlier + SWEEP_SLACK for earlier, later in zip(gaps, gaps[1:]))
+    return [("beta-sweep-monotone", mono, "gaps " + " ".join(fmt(v) for v in gaps)),
+            ("beta-sweep-final-gap", gaps[-1] < FINAL_GAP_BOUND, f"final {fmt(gaps[-1])}")]
+
+
+def mp_verdicts(gaps) -> list:
+    """Of the level gaps along the bubble path, one per eps."""
+    return [("mp-gap-positive", all(gap > 0 for gap in gaps),
+             "gaps " + " ".join(fmt(g) for g in gaps))]
+
+
+def convexity_verdicts() -> list:
+    from hslog import orlicz
+
+    reports = [(a, b, orlicz.convexity_check(orlicz.GammaSpec(a, b, tau)))
+               for a, b, tau in CONVEXITY_SPECS]
+    return [(f"gamma-convexity-a{fmt(a)}-b{fmt(b)}", rep.convex, f"min phi {fmt(rep.min_phi)}")
+            for a, b, rep in reports]
+
+
+def all_passed(verdicts) -> bool:
+    return all(passed for _, passed, _ in verdicts)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -152,9 +210,7 @@ def cmd_maximize(cfg: RunConfig, out: Path) -> int:
     (out / "maximizer_profile.csv").write_text(profile_to_csv(res.profile))
     print(f"F_hat lower bound = {fmt(res.value)} (iterations {res.iterations}, "
           f"converged {fmt(res.converged)})")
-    if not res.converged:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_NUMERICAL
 
 
 def _beta_sweep_rows(cfg: RunConfig, out: Path) -> list:
@@ -223,12 +279,10 @@ def _mp_gap_rows(cfg: RunConfig, out: Path) -> list:
 
 def cmd_mp_gap(cfg: RunConfig, out: Path) -> int:
     rows = _mp_gap_rows(cfg, out)
-    ok = True
-    for eps, max_i, threshold, gap in rows:
-        status = "PASS" if gap > 0 else "FAIL"
-        ok = ok and gap > 0
+    for eps, max_i, _, gap in rows:
+        status = "PASS" if all_passed(mp_verdicts([gap])) else "FAIL"
         print(f"{status} eps={fmt(eps)}  max_I={fmt(max_i)}  gap={fmt(gap)}")
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return EXIT_OK if all_passed(mp_verdicts([gap for *_, gap in rows])) else EXIT_NUMERICAL
 
 
 def cmd_shoot(cfg: RunConfig, out: Path) -> int:
@@ -299,77 +353,37 @@ def cmd_ncs(cfg: RunConfig, out: Path) -> int:
     print(f"NCS: {'yes' if ncs.is_ncs else 'no'}; level check "
           f"{'SKIPPED' if level.skipped else ('PASS' if level.passed else 'FAIL')} "
           f"(tail max {fmt(level.tail_max)} vs bound {fmt(level.bound)})")
-    return EXIT_OK if (ncs.is_ncs and level.passed) else EXIT_NUMERICAL
+    # the level check is skipped, and fails, unless the family concentrates
+    return EXIT_OK if level.passed else EXIT_NUMERICAL
+
+
+# each suite's verdicts from a config, in the order ``verify --suite all`` runs them
+VERIFY_SUITES = {
+    "bliss": lambda cfg, out: bliss_verdicts(cfg.param_set()),
+    "rates": lambda cfg, out: rate_verdicts(cfg.param_set(), cfg.epsilon_list),
+    "sweep": lambda cfg, out: sweep_verdicts([gap for *_, gap in _beta_sweep_rows(cfg, out)]),
+    "mp": lambda cfg, out: mp_verdicts([gap for *_, gap in _mp_gap_rows(cfg, out)]),
+    # the flags of the level and embedding reports, as the commands' exit codes
+    "ncs": lambda cfg, out: [("ncs-concentration-level", cmd_ncs(cfg, out) == EXIT_OK,
+                              "see ncs.csv")],
+    "orlicz": lambda cfg, out: [*convexity_verdicts(), (
+        "luxemburg-embedding", cmd_orlicz(cfg, out) == EXIT_OK, "see orlicz.csv")],
+}
+SUITES = (*VERIFY_SUITES, "all")
 
 
 def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
-    from hslog import bliss
-
-    ps = cfg.param_set()
-    checks: list[tuple[str, bool, str]] = []
-
-    def run_bliss():
-        ident = check_identities(ps)
-        checks.append(("parameter-identities", ident.passed,
-                       f"max residual {fmt(ident.max_residual)}"))
-        ints = bliss.extremal_integrals(ps)
-        checks.append(("extremal-integral-identity",
-                       ints.rel_disagreement < 1e-6,
-                       f"rel disagreement {fmt(ints.rel_disagreement)}"))
-
-    def run_rates():
-        table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, ps)
-        sp = ps.s * ps.p
-        spstar = ps.s * ps.p_star
-        checks.append(("dirichlet-deviation-rate",
-                       abs(table_d.fitted_exponent - sp) <= 0.10 * sp,
-                       f"fitted {fmt(table_d.fitted_exponent)} target {fmt(sp)}"))
-        checks.append(("lpstar-deviation-rate",
-                       abs(table_l.fitted_exponent - spstar) <= 0.15 * spstar,
-                       f"fitted {fmt(table_l.fitted_exponent)} target {fmt(spstar)}"))
-
-    def run_sweep():
-        gaps = [gap for _, _, gap in _beta_sweep_rows(cfg, out)]
-        mono = all(gaps[i + 1] <= gaps[i] + 1e-9 for i in range(len(gaps) - 1))
-        checks.append(("beta-sweep-monotone", mono,
-                       "gaps " + " ".join(fmt(v) for v in gaps)))
-        checks.append(("beta-sweep-final-gap", gaps[-1] < 0.01, f"final {fmt(gaps[-1])}"))
-
-    def run_mp():
-        rows = _mp_gap_rows(cfg, out)
-        checks.append(("mp-gap-positive", all(r[3] > 0 for r in rows),
-                       "gaps " + " ".join(fmt(r[3]) for r in rows)))
-
-    def run_ncs():
-        code = cmd_ncs(cfg, out)
-        checks.append(("ncs-concentration-level", code == EXIT_OK, "see ncs.csv"))
-
-    def run_orlicz():
-        from hslog import orlicz
-
-        for spec in (orlicz.GammaSpec(6, 1, 1.0), orlicz.GammaSpec(7.5, 0.5, 2.0)):
-            rrep = orlicz.convexity_check(spec)
-            checks.append((f"gamma-convexity-a{fmt(spec.a)}-b{fmt(spec.b)}", rrep.convex,
-                           f"min phi {fmt(rrep.min_phi)}"))
-        code = cmd_orlicz(cfg, out)
-        checks.append(("luxemburg-embedding", code == EXIT_OK, "see orlicz.csv"))
-
-    runners = {"bliss": run_bliss, "rates": run_rates, "sweep": run_sweep,
-               "mp": run_mp, "ncs": run_ncs, "orlicz": run_orlicz}
-    names = list(runners) if suite == "all" else [suite]
-    try:
-        for name in names:
-            runners[name]()
-    except NumericalError as exc:
-        print(f"numerical failure in suite {suite}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    write_csv(out / f"verify_{suite}.csv", "check,passed,detail",
-              [(name, ok, detail) for name, ok, detail in checks])
-    all_ok = True
-    for name, ok, detail in checks:
+    verdicts = []
+    for name in VERIFY_SUITES if suite == "all" else (suite,):
+        try:
+            verdicts += VERIFY_SUITES[name](cfg, out)
+        except NumericalError as exc:
+            print(f"numerical failure in suite {name}: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+    write_csv(out / f"verify_{suite}.csv", "check,passed,detail", verdicts)
+    for name, ok, detail in verdicts:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else EXIT_NUMERICAL
+    return EXIT_OK if all_passed(verdicts) else EXIT_NUMERICAL
 
 
 COMMANDS = {

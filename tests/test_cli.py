@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
 import math
 import os
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 import hslog
-from hslog import orlicz, shooting
+from hslog import bliss, orlicz, shooting
 from hslog.cli import RunConfig, build_parser, cmd_orlicz, cmd_sweep_beta, main, parse_config
-from hslog.params import ValidationError
+from hslog.params import NumericalError, ValidationError
 
 BASE_CFG = """\
 p = 2
@@ -32,6 +33,9 @@ mp_epsilon_list = 1e-3,1e-4
 shoot_bracket = 20,50
 n_random_profiles = 10
 """
+
+# the README's p1.cfg: the tuple (3, 2, 4, 4) and every other key at its default
+P1_CFG = "p = 3\nalpha0 = 2\nalpha1 = 4\ntheta = 4\n"
 
 
 @pytest.fixture()
@@ -76,7 +80,7 @@ class TestConfig:
         block = next(b for b in readme.split("```")[1::2] if "grid_gamma" in b)
         run_cfg, p1_cfg = tmp_path / "run.cfg", tmp_path / "p1.cfg"
         run_cfg.write_text(block)
-        p1_cfg.write_text("p = 3\nalpha0 = 2\nalpha1 = 4\ntheta = 4\n")
+        p1_cfg.write_text(P1_CFG)
         assert parse_config(str(run_cfg)) == replace(RunConfig(), shoot_bracket=(20.0, 50.0))
         p1 = parse_config(str(p1_cfg))
         assert p1 == replace(RunConfig(), p=3.0, alpha1=4.0, theta=4.0)
@@ -98,19 +102,21 @@ class TestConfig:
         ("shoot_bracket = 20", "shoot_bracket needs two amplitudes, got 1"),
         ("shoot_bracket = 20,50,80", "shoot_bracket needs two amplitudes, got 3"),
         ("seed = -1", "seed must be >= 0"),
+        ("n_random_profiles = -5", "n_random_profiles must be >= 0, got -5"),
         ("mp_epsilon_list =", "mp_epsilon_list must be nonempty"),
         ("grid_gamma = inf", "'grid_gamma' must be finite, got 'inf'"),
         ("tau = inf", "'tau' must be finite"),
         ("shoot_bracket = 20,inf", "'shoot_bracket' must be finite, got '20,inf'"),
         ("mp_epsilon_list = 1e-3,inf", "'mp_epsilon_list' must be finite"),
         ("epsilon_list = 1e-2,nan,1e-4,1e-5", "'epsilon_list' must be finite"),
-    ], ids=["bracket-1", "bracket-3", "negative-seed", "empty-mp-list", "inf-grid-gamma",
-            "inf-tau", "inf-in-bracket", "inf-in-mp-list", "nan-in-eps-list"])
+    ], ids=["bracket-1", "bracket-3", "negative-seed", "negative-profiles", "empty-mp-list",
+            "inf-grid-gamma", "inf-tau", "inf-in-bracket", "inf-in-mp-list", "nan-in-eps-list"])
     def test_malformed_value_is_fatal(self, line, match, tmp_path, capsys):
         # past the parser, each would end in a traceback, in a run to the
         # shot's work cap, in a NaN quadrature or deviation (exit 2) or, for
-        # the empty mp list and an infinite grid_gamma, in a vacuous PASS or
-        # a NaN pointwise bound slack (exit 0)
+        # the empty mp list, an infinite grid_gamma and a negative profile
+        # count, in a vacuous PASS, a NaN pointwise bound slack or an
+        # embedding check on the bubbles alone (exit 0)
         path = tmp_path / "m.cfg"
         path.write_text(BASE_CFG + line + "\n")
         with pytest.raises(ValidationError, match=match):
@@ -317,6 +323,45 @@ class TestVerify:
         main(["verify", "--config", str(cfg_file), "--suite", "mp", "--out", str(out2)])
         assert (out1 / "mp_gap.csv").read_bytes() == (out2 / "mp_gap.csv").read_bytes()
 
+    def test_mp_suite_red_on_p1(self, tmp_path, capsys):
+        # (3, 2, 4, 4): the bubble at eps = 1e-3 peaks above the threshold
+        path = tmp_path / "p1.cfg"
+        path.write_text(P1_CFG)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(path), "--suite", "mp", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            "FAIL mp-gap-positive: gaps -0.0185892510731 0.000536723729984 0.000903661027686\n")
+        assert (out / "verify_mp.csv").read_text().splitlines()[1].startswith(
+            "mp-gap-positive,false,")
+
+    def test_numerical_failure_names_the_suite(self, cfg_file, tmp_path, capsys, monkeypatch):
+        # with --suite all, the bliss suite runs first and passes
+        def fail(*args):
+            raise NumericalError("scan failed")
+
+        monkeypatch.setattr(bliss, "bubble_norm_scan", fail)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg_file), "--suite", "all",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numerical failure in suite rates: scan failed\n"
+        assert not (out / "verify_all.csv").exists()
+
+    def test_verdict_names_are_the_benchmark_keys(self, cfg_file, tmp_path, monkeypatch):
+        # perfbench/workloads.py checks verify's verdicts by these names
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # the dataclass decorator looks its module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        small = tmp_path / "small.cfg"
+        small.write_text(cfg_file.read_text().replace("grid_m = 1200", "grid_m = 300"))
+        out = tmp_path / "o"
+        main(["verify", "--config", str(small), "--suite", "all", "--out", str(out)])
+        names = [line.split(",")[0] for line in
+                 (out / "verify_all.csv").read_text().splitlines()[1:]]
+        assert names == list(workloads.EXPECTED_VERDICTS)
+
 
 class TestMpGap:
     def _run(self, tmp_path, name, cfg_text):
@@ -345,6 +390,17 @@ class TestMpGap:
         rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
         assert [float(r[0]) for r in rows] == [1e-4, 1e-6]
         assert all(float(r[3]) > 0 for r in rows)
+
+    def test_red_row_on_p1(self, tmp_path, capsys):
+        # at the default mp_epsilon_list
+        code, csv = self._run(tmp_path, "p1", P1_CFG)
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL eps=0.001  max_I=0.222293342168  gap=-0.0185892510731",
+            "PASS eps=0.0001  max_I=0.203167367365  gap=0.000536723729984",
+            "PASS eps=1e-05  max_I=0.202800430067  gap=0.000903661027686",
+        ]
+        assert float(csv.decode().splitlines()[1].split(",")[3]) < 0
 
 
 class TestOrlicz:
