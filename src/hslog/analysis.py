@@ -424,11 +424,12 @@ def mountain_pass_gap(spec: bliss.BubbleSpec, lp: LogParams, ps: ParamSet) -> Mo
 # --- shared helpers ----------------------------------------------------------
 
 
-def random_smooth_profile(grid: Grid, rng: np.random.Generator) -> Profile:
-    """Random superposition of the first 5 sine modes, vanishing at r = 1."""
+def sine_profile(grid: Grid, coefficients) -> Profile:
+    """sum_k c_k / k sin(k pi (1 - r)) over the coefficients c_1, c_2, ...,
+    vanishing at r = 1."""
     vals, mode = np.zeros(grid.m), np.empty(grid.m)
-    for k in range(1, 6):
-        vals += np.multiply(grid.sine_mode(k), rng.normal() / k, out=mode)
+    for k, c in enumerate(coefficients, 1):
+        vals += np.multiply(grid.sine_mode(k), c / k, out=mode)
     vals[-1] = 0.0
     return Profile(grid, vals)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import random
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -236,17 +237,16 @@ def cmd_rates(cfg: RunConfig, out: Path) -> int:
     ps = cfg.param_set()
     lp = cfg.log_params()
     table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, ps)
-    for name, table in (("dirichlet", table_d), ("lpstar", table_l)):
-        write_csv(out / f"rates_{name}.csv", "epsilon,value,model,fitted_exponent,residual",
-                  [(e, v, table.model, table.fitted_exponent, table.fit_residual)
-                   for e, v in zip(table.abscissae, table.ordinates)])
-
     e_rows = [(float(eps), bliss.concentration_E(bliss.bubble_nodes(
         bliss.BubbleSpec(eps, ps.a_hat), ps), lp, ps)) for eps in cfg.epsilon_list]
     table_e = bliss.rate_fit(e_rows, model="power-times-loglog")
-    write_csv(out / "rates_concentration.csv", "epsilon,value,model,fitted_exponent,residual",
-              [(e, v, table_e.model, table_e.fitted_exponent, table_e.fit_residual)
-               for e, v in zip(table_e.abscissae, table_e.ordinates)])
+    # all three tables are formed before any is written, so a failed
+    # quadrature leaves no rates file behind
+    for name, table in (("dirichlet", table_d), ("lpstar", table_l),
+                        ("concentration", table_e)):
+        write_csv(out / f"rates_{name}.csv", "epsilon,value,model,fitted_exponent,residual",
+                  [(e, v, table.model, table.fitted_exponent, table.fit_residual)
+                   for e, v in zip(table.abscissae, table.ordinates)])
     print(f"dirichlet deviation exponent: {fmt(table_d.fitted_exponent)} "
           f"(s*p = {fmt(ps.s * ps.p)})")
     print(f"lpstar deviation exponent: {fmt(table_l.fitted_exponent)} "
@@ -322,10 +322,14 @@ def cmd_orlicz(cfg: RunConfig, out: Path) -> int:
     grid = cfg.grid()
     lp = cfg.log_params()
     res = analysis.maximize_F(ps, lp, grid, eps_seeds=cfg.epsilon_list)
-    rng = np.random.default_rng(cfg.seed)
-    # drawn one at a time as the check reads them, so one profile is alive
+    # five gauss(0, 1) sine-mode coefficients per random profile, in mode
+    # order, from the standard library's Mersenne Twister (numpy.random would
+    # load 6 MiB for them); drawn one profile at a time as the check reads
+    # them, so one profile is alive
+    rng = random.Random(cfg.seed)
     profiles = itertools.chain(
-        (analysis.random_smooth_profile(grid, rng) for _ in range(cfg.n_random_profiles)),
+        (analysis.sine_profile(grid, [rng.gauss(0.0, 1.0) for _ in range(5)])
+         for _ in range(cfg.n_random_profiles)),
         (bliss.bubble_profile(bliss.BubbleSpec(eps, ps.a_hat), grid, ps)
          for eps in cfg.epsilon_list))
     report = orlicz.embedding_check(profiles, lp, ps, res.value)

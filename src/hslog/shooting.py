@@ -20,12 +20,13 @@ there as bisection while it converges superlinearly where the map is
 smooth.  Without a given bracket, ``shoot`` scans amplitudes from 0.5 to
 1e4 for the first sign change of u(1; a), and Brent starts from the two
 shots on either side of it.  Each amplitude is shot once, the scan's
-included.  A shot keeps the stages of its steps, and the root's shot,
-which Brent has already taken, is sampled on the grid from them: its dense
-output is built then, for that shot only (998 right-hand-side evaluations
-at the root on the README config, 818 of them the shot's own).  The integrator is ``dop853.integrate``, a port of
-scipy's DOP853 to a state of two Python floats, so shooting loads no
-scipy.
+included.  A shot keeps the stages of its steps while its |u(1)| is below
+``ROOT_TOLERANCE``, and the root's shot, which Brent has already taken, is
+sampled on the grid from them: its dense output is built then, for that
+shot only (998 right-hand-side evaluations at the root on the README
+config, 818 of them the shot's own).  Any other shot keeps only its u(1).
+The integrator is ``dop853.integrate``, a port of scipy's DOP853 to a state
+of two Python floats, so shooting loads no scipy.
 
 The weak residual is the dual norm of I'(u) over the discrete profiles
 that vanish at r = 1, in closed form (``radial.dual_norm``).
@@ -54,6 +55,10 @@ ORIGIN_CONDITION = "zero-flux at r_min (our choice; only u(1)=0 is imposed)"
 # 816,938 (a = 7000 on (2, 2, 2, 2), 1.7 s on a 2-vCPU Xeon), and one at
 # a = 1e4 ran for 52 s.  At the cap a shot stops after about 0.1 s there
 MAX_RHS_EVALUATIONS = 100_000
+
+# the |u(1)| below which a shot can be the root; ``shoot`` raises unless
+# Brent's root reaches it
+ROOT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,15 @@ def ivp_integrate(amplitude: float, lp: LogParams, ps: ParamSet) -> dop853.Traje
     return traj
 
 
+def _unless_root(traj: dop853.Trajectory) -> dop853.Trajectory:
+    """traj, with its accepted steps dropped if |u(1)| >= ``ROOT_TOLERANCE``:
+    only the root's shot is sampled on the grid, and only its u(1) is read
+    of any other."""
+    if not abs(traj.u) < ROOT_TOLERANCE:
+        traj.steps = []
+    return traj
+
+
 # 1-2-5 steps per decade from 0.5 up to 1e4; (4, 2, 6, 3) changes sign
 # between 5e3 and 1e4.  Past that a shot can start inside its own core and
 # run up to ``MAX_RHS_EVALUATIONS`` (a = 1e4 on (2, 2, 2, 2) does, and
@@ -166,7 +180,7 @@ def _scan(lp: LogParams, ps: ParamSet) -> dict:
     prev_a, prev = None, None
     for a in _SCAN_AMPLITUDES:
         try:
-            traj = ivp_integrate(a, lp, ps)
+            traj = _unless_root(ivp_integrate(a, lp, ps))
         except NumericalError:
             break
         if prev is not None and prev.u * traj.u < 0:
@@ -185,8 +199,9 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, ...], grid: Grid) -
     bracket is found by ``_scan``, whose two shots are not taken again.
     Brent runs to an amplitude tolerance of 1e-12 in at most 200
     iterations, or raises ``NumericalError`` naming the shooting amplitude.
-    The root must then have |u(1)| < 1e-8, or ``NumericalError`` is raised.
-    Every shot starts at ``R_MIN``.
+    The root must then have |u(1)| < ``ROOT_TOLERANCE`` = 1e-8, or
+    ``NumericalError`` is raised; a shot at or above it keeps its u(1) and
+    drops its steps.  Every shot starts at ``R_MIN``.
 
     The returned profile has its boundary node clamped to zero so it is a
     member of the discrete space; ``boundary_residual`` records the actual
@@ -200,7 +215,7 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, ...], grid: Grid) -
 
     def shot(a, *args):
         if a not in shots:
-            shots[a] = ivp_integrate(a, *args)
+            shots[a] = _unless_root(ivp_integrate(a, *args))
         return shots[a].u
 
     f_lo = shot(a_lo, *ivp_args) if a_lo > 0 else 1.0
@@ -212,11 +227,10 @@ def shoot(lp: LogParams, ps: ParamSet, bracket: tuple[float, ...], grid: Grid) -
         )
     a_star, f_star = brent_root(shot, a_lo, f_lo, a_hi, f_hi, "the shooting amplitude",
                                 args=ivp_args, xtol=1e-12, maxiter=200)
-    if not abs(f_star) < 1e-8:
+    if not abs(f_star) < ROOT_TOLERANCE:
         raise NumericalError(
-            f"amplitude shooting did not reach |u(1)| < 1e-08 after {len(shots)} "
-            f"shots: u(1) = {f_star:.3e} "
-            f"at amplitude {a_star:.12g}"
+            f"amplitude shooting did not reach |u(1)| < {ROOT_TOLERANCE:.0e} after "
+            f"{len(shots)} shots: u(1) = {f_star:.3e} at amplitude {a_star:.12g}"
         )
 
     # nodes below the shot's start carry the amplitude

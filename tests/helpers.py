@@ -2,8 +2,16 @@
 
 import numpy as np
 
+from hslog.analysis import sine_profile
 from hslog.functionals import energy_I, ray_terms
-from hslog.radial import Profile, dirichlet_norm
+from hslog.radial import Grid, Profile, dirichlet_norm
+
+
+def random_smooth_profile(grid: Grid, rng: np.random.Generator) -> Profile:
+    """A sine profile on the first 5 modes, its coefficients rng's next five
+    standard normals (the same five that five scalar ``rng.normal()`` calls
+    give)."""
+    return sine_profile(grid, rng.normal(size=5))
 
 
 def normalize(u: Profile, ps) -> Profile:

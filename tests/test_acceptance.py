@@ -33,7 +33,6 @@ from hslog.analysis import (
     maximize_F,
     mountain_pass_gap,
     ncs_check,
-    random_smooth_profile,
 )
 from hslog.bliss import rate_fit
 from hslog.functionals import J, LogParams, energy_pairing, pairing_terms
@@ -46,7 +45,7 @@ from hslog.radial import (
 )
 from hslog.shooting import shoot
 
-from helpers import grid_energy, grid_ray_terms, normalize
+from helpers import grid_energy, grid_ray_terms, normalize, random_smooth_profile
 
 P0 = validate_params(2, 2, 2, 2)
 P1 = validate_params(3, 2, 4, 4)

@@ -16,7 +16,7 @@ from hslog.analysis import (
     maximize_F,
     mountain_pass_gap,
     ncs_check,
-    random_smooth_profile,
+    sine_profile,
     solve_t_eps,
 )
 from hslog.bliss import rate_fit
@@ -28,7 +28,13 @@ from hslog.params import (
 )
 from hslog.radial import Profile, dirichlet_norm, make_grid
 
-from helpers import grid_energy, grid_ray_terms, normalize, plain_log_factor
+from helpers import (
+    grid_energy,
+    grid_ray_terms,
+    normalize,
+    plain_log_factor,
+    random_smooth_profile,
+)
 
 P0 = validate_params(2, 2, 2, 2)
 
@@ -732,3 +738,19 @@ class TestGradient:
         below = (v > 0.0) & (v < 1.0 - lp.tau)
         assert np.any(grad[below] < 0.0)
         assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(grad))
+
+
+class TestSineProfile:
+    def test_the_mode_sum_vanishing_at_one(self, grid):
+        c = (0.3, -1.2, 0.7, 2.0, -0.4)
+        u = sine_profile(grid, c)
+        ref = sum(c_k / k * np.sin(k * math.pi * (1.0 - grid.nodes)) for k, c_k in enumerate(c, 1))
+        assert u.values[-1] == 0.0
+        np.testing.assert_allclose(u.values[:-1], ref[:-1], rtol=0, atol=1e-14)
+
+    def test_the_test_helper_reads_five_scalar_draws(self, grid):
+        # the profiles the tests pin were drawn with five scalar normal() calls
+        rng = np.random.default_rng(5)
+        scalar = sine_profile(grid, [rng.normal() for _ in range(5)])
+        assert np.array_equal(random_smooth_profile(grid, np.random.default_rng(5)).values,
+                              scalar.values)

@@ -194,6 +194,17 @@ epsilon,value,model,fitted_exponent,residual
         coarse, fine = _run_on_grids(tmp_path, "rates", "rates_concentration.csv")
         assert coarse == fine == (0, self.CONCENTRATION_CSV.encode())
 
+    def test_tau_below_one_exits_2_writing_no_table(self, tmp_path, capsys):
+        # E's quadrature fails after the two norm-deviation scans succeed;
+        # none of the three tables is written
+        path = tmp_path / "tau.cfg"
+        path.write_text(BASE_CFG.replace("tau = 1.0", "tau = 0.5")
+                        .replace("grid_m = 1200", "grid_m = 300"))
+        out = tmp_path / "o"
+        assert main(["rates", "--config", str(path), "--out", str(out)]) == 2
+        assert "concentration quadrature at eps=0.01 did not converge" in capsys.readouterr().err
+        assert not list(out.glob("rates_*.csv"))
+
 
 class TestNcs:
     def test_does_not_depend_on_the_grid(self, tmp_path):
@@ -404,6 +415,15 @@ class TestMpGap:
 
 
 class TestOrlicz:
+    def test_first_random_profile_pinned(self, cfg_file, tmp_path, capsys):
+        # the seed's first five gauss(0, 1) draws of the standard library's
+        # Mersenne Twister, in mode order: a reordered draw, or a Python
+        # release that changes random.gauss, moves this norm
+        out = tmp_path / "o"
+        assert main(["orlicz", "--config", str(cfg_file), "--out", str(out)]) == 0
+        first = (out / "orlicz.csv").read_text().splitlines()[1].split(",")
+        assert first[:2] == ["0", "1.0895451911"]
+
     def test_nan_modular_exits_2_naming_the_norm(self, cfg_file, tmp_path, capsys, monkeypatch):
         # the bracket ends are finite; Brent's first step inside meets a NaN
         modular, calls = orlicz.modular, []
@@ -458,17 +478,18 @@ def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=300)
 
 
-# every command runs in a process where scipy cannot be imported
+# every command runs in a process where neither scipy nor numpy.random can
+# be imported
 _RUN_WITHOUT_SCIPY = """\
 import json, sys
 
-class NoScipy:
+class NoScipyNoNumpyRandom:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "random"]:
             raise ImportError(f"no module named {name!r}")
         return None
 
-sys.meta_path.insert(0, NoScipy())
+sys.meta_path.insert(0, NoScipyNoNumpyRandom())
 from hslog import cli
 runs = [[c] for c in cli.COMMANDS] + [["verify", "--suite", "all"]]
 codes = [cli.main([*r, "--config", sys.argv[1], "--out", sys.argv[2]]) for r in runs]
@@ -489,8 +510,9 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert not polynomial_loaded
 
 
-# the hslog modules, and whether numpy.polynomial, a fresh process has loaded
-# after parsing a config and running the command given (if any)
+# the hslog modules, and which of numpy.polynomial and numpy.random, a fresh
+# process has loaded after parsing a config and running the command given
+# (if any)
 _LOADED_MODULES = """\
 import json, sys
 from hslog import cli
@@ -500,7 +522,7 @@ if argv:
     cli.main([*argv, "--config", cfg, "--out", out])
 print(json.dumps([sorted(m.removeprefix("hslog.") for m in sys.modules
                          if m.startswith("hslog.")),
-                  "numpy.polynomial" in sys.modules]))
+                  [m for m in ("numpy.polynomial", "numpy.random") if m in sys.modules]]))
 """
 
 # every command needs the modules the package __init__ imports, and cli;
@@ -524,6 +546,6 @@ def test_a_command_loads_only_the_modules_it_runs(command, extra, tmp_path):
     cfg.write_text(BASE_CFG.replace("grid_m = 1200", "grid_m = 300"))
     proc = run_python(_LOADED_MODULES, str(cfg), str(tmp_path / "o"), *command.split())
     assert proc.returncode == 0, proc.stderr
-    modules, polynomial_loaded = json.loads(proc.stdout.splitlines()[-1])
+    modules, numpy_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert set(modules) == _BASE | extra
-    assert not polynomial_loaded
+    assert numpy_loaded == []

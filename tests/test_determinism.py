@@ -1,12 +1,14 @@
 """The numbers do not depend on how many threads the BLAS library uses.
 
-OpenBLAS splits a long dot product or matrix-vector product across its
-threads, and each split sums in another order.  The thread count is read
+No quadrature sum goes through BLAS: each is a single-threaded einsum or
+float sum in a fixed order.  This test guards that.  Were a sum at
+grid_m = 16000 handed to a BLAS dot product or matrix-vector product,
+OpenBLAS would split it across its threads, each split summing in another
+order, and the bits would move with the thread count.  The count is read
 once, when the library loads, so each setting runs in its own interpreter.
-At grid_m = 16000 the nodal sums are long enough to be split.  The shot on
-the README config (grid_m = 2000) checks the IVP integrator, whose stage
-sums are plain float sums.  On a single-core host both runs may get one
-thread and agree trivially.
+The shot on the README config (grid_m = 2000) checks the IVP integrator,
+whose stage sums are plain float sums.  On a single-core host both runs
+may get one thread and agree trivially.
 """
 
 import os
@@ -20,14 +22,14 @@ SNIPPET = """
 import hashlib
 import numpy as np
 from hslog import bliss
-from hslog.analysis import maximize_F, mountain_pass_gap, random_smooth_profile
+from hslog.analysis import maximize_F, mountain_pass_gap
 from hslog.functionals import J, LogParams
 from hslog.orlicz import luxemburg_norm
 from hslog.params import validate_params
 from hslog.radial import make_grid
 from hslog.shooting import shoot
 
-from helpers import grid_energy, normalize
+from helpers import grid_energy, normalize, random_smooth_profile
 
 ps = validate_params(2, 2, 2, 2)
 lp = LogParams(1.0, 0.5)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hslog import bliss, orlicz, params
-from hslog.analysis import maximize_F, random_smooth_profile
+from hslog.analysis import maximize_F
 from hslog.functionals import J, LogParams, ray_sum
 from hslog.orlicz import (
     EmbeddingReport,
@@ -24,7 +24,7 @@ from hslog.orlicz import (
 from hslog.params import NumericalError, ValidationError, brent_root, validate_params
 from hslog.radial import Profile, make_grid
 
-from helpers import grid_ray_terms
+from helpers import grid_ray_terms, random_smooth_profile
 
 P0 = validate_params(2, 2, 2, 2)
 LP = LogParams(1.0, 0.5)

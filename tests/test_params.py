@@ -251,10 +251,9 @@ class TestBrentMatchesScipy:
         # g(y) = ln rho(u/e^y), from luxemburg_norm's own bracket: y0 = ln
         # lambda0 and the power-law point
         from hslog import orlicz
-        from hslog.analysis import random_smooth_profile
         from hslog.functionals import LogParams
         from hslog.radial import make_grid
-        from helpers import grid_ray_terms
+        from helpers import grid_ray_terms, random_smooth_profile
 
         ps = validate_params(*P0)
         grid = make_grid(1000, 3.0)
@@ -294,12 +293,11 @@ class TestLogRootsMatchTheLinearOnes:
 
     @pytest.mark.parametrize("params", [P0, P1])
     def test_luxemburg_norm(self, params):
-        # the profiles `orlicz` reads on the README config: 100 random, 6 bubbles
+        # profiles of the kinds `orlicz` reads on the README config: 100 random, 6 bubbles
         from hslog import bliss, orlicz
-        from hslog.analysis import random_smooth_profile
         from hslog.functionals import LogParams
         from hslog.radial import make_grid
-        from helpers import grid_ray_terms
+        from helpers import grid_ray_terms, random_smooth_profile
 
         ps = validate_params(*params)
         grid = make_grid(2000, 3.0)

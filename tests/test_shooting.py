@@ -423,6 +423,8 @@ class TestShoot:
         monkeypatch.undo()
         assert len(runs) == len(shots) == res.bisection_iterations == 9
         for a, (traj, calls) in zip(shots, runs):
+            # a shot that cannot be the root keeps no steps
+            assert bool(traj.steps) == (abs(traj.u) < shooting.ROOT_TOLERANCE)
             # only the root's shot builds its dense output, 3 calls a step
             dense = 3 * len(traj.steps) if a == res.amplitude else 0
             assert calls[0] == traj.nfev == ivp_integrate(a, LP, P0).nfev + dense
