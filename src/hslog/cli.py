@@ -106,6 +106,11 @@ def parse_config(path: str) -> RunConfig:
         setattr(cfg, key, parsed)
     if not cfg.epsilon_list or not cfg.beta_list or not cfg.mp_epsilon_list:
         raise ValidationError("epsilon_list, beta_list and mp_epsilon_list must be nonempty")
+    for key in ("epsilon_list", "mp_epsilon_list", "beta_list"):
+        if min(getattr(cfg, key)) <= 0:
+            raise ValidationError(f"{key} entries must be > 0, got {getattr(cfg, key)}")
+    if len(set(cfg.epsilon_list)) < len(cfg.epsilon_list):
+        raise ValidationError(f"epsilon_list entries must be distinct, got {cfg.epsilon_list}")
     if len(cfg.shoot_bracket) not in (0, 2):
         raise ValidationError(f"shoot_bracket needs two amplitudes, got "
                               f"{len(cfg.shoot_bracket)}: {cfg.shoot_bracket}")

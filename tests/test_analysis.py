@@ -19,7 +19,7 @@ from hslog.analysis import (
     sine_profile,
     solve_t_eps,
 )
-from hslog.bliss import rate_fit
+from hslog.bliss import RATE_MODELS, rate_fit
 from hslog.functionals import JNodes, LogParams, J, energy_I
 from hslog.params import (
     NumericalError,
@@ -60,6 +60,12 @@ class TestRateFit:
     def test_needs_four_points(self):
         with pytest.raises(ValidationError, match="4 points"):
             rate_fit([(1e-1, 1.0), (1e-2, 0.1), (1e-3, 0.01)], model="pure-power")
+
+    @pytest.mark.parametrize("model", RATE_MODELS)
+    def test_needs_two_distinct_eps(self, model):
+        # the slope's denominator, the spread of ln eps, would be zero
+        with pytest.raises(ValidationError, match="2 distinct eps"):
+            rate_fit([(1e-3, 1.0), (1e-3, 0.5), (1e-3, 0.2), (1e-3, 0.1)], model=model)
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValidationError, match="positive"):

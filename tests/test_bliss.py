@@ -3,13 +3,15 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from hslog import analysis, bliss, radial
-from hslog.cli import RunConfig
+from hslog.cli import RunConfig, fmt
 from hslog.functionals import J, LogParams
 from hslog.params import NumericalError, ValidationError, validate_params
 from hslog.radial import dirichlet_norm, make_grid
@@ -274,6 +276,71 @@ class TestNormScan:
             dev_l = bliss.bubble_lpstar_deviation(eps, ps)
             assert abs(dev_d - ref_d) <= 1e-10 * abs(ref_d)
             assert abs(dev_l - ref_l) <= 1e-10 * abs(ref_l)
+
+
+def _fit_coordinates(table):
+    """The (x, y) of a rate table, as ``rate_fit`` forms them."""
+    eps = np.array(table.abscissae)
+    y = np.log(np.array(table.ordinates))
+    if table.model == "power-times-loglog":
+        y = y - np.log(np.log(np.abs(np.log(eps))))
+    return np.log(eps), y
+
+
+def _scan_tables(ps):
+    """The three tables ``rates`` writes on the README defaults at ps."""
+    cfg = RunConfig()
+    table_d, table_l = bliss.bubble_norm_scan(cfg.epsilon_list, ps)
+    e_rows = [(eps, bliss.concentration_E(bliss.bubble_nodes(bliss.BubbleSpec(eps, ps.a_hat),
+                                                             ps), cfg.log_params(), ps))
+              for eps in cfg.epsilon_list]
+    return table_d, table_l, bliss.rate_fit(e_rows, model="power-times-loglog")
+
+
+class TestClosedFormFit:
+    """``rate_fit``'s closed form against np.polyfit and an exact rational fit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(bliss.RATE_MODELS), st.integers(min_value=4, max_value=8),
+           st.floats(min_value=0.5, max_value=3.0), st.floats(min_value=0.3, max_value=1.5),
+           st.floats(min_value=0.25, max_value=4.0), st.floats(min_value=0.01, max_value=100.0),
+           st.lists(st.floats(min_value=-0.1, max_value=0.1), min_size=8, max_size=8))
+    def test_matches_polyfit(self, model, n, start, step, exponent, c, noise):
+        eps = 10.0 ** -(start + step * np.arange(n))
+        vals = c * eps**exponent * np.exp(noise[:n])
+        if model == "power-times-loglog":
+            vals *= np.log(np.abs(np.log(eps)))
+        table = bliss.rate_fit(zip(eps, vals), model=model)
+        x, y = _fit_coordinates(table)
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+        assert table.fitted_exponent == pytest.approx(slope, rel=1e-12)
+        # an exact fit leaves a residual of rounding size, so the tolerance
+        # is relative to the scale of the data too
+        assert table.fit_residual == pytest.approx(resid, rel=1e-12,
+                                                   abs=1e-12 * np.max(np.abs(y)))
+
+    @pytest.mark.parametrize("ps", [P0, P1], ids=["readme", "p1"])
+    def test_matches_the_exact_fit_on_the_scans(self, ps):
+        # the least-squares line of the same floats in rational arithmetic:
+        # the slope within an ulp, the residual (the RMS of differences
+        # that cancel to 1e-4 of the data) within 1e-12
+        for table in _scan_tables(ps):
+            x, y = _fit_coordinates(table)
+            xs, ys = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+            x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+            xc, yc = [v - x_bar for v in xs], [v - y_bar for v in ys]
+            slope = sum(a * b for a, b in zip(xc, yc)) / sum(a * a for a in xc)
+            mean_sq = sum((b - slope * a) ** 2 for a, b in zip(xc, yc)) / len(xc)
+            assert abs(table.fitted_exponent - float(slope)) <= math.ulp(float(slope))
+            assert table.fit_residual == pytest.approx(math.sqrt(mean_sq), rel=1e-12)
+
+    def test_p1_lpstar_residual_pinned(self):
+        # as rates_lpstar.csv prints it.  The exact fit's residual is
+        # 0.00676868107453522; formed from the intercept instead of about
+        # the means it prints ...453
+        _, table_l, _ = _scan_tables(P1)
+        assert fmt(table_l.fit_residual) == "0.00676868107454"
 
 
 def _quad_pieces(f, eps, r0):

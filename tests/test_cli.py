@@ -109,14 +109,23 @@ class TestConfig:
         ("shoot_bracket = 20,inf", "'shoot_bracket' must be finite, got '20,inf'"),
         ("mp_epsilon_list = 1e-3,inf", "'mp_epsilon_list' must be finite"),
         ("epsilon_list = 1e-2,nan,1e-4,1e-5", "'epsilon_list' must be finite"),
+        ("epsilon_list = 1e-2,1e-2,1e-3,1e-4", "epsilon_list entries must be distinct"),
+        ("epsilon_list = 1e-2,-1e-3,1e-4,1e-5", r"^epsilon_list entries must be > 0"),
+        ("mp_epsilon_list = -1e-3", r"mp_epsilon_list entries must be > 0, got \(-0.001,\)"),
+        ("beta_list = 1,0,16", r"beta_list entries must be > 0, got \(1.0, 0.0, 16.0\)"),
     ], ids=["bracket-1", "bracket-3", "negative-seed", "negative-profiles", "empty-mp-list",
-            "inf-grid-gamma", "inf-tau", "inf-in-bracket", "inf-in-mp-list", "nan-in-eps-list"])
+            "inf-grid-gamma", "inf-tau", "inf-in-bracket", "inf-in-mp-list", "nan-in-eps-list",
+            "repeated-eps", "negative-eps", "negative-mp-eps", "zero-beta"])
     def test_malformed_value_is_fatal(self, line, match, tmp_path, capsys):
         # past the parser, each would end in a traceback, in a run to the
         # shot's work cap, in a NaN quadrature or deviation (exit 2) or, for
         # the empty mp list, an infinite grid_gamma and a negative profile
         # count, in a vacuous PASS, a NaN pointwise bound slack or an
-        # embedding check on the bubbles alone (exit 0)
+        # embedding check on the bubbles alone (exit 0).  A repeated eps
+        # would give ncs a NaN tail maximum and a SKIPPED level check, a
+        # negative mp eps would fail verify after beta_sweep.csv is written,
+        # and a negative eps or a zero beta would fail only in the commands
+        # that read it
         path = tmp_path / "m.cfg"
         path.write_text(BASE_CFG + line + "\n")
         with pytest.raises(ValidationError, match=match):
@@ -479,9 +488,12 @@ def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
 
 
 # every command runs in a process where neither scipy nor numpy.random can
-# be imported
+# be imported, and where numpy's least-squares fit and the LAPACK solvers
+# behind it raise
 _RUN_WITHOUT_SCIPY = """\
 import json, sys
+
+import numpy
 
 class NoScipyNoNumpyRandom:
     def find_spec(self, name, path=None, target=None):
@@ -489,7 +501,11 @@ class NoScipyNoNumpyRandom:
             raise ImportError(f"no module named {name!r}")
         return None
 
+def no_lapack(*args, **kwargs):
+    raise AssertionError("a LAPACK least-squares call")
+
 sys.meta_path.insert(0, NoScipyNoNumpyRandom())
+numpy.polyfit = numpy.linalg.lstsq = numpy.linalg.svd = no_lapack
 from hslog import cli
 runs = [[c] for c in cli.COMMANDS] + [["verify", "--suite", "all"]]
 codes = [cli.main([*r, "--config", sys.argv[1], "--out", sys.argv[2]]) for r in runs]

@@ -1,7 +1,10 @@
 """The numbers do not depend on how many threads the BLAS library uses.
 
 No quadrature sum goes through BLAS: each is a single-threaded einsum or
-float sum in a fixed order.  This test guards that.  Were a sum at
+float sum in a fixed order.  No fit goes through LAPACK either: the rate
+fits are closed-form least-squares lines with correctly rounded sums, and
+a test in ``test_cli`` runs every command with numpy's least-squares
+solvers made to raise.  This test guards the sums.  Were a sum at
 grid_m = 16000 handed to a BLAS dot product or matrix-vector product,
 OpenBLAS would split it across its threads, each split summing in another
 order, and the bits would move with the thread count.  The count is read
